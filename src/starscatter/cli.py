@@ -60,6 +60,10 @@ def cmd_forward(args) -> int:
     except StarScatterError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
+    if all(e.resonant for e in entries):
+        print(f"solver error: all {len(entries)} frequencies are singular",
+              file=sys.stderr)
+        return 3
     m = net.m
     header = ["k", "re_R1", "im_R1", "abs_R1"]
     for j in range(2, m + 1):
@@ -78,6 +82,14 @@ def cmd_forward(args) -> int:
     with open(args.out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"wrote {len(entries)} rows to {args.out}")
+    flagged = [e.coeffs for e in entries
+               if e.coeffs is not None and e.coeffs.warnings]
+    if flagged:
+        worst = max(flagged, key=lambda c: c.condition_number)
+        print(f"warning: node system ill-conditioned at {len(flagged)} of "
+              f"{len(entries)} frequencies (worst cond "
+              f"{worst.condition_number:.3e} at k={_fmt(worst.k)})",
+              file=sys.stderr)
     return 0
 
 
@@ -169,12 +181,11 @@ def _run_checks(net):
 
     ok = True
     detail = []
-    for k in ks:
+    for k, c in zip(ks, coeffs):
         dx = min(1e-3, (2.0 * math.pi / k) / 24.0)
         X_tr = max([b.potential.support_end
                     for b in net.infinite_branches] + [1.0]) + 0.5
         field = oracle.oracle_solve(net, k, dx, X_tr)
-        c = scattering.solve_scattering(net, k)
         gap = abs(c.R1 - field.R1_est) / (abs(field.R1_est) + 1e-9)
         detail.append(f"k={k}: {gap:.2e}")
         ok = ok and gap <= 1e-3

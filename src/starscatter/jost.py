@@ -130,8 +130,8 @@ def jost_batch(V: PotentialFn, k, tol: float = TAIL_TOL,
                with_ab: bool = False, n_steps: int | None = None):
     """Vectorized (f0, df0[, a, b]) over an array of frequencies.
 
-    Uses midpoint transfer matrices; cross-validated against
-    ``jost_at_origin`` in the test suite.
+    One real transfer matrix over [0, X] gives both f and ftilde;
+    cross-validated against ``jost_at_origin`` in the test suite.
     """
     k = np.atleast_1d(np.asarray(k, dtype=float))
     if np.any(k == 0):
@@ -143,15 +143,20 @@ def jost_batch(V: PotentialFn, k, tol: float = TAIL_TOL,
         if with_ab:
             return one, 1j * k, one.copy(), zero, X
         return one, 1j * k, X
-    eikX = np.exp(1j * k * X)
-    f0, df0 = propagate.sweep(V, X, 0.0, k, eikX, 1j * k * eikX,
-                              n_steps=n_steps)
+    # one pass over [0, X]: ftilde(X) = M (1, -ik), f(0) = M^-1 f(X), where
+    # M^-1 = [[m22, -m12], [-m21, m11]] because det M = 1
+    m11, m12, m21, m22 = propagate.transfer_matrix(V, 0.0, X, k,
+                                                   n_steps=n_steps)
+    ik = 1j * k
+    eikX = np.exp(ik * X)
+    f0 = (m22 - m12 * ik) * eikX
+    df0 = (m11 * ik - m21) * eikX
     if not with_ab:
         return f0, df0, X
-    ft, dft = propagate.sweep(V, 0.0, X, k, np.ones_like(k, dtype=complex),
-                              -1j * k, n_steps=n_steps)
-    a = eikX * (1j * k * ft - dft) / (2j * k)
-    b = (1j * k * ft + dft) / (2j * k * eikX)
+    ft = m11 - m12 * ik
+    dft = m21 - m22 * ik
+    a = eikX * (ik * ft - dft) / (2j * k)
+    b = (ik * ft + dft) / (2j * k * eikX)
     return f0, df0, a, b, X
 
 

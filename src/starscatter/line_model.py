@@ -154,7 +154,6 @@ class PotentialFn:
     evaluator: Callable[[np.ndarray], np.ndarray]
     support_end: float
     l1_norm: float
-    first_moment: float
     _tail_x: np.ndarray = field(repr=False)
     _tail_vals: np.ndarray = field(repr=False)
 
@@ -285,26 +284,24 @@ def _clipped(fn, support_end):
 
 
 def _build_potential(evaluator, support_end, grid_step) -> PotentialFn:
-    """Fill l1/first-moment/tail data for an arbitrary evaluator."""
+    """Fill l1/tail data for an arbitrary evaluator."""
     if support_end <= 0.0:
         zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-        return PotentialFn(zero, 0.0, 0.0, 0.0,
-                           np.array([0.0]), np.array([0.0]))
+        return PotentialFn(zero, 0.0, 0.0, np.array([0.0]), np.array([0.0]))
     n = max(int(math.ceil(support_end / grid_step)), 16)
     xg = np.linspace(0.0, support_end, n + 1)
     absv = np.abs(np.asarray(evaluator(xg), dtype=float))
     cum = integrate.cumulative_trapezoid(absv, xg, initial=0.0)
     l1, _ = integrate.quad(lambda x: abs(float(evaluator(x))), 0.0,
                            support_end, epsabs=QUAD_ABS_TOL, limit=400)
-    fm, _ = integrate.quad(lambda x: (1.0 + x) * abs(float(evaluator(x))),
-                           0.0, support_end, epsabs=QUAD_ABS_TOL, limit=400)
-    if not math.isfinite(fm):
-        raise ProfileValidityError("first moment of |V| is not finite")
+    # on compact support a finite L1 norm is a finite first moment too
+    if not math.isfinite(l1):
+        raise ProfileValidityError("L1 norm of |V| is not finite")
     total = max(l1, cum[-1])
     # small slack absorbs trapezoid error so the bound stays a true bound
     tails = (total - cum) * (1.0 + 1e-6) + 1e-12
     tails = np.maximum.accumulate(tails[::-1])[::-1]
-    return PotentialFn(evaluator, float(support_end), l1, fm, xg, tails)
+    return PotentialFn(evaluator, float(support_end), l1, xg, tails)
 
 
 def potential_from_profile(profile: LineProfile,
@@ -326,8 +323,7 @@ def potential_from_profile(profile: LineProfile,
         n = max(int(math.ceil(tau / grid_step)), 16)
         xg = np.linspace(0.0, tau, n + 1)
         tails = g2 * (tau - xg) + 1e-15
-        fm = g2 * (tau + tau ** 2 / 2.0)
-        return PotentialFn(ev, tau, g2 * tau, fm, xg, tails)
+        return PotentialFn(ev, tau, g2 * tau, xg, tails)
     if fam is ProfileFamily.DIRECT_POTENTIAL:
         ev = _clipped(p["potential"], p["support_end"])
         return _build_potential(ev, p["support_end"], grid_step)

@@ -1,16 +1,25 @@
 """Fast propagation of y'' = (V(x) - k^2) y, vectorized over k.
 
-Each step treats V as constant at the cell midpoint and applies the exact
-constant-potential transfer matrix
+The interval is cut into ``step_count`` cells and V is taken constant at
+each cell midpoint.  On a cell of length dx the exact constant-potential
+transfer matrix is
 
     [y ]       [ cos(q dx)        sin(q dx)/q ] [y ]
     [y']  <-   [ -q sin(q dx)     cos(q dx)   ] [y'],   q = sqrt(k^2 - V),
 
-which continues analytically to k^2 < V (cosh/sinh).  The scheme is exact
-for piecewise-constant potentials, second order in dx for smooth ones, and
-each step has unit determinant, so Wronskians and flux balances are
-preserved to rounding regardless of step size.  Signed dx gives backward
-propagation for free (cos is even, sin(q dx)/q is odd).
+which continues analytically to k^2 < V (cosh/sinh).  Since V and k are
+real, the product of these cells is one real 2x2 matrix per frequency,
+with unit determinant, so Wronskians and flux balances are preserved to
+rounding regardless of step size.  ``transfer_matrix`` builds it and
+``sweep`` applies it to (y, y').
+
+Adjacent cells with the same midpoint V are merged into one cell of the
+summed length.  The midpoint scheme already treats V as constant there, so
+merging changes the product only by rounding: uniform lines, exponential
+tapers and the V = 0 stretch past a potential's support each cost a single
+cell.  The cost of a pass is therefore (cells where V varies) x (number of
+frequencies).  The scheme is second order in dx for smooth V.  Signed dx
+gives backward propagation (cos is even, sin(q dx)/q is odd).
 """
 from __future__ import annotations
 
@@ -54,47 +63,44 @@ def _step_factors(s: np.ndarray, dx: float):
     return c, sl
 
 
-def sweep(potential, x_from: float, x_to: float, k: np.ndarray,
-          y: np.ndarray, dy: np.ndarray, n_steps: int | None = None,
-          steps_per_wavelength: int = STEPS_PER_WAVELENGTH,
-          dx_max: float = DX_MAX):
-    """Propagate (y, y') from x_from to x_to; k, y, dy broadcast together.
+def transfer_matrix(potential, x_from: float, x_to: float, k: np.ndarray,
+                    n_steps: int | None = None):
+    """Real transfer matrix (m11, m12, m21, m22) from x_from to x_to.
 
-    ``potential`` is a vectorized map x -> V(x).  Returns the endpoint pair
-    (y, y') as new arrays.
+    ``potential`` is a vectorized map x -> V(x).  Each entry is an array
+    over k; (y, y')(x_to) = M (y, y')(x_from) and det M = 1.
     """
     k = np.atleast_1d(np.asarray(k, dtype=float))
-    y = np.array(np.broadcast_to(y, k.shape), dtype=complex)
-    dy = np.array(np.broadcast_to(dy, k.shape), dtype=complex)
+    k2 = k * k
+    m11, m12 = np.ones_like(k2), np.zeros_like(k2)
+    m21, m22 = np.zeros_like(k2), np.ones_like(k2)
     length = x_to - x_from
     if length == 0.0:
-        return y, dy
+        return m11, m12, m21, m22
     if n_steps is None:
-        n_steps = step_count(abs(length), float(np.max(np.abs(k))),
-                             steps_per_wavelength, dx_max)
+        n_steps = step_count(abs(length), float(np.max(np.abs(k))))
     dx = length / n_steps
     mids = x_from + (np.arange(n_steps) + 0.5) * dx
     v_mid = np.asarray(potential(mids), dtype=float)
-    k2 = k * k
-    for i in range(n_steps):
-        c, sl = _step_factors(k2 - v_mid[i], dx)
-        y_new = c * y + sl * dy
-        dy = -(k2 - v_mid[i]) * sl * y + c * dy
-        y = y_new
-    return y, dy
+    starts = np.flatnonzero(np.r_[True, v_mid[1:] != v_mid[:-1]])
+    cells = np.diff(np.r_[starts, n_steps])
+    for v, n in zip(v_mid[starts], cells):
+        s = k2 - v
+        c, sl = _step_factors(s, n * dx)
+        qs = s * sl  # q sin(q dx): the cell's lower-left entry, negated
+        m11, m21 = c * m11 + sl * m21, c * m21 - qs * m11
+        m12, m22 = c * m12 + sl * m22, c * m22 - qs * m12
+    return m11, m12, m21, m22
 
 
-def sweep_grid(potential, x_grid: np.ndarray, k: float,
-               y0: complex, dy0: complex):
-    """Single-k propagation recording (y, y') at every point of x_grid."""
-    x_grid = np.asarray(x_grid, dtype=float)
-    ks = np.array([float(k)])
-    y = np.array([y0], dtype=complex)
-    dy = np.array([dy0], dtype=complex)
-    ys = np.empty(x_grid.size, dtype=complex)
-    dys = np.empty(x_grid.size, dtype=complex)
-    ys[0], dys[0] = y[0], dy[0]
-    for i in range(1, x_grid.size):
-        y, dy = sweep(potential, x_grid[i - 1], x_grid[i], ks, y, dy)
-        ys[i], dys[i] = y[0], dy[0]
-    return ys, dys
+def sweep(potential, x_from: float, x_to: float, k: np.ndarray,
+          y: np.ndarray, dy: np.ndarray, n_steps: int | None = None):
+    """Propagate (y, y') from x_from to x_to; k, y, dy broadcast together.
+
+    Returns the endpoint pair (y, y') as new complex arrays.
+    """
+    k = np.atleast_1d(np.asarray(k, dtype=float))
+    y = np.broadcast_to(np.asarray(y, dtype=complex), k.shape)
+    dy = np.broadcast_to(np.asarray(dy, dtype=complex), k.shape)
+    m11, m12, m21, m22 = transfer_matrix(potential, x_from, x_to, k, n_steps)
+    return m11 * y + m12 * dy, m21 * y + m22 * dy

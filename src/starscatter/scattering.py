@@ -245,7 +245,12 @@ def solve_scattering_batch(net: StarNetwork, k, method: str = "transfer",
     rhs[:, N - 1] = -A1 * d0 + saap * c0 / A1
 
     cond = np.linalg.cond(M)
-    sol = np.linalg.solve(M, rhs[..., None])[..., 0]
+    try:
+        sol = np.linalg.solve(M, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        # one exactly singular k fails the whole batch; reflectogram's
+        # per-k fallback then isolates it
+        raise ResonanceError(f"node system singular: {exc}") from exc
 
     results = []
     m = net.m

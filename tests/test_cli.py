@@ -1,5 +1,6 @@
 """Command-line front end: configs, sweeps, inversion, validation."""
 import json
+import math
 
 import numpy as np
 import pytest
@@ -98,6 +99,33 @@ class TestForward:
                        "--kmax", "6", "--dk", "1",
                        "--out", str(tmp_path / "o.csv")])
         assert rc == 3
+
+    def test_all_frequencies_singular_exit_code(self, tmp_path, monkeypatch,
+                                                capsys):
+        cfg = write_config(tmp_path, uniform_config(2, [1.0]))
+
+        def singular(*a, **kw):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        rc = cli.main(["forward", "--config", cfg, "--kmin", "5",
+                       "--kmax", "6", "--dk", "0.5",
+                       "--out", str(tmp_path / "o.csv")])
+        assert rc == 3
+        assert "all 3 frequencies are singular" in capsys.readouterr().err
+
+    def test_ill_conditioned_node_warning(self, tmp_path, capsys):
+        # two equal unit stubs carry an embedded eigenvalue at k = 3 pi / 2
+        cfg = write_config(tmp_path, uniform_config(2, [1.0, 1.0]))
+        k = repr(1.5 * math.pi)
+        out = tmp_path / "o.csv"
+        rc = cli.main(["forward", "--config", cfg, "--kmin", k, "--kmax", k,
+                       "--dk", "1", "--out", str(out)])
+        assert rc == 0
+        assert len(out.read_text().strip().split("\n")) == 2
+        err = capsys.readouterr().err
+        assert "node system ill-conditioned at 1 of 1 frequencies" in err
+        assert "k=4.71238898038" in err
 
     def test_thread_cap_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("STAR_SCATTER_THREADS", "2")

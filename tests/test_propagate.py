@@ -1,0 +1,140 @@
+"""The transfer-matrix kernel: merged constant runs, closed forms, cost.
+
+The reference for the merged kernel is a plain per-cell product written
+here with complex square roots, so it shares no code with the kernel.
+"""
+import numpy as np
+import pytest
+
+from starscatter import config, jost, propagate
+from starscatter.line_model import LineProfile, potential_from_profile
+
+from conftest import sin2_bump
+
+KS = np.linspace(60.0, 160.0, 11)
+
+
+def plateau_bump(x):
+    """Plateaus (0, 1.5, -0.8, 0) around a smooth bump on [0.7, 1.2]."""
+    x = np.asarray(x, dtype=float)
+    bump = 3.0 * np.sin(np.pi * (x - 0.7) / 0.5) ** 2
+    return np.select([x < 0.3, x < 0.7, x < 1.2, x < 1.5],
+                     [0.0, 1.5, bump, -0.8], 0.0)
+
+
+def naive_matrix(potential, x_from, x_to, k):
+    """Per-cell product of the midpoint matrices, one cell at a time."""
+    n = propagate.step_count(abs(x_to - x_from), float(np.max(k)))
+    dx = (x_to - x_from) / n
+    k2 = k * k
+    m = np.broadcast_to(np.eye(2), k.shape + (2, 2)).copy()
+    for i in range(n):
+        s = k2 - float(potential(np.array([x_from + (i + 0.5) * dx]))[0])
+        q = np.sqrt(s.astype(complex))
+        c = np.cos(q * dx).real
+        sl = (np.sin(q * dx) / q).real
+        cell = np.stack([np.stack([c, sl], -1),
+                         np.stack([-s * sl, c], -1)], -2)
+        m = cell @ m
+    return m
+
+
+def as_array(m):
+    m11, m12, m21, m22 = m
+    return np.stack([np.stack([m11, m12], -1),
+                     np.stack([m21, m22], -1)], -2)
+
+
+def rel_err(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("x_from, x_to", [(0.0, 2.0), (2.0, 0.0)])
+def test_merged_kernel_matches_per_cell_product(x_from, x_to):
+    got = as_array(propagate.transfer_matrix(plateau_bump, x_from, x_to, KS))
+    want = naive_matrix(plateau_bump, x_from, x_to, KS)
+    for i in range(2):
+        for j in range(2):
+            assert rel_err(got[..., i, j], want[..., i, j]) < 1e-12
+
+
+def test_backward_matrix_inverts_forward():
+    fwd = as_array(propagate.transfer_matrix(plateau_bump, 0.0, 2.0, KS))
+    bwd = as_array(propagate.transfer_matrix(plateau_bump, 2.0, 0.0, KS))
+    prod = bwd @ fwd
+    scale = np.max(np.abs(fwd), axis=(-2, -1)) ** 2
+    assert np.max(np.abs(prod - np.eye(2)) / scale[:, None, None]) < 1e-12
+    det = fwd[..., 0, 0] * fwd[..., 1, 1] - fwd[..., 0, 1] * fwd[..., 1, 0]
+    assert np.max(np.abs(det - 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("profile, v", [
+    (LineProfile.uniform(1.0, 1.0, length=2.0), 0.0),
+    (LineProfile.exponential_taper(0.7, 2.0), 0.49),
+])
+def test_constant_stub_matches_closed_form(profile, v):
+    k, tau = 160.0, 2.0
+    V = potential_from_profile(profile)
+    y0, dy0 = 0.3 - 0.2j, 40.0 + 7.0j
+    y, dy = propagate.sweep(V, 0.0, tau, np.array([k]), y0, dy0)
+    q = np.sqrt(k * k - v)
+    want_y = np.cos(q * tau) * y0 + np.sin(q * tau) / q * dy0
+    want_dy = -q * np.sin(q * tau) * y0 + np.cos(q * tau) * dy0
+    assert abs(y[0] - want_y) < 1e-12 * abs(dy0) / k
+    assert abs(dy[0] - want_dy) < 1e-12 * abs(dy0)
+
+
+def count_step_factors(monkeypatch):
+    calls = []
+    real = propagate._step_factors
+
+    def counted(s, dx):
+        calls.append(dx)
+        return real(s, dx)
+
+    monkeypatch.setattr(propagate, "_step_factors", counted)
+    return calls
+
+
+def test_uniform_stub_is_one_cell(monkeypatch):
+    V = potential_from_profile(LineProfile.uniform(1.0, 1.0, length=1.7))
+    calls = count_step_factors(monkeypatch)
+    propagate.sweep(V, 0.0, 1.7, KS, 1.0, 0.0)
+    assert len(calls) == 1
+
+
+def test_smooth_stub_costs_its_support_cells_plus_one(tmp_path, monkeypatch):
+    # the smooth-sweep stub: a 161-row x,V table of 0.4 sin^2(pi x / 0.6)
+    tau, support = 1.0, 0.6
+    table = tmp_path / "fin1.csv"
+    x = np.linspace(0.0, support, 161)
+    v = 0.4 * np.sin(np.pi * x / support) ** 2
+    np.savetxt(table, np.column_stack([x, v]), delimiter=",", header="x,V",
+               comments="", fmt="%.17g")
+    bump, _ = config._spline_potential(table, "fin1")
+
+    def reversed_bump(s):
+        return bump(tau - np.asarray(s, dtype=float))
+
+    n = propagate.step_count(tau, float(KS.max()))
+    mids = (np.arange(n) + 0.5) * (tau / n)
+    support_cells = int(np.count_nonzero(mids < support))
+    for potential in (bump, reversed_bump):
+        calls = count_step_factors(monkeypatch)
+        propagate.sweep(potential, 0.0, tau, KS, 1.0, -0.12)
+        assert len(calls) == support_cells + 1
+        monkeypatch.undo()
+
+
+def test_jost_batch_matches_two_sweeps():
+    V = potential_from_profile(LineProfile.direct(sin2_bump(0.5, 0.8), 0.8))
+    f0, df0, a, b, X = jost.jost_batch(V, KS, with_ab=True)
+    eikX = np.exp(1j * KS * X)
+    g0, dg0 = propagate.sweep(V, X, 0.0, KS, eikX, 1j * KS * eikX)
+    ft, dft = propagate.sweep(V, 0.0, X, KS, 1.0, -1j * KS)
+    a_ref = eikX * (1j * KS * ft - dft) / (2j * KS)
+    b_ref = (1j * KS * ft + dft) / (2j * KS * eikX)
+    assert rel_err(f0, g0) < 1e-12
+    assert rel_err(df0, dg0) < 1e-12
+    assert rel_err(a, a_ref) < 1e-12
+    assert np.max(np.abs(b - b_ref)) < 1e-12

@@ -171,6 +171,34 @@ class TestReflectogram:
         assert entries[1].R1 is None
         assert abs(entries[0].R1 + 1.0 / 3.0) < 1e-12
 
+    def test_singular_node_solve_flags_only_its_k(self, monkeypatch):
+        # an exactly singular node matrix fails np.linalg.solve for the
+        # whole batch; record the k=20 matrix, then make it singular
+        net = uniform_network(2, taus=[1.0])
+        real_solve = np.linalg.solve
+        seen = []
+
+        def recording(M, rhs):
+            seen.append(M[0].copy())
+            return real_solve(M, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        solve_scattering_batch(net, 20.0)
+        bad = seen[0]
+
+        def singular(M, rhs):
+            if np.any(np.all(np.isclose(M, bad), axis=(-2, -1))):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real_solve(M, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(ResonanceError):
+            solve_scattering_batch(net, [10.0, 20.0, 30.0])
+        entries = reflectogram(net, [10.0, 20.0, 30.0])
+        assert [e.resonant for e in entries] == [False, True, False]
+        assert entries[1].R1 is None
+        assert entries[0].R1 is not None and entries[2].R1 is not None
+
     def test_grid_validation(self):
         net = uniform_network(2)
         with pytest.raises(DomainError):
