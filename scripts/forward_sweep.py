@@ -36,21 +36,21 @@ def main():
 
     net = demo_network()
     grid = np.arange(args.kmin, args.kmax + args.dk / 2.0, args.dk)
-    entries = reflectogram(net, grid)
+    sweep = reflectogram(net, grid)
 
     lines = ["k,abs_R1,arg_R1,g"]
-    for e in entries:
-        if e.resonant:
-            lines.append(f"{e.k:.10g},NaN,NaN,NaN")
+    for k, r, bad in zip(sweep.k.tolist(), sweep.R1.tolist(),
+                         sweep.resonant.tolist()):
+        if bad:
+            lines.append(f"{k:.10g},NaN,NaN,NaN")
             continue
-        r = e.R1
         g = 2.0 * (1.0 / (1.0 + r)).imag if abs(1.0 + r) > 1e-12 else \
             float("inf")
-        lines.append(f"{e.k:.10g},{abs(r):.10g},{cmath.phase(r):.10g},"
+        lines.append(f"{k:.10g},{abs(r):.10g},{cmath.phase(r):.10g},"
                      f"{g:.10g}")
     with open(args.out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    print(f"wrote {len(entries)} rows to {args.out}")
+    print(f"wrote {len(sweep)} rows to {args.out}")
 
 
 if __name__ == "__main__":

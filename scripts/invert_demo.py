@@ -49,9 +49,10 @@ def main():
     ks = np.arange(args.kmin, args.kmax, args.dk)
     print(f"forward sweep: {ks.size} frequencies on "
           f"[{args.kmin}, {args.kmax})")
-    entries = reflectogram(net, ks)
-    samples = [ReflectogramSample(e.k, e.R1) for e in entries
-               if not e.resonant]
+    sweep = reflectogram(net, ks)
+    ok = ~sweep.resonant
+    samples = [ReflectogramSample(k, r) for k, r in
+               zip(sweep.k[ok].tolist(), sweep.R1[ok].tolist())]
 
     report = estimate_taus(samples)
     print("true     : m = 2, taus = [1.0, 1.7]")

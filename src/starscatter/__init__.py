@@ -14,8 +14,8 @@ from .line_model import BranchGeometry, LineProfile, PotentialFn, \
     terminal_h, travel_time, voltage_from_field
 from .oracle import DiscreteGraphField, oracle_solve
 from .scattering import Branch, BranchKind, ScatteringCoefficients, \
-    StarNetwork, assemble_field, network_from_profiles, reflectogram, \
-    solve_scattering
+    ScatteringSweep, StarNetwork, assemble_field, network_from_profiles, \
+    reflectogram, solve_scattering
 
 __version__ = "0.1.0"
 
@@ -23,7 +23,8 @@ __all__ = [
     "Branch", "BranchGeometry", "BranchKind", "DiscreteGraphField",
     "FundamentalData", "InversionReport", "JostData", "KernelTable",
     "LineProfile", "PotentialFn", "ReflectogramSample",
-    "ScatteringCoefficients", "StarNetwork", "StarScatterError",
+    "ScatteringCoefficients", "ScatteringSweep", "StarNetwork",
+    "StarScatterError",
     "assemble_field", "branch_geometry", "estimate_m", "estimate_taus",
     "fundamental_at", "fundamental_via_kernel", "high_freq_reflection",
     "jost_at_origin", "jost_log_derivative", "liouville_coordinate",

@@ -56,12 +56,13 @@ def cmd_forward(args) -> int:
         return 2
     grid = args.kmin + args.dk * np.arange(n_pts)
     try:
-        entries = scattering.reflectogram(net, grid, threads=_thread_count())
+        sweep = scattering.reflectogram(net, grid, threads=_thread_count())
     except StarScatterError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
-    if all(e.resonant for e in entries):
-        print(f"solver error: all {len(entries)} frequencies are singular",
+    resonant = sweep.resonant
+    if resonant.all():
+        print(f"solver error: all {len(sweep)} frequencies are singular",
               file=sys.stderr)
         return 3
     m = net.m
@@ -69,27 +70,26 @@ def cmd_forward(args) -> int:
     for j in range(2, m + 1):
         header += [f"re_T{j}", f"im_T{j}"]
     lines = [",".join(header)]
-    for e in entries:
-        if e.resonant or e.coeffs is None:
-            row = [_fmt(e.k)] + ["NaN"] * (len(header) - 1)
+    nan_cols = ["NaN"] * (len(header) - 1)
+    for k, r, ts, bad in zip(sweep.k.tolist(), sweep.R1.tolist(),
+                             sweep.T.tolist(), resonant.tolist()):
+        if bad:
+            row = [_fmt(k)] + nan_cols
         else:
-            c = e.coeffs
-            row = [_fmt(e.k), _fmt(c.R1.real), _fmt(c.R1.imag),
-                   _fmt(abs(c.R1))]
-            for t in c.T:
+            row = [_fmt(k), _fmt(r.real), _fmt(r.imag), _fmt(abs(r))]
+            for t in ts:
                 row += [_fmt(t.real), _fmt(t.imag)]
         lines.append(",".join(row))
     with open(args.out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    print(f"wrote {len(entries)} rows to {args.out}")
-    flagged = [e.coeffs for e in entries
-               if e.coeffs is not None and e.coeffs.warnings]
-    if flagged:
-        worst = max(flagged, key=lambda c: c.condition_number)
-        print(f"warning: node system ill-conditioned at {len(flagged)} of "
-              f"{len(entries)} frequencies (worst cond "
-              f"{worst.condition_number:.3e} at k={_fmt(worst.k)})",
-              file=sys.stderr)
+    print(f"wrote {len(sweep)} rows to {args.out}")
+    ill = ~resonant & (sweep.cond > scattering.COND_WARN)
+    if ill.any():
+        worst = np.flatnonzero(ill)[np.argmax(sweep.cond[ill])]
+        print(f"warning: node system ill-conditioned at {int(ill.sum())} of "
+              f"{len(sweep)} frequencies (worst cond "
+              f"{float(sweep.cond[worst]):.3e} at "
+              f"k={_fmt(float(sweep.k[worst]))})", file=sys.stderr)
     return 0
 
 

@@ -16,15 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, simpson, solve_ivp
+from scipy.integrate import cumulative_trapezoid, simpson
 from scipy.interpolate import CubicSpline, RegularGridInterpolator
 
 from . import propagate
-from .errors import AccuracyError, DivergenceError
+from .errors import DivergenceError
+from .jost import _rk45
 from .line_model import PotentialFn
-
-RTOL = 1e-9
-ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -71,44 +69,24 @@ def fundamental_at(V: PotentialFn, tau: float, h: float,
     """Integrate the IVP omega(0)=1, omega'(0)=h from 0 to tau."""
     if tau <= 0:
         raise ValueError("tau must be positive")
-    max_step = tau
-    if k != 0:
-        max_step = min(tau, (2.0 * np.pi / abs(k)) / propagate.STEPS_PER_WAVELENGTH)
-
-    def rhs(x, u):
-        return [u[1], (V(x) - k * k) * u[0]]
-
-    sol = solve_ivp(rhs, (0.0, tau), [1.0 + 0.0j, complex(h)], method="RK45",
-                    rtol=RTOL, atol=ATOL, max_step=max_step)
-    if not sol.success:
-        raise AccuracyError(f"RK45 failed on [0, {tau}]: {sol.message}")
-    return FundamentalData(float(k), sol.y[0][-1], sol.y[1][-1])
+    om, dom = _rk45(V, k, (0.0, tau), [1.0 + 0.0j, complex(h)],
+                    max_step=tau)[:, -1]
+    return FundamentalData(float(k), om, dom)
 
 
 def fundamental_profile(V: PotentialFn, tau: float, h: float, k: float, xs):
     """omega and omega' sampled on xs in [0, tau]."""
     xs = np.asarray(xs, dtype=float)
-    max_step = tau
-    if k != 0:
-        max_step = min(tau, (2.0 * np.pi / abs(k)) / propagate.STEPS_PER_WAVELENGTH)
-
-    def rhs(x, u):
-        return [u[1], (V(x) - k * k) * u[0]]
-
-    sol = solve_ivp(rhs, (0.0, tau), [1.0 + 0.0j, complex(h)], method="RK45",
-                    rtol=RTOL, atol=ATOL, max_step=max_step, t_eval=xs)
-    if not sol.success:
-        raise AccuracyError(f"RK45 failed: {sol.message}")
-    return sol.y[0], sol.y[1]
+    om, dom = _rk45(V, k, (0.0, tau), [1.0 + 0.0j, complex(h)], t_eval=xs,
+                    max_step=tau)
+    return om, dom
 
 
-def fundamental_batch(V: PotentialFn, tau: float, h: float, k,
-                      n_steps: int | None = None):
+def fundamental_batch(V: PotentialFn, tau: float, h: float, k):
     """Vectorized (omega(tau), omega'(tau)) over an array of frequencies."""
     k = np.atleast_1d(np.asarray(k, dtype=float))
     ones = np.ones_like(k, dtype=complex)
-    return propagate.sweep(V, 0.0, tau, k, ones, complex(h) * ones,
-                           n_steps=n_steps)
+    return propagate.sweep(V, 0.0, tau, k, ones, complex(h) * ones)
 
 
 def solve_kernel(V: PotentialFn, tau: float,

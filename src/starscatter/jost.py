@@ -35,7 +35,6 @@ class JostData:
     df0: complex
     a: complex
     b: complex
-    truncation_X: float
 
 
 def truncation_point(V: PotentialFn, tol: float = TAIL_TOL) -> float:
@@ -49,15 +48,24 @@ def truncation_point(V: PotentialFn, tol: float = TAIL_TOL) -> float:
     return float(V.support_end)
 
 
-def _integrate(V, k, x0, x1, y0, dy0, max_step):
+def _rk45(V, k, t_span, u0, t_eval=None, max_step=np.inf):
+    """Adaptive RK45 for y'' = (V(x) - k^2) y from (y, y') = u0 at
+    t_span[0], in steps of at most max_step and, for k != 0, of
+    1/STEPS_PER_WAVELENGTH of a wavelength.  Returns the rows (y, y') at
+    t_eval, or at the solver's own steps (the endpoint last) without it."""
+    if k != 0:
+        max_step = min(max_step, (2.0 * np.pi / abs(k))
+                       / propagate.STEPS_PER_WAVELENGTH)
+
     def rhs(x, u):
         return [u[1], (V(x) - k * k) * u[0]]
 
-    sol = solve_ivp(rhs, (x0, x1), [complex(y0), complex(dy0)],
-                    method="RK45", rtol=RTOL, atol=ATOL, max_step=max_step)
+    sol = solve_ivp(rhs, t_span, u0, method="RK45", rtol=RTOL, atol=ATOL,
+                    max_step=max_step, t_eval=t_eval)
     if not sol.success:
-        raise AccuracyError(f"RK45 failed on [{x0}, {x1}]: {sol.message}")
-    return sol.y[0][-1], sol.y[1][-1]
+        raise AccuracyError(
+            f"RK45 failed on [{t_span[0]}, {t_span[1]}]: {sol.message}")
+    return sol.y
 
 
 def jost_at_origin(V: PotentialFn, k: float, tol: float = TAIL_TOL) -> JostData:
@@ -69,15 +77,14 @@ def jost_at_origin(V: PotentialFn, k: float, tol: float = TAIL_TOL) -> JostData:
     if k == 0:
         raise SingularFrequencyError("Jost data is singular at k = 0")
     X = truncation_point(V, tol)
-    max_step = (2.0 * np.pi / abs(k)) / propagate.STEPS_PER_WAVELENGTH
     if X == 0.0:
-        return JostData(k, 1.0 + 0.0j, 1j * k, 1.0 + 0.0j, 0.0j, 0.0)
+        return JostData(k, 1.0 + 0.0j, 1j * k, 1.0 + 0.0j, 0.0j)
     eikX = np.exp(1j * k * X)
-    f0, df0 = _integrate(V, k, X, 0.0, eikX, 1j * k * eikX, max_step)
-    ft, dft = _integrate(V, k, 0.0, X, 1.0, -1j * k, max_step)
+    f0, df0 = _rk45(V, k, (X, 0.0), [eikX, 1j * k * eikX])[:, -1]
+    ft, dft = _rk45(V, k, (0.0, X), [1.0 + 0.0j, -1j * k])[:, -1]
     a = eikX * (1j * k * ft - dft) / (2j * k)
     b = (1j * k * ft + dft) / (2j * k * eikX)
-    return JostData(float(k), f0, df0, a, b, X)
+    return JostData(float(k), f0, df0, a, b)
 
 
 def jost_log_derivative(d: JostData) -> complex:
@@ -94,18 +101,9 @@ def jost_profile(V: PotentialFn, k: float, xs, tol: float = TAIL_TOL):
         raise SingularFrequencyError("Jost data is singular at k = 0")
     xs = np.asarray(xs, dtype=float)
     X = max(truncation_point(V, tol), float(xs[-1]))
-    max_step = (2.0 * np.pi / abs(k)) / propagate.STEPS_PER_WAVELENGTH
     eikX = np.exp(1j * k * X)
-
-    def rhs(x, u):
-        return [u[1], (V(x) - k * k) * u[0]]
-
-    sol = solve_ivp(rhs, (X, 0.0), [eikX, 1j * k * eikX], method="RK45",
-                    rtol=RTOL, atol=ATOL, max_step=max_step,
-                    t_eval=xs[::-1])
-    if not sol.success:
-        raise AccuracyError(f"RK45 failed: {sol.message}")
-    return sol.y[0][::-1], sol.y[1][::-1]
+    f, df = _rk45(V, k, (X, 0.0), [eikX, 1j * k * eikX], t_eval=xs[::-1])
+    return f[::-1], df[::-1]
 
 
 def jost_tilde_profile(V: PotentialFn, k: float, xs):
@@ -113,21 +111,13 @@ def jost_tilde_profile(V: PotentialFn, k: float, xs):
     if k == 0:
         raise SingularFrequencyError("Jost data is singular at k = 0")
     xs = np.asarray(xs, dtype=float)
-    max_step = (2.0 * np.pi / abs(k)) / propagate.STEPS_PER_WAVELENGTH
-
-    def rhs(x, u):
-        return [u[1], (V(x) - k * k) * u[0]]
-
-    sol = solve_ivp(rhs, (0.0, float(xs[-1]) or 1e-9), [1.0 + 0.0j, -1j * k],
-                    method="RK45", rtol=RTOL, atol=ATOL, max_step=max_step,
-                    t_eval=xs)
-    if not sol.success:
-        raise AccuracyError(f"RK45 failed: {sol.message}")
-    return sol.y[0], sol.y[1]
+    ft, dft = _rk45(V, k, (0.0, float(xs[-1]) or 1e-9),
+                    [1.0 + 0.0j, -1j * k], t_eval=xs)
+    return ft, dft
 
 
 def jost_batch(V: PotentialFn, k, tol: float = TAIL_TOL,
-               with_ab: bool = False, n_steps: int | None = None):
+               with_ab: bool = False):
     """Vectorized (f0, df0[, a, b]) over an array of frequencies.
 
     One real transfer matrix over [0, X] gives both f and ftilde;
@@ -145,8 +135,7 @@ def jost_batch(V: PotentialFn, k, tol: float = TAIL_TOL,
         return one, 1j * k, X
     # one pass over [0, X]: ftilde(X) = M (1, -ik), f(0) = M^-1 f(X), where
     # M^-1 = [[m22, -m12], [-m21, m11]] because det M = 1
-    m11, m12, m21, m22 = propagate.transfer_matrix(V, 0.0, X, k,
-                                                   n_steps=n_steps)
+    m11, m12, m21, m22 = propagate.transfer_matrix(V, 0.0, X, k)
     ik = 1j * k
     eikX = np.exp(ik * X)
     f0 = (m22 - m12 * ik) * eikX

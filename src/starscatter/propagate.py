@@ -63,8 +63,7 @@ def _step_factors(s: np.ndarray, dx: float):
     return c, sl
 
 
-def transfer_matrix(potential, x_from: float, x_to: float, k: np.ndarray,
-                    n_steps: int | None = None):
+def transfer_matrix(potential, x_from: float, x_to: float, k: np.ndarray):
     """Real transfer matrix (m11, m12, m21, m22) from x_from to x_to.
 
     ``potential`` is a vectorized map x -> V(x).  Each entry is an array
@@ -77,8 +76,7 @@ def transfer_matrix(potential, x_from: float, x_to: float, k: np.ndarray,
     length = x_to - x_from
     if length == 0.0:
         return m11, m12, m21, m22
-    if n_steps is None:
-        n_steps = step_count(abs(length), float(np.max(np.abs(k))))
+    n_steps = step_count(abs(length), float(np.max(np.abs(k))))
     dx = length / n_steps
     mids = x_from + (np.arange(n_steps) + 0.5) * dx
     v_mid = np.asarray(potential(mids), dtype=float)
@@ -94,7 +92,7 @@ def transfer_matrix(potential, x_from: float, x_to: float, k: np.ndarray,
 
 
 def sweep(potential, x_from: float, x_to: float, k: np.ndarray,
-          y: np.ndarray, dy: np.ndarray, n_steps: int | None = None):
+          y: np.ndarray, dy: np.ndarray):
     """Propagate (y, y') from x_from to x_to; k, y, dy broadcast together.
 
     Returns the endpoint pair (y, y') as new complex arrays.
@@ -102,5 +100,5 @@ def sweep(potential, x_from: float, x_to: float, k: np.ndarray,
     k = np.atleast_1d(np.asarray(k, dtype=float))
     y = np.broadcast_to(np.asarray(y, dtype=complex), k.shape)
     dy = np.broadcast_to(np.asarray(dy, dtype=complex), k.shape)
-    m11, m12, m21, m22 = transfer_matrix(potential, x_from, x_to, k, n_steps)
+    m11, m12, m21, m22 = transfer_matrix(potential, x_from, x_to, k)
     return m11 * y + m12 * dy, m21 * y + m22 * dy

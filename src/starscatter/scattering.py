@@ -19,13 +19,12 @@ under x -> tau - x).
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Sequence
 
 import numpy as np
 
-from . import fundamental, jost, propagate
+from . import jost, propagate
 from .errors import DomainError, ProfileValidityError, ResonanceError
 from .line_model import BranchGeometry, LineProfile, PotentialFn, \
     branch_geometry, potential_from_profile
@@ -139,14 +138,51 @@ class ScatteringCoefficients:
     warnings: list = field(default_factory=list)
 
 
+@dataclass(eq=False)
+class ScatteringSweep:
+    """Solution of the node system over an array of frequencies, one row
+    per k.
+
+    A row where the node system is singular, or where a(k) ~ 0 on the
+    measurement branch, holds NaN and is flagged by ``resonant``.
+    ``sweep[i]`` is the ScatteringCoefficients of row i.
+    """
+
+    k: np.ndarray  # [nk]
+    R1: np.ndarray  # [nk]
+    T: np.ndarray  # [nk, m-1], infinite branches 2..m
+    alpha: np.ndarray  # [nk, n], finite branches m+1..m+n
+    ybar: np.ndarray  # [nk]
+    cond: np.ndarray  # [nk], condition number of the node matrix
+    node_values: np.ndarray = field(repr=False)  # [nk, N, 2]: y(0), y'(0)
+
+    @property
+    def resonant(self) -> np.ndarray:
+        return ~np.isfinite(self.R1)
+
+    def __len__(self) -> int:
+        return self.k.size
+
+    def __getitem__(self, i) -> ScatteringCoefficients:
+        cond = float(self.cond[i])
+        warns = []
+        if cond > COND_WARN:
+            warns.append(f"node system ill-conditioned (cond={cond:.3e})")
+        return ScatteringCoefficients(
+            k=float(self.k[i]), R1=complex(self.R1[i]),
+            T=self.T[i].tolist(), alpha=self.alpha[i].tolist(),
+            ybar=complex(self.ybar[i]), condition_number=cond,
+            node_values=[tuple(v) for v in self.node_values[i].tolist()],
+            warnings=warns)
+
+
 def _reversed_potential(branch: Branch):
     tau = branch.geometry.tau
     V = branch.potential
     return lambda s: V(tau - np.asarray(s, dtype=float))
 
 
-def _branch_data(net: StarNetwork, k: np.ndarray, method: str,
-                 n_steps: int | None):
+def _branch_data(net: StarNetwork, k: np.ndarray):
     """Per-branch node data arrays over k.
 
     Infinite branches yield (f0, df0); branch 1 additionally (a, b); finite
@@ -156,57 +192,44 @@ def _branch_data(net: StarNetwork, k: np.ndarray, method: str,
     data = {}
     for b in net.branches:
         if b.kind is BranchKind.INFINITE:
-            if method == "adaptive":
-                rows = [jost.jost_at_origin(b.potential, float(kk))
-                        for kk in k]
-                f0 = np.array([r.f0 for r in rows])
-                df0 = np.array([r.df0 for r in rows])
-                a = np.array([r.a for r in rows])
-                bb = np.array([r.b for r in rows])
-            else:
-                f0, df0, a, bb, _ = jost.jost_batch(
-                    b.potential, k, with_ab=True, n_steps=n_steps)
+            f0, df0, a, bb, _ = jost.jost_batch(b.potential, k, with_ab=True)
             data[b.id] = (f0, df0, a, bb)
         else:
-            tau, h = b.geometry.tau, b.geometry.h
-            vrev = _reversed_potential(b)
-            if method == "adaptive":
-                rows = [fundamental.fundamental_at(
-                    _PotentialView(vrev, b.potential), tau, -h, float(kk))
-                    for kk in k]
-                om = np.array([r.omega_tau for r in rows])
-                dom = np.array([r.domega_tau for r in rows])
-            else:
-                ones = np.ones_like(k, dtype=complex)
-                om, dom = propagate.sweep(vrev, 0.0, tau, k, ones,
-                                          (-h) * ones, n_steps=n_steps)
-            data[b.id] = (om, dom)
+            ones = np.ones_like(k, dtype=complex)
+            data[b.id] = propagate.sweep(_reversed_potential(b), 0.0,
+                                         b.geometry.tau, k, ones,
+                                         -b.geometry.h * ones)
     return data
 
 
-class _PotentialView:
-    """Callable wrapper so adaptive paths can integrate a reversed potential."""
+def _node_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve M[i] x[i] = rhs[i] for every k; an exactly singular M[i]
+    leaves a NaN row instead of failing the batch."""
+    try:
+        return np.linalg.solve(M, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        # one singular matrix fails the whole batched call, so solve the
+        # node systems one k at a time
+        sol = np.full_like(rhs, np.nan)
+        for i in range(len(M)):
+            try:
+                sol[i] = np.linalg.solve(M[i], rhs[i])
+            except np.linalg.LinAlgError:
+                pass
+        return sol
 
-    def __init__(self, fn, base: PotentialFn):
-        self._fn = fn
-        self.support_end = base.support_end
-        self.l1_norm = base.l1_norm
 
-    def __call__(self, x):
-        return self._fn(x)
+def solve_scattering_batch(net: StarNetwork, k) -> ScatteringSweep:
+    """Solve the node system for every k in an array (all k >= k_floor).
 
-
-def solve_scattering_batch(net: StarNetwork, k, method: str = "transfer",
-                           n_steps: int | None = None,
-                           check_k_floor: bool = True):
-    """Solve the node system for every k in an array; returns a list of
-    ScatteringCoefficients (None-safe entries are the caller's concern; a
-    genuinely singular k raises ResonanceError in the scalar API and is
-    flagged by ``reflectogram``)."""
+    A k where the node system is singular, or where a(k) ~ 0 on the
+    measurement branch, comes back as a NaN row flagged by ``resonant``;
+    the other rows are unaffected.
+    """
     k = np.atleast_1d(np.asarray(k, dtype=float))
-    if check_k_floor and np.any(k < net.k_floor):
+    if np.any(k < net.k_floor):
         raise DomainError(f"k below the k_floor {net.k_floor}")
-    data = _branch_data(net, k, method, n_steps)
+    data = _branch_data(net, k)
     N = len(net.branches)
     nk = k.size
     b1 = net.branches[0]
@@ -214,8 +237,10 @@ def solve_scattering_batch(net: StarNetwork, k, method: str = "transfer",
     A1 = b1.geometry.A0
     saap = sum(b.geometry.A0 * b.geometry.A0prime for b in net.branches)
 
-    c0 = 1.0 / a1 - (bb1 / a1) * f0_1
-    d0 = -1j * k / a1 - (bb1 / a1) * df0_1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # rows with a(k) ~ 0 are set to NaN after the solve
+        c0 = 1.0 / a1 - (bb1 / a1) * f0_1
+        d0 = -1j * k / a1 - (bb1 / a1) * df0_1
 
     # unknown column per branch: R1 for branch 1, then T_j / alpha_j in order
     val_coeff = np.zeros((nk, N), dtype=complex)
@@ -245,42 +270,31 @@ def solve_scattering_batch(net: StarNetwork, k, method: str = "transfer",
     rhs[:, N - 1] = -A1 * d0 + saap * c0 / A1
 
     cond = np.linalg.cond(M)
-    try:
-        sol = np.linalg.solve(M, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        # one exactly singular k fails the whole batch; reflectogram's
-        # per-k fallback then isolates it
-        raise ResonanceError(f"node system singular: {exc}") from exc
+    sol = _node_solve(M, rhs)
+    sol[np.abs(a1) < A_RESONANCE_TOL] = np.nan
 
-    results = []
+    # (y(0), y'(0)) per branch: u_j times its column, except on branch 1,
+    # where the incoming and reflected waves add
+    y1 = c0 + f0_1 * sol[:, 0]
+    node_values = np.stack([sol * val_coeff, sol * der_coeff], axis=-1)
+    node_values[:, 0, 0] = y1
+    node_values[:, 0, 1] = d0 + df0_1 * sol[:, 0]
     m = net.m
-    for i in range(nk):
-        warns = []
-        if abs(a1[i]) < A_RESONANCE_TOL:
-            raise ResonanceError(f"a(k={k[i]}) ~ 0 on the measurement branch")
-        if cond[i] > COND_WARN:
-            warns.append(f"node system ill-conditioned (cond={cond[i]:.3e})")
-        R1 = complex(sol[i, 0])
-        T = [complex(sol[i, j]) for j in range(1, m)]
-        alpha = [complex(sol[i, j]) for j in range(m, N)]
-        y1 = complex(c0[i] + f0_1[i] * R1)
-        dy1 = complex(d0[i] + df0_1[i] * R1)
-        node_vals = [(y1, dy1)]
-        for idx, b in enumerate(net.branches[1:], start=1):
-            u = complex(sol[i, idx])
-            node_vals.append((u * complex(val_coeff[i, idx]),
-                              u * complex(der_coeff[i, idx])))
-        results.append(ScatteringCoefficients(
-            k=float(k[i]), R1=R1, T=T, alpha=alpha,
-            ybar=y1 / A1, condition_number=float(cond[i]),
-            node_values=node_vals, warnings=warns))
-    return results
+    return ScatteringSweep(k=k, R1=sol[:, 0], T=sol[:, 1:m],
+                           alpha=sol[:, m:], ybar=y1 / A1, cond=cond,
+                           node_values=node_values)
 
 
-def solve_scattering(net: StarNetwork, k: float,
-                     method: str = "transfer") -> ScatteringCoefficients:
-    """Scattering coefficients at a single frequency (k >= k_floor)."""
-    return solve_scattering_batch(net, float(k), method=method)[0]
+def solve_scattering(net: StarNetwork, k: float) -> ScatteringCoefficients:
+    """Scattering coefficients at a single frequency (k >= k_floor).
+
+    Raises ResonanceError where ``solve_scattering_batch`` flags the row.
+    """
+    sweep = solve_scattering_batch(net, float(k))
+    if sweep.resonant[0]:
+        raise ResonanceError(
+            f"node system singular or a(k) ~ 0 at k={float(k)}")
+    return sweep[0]
 
 
 def assemble_field(net: StarNetwork, coeffs: ScatteringCoefficients,
@@ -306,57 +320,25 @@ def assemble_field(net: StarNetwork, coeffs: ScatteringCoefficients,
     return complex(y[0])
 
 
-@dataclass(frozen=True)
-class ReflectogramEntry:
-    k: float
-    coeffs: Optional[ScatteringCoefficients]
-    resonant: bool = False
+def reflectogram(net: StarNetwork, k_grid,
+                 threads: int = 1) -> ScatteringSweep:
+    """``solve_scattering_batch`` over a strictly increasing frequency grid.
 
-    @property
-    def R1(self):
-        return None if self.coeffs is None else self.coeffs.R1
-
-
-def reflectogram(net: StarNetwork, k_grid, method: str = "transfer",
-                 threads: int = 1) -> list[ReflectogramEntry]:
-    """Map solve_scattering over an increasing frequency grid.
-
-    Singular frequencies come back as flagged gap entries instead of
-    aborting the sweep.
+    Singular frequencies are NaN rows flagged by ``resonant`` instead of
+    aborting the sweep.  With threads > 1 the grid is split into that many
+    chunks, solved in a thread pool and joined field by field.
     """
     k_grid = np.asarray(k_grid, dtype=float)
     if k_grid.size == 0:
         raise DomainError("empty frequency grid")
     if np.any(np.diff(k_grid) <= 0):
         raise DomainError("frequency grid must be strictly increasing")
-    if np.any(k_grid < net.k_floor):
-        raise DomainError(f"grid extends below k_floor {net.k_floor}")
-
-    def run_chunk(chunk):
-        try:
-            return solve_scattering_batch(net, chunk, method=method)
-        except ResonanceError:
-            # fall back to per-k so only the singular entries are lost
-            out = []
-            for kk in chunk:
-                try:
-                    out.append(solve_scattering_batch(net, kk, method=method)[0])
-                except ResonanceError:
-                    out.append(None)
-            return out
-
     if threads > 1 and k_grid.size > 2 * threads:
         from concurrent.futures import ThreadPoolExecutor
-        chunks = np.array_split(k_grid, threads)
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run_chunk, chunks))
-        flat = [c for part in parts for c in part]
-    else:
-        flat = run_chunk(k_grid)
-    entries = []
-    for kk, c in zip(k_grid, flat):
-        if c is None or not math.isfinite(abs(c.R1)):
-            entries.append(ReflectogramEntry(float(kk), None, resonant=True))
-        else:
-            entries.append(ReflectogramEntry(float(kk), c))
-    return entries
+            parts = list(pool.map(lambda chunk: solve_scattering_batch(
+                net, chunk), np.array_split(k_grid, threads)))
+        return ScatteringSweep(*(
+            np.concatenate([getattr(p, f.name) for p in parts])
+            for f in fields(ScatteringSweep)))
+    return solve_scattering_batch(net, k_grid)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from starscatter import cli
+from starscatter import cli, scattering
 from starscatter.errors import ResonanceError
 
 
@@ -113,6 +113,42 @@ class TestForward:
                        "--out", str(tmp_path / "o.csv")])
         assert rc == 3
         assert "all 3 frequencies are singular" in capsys.readouterr().err
+
+    def test_singular_k_written_as_nan_row(self, tmp_path, monkeypatch):
+        # record the node matrix at k = 5.5, then make exactly that one
+        # fail np.linalg.solve, as an exactly singular matrix would
+        cfg = write_config(tmp_path, uniform_config(2, [1.0]))
+        net, _ = cli.load_network(cfg)
+        real_solve = np.linalg.solve
+        seen = []
+
+        def recording(M, rhs):
+            seen.append(M[0].copy())
+            return real_solve(M, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        scattering.solve_scattering(net, 5.5)
+        bad = seen[0]
+
+        def singular(M, rhs):
+            if np.any(np.all(np.isclose(M, bad), axis=(-2, -1))):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real_solve(M, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        out = tmp_path / "o.csv"
+        assert cli.main(["forward", "--config", cfg, "--kmin", "5",
+                         "--kmax", "6", "--dk", "0.5",
+                         "--out", str(out)]) == 0
+        rows = out.read_text().strip().split("\n")[1:]
+        assert rows[1] == "5.5,NaN,NaN,NaN,NaN,NaN"
+        for k, row in ((5.0, rows[0]), (6.0, rows[2])):
+            c = scattering.solve_scattering(net, k)
+            fields = [k, c.R1.real, c.R1.imag, abs(c.R1),
+                      c.T[0].real, c.T[0].imag]
+            assert row == ",".join(cli._fmt(x) for x in fields)
+        with pytest.raises(ResonanceError):
+            scattering.solve_scattering(net, 5.5)
 
     def test_ill_conditioned_node_warning(self, tmp_path, capsys):
         # two equal unit stubs carry an embedded eigenvalue at k = 3 pi / 2

@@ -107,9 +107,10 @@ class TestEstimateTaus:
         net = direct_network([(sin2_bump(0.4, 0.8), 0.8)],
                              [(sin2_bump(0.3, 0.6), 0.6, 1.2, 0.1)])
         ks = np.arange(60.0, 100.0, 0.005)
-        entries = reflectogram(net, ks)
-        samples = [ReflectogramSample(e.k, e.R1) for e in entries
-                   if not e.resonant]
+        sweep = reflectogram(net, ks)
+        ok = ~sweep.resonant
+        samples = [ReflectogramSample(k, r) for k, r in
+                   zip(sweep.k[ok].tolist(), sweep.R1[ok].tolist())]
         report = estimate_taus(samples)
         assert report.m_hat == 1
         assert len(report.taus) == 1

@@ -93,7 +93,7 @@ class TestLogDerivative:
         assert abs(ld - 1j * k) <= 2.0
 
     def test_resonant_f0_rejected(self):
-        d = JostData(5.0, 0.0, 1.0j, 1.0, 0.0, 1.0)
+        d = JostData(5.0, 0.0, 1.0j, 1.0, 0.0)
         with pytest.raises(NodeSingularityError):
             jost_log_derivative(d)
 

@@ -4,16 +4,35 @@ import math
 import numpy as np
 import pytest
 
-from starscatter import scattering
+from starscatter import jost, scattering
 from starscatter.errors import DomainError, ProfileValidityError, \
     ResonanceError
-from starscatter.fundamental import fundamental_profile
+from starscatter.fundamental import fundamental_at, fundamental_profile
 from starscatter.line_model import LineProfile, potential_from_profile
-from starscatter.scattering import assemble_field, network_from_profiles, \
-    reflectogram, solve_scattering, solve_scattering_batch
+from starscatter.scattering import BranchKind, assemble_field, \
+    network_from_profiles, reflectogram, solve_scattering, \
+    solve_scattering_batch
 
 from conftest import closed_form_r1, direct_network, random_smooth_network, \
     sin2_bump, uniform_network
+
+
+def adaptive_branch_data(net, k):
+    """Reference node data from adaptive RK45, one frequency at a time, in
+    the layout of ``scattering._branch_data``."""
+    data = {}
+    for b in net.branches:
+        if b.kind is BranchKind.INFINITE:
+            rows = [jost.jost_at_origin(b.potential, float(kk)) for kk in k]
+            data[b.id] = tuple(np.array([getattr(r, name) for r in rows])
+                               for name in ("f0", "df0", "a", "b"))
+        else:
+            vrev = scattering._reversed_potential(b)
+            rows = [fundamental_at(vrev, b.geometry.tau, -b.geometry.h,
+                                   float(kk)) for kk in k]
+            data[b.id] = (np.array([r.omega_tau for r in rows]),
+                          np.array([r.domega_tau for r in rows]))
+    return data
 
 
 class TestUniformJunctions:
@@ -81,11 +100,13 @@ class TestInvariants:
             assert abs(sorted(ca.alpha, key=abs)[0]
                        - sorted(cb.alpha, key=abs)[0]) < 1e-10
 
-    def test_transfer_matches_adaptive(self, rng):
+    def test_transfer_matches_adaptive(self, rng, monkeypatch):
         net = random_smooth_network(rng)
         for k in (7.0, 29.0):
-            ct = solve_scattering(net, k, method="transfer")
-            ca = solve_scattering(net, k, method="adaptive")
+            ct = solve_scattering(net, k)
+            with monkeypatch.context() as mp:
+                mp.setattr(scattering, "_branch_data", adaptive_branch_data)
+                ca = solve_scattering(net, k)
             assert abs(ct.R1 - ca.R1) < 1e-6
 
     def test_wronskian_constant_on_finite_branch(self):
@@ -154,22 +175,21 @@ class TestReflectogram:
             assert abs(e.R1) < 1e-12
 
     def test_resonant_entry_flagged(self, monkeypatch):
-        # a(k)=0 is unreachable for real potentials, so fake one k failing
+        # a(k)=0 is unreachable for real potentials, so fake it at k=20
         net = uniform_network(3)
-        orig = scattering.solve_scattering_batch
+        orig = jost.jost_batch
 
-        def failing(nw, k, **kw):
-            k_arr = np.atleast_1d(np.asarray(k, dtype=float))
-            if np.any(np.abs(k_arr - 20.0) < 1e-9):
-                raise ResonanceError("synthetic resonance at k=20")
-            return orig(nw, k, **kw)
+        def vanishing_a(V, k, **kw):
+            f0, df0, a, b, X = orig(V, k, **kw)
+            return f0, df0, np.where(np.abs(k - 20.0) < 1e-9, 0.0, a), b, X
 
-        monkeypatch.setattr(scattering, "solve_scattering_batch", failing)
-        entries = reflectogram(net, [10.0, 20.0, 30.0])
-        flags = [e.resonant for e in entries]
-        assert flags == [False, True, False]
-        assert entries[1].R1 is None
-        assert abs(entries[0].R1 + 1.0 / 3.0) < 1e-12
+        monkeypatch.setattr(jost, "jost_batch", vanishing_a)
+        sweep = reflectogram(net, [10.0, 20.0, 30.0])
+        assert sweep.resonant.tolist() == [False, True, False]
+        assert np.isnan(sweep.R1[1])
+        assert abs(sweep.R1[0] + 1.0 / 3.0) < 1e-12
+        with pytest.raises(ResonanceError):
+            solve_scattering(net, 20.0)
 
     def test_singular_node_solve_flags_only_its_k(self, monkeypatch):
         # an exactly singular node matrix fails np.linalg.solve for the
@@ -192,12 +212,12 @@ class TestReflectogram:
             return real_solve(M, rhs)
 
         monkeypatch.setattr(np.linalg, "solve", singular)
-        with pytest.raises(ResonanceError):
-            solve_scattering_batch(net, [10.0, 20.0, 30.0])
-        entries = reflectogram(net, [10.0, 20.0, 30.0])
-        assert [e.resonant for e in entries] == [False, True, False]
-        assert entries[1].R1 is None
-        assert entries[0].R1 is not None and entries[2].R1 is not None
+        batch = solve_scattering_batch(net, [10.0, 20.0, 30.0])
+        assert batch.resonant.tolist() == [False, True, False]
+        sweep = reflectogram(net, [10.0, 20.0, 30.0])
+        assert sweep.resonant.tolist() == [False, True, False]
+        assert np.isnan(sweep.R1[1]) and np.all(np.isnan(sweep.alpha[1]))
+        assert np.all(np.isfinite(sweep.R1[[0, 2]]))
 
     def test_grid_validation(self):
         net = uniform_network(2)
