@@ -25,10 +25,6 @@ class SingularFrequencyError(StarScatterError):
 class AccuracyError(StarScatterError):
     """An integrator failed to meet the requested tolerance."""
 
-    def __init__(self, message, achieved=None):
-        super().__init__(message)
-        self.achieved = achieved
-
 
 class NodeSingularityError(StarScatterError):
     """f(0, k) vanished; the log-derivative is undefined at this k."""

@@ -58,11 +58,6 @@ class KernelTable:
         out = interp(pts)
         return out if out.ndim else float(out)
 
-    def edge_slice(self, x: float, n: int = 801):
-        """(t grid, K(x, t)) for t in [-x, x]."""
-        t = np.linspace(-x, x, n)
-        return t, self(np.full_like(t, x), t)
-
 
 def fundamental_at(V: PotentialFn, tau: float, h: float,
                    k: float) -> FundamentalData:
@@ -89,11 +84,9 @@ def fundamental_batch(V: PotentialFn, tau: float, h: float, k):
     return propagate.sweep(V, 0.0, tau, k, ones, complex(h) * ones)
 
 
-def solve_kernel(V: PotentialFn, tau: float,
-                 grid_step: float | None = None,
-                 sup_tol: float = 1e-10,
-                 max_iter: int = 200) -> KernelTable:
-    """Fixed-point solution of the kernel equation on the triangle.
+def solve_kernel(V: PotentialFn, tau: float) -> KernelTable:
+    """Fixed-point solution of the kernel equation on the triangle, to a
+    sup-norm change below 1e-10 within 200 sweeps.
 
     In xi = (x+t)/2, eta = (x-t)/2 the Goursat problem P_{xi eta} =
     V(xi+eta) P with P(xi,0) = 1/2 int_0^xi V and P(0,eta) = 0 integrates to
@@ -106,10 +99,9 @@ def solve_kernel(V: PotentialFn, tau: float,
     coefficient was pinned down against the second-order Born term of the
     IVP for a constant well.)
     """
-    if grid_step is None:
-        # relative default tau/400, capped absolutely so long branches do not
-        # lose the 1e-6 cross-representation agreement
-        grid_step = min(tau / 400.0, 2.5e-3)
+    # tau/400, capped absolutely so long branches do not lose the 1e-6
+    # cross-representation agreement
+    grid_step = min(tau / 400.0, 2.5e-3)
     n = max(int(np.ceil(tau / grid_step)), 8)
     xi = np.linspace(0.0, tau, n + 1)
     hstep = tau / n
@@ -122,7 +114,7 @@ def solve_kernel(V: PotentialFn, tau: float,
     v_mid = np.asarray(V(xi[:, None] + mids[None, :]), dtype=float)
     P = np.tile(source[:, None], (1, n + 1))
     zeros = np.zeros((n + 1, 1))
-    for _ in range(max_iter):
+    for _ in range(200):
         w_cell = v_mid * 0.5 * (P[:, :-1] + P[:, 1:])
         inner = np.concatenate(
             [zeros, np.cumsum(w_cell, axis=1) * hstep], axis=1)
@@ -130,10 +122,9 @@ def solve_kernel(V: PotentialFn, tau: float,
         new = source[:, None] + outer
         change = np.max(np.abs(new - P))
         P = new
-        if change < sup_tol:
+        if change < 1e-10:
             return KernelTable(float(tau), float(grid_step), xi, P, V.l1_norm)
-    raise DivergenceError(
-        f"kernel iteration did not reach {sup_tol} in {max_iter} sweeps")
+    raise DivergenceError("kernel iteration did not reach 1e-10 in 200 sweeps")
 
 
 def _cos_term(k: float, t: np.ndarray, h: float) -> np.ndarray:
@@ -149,28 +140,19 @@ def _cos_term(k: float, t: np.ndarray, h: float) -> np.ndarray:
     return np.cos(kt) + h * sinc
 
 
-def fundamental_via_kernel(K: KernelTable, h: float, k: float,
-                           tau: float | None = None,
-                           n_quad: int | None = None) -> complex:
-    """Evaluate omega(tau, k) from the integral representation.
+def fundamental_via_kernel(K: KernelTable, h: float, k: float) -> complex:
+    """Evaluate omega(tau, k) at tau = K.tau from the integral representation.
 
     At the edge x = tau the slice K(tau, .) lies on the anti-diagonal of the
     characteristic grid, so it is read off without interpolation, splined,
     and integrated against the trig factor by Simpson on a grid fine enough
     for the oscillation (about 40 samples per period).
     """
-    if tau is None:
-        tau = K.tau
-    if abs(tau - K.tau) < 1e-12:
-        n = K.values.shape[0] - 1
-        idx = np.arange(n + 1)
-        t_nodes = 2.0 * K.xi - K.tau
-        slice_vals = K.values[idx, n - idx]
-    else:
-        t_nodes, slice_vals = K.edge_slice(tau, 4 * (K.values.shape[0] - 1) + 1)
-    spline = CubicSpline(t_nodes, slice_vals)
-    if n_quad is None:
-        n_quad = max(4001, int(40.0 * abs(k) * tau) + 1)
+    tau = K.tau
+    n = K.values.shape[0] - 1
+    idx = np.arange(n + 1)
+    spline = CubicSpline(2.0 * K.xi - tau, K.values[idx, n - idx])
+    n_quad = max(4001, int(40.0 * abs(k) * tau) + 1)
     if n_quad % 2 == 0:
         n_quad += 1
     t = np.linspace(-tau, tau, n_quad)

@@ -84,42 +84,20 @@ def _pole_indicator(samples):
     return k, g
 
 
-def _refine_pole(k_lo, k_hi, g_lo, g_hi, g_fn, iters=60):
-    """Bisection on 1/g inside a bracket where g blows up and flips sign."""
-    f_lo, f_hi = 1.0 / g_lo, 1.0 / g_hi
-    for _ in range(iters):
-        mid = 0.5 * (k_lo + k_hi)
-        f_mid = g_fn(mid)
-        f_mid = 1.0 / f_mid if f_mid != 0 else 0.0
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0) == (f_lo > 0):
-            k_lo, f_lo = mid, f_mid
-        else:
-            k_hi, f_hi = mid, f_mid
-    return 0.5 * (k_lo + k_hi)
-
-
-def detect_poles(samples, threshold: float = POLE_THRESHOLD,
-                 refine=None):
+def detect_poles(samples):
     """Pole candidates of g(k) = 2 Im(1/(1+R1)).
 
-    A candidate is an adjacent sample pair with |g| above threshold on both
-    sides and a sign flip; the position is refined by bisection on 1/g using
-    ``refine`` (a callable k -> g) when provided, else by linear
+    A candidate is an adjacent sample pair with |g| above POLE_THRESHOLD on
+    both sides and a sign flip; its position is the zero of the linear
     interpolation of 1/g between the bracketing samples.
     """
     k, g = _pole_indicator(samples)
     poles = []
     for i in range(k.size - 1):
-        if abs(g[i]) > threshold and abs(g[i + 1]) > threshold \
+        if abs(g[i]) > POLE_THRESHOLD and abs(g[i + 1]) > POLE_THRESHOLD \
                 and (g[i] > 0) != (g[i + 1] > 0):
-            if refine is not None:
-                poles.append(_refine_pole(k[i], k[i + 1], g[i], g[i + 1],
-                                          refine))
-            else:
-                f0, f1 = 1.0 / g[i], 1.0 / g[i + 1]
-                poles.append(float(k[i] - f0 * (k[i + 1] - k[i]) / (f1 - f0)))
+            f0, f1 = 1.0 / g[i], 1.0 / g[i + 1]
+            poles.append(float(k[i] - f0 * (k[i + 1] - k[i]) / (f1 - f0)))
     return poles
 
 
@@ -141,9 +119,7 @@ def _fit_family(poles, spacing, tol):
     return s_fit, rms, members
 
 
-def estimate_taus(samples, expected_max_n: int = 8,
-                  threshold: float = POLE_THRESHOLD,
-                  refine=None) -> InversionReport:
+def estimate_taus(samples, expected_max_n: int = 8) -> InversionReport:
     """Recover travel times from uniformly sampled reflectogram data.
 
     Pole positions are clustered into arithmetic progressions by
@@ -159,7 +135,7 @@ def estimate_taus(samples, expected_max_n: int = 8,
         raise InsufficientDataError("samples must sit on a uniform k grid")
 
     m_hat, m_diag = estimate_m(samples)
-    poles = detect_poles(samples, threshold, refine)
+    poles = detect_poles(samples)
     warnings = []
     if not poles or expected_max_n == 0:
         if expected_max_n > 0:

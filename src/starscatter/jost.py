@@ -5,10 +5,11 @@ infinity; ftilde is the solution with ftilde(0) = 1, ftilde'(0) = -ik, whose
 far field a e^{-ikx} + b e^{ikx} carries the half-line transfer data.  (The
 -ik initial slope is what the integral equation for ftilde implies.)
 
-Two evaluation routes exist: an adaptive RK45 integration of the ODE form
-(default, stable at high k), and a slow Volterra successive-approximation
-reference used by tests at moderate k*X.  ``jost_batch`` is the vectorized
-transfer-matrix route used by the network solver.
+``jost_batch`` is the route the network solver uses: one vectorized
+transfer-matrix pass per branch.  Two references check it: an adaptive RK45
+integration of the ODE form (``jost_at_origin``, ``jost_profile``), which
+``validate`` and the tests use and which stays stable at high k, and a slow
+Volterra successive-approximation solution used by tests at moderate k*X.
 """
 from __future__ import annotations
 
@@ -37,12 +38,12 @@ class JostData:
     b: complex
 
 
-def truncation_point(V: PotentialFn, tol: float = TAIL_TOL) -> float:
-    """Smallest grid point X with tail_bound(X) < tol (support end if the
-    potential is compactly supported)."""
+def truncation_point(V: PotentialFn) -> float:
+    """Smallest grid point X with tail_bound(X) < TAIL_TOL (support end if
+    the potential is compactly supported)."""
     if V.support_end <= 0.0:
         return 0.0
-    below = np.nonzero(V._tail_vals < tol)[0]
+    below = np.nonzero(V._tail_vals < TAIL_TOL)[0]
     if below.size:
         return float(V._tail_x[below[0]])
     return float(V.support_end)
@@ -68,7 +69,7 @@ def _rk45(V, k, t_span, u0, t_eval=None, max_step=np.inf):
     return sol.y
 
 
-def jost_at_origin(V: PotentialFn, k: float, tol: float = TAIL_TOL) -> JostData:
+def jost_at_origin(V: PotentialFn, k: float) -> JostData:
     """f(0,k), f'(0,k) plus a(k), b(k) for one half-line potential.
 
     f is integrated backwards from the truncation point with exact free data;
@@ -76,7 +77,7 @@ def jost_at_origin(V: PotentialFn, k: float, tol: float = TAIL_TOL) -> JostData:
     """
     if k == 0:
         raise SingularFrequencyError("Jost data is singular at k = 0")
-    X = truncation_point(V, tol)
+    X = truncation_point(V)
     if X == 0.0:
         return JostData(k, 1.0 + 0.0j, 1j * k, 1.0 + 0.0j, 0.0j)
     eikX = np.exp(1j * k * X)
@@ -95,12 +96,12 @@ def jost_log_derivative(d: JostData) -> complex:
     return d.df0 / d.f0
 
 
-def jost_profile(V: PotentialFn, k: float, xs, tol: float = TAIL_TOL):
+def jost_profile(V: PotentialFn, k: float, xs):
     """f and f' sampled on xs (ascending, within [0, X])."""
     if k == 0:
         raise SingularFrequencyError("Jost data is singular at k = 0")
     xs = np.asarray(xs, dtype=float)
-    X = max(truncation_point(V, tol), float(xs[-1]))
+    X = max(truncation_point(V), float(xs[-1]))
     eikX = np.exp(1j * k * X)
     f, df = _rk45(V, k, (X, 0.0), [eikX, 1j * k * eikX], t_eval=xs[::-1])
     return f[::-1], df[::-1]
@@ -116,8 +117,7 @@ def jost_tilde_profile(V: PotentialFn, k: float, xs):
     return ft, dft
 
 
-def jost_batch(V: PotentialFn, k, tol: float = TAIL_TOL,
-               with_ab: bool = False):
+def jost_batch(V: PotentialFn, k, with_ab: bool = False):
     """Vectorized (f0, df0[, a, b]) over an array of frequencies.
 
     One real transfer matrix over [0, X] gives both f and ftilde;
@@ -126,7 +126,7 @@ def jost_batch(V: PotentialFn, k, tol: float = TAIL_TOL,
     k = np.atleast_1d(np.asarray(k, dtype=float))
     if np.any(k == 0):
         raise SingularFrequencyError("Jost data is singular at k = 0")
-    X = truncation_point(V, tol)
+    X = truncation_point(V)
     if X == 0.0:
         one = np.ones_like(k, dtype=complex)
         zero = np.zeros_like(k, dtype=complex)
@@ -149,43 +149,41 @@ def jost_batch(V: PotentialFn, k, tol: float = TAIL_TOL,
     return f0, df0, a, b, X
 
 
-def jost_via_volterra(V: PotentialFn, k: float, X: float | None = None,
-                      n_grid: int = 4000, max_iter: int = 60,
-                      tol: float = 1e-12):
-    """Successive approximations for the Jost integral equations.
+def jost_via_volterra(V: PotentialFn, k: float, n_grid: int = 4000):
+    """Successive approximations for the Jost integral equations on
+    [0, truncation_point(V)]: at most 60 sweeps, stopping when a sweep
+    moves the solution by less than 1e-12.
 
     Returns (x_grid, f, ftilde).  Slow reference path; accuracy degrades as
     k*X grows, so tests use it at moderate frequencies only.
     """
     if k == 0:
         raise SingularFrequencyError("Jost data is singular at k = 0")
-    if X is None:
-        X = truncation_point(V)
-    x = np.linspace(0.0, X, n_grid + 1)
+    x = np.linspace(0.0, truncation_point(V), n_grid + 1)
     v = np.asarray(V(x), dtype=float)
     sin_kx, cos_kx = np.sin(k * x), np.cos(k * x)
 
     def forward_iterate(g0, weight):
         # int_0^x sin(k(x-y))/k w(y) dy via two cumulative trapezoids
         g = g0.copy()
-        for _ in range(max_iter):
+        for _ in range(60):
             w = weight * g
             ic = cumulative_trapezoid(cos_kx * w, x, initial=0.0)
             is_ = cumulative_trapezoid(sin_kx * w, x, initial=0.0)
             new = g0 + (sin_kx * ic - cos_kx * is_) / k
-            if np.max(np.abs(new - g)) < tol:
+            if np.max(np.abs(new - g)) < 1e-12:
                 return new
             g = new
         return g
 
     def backward_iterate(g0, weight):
         g = g0.copy()
-        for _ in range(max_iter):
+        for _ in range(60):
             w = weight * g
             tc = cumulative_trapezoid((cos_kx * w)[::-1], x, initial=0.0)[::-1]
             ts = cumulative_trapezoid((sin_kx * w)[::-1], x, initial=0.0)[::-1]
             new = g0 - (sin_kx * tc - cos_kx * ts) / k
-            if np.max(np.abs(new - g)) < tol:
+            if np.max(np.abs(new - g)) < 1e-12:
                 return new
             g = new
         return g

@@ -20,7 +20,7 @@ from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, ProfileValidityError, ResolutionError
 
-QUAD_ABS_TOL = 1e-10  # absolute tolerance for x(z) and ||V||_L1 quadrature
+QUAD_ABS_TOL = 1e-10  # absolute tolerance for the ||V||_L1 quadrature
 
 
 class ProfileFamily(enum.Enum):
@@ -199,32 +199,19 @@ def read_table_csv(path) -> tuple[np.ndarray, np.ndarray]:
 # internal per-family helpers
 # ---------------------------------------------------------------------------
 
-def _slowness_fn(profile: LineProfile) -> Callable[[np.ndarray], np.ndarray]:
-    """sqrt(L(z) C(z)) as a vectorized function of z."""
-    fam, p = profile.family, profile.params
-    if fam is ProfileFamily.UNIFORM:
-        s = math.sqrt(p["L"] * p["C"])
-        return lambda z: np.full_like(np.asarray(z, dtype=float), s)
-    if fam is ProfileFamily.EXPONENTIAL_TAPER:
-        s = p["slowness"]
-        return lambda z: np.full_like(np.asarray(z, dtype=float), s)
-    if fam is ProfileFamily.SAMPLED_TABLE:
-        sl = CubicSpline(p["z"], p["L"])
-        sc = CubicSpline(p["z"], p["C"])
-        z_end = p["z"][-1]
-
-        def fn(z):
-            z = np.asarray(z, dtype=float)
-            zc = np.minimum(z, z_end)  # uniform continuation past the table
-            val = sl(zc) * sc(zc)
-            if np.any(val <= 0):
-                raise ProfileValidityError(
-                    "interpolated L*C became non-positive")
-            return np.sqrt(val)
-
-        return fn
-    # DIRECT_POTENTIAL: identity map, z is already the travel-time coordinate
-    return lambda z: np.ones_like(np.asarray(z, dtype=float))
+def _x_of_z(profile: LineProfile) -> Callable[[np.ndarray], np.ndarray]:
+    """x(z) of a SAMPLED_TABLE profile, measured from the first row (the
+    node): the antiderivative of a cubic spline of sqrt(L C), continued
+    uniformly past the last row."""
+    z, L, C = profile.params["z"], profile.params["L"], profile.params["C"]
+    slowness = CubicSpline(z, np.sqrt(L * C))
+    if slowness.roots(extrapolate=False).size:
+        raise ProfileValidityError(
+            "interpolated slowness sqrt(L*C) became non-positive")
+    x_spline = slowness.antiderivative()
+    z_end, s_end = z[-1], math.sqrt(L[-1] * C[-1])
+    return lambda zq: (x_spline(np.minimum(zq, z_end))
+                       + s_end * np.maximum(zq - z_end, 0.0))
 
 
 def _a_spline(profile: LineProfile) -> tuple[CubicSpline, float]:
@@ -234,11 +221,8 @@ def _a_spline(profile: LineProfile) -> tuple[CubicSpline, float]:
     part of the contract: tables rougher than C^2 are unsupported, and the
     forced zero curvature at the ends decays geometrically into the interior.
     """
-    p = profile.params
-    z, L, C = p["z"], p["L"], p["C"]
-    integrand = CubicSpline(z, np.sqrt(L * C))
-    x_of_z = integrand.antiderivative()
-    x_samples = x_of_z(z) - x_of_z(z[0])
+    z, L, C = profile.params["z"], profile.params["L"], profile.params["C"]
+    x_samples = _x_of_z(profile)(z)
     A_samples = (C / L) ** 0.25
     return CubicSpline(x_samples, A_samples, bc_type="natural"), float(x_samples[-1])
 
@@ -248,7 +232,8 @@ def _a_spline(profile: LineProfile) -> tuple[CubicSpline, float]:
 # ---------------------------------------------------------------------------
 
 def liouville_coordinate(profile: LineProfile, z: float) -> float:
-    """Travel-time coordinate x(z) = int_0^z sqrt(L C) du."""
+    """Travel-time coordinate x(z) = int_0^z sqrt(L C) du (from the first
+    row of a sampled table)."""
     if z < 0 or z > profile.length:
         raise DomainError(f"z={z} outside [0, {profile.length}]")
     fam, p = profile.family, profile.params
@@ -258,10 +243,7 @@ def liouville_coordinate(profile: LineProfile, z: float) -> float:
         return p["slowness"] * z
     if fam is ProfileFamily.DIRECT_POTENTIAL:
         return float(z)
-    fn = _slowness_fn(profile)
-    val, _ = integrate.quad(lambda u: float(fn(u)), 0.0, z,
-                            epsabs=QUAD_ABS_TOL, limit=200)
-    return val
+    return float(_x_of_z(profile)(z))
 
 
 def travel_time(profile: LineProfile) -> float:
@@ -343,8 +325,7 @@ def potential_from_profile(profile: LineProfile,
     return _build_potential(ev, x_end, grid_step)
 
 
-def branch_geometry(profile: LineProfile,
-                    grid_step: float = 1e-3) -> BranchGeometry:
+def branch_geometry(profile: LineProfile) -> BranchGeometry:
     """Node coefficients A(0), A'(0) plus (tau, h) on finite branches."""
     fam, p = profile.family, profile.params
     if fam is ProfileFamily.UNIFORM:

@@ -31,14 +31,12 @@ STEPS_PER_WAVELENGTH = 20
 DX_MAX = 2e-3
 
 
-def step_count(length: float, k_max: float,
-               steps_per_wavelength: int = STEPS_PER_WAVELENGTH,
-               dx_max: float = DX_MAX) -> int:
+def step_count(length: float, k_max: float) -> int:
     if length <= 0:
         return 0
-    dx = dx_max
+    dx = DX_MAX
     if k_max > 0:
-        dx = min(dx, 2.0 * math.pi / (steps_per_wavelength * k_max))
+        dx = min(dx, 2.0 * math.pi / (STEPS_PER_WAVELENGTH * k_max))
     return max(int(math.ceil(length / dx)), 1)
 
 

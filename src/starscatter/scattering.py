@@ -4,17 +4,20 @@ A unit wave e^{-ikx} comes in on branch 1.  The solution is written as
 
     branch 1          y_1 = (1/a) ftilde + (R1 - b/a) f
     branches 2..m     y_j = T_j f_j
-    finite branches   y_j(x) = alpha_j omega_j(tau_j - x)
+    finite branches   y_j = alpha_j u_j
 
 and the node conditions (scaled value continuity plus the derivative
 balance) give an (m+n) x (m+n) system in (R1, T_j, alpha_j) after the
 common node value ybar is eliminated through branch 1.
 
-Two sign choices matter and are validated against the uniform closed form
-and the finite-difference oracle: the finite-branch chain rule
-y_j'(0) = -alpha_j omega_j'(tau_j), and the reversed-coordinate terminal
-slope omega'(0) = -h (the terminal condition y'(tau) = h y(tau) flips sign
-under x -> tau - x).
+u_j is the solution with u_j(tau_j) = 1, u_j'(tau_j) = h_j, which satisfies
+the terminal condition y'(tau) = h y(tau).  It is propagated from the
+terminal end back to the node in the branch's own coordinate, so its node
+data (u_j(0), u_j'(0)) enter the system with no sign change.  In the
+reversed coordinate s = tau_j - x, u_j is the fundamental solution omega_j
+with omega_j(0) = 1, omega_j'(0) = -h_j, and u_j'(0) = -omega_j'(tau_j).
+This convention is checked against the uniform closed form and the
+finite-difference oracle.
 """
 from __future__ import annotations
 
@@ -97,8 +100,7 @@ class StarNetwork:
 
 def network_from_profiles(profiles: Sequence[tuple[str, LineProfile]],
                           a5_tolerance: float = 1e-6,
-                          k_floor: float = K_FLOOR,
-                          grid_step: float = 1e-3) -> StarNetwork:
+                          k_floor: float = K_FLOOR) -> StarNetwork:
     """Build a StarNetwork from ("infinite"|"finite", LineProfile) pairs.
 
     Infinite branches are sorted first so that branch numbering follows the
@@ -115,8 +117,8 @@ def network_from_profiles(profiles: Sequence[tuple[str, LineProfile]],
     tagged.sort(key=lambda t: 0 if t[0] is BranchKind.INFINITE else 1)
     branches = []
     for i, (kind, profile) in enumerate(tagged, start=1):
-        pot = potential_from_profile(profile, grid_step)
-        geo = branch_geometry(profile, grid_step)
+        pot = potential_from_profile(profile)
+        geo = branch_geometry(profile)
         if kind is BranchKind.INFINITE and profile.is_finite:
             raise ProfileValidityError(
                 f"branch {i}: infinite branch with finite profile")
@@ -176,18 +178,11 @@ class ScatteringSweep:
             warnings=warns)
 
 
-def _reversed_potential(branch: Branch):
-    tau = branch.geometry.tau
-    V = branch.potential
-    return lambda s: V(tau - np.asarray(s, dtype=float))
-
-
 def _branch_data(net: StarNetwork, k: np.ndarray):
     """Per-branch node data arrays over k.
 
-    Infinite branches yield (f0, df0); branch 1 additionally (a, b); finite
-    branches yield (omega(tau), omega'(tau)) for the reversed potential with
-    initial slope -h.
+    Infinite branches yield (f0, df0, a, b); finite branches yield
+    (u(0), u'(0)) for the solution with u(tau) = 1, u'(tau) = h.
     """
     data = {}
     for b in net.branches:
@@ -195,10 +190,8 @@ def _branch_data(net: StarNetwork, k: np.ndarray):
             f0, df0, a, bb, _ = jost.jost_batch(b.potential, k, with_ab=True)
             data[b.id] = (f0, df0, a, bb)
         else:
-            ones = np.ones_like(k, dtype=complex)
-            data[b.id] = propagate.sweep(_reversed_potential(b), 0.0,
-                                         b.geometry.tau, k, ones,
-                                         -b.geometry.h * ones)
+            data[b.id] = propagate.sweep(b.potential, b.geometry.tau, 0.0, k,
+                                         1.0, b.geometry.h)
     return data
 
 
@@ -227,6 +220,10 @@ def solve_scattering_batch(net: StarNetwork, k) -> ScatteringSweep:
     the other rows are unaffected.
     """
     k = np.atleast_1d(np.asarray(k, dtype=float))
+    if k.ndim > 1:
+        raise DomainError("frequency grid must be one-dimensional")
+    if k.size == 0:
+        raise DomainError("empty frequency grid")
     if np.any(k < net.k_floor):
         raise DomainError(f"k below the k_floor {net.k_floor}")
     data = _branch_data(net, k)
@@ -248,14 +245,7 @@ def solve_scattering_batch(net: StarNetwork, k) -> ScatteringSweep:
     val_coeff[:, 0] = f0_1
     der_coeff[:, 0] = df0_1
     for idx, b in enumerate(net.branches[1:], start=1):
-        if b.kind is BranchKind.INFINITE:
-            f0, df0, _, _ = data[b.id]
-            val_coeff[:, idx] = f0
-            der_coeff[:, idx] = df0
-        else:
-            om, dom = data[b.id]
-            val_coeff[:, idx] = om
-            der_coeff[:, idx] = -dom  # chain rule: y'(0) = -alpha omega'(tau)
+        val_coeff[:, idx], der_coeff[:, idx] = data[b.id][:2]
 
     M = np.zeros((nk, N, N), dtype=complex)
     rhs = np.zeros((nk, N), dtype=complex)
@@ -322,15 +312,14 @@ def assemble_field(net: StarNetwork, coeffs: ScatteringCoefficients,
 
 def reflectogram(net: StarNetwork, k_grid,
                  threads: int = 1) -> ScatteringSweep:
-    """``solve_scattering_batch`` over a strictly increasing frequency grid.
+    """``solve_scattering_batch`` over a strictly increasing frequency grid
+    (a scalar is a one-row grid).
 
     Singular frequencies are NaN rows flagged by ``resonant`` instead of
     aborting the sweep.  With threads > 1 the grid is split into that many
     chunks, solved in a thread pool and joined field by field.
     """
-    k_grid = np.asarray(k_grid, dtype=float)
-    if k_grid.size == 0:
-        raise DomainError("empty frequency grid")
+    k_grid = np.atleast_1d(np.asarray(k_grid, dtype=float))
     if np.any(np.diff(k_grid) <= 0):
         raise DomainError("frequency grid must be strictly increasing")
     if threads > 1 and k_grid.size > 2 * threads:

@@ -97,12 +97,12 @@ class TestSolveKernel:
 class TestViaKernel:
     def test_zero_kernel_reduces_to_cosine(self):
         K = solve_kernel(ZERO, 1.3)
-        val = fundamental_via_kernel(K, 0.0, 5.0, tau=1.3)
+        val = fundamental_via_kernel(K, 0.0, 5.0)
         assert abs(val - math.cos(5.0 * 1.3)) < 1e-12
 
     def test_zero_kernel_with_slope(self):
         K = solve_kernel(ZERO, math.pi / 2.0)
-        val = fundamental_via_kernel(K, 1.0, 1.0, tau=math.pi / 2.0)
+        val = fundamental_via_kernel(K, 1.0, 1.0)
         assert abs(val - 1.0) < 1e-12
 
     def test_square_well_cross_validation(self):

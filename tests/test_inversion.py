@@ -146,20 +146,6 @@ class TestEstimateTaus:
 
 
 class TestDetectPoles:
-    def test_refine_callable_beats_interpolation(self):
-        tau = 1.0
-        ks = np.arange(50.0, 56.0, 0.01)
-        samples = synth_samples(1, [tau], ks)
-
-        def g_exact(k):
-            return -math.tan(k * tau)
-
-        refined = detect_poles(samples, refine=g_exact)
-        assert refined
-        for p in refined:
-            frac = p / math.pi - 0.5
-            assert abs(frac - round(frac)) < 1e-8
-
     def test_sign_flip_required(self):
         # large |g| without a sign change is not a pole
         ks = np.arange(50.0, 51.0, 0.01)

@@ -151,6 +151,23 @@ class TestBranchGeometry:
         assert g.tau == pytest.approx(2.0)
         assert g.h == pytest.approx(0.3)
 
+    def test_table_tau_equals_travel_time(self):
+        # one x(z) serves both: a coarse table must not give two taus
+        z = np.linspace(0.0, 1.0, 11)
+        p = LineProfile.sampled_table(z, 1.0 + z, np.ones_like(z))
+        assert branch_geometry(p).tau == travel_time(p)
+        assert liouville_coordinate(p, 1.0) == travel_time(p)
+
+    def test_table_with_negative_interpolated_slowness_rejected(self):
+        # all samples positive, but the spline of sqrt(LC) dips below zero
+        z = np.linspace(0.0, 1.0, 6)
+        p = LineProfile.sampled_table(z, [1.0, 1e-4, 1.0, 1e-4, 1.0, 1.0],
+                                      np.ones(6))
+        for fn in (branch_geometry, travel_time,
+                   lambda q: liouville_coordinate(q, 0.5)):
+            with pytest.raises(ProfileValidityError):
+                fn(p)
+
 
 class TestVoltageFromField:
     def test_identity(self):

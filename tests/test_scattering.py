@@ -27,11 +27,14 @@ def adaptive_branch_data(net, k):
             data[b.id] = tuple(np.array([getattr(r, name) for r in rows])
                                for name in ("f0", "df0", "a", "b"))
         else:
-            vrev = scattering._reversed_potential(b)
-            rows = [fundamental_at(vrev, b.geometry.tau, -b.geometry.h,
-                                   float(kk)) for kk in k]
+            # u(x) = omega(tau - x) for omega on the reversed potential with
+            # omega(0) = 1, omega'(0) = -h, so (u(0), u'(0)) = (omega, -omega')
+            tau, V = b.geometry.tau, b.potential
+            rows = [fundamental_at(lambda s: V(tau - np.asarray(s, float)),
+                                   tau, -b.geometry.h, float(kk))
+                    for kk in k]
             data[b.id] = (np.array([r.omega_tau for r in rows]),
-                          np.array([r.domega_tau for r in rows]))
+                          -np.array([r.domega_tau for r in rows]))
     return data
 
 
@@ -221,12 +224,20 @@ class TestReflectogram:
 
     def test_grid_validation(self):
         net = uniform_network(2)
-        with pytest.raises(DomainError):
-            reflectogram(net, [])
+        stub = uniform_network(1, taus=[1.0])
+        for n in (net, stub):
+            for bad in ([], [[5.0, 6.0], [7.0, 8.0]]):
+                with pytest.raises(DomainError):
+                    reflectogram(n, bad)
+                with pytest.raises(DomainError):
+                    solve_scattering_batch(n, bad)
         with pytest.raises(DomainError):
             reflectogram(net, [5.0, 4.0])
         with pytest.raises(DomainError):
             reflectogram(net, [0.1, 5.0])
+        one = reflectogram(stub, 5.0)
+        assert len(one) == 1
+        assert one[0].R1 == solve_scattering(stub, 5.0).R1
 
     def test_threaded_matches_serial(self):
         net = uniform_network(1, taus=[1.0])

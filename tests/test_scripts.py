@@ -1,4 +1,5 @@
-"""The demo scripts run end to end on a tiny frequency grid."""
+"""The demo scripts run end to end on a tiny frequency grid, and the
+benchmark's self-test passes against this checkout."""
 import os
 import subprocess
 import sys
@@ -35,3 +36,24 @@ def test_invert_demo(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "forward sweep: 40 frequencies" in proc.stdout
     assert "recovered: m = " in proc.stdout
+
+
+def test_oracle_convergence(tmp_path):
+    proc = run_script("oracle_convergence.py", "--dx0", "2e-3", "--levels",
+                      "2", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "reference R1" in proc.stdout
+    rows = [line.split() for line in proc.stdout.splitlines()
+            if line.strip().startswith("1.00e-03")]
+    assert len(rows) == 1
+    assert float(rows[0][-1]) >= 2.0  # observed order of the oracle
+
+
+def test_perfbench_selftest():
+    # catches a traced attribute or CLI flag that a signature change breaks
+    proc = subprocess.run([sys.executable,
+                           str(ROOT / "perfbench" / "selftest.py")],
+                          cwd=ROOT, capture_output=True, text=True,
+                          timeout=300, check=False)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "0 failure(s)" in proc.stdout
