@@ -70,16 +70,17 @@ def cmd_forward(args) -> int:
     for j in range(2, m + 1):
         header += [f"re_T{j}", f"im_T{j}"]
     lines = [",".join(header)]
-    nan_cols = ["NaN"] * (len(header) - 1)
+    row_fmt = ",".join(["%.12g"] * len(header))
+    nan_fmt = "%.12g" + ",NaN" * (len(header) - 1)
+    t_parts = np.empty((len(sweep), 2 * (m - 1)))
+    t_parts[:, 0::2], t_parts[:, 1::2] = sweep.T.real, sweep.T.imag
     for k, r, ts, bad in zip(sweep.k.tolist(), sweep.R1.tolist(),
-                             sweep.T.tolist(), resonant.tolist()):
+                             t_parts.tolist(), resonant.tolist()):
         if bad:
-            row = [_fmt(k)] + nan_cols
+            lines.append(nan_fmt % k)
         else:
-            row = [_fmt(k), _fmt(r.real), _fmt(r.imag), _fmt(abs(r))]
-            for t in ts:
-                row += [_fmt(t.real), _fmt(t.imag)]
-        lines.append(",".join(row))
+            # Python's abs(r), not np.abs: the two differ in the last bit
+            lines.append(row_fmt % (k, r.real, r.imag, abs(r), *ts))
     with open(args.out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"wrote {len(sweep)} rows to {args.out}")

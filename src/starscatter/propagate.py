@@ -17,9 +17,21 @@ Adjacent cells with the same midpoint V are merged into one cell of the
 summed length.  The midpoint scheme already treats V as constant there, so
 merging changes the product only by rounding: uniform lines, exponential
 tapers and the V = 0 stretch past a potential's support each cost a single
-cell.  The cost of a pass is therefore (cells where V varies) x (number of
-frequencies).  The scheme is second order in dx for smooth V.  Signed dx
-gives backward propagation (cos is even, sin(q dx)/q is odd).
+cell.  The scheme is second order in dx for smooth V.  Signed dx gives
+backward propagation (cos is even, sin(q dx)/q is odd).
+
+On a fixed partition the product is an entire function of k of exponential
+type |x_to - x_from|, so n + 1 Chebyshev points of [k_min, k_max], with
+n = ceil(|x_to - x_from| (k_max - k_min) / 2) + NODE_MARGIN, determine it to
+rounding.  When both the grid and the merged cell count exceed n + 1, the
+cell product is taken on those nodes and its four entries are carried to
+the grid by barycentric interpolation (Berrut & Trefethen, SIAM Review 46,
+2004), at a cost of about cells x nodes + nodes x (number of frequencies).
+The partition is the one the grid's k_max gives, and k_max is a node.  The
+interpolant is checked against the direct product at a few off-node grid
+k; an error above CHECK_TOL of an entry's largest value sends the whole
+grid to the direct product.  A short grid or a branch of few cells takes
+the direct product, at (cells) x (number of frequencies).
 """
 from __future__ import annotations
 
@@ -29,6 +41,9 @@ import numpy as np
 
 STEPS_PER_WAVELENGTH = 20
 DX_MAX = 2e-3
+NODE_MARGIN = 60  # Chebyshev nodes beyond |length| (k_max - k_min) / 2
+N_CHECKS = 5  # off-node grid k where the interpolant is checked
+CHECK_TOL = 1e-12  # largest check error, relative to the entry's largest value
 
 
 def step_count(length: float, k_max: float) -> int:
@@ -61,6 +76,60 @@ def _step_factors(s: np.ndarray, dx: float):
     return c, sl
 
 
+def _cell_product(k: np.ndarray, v_runs: np.ndarray, widths: np.ndarray):
+    """Product of the constant-V cell matrices (one per run) at each k."""
+    k2 = k * k
+    m11, m12 = np.ones_like(k2), np.zeros_like(k2)
+    m21, m22 = np.zeros_like(k2), np.ones_like(k2)
+    for v, w in zip(v_runs, widths):
+        s = k2 - v
+        c, sl = _step_factors(s, w)
+        qs = s * sl  # q sin(q dx): the cell's lower-left entry, negated
+        m11, m21 = c * m11 + sl * m21, c * m21 - qs * m11
+        m12, m22 = c * m12 + sl * m22, c * m22 - qs * m12
+    return m11, m12, m21, m22
+
+
+def _chebyshev_nodes(k_min: float, k_max: float, n: int):
+    """n + 1 Chebyshev points of the second kind on [k_min, k_max], in
+    ascending order with both ends exact, and their barycentric weights."""
+    x = np.sin(np.pi * (2.0 * np.arange(n + 1) - n) / (2 * n))
+    nodes = 0.5 * (k_max + k_min) + 0.5 * (k_max - k_min) * x
+    nodes[0], nodes[-1] = k_min, k_max
+    weights = np.where(np.arange(n + 1) % 2, -1.0, 1.0)
+    weights[[0, -1]] *= 0.5
+    return nodes, weights
+
+
+def _barycentric(k: np.ndarray, nodes: np.ndarray, weights: np.ndarray,
+                 values):
+    """Evaluate the interpolants through (nodes, values[e]) at k, for
+    ascending nodes.
+
+    Sums node by node so memory stays O(len(k)); a k equal to a node gets
+    that node's value.
+    """
+    num = [np.zeros_like(k) for _ in values]
+    den = np.zeros_like(k)
+    d = np.empty_like(k)
+    term = np.empty_like(k)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j, (kj, wj) in enumerate(zip(nodes, weights)):
+            np.subtract(k, kj, out=d)
+            np.divide(wj, d, out=d)
+            den += d
+            for acc, f in zip(num, values):
+                np.multiply(d, f[j], out=term)
+                acc += term
+        for acc in num:
+            acc /= den
+    pos = np.minimum(np.searchsorted(nodes, k), nodes.size - 1)
+    hit = nodes[pos] == k
+    for acc, f in zip(num, values):
+        acc[hit] = f[pos[hit]]
+    return num
+
+
 def transfer_matrix(potential, x_from: float, x_to: float, k: np.ndarray):
     """Real transfer matrix (m11, m12, m21, m22) from x_from to x_to.
 
@@ -68,25 +137,33 @@ def transfer_matrix(potential, x_from: float, x_to: float, k: np.ndarray):
     over k; (y, y')(x_to) = M (y, y')(x_from) and det M = 1.
     """
     k = np.atleast_1d(np.asarray(k, dtype=float))
-    k2 = k * k
-    m11, m12 = np.ones_like(k2), np.zeros_like(k2)
-    m21, m22 = np.zeros_like(k2), np.ones_like(k2)
     length = x_to - x_from
     if length == 0.0:
-        return m11, m12, m21, m22
+        return (np.ones_like(k), np.zeros_like(k),
+                np.zeros_like(k), np.ones_like(k))
     n_steps = step_count(abs(length), float(np.max(np.abs(k))))
     dx = length / n_steps
     mids = x_from + (np.arange(n_steps) + 0.5) * dx
     v_mid = np.asarray(potential(mids), dtype=float)
     starts = np.flatnonzero(np.r_[True, v_mid[1:] != v_mid[:-1]])
-    cells = np.diff(np.r_[starts, n_steps])
-    for v, n in zip(v_mid[starts], cells):
-        s = k2 - v
-        c, sl = _step_factors(s, n * dx)
-        qs = s * sl  # q sin(q dx): the cell's lower-left entry, negated
-        m11, m21 = c * m11 + sl * m21, c * m21 - qs * m11
-        m12, m22 = c * m12 + sl * m22, c * m22 - qs * m12
-    return m11, m12, m21, m22
+    v_runs = v_mid[starts]
+    widths = np.diff(np.r_[starts, n_steps]) * dx
+    k_min, k_max = float(np.min(k)), float(np.max(k))
+    n = math.ceil(abs(length) * (k_max - k_min) / 2) + NODE_MARGIN
+    if k.size <= n + 1 or v_runs.size <= n + 1:
+        return _cell_product(k, v_runs, widths)
+    nodes, weights = _chebyshev_nodes(k_min, k_max, n)
+    off = k[~np.isin(k, nodes)]
+    checks = off[np.linspace(0, off.size - 1, N_CHECKS + 2)[1:-1]
+                 .round().astype(int)] if off.size else off
+    direct = _cell_product(np.r_[nodes, checks], v_runs, widths)
+    at_nodes = [e[:n + 1] for e in direct]
+    at_checks = _barycentric(checks, nodes, weights, at_nodes)
+    for e, p in zip(direct, at_checks):
+        err = np.max(np.abs(p - e[n + 1:]), initial=0.0)
+        if not err <= CHECK_TOL * np.max(np.abs(e[:n + 1])):
+            return _cell_product(k, v_runs, widths)
+    return tuple(_barycentric(k, nodes, weights, at_nodes))
 
 
 def sweep(potential, x_from: float, x_to: float, k: np.ndarray,

@@ -33,6 +33,14 @@ def sin2_bump(amplitude, width):
     return fn
 
 
+def write_sin2_table(path, amplitude, width, rows=161):
+    """x,V table of amplitude * sin^2(pi x / width) on [0, width]."""
+    x = np.linspace(0.0, width, rows)
+    v = amplitude * np.sin(np.pi * x / width) ** 2
+    np.savetxt(path, np.column_stack([x, v]), delimiter=",", header="x,V",
+               comments="", fmt="%.17g")
+
+
 def uniform_network(m, taus=(), k_floor=0.5):
     """All-uniform star: V=0 everywhere, h=0, unit A0."""
     profs = [("infinite", LineProfile.uniform(1.0, 1.0))

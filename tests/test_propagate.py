@@ -3,15 +3,19 @@
 The reference for the merged kernel is a plain per-cell product written
 here with complex square roots, so it shares no code with the kernel.
 """
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from starscatter import config, jost, propagate
 from starscatter.line_model import LineProfile, potential_from_profile
 
-from conftest import sin2_bump
+from conftest import sin2_bump, write_sin2_table
 
 KS = np.linspace(60.0, 160.0, 11)
+FINE = 60.0 + 0.005 * np.arange(20001)  # the benchmark's grid
 
 
 def plateau_bump(x):
@@ -85,11 +89,12 @@ def test_constant_stub_matches_closed_form(profile, v):
 
 
 def count_step_factors(monkeypatch):
+    """Record the number of frequencies of each _step_factors call."""
     calls = []
     real = propagate._step_factors
 
     def counted(s, dx):
-        calls.append(dx)
+        calls.append(s.size)
         return real(s, dx)
 
     monkeypatch.setattr(propagate, "_step_factors", counted)
@@ -98,20 +103,26 @@ def count_step_factors(monkeypatch):
 
 def test_uniform_stub_is_one_cell(monkeypatch):
     V = potential_from_profile(LineProfile.uniform(1.0, 1.0, length=1.7))
-    calls = count_step_factors(monkeypatch)
-    propagate.sweep(V, 0.0, 1.7, KS, 1.0, 0.0)
-    assert len(calls) == 1
+    for k in (KS, FINE):
+        calls = count_step_factors(monkeypatch)
+        propagate.sweep(V, 0.0, 1.7, k, 1.0, 0.0)
+        assert calls == [k.size]
+        monkeypatch.undo()
 
 
-def test_smooth_stub_costs_its_support_cells_plus_one(tmp_path, monkeypatch):
-    # the smooth-sweep stub: a 161-row x,V table of 0.4 sin^2(pi x / 0.6)
-    tau, support = 1.0, 0.6
+@pytest.fixture
+def table_stub(tmp_path):
+    """The smooth-sweep stub: a 161-row x,V table of 0.4 sin^2(pi x / 0.6),
+    on a branch of tau = 1."""
     table = tmp_path / "fin1.csv"
-    x = np.linspace(0.0, support, 161)
-    v = 0.4 * np.sin(np.pi * x / support) ** 2
-    np.savetxt(table, np.column_stack([x, v]), delimiter=",", header="x,V",
-               comments="", fmt="%.17g")
+    write_sin2_table(table, 0.4, 0.6)
     bump, _ = config._spline_potential(table, "fin1")
+    return bump
+
+
+def test_smooth_stub_costs_its_support_cells_plus_one(table_stub,
+                                                     monkeypatch):
+    tau, support, bump = 1.0, 0.6, table_stub
 
     def reversed_bump(s):
         return bump(tau - np.asarray(s, dtype=float))
@@ -138,3 +149,62 @@ def test_jost_batch_matches_two_sweeps():
     assert rel_err(df0, dg0) < 1e-12
     assert rel_err(a, a_ref) < 1e-12
     assert np.max(np.abs(b - b_ref)) < 1e-12
+
+
+def direct_matrix(monkeypatch, potential, x_from, x_to, k):
+    """transfer_matrix with more Chebyshev nodes than any grid has points,
+    so it takes the direct cell product at every k."""
+    with monkeypatch.context() as mp:
+        mp.setattr(propagate, "NODE_MARGIN", 10 ** 9)
+        return propagate.transfer_matrix(potential, x_from, x_to, k)
+
+
+def interpolation_cases(stub):
+    return [(plateau_bump, 0.0, 2.0), (plateau_bump, 2.0, 0.0),
+            (stub, 0.0, 1.0), (stub, 1.0, 0.0)]
+
+
+def test_interpolated_matches_direct(table_stub, monkeypatch):
+    for potential, x_from, x_to in interpolation_cases(table_stub):
+        want = direct_matrix(monkeypatch, potential, x_from, x_to, FINE)
+        calls = count_step_factors(monkeypatch)
+        got = propagate.transfer_matrix(potential, x_from, x_to, FINE)
+        monkeypatch.undo()
+        # the cells were multiplied out on the nodes only
+        assert calls and max(calls) < FINE.size // 100
+        for g, w in zip(got, want):
+            assert rel_err(g, w) <= 1e-12
+        assert np.max(np.abs(got[0] * got[3] - got[1] * got[2] - 1)) <= 1e-12
+
+
+def test_grid_containing_the_nodes(monkeypatch):
+    length, k_min, k_max = 2.0, 60.0, 160.0
+    n = math.ceil(length * (k_max - k_min) / 2) + propagate.NODE_MARGIN
+    nodes, _ = propagate._chebyshev_nodes(k_min, k_max, n)
+    k = np.union1d(FINE, nodes)
+    got = propagate.transfer_matrix(plateau_bump, 0.0, length, k)
+    want = direct_matrix(monkeypatch, plateau_bump, 0.0, length, k)
+    for g, w in zip(got, want):
+        assert np.all(np.isfinite(g))
+        assert rel_err(g, w) <= 1e-12
+
+
+def test_short_grid_takes_the_direct_product(monkeypatch):
+    # n + 1 = 161 nodes on [60, 160] for length 2: 161 points stay direct
+    k = np.linspace(60.0, 160.0, 161)
+    got = propagate.transfer_matrix(plateau_bump, 0.0, 2.0, k)
+    want = direct_matrix(monkeypatch, plateau_bump, 0.0, 2.0, k)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_interpolation_memory_is_linear_in_the_grid():
+    # any n_k x nodes array (3.2e6 doubles here) would blow this bound
+    propagate.transfer_matrix(plateau_bump, 0.0, 2.0, FINE)
+    tracemalloc.start()
+    try:
+        propagate.transfer_matrix(plateau_bump, 0.0, 2.0, FINE)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * FINE.size * 8

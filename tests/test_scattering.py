@@ -1,10 +1,12 @@
 """Node system assembly and the constructed scattering solution."""
+import json
 import math
 
 import numpy as np
 import pytest
 
-from starscatter import jost, scattering
+from starscatter import jost, propagate, scattering
+from starscatter.config import load_network
 from starscatter.errors import DomainError, ProfileValidityError, \
     ResonanceError
 from starscatter.fundamental import fundamental_at, fundamental_profile
@@ -14,7 +16,7 @@ from starscatter.scattering import BranchKind, assemble_field, \
     solve_scattering_batch
 
 from conftest import closed_form_r1, direct_network, random_smooth_network, \
-    sin2_bump, uniform_network
+    sin2_bump, uniform_network, write_sin2_table
 
 
 def adaptive_branch_data(net, k):
@@ -256,3 +258,34 @@ def test_batch_solver_matches_scalar(rng):
     for i, k in enumerate(ks):
         single = solve_scattering(net, float(k))
         assert abs(batch[i].R1 - single.R1) < 1e-13
+
+
+def smooth_demo_star(workdir):
+    """The demo star from 161-row sin^2 tables: two infinite branches and
+    stubs of tau 1 and 1.7, as in the benchmark's smooth-sweep."""
+    branches = []
+    for i, (amp, width) in enumerate(((0.5, 0.8), (-0.35, 0.7))):
+        write_sin2_table(workdir / f"inf{i}.csv", amp, width)
+        branches.append({"kind": "infinite",
+                         "direct": {"potential_table_path": f"inf{i}.csv"}})
+    for i, (amp, width, tau, h) in enumerate(((0.4, 0.6, 1.0, 0.12),
+                                              (-0.3, 0.9, 1.7, -0.1))):
+        write_sin2_table(workdir / f"fin{i}.csv", amp, width)
+        branches.append({"kind": "finite",
+                         "direct": {"potential_table_path": f"fin{i}.csv",
+                                    "tau": tau, "h": h}})
+    path = workdir / "net.json"
+    path.write_text(json.dumps({"schema_version": 1, "branches": branches}))
+    return load_network(path)[0]
+
+
+def test_interpolated_sweep_matches_direct(tmp_path, monkeypatch):
+    net = smooth_demo_star(tmp_path)
+    k = 60.0 + 0.005 * np.arange(20001)
+    got = solve_scattering_batch(net, k)
+    # more Chebyshev nodes than grid points: every branch is direct
+    monkeypatch.setattr(propagate, "NODE_MARGIN", 10 ** 9)
+    want = solve_scattering_batch(net, k)
+    assert np.max(np.abs(got.R1 - want.R1)) <= 1e-11
+    flux = np.abs(got.R1) ** 2 + np.sum(np.abs(got.T) ** 2, axis=1)
+    assert np.max(np.abs(flux - 1.0)) <= 1e-8
