@@ -69,20 +69,17 @@ def cmd_forward(args) -> int:
     header = ["k", "re_R1", "im_R1", "abs_R1"]
     for j in range(2, m + 1):
         header += [f"re_T{j}", f"im_T{j}"]
-    lines = [",".join(header)]
-    row_fmt = ",".join(["%.12g"] * len(header))
-    nan_fmt = "%.12g" + ",NaN" * (len(header) - 1)
+    row_fmt = ",".join(["%.12g"] * len(header)) + "\n"
+    nan_fmt = "%.12g" + ",NaN" * (len(header) - 1) + "\n"
     t_parts = np.empty((len(sweep), 2 * (m - 1)))
     t_parts[:, 0::2], t_parts[:, 1::2] = sweep.T.real, sweep.T.imag
-    for k, r, ts, bad in zip(sweep.k.tolist(), sweep.R1.tolist(),
-                             t_parts.tolist(), resonant.tolist()):
-        if bad:
-            lines.append(nan_fmt % k)
-        else:
-            # Python's abs(r), not np.abs: the two differ in the last bit
-            lines.append(row_fmt % (k, r.real, r.imag, abs(r), *ts))
     with open(args.out, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for k, r, ts, bad in zip(sweep.k.tolist(), sweep.R1.tolist(),
+                                 t_parts.tolist(), resonant.tolist()):
+            # Python's abs(r), not np.abs: the two differ in the last bit
+            fh.write(nan_fmt % k if bad
+                     else row_fmt % (k, r.real, r.imag, abs(r), *ts))
     print(f"wrote {len(sweep)} rows to {args.out}")
     ill = ~resonant & (sweep.cond > scattering.COND_WARN)
     if ill.any():
