@@ -134,7 +134,9 @@ def transfer_matrix(potential, x_from: float, x_to: float, k: np.ndarray):
     """Real transfer matrix (m11, m12, m21, m22) from x_from to x_to.
 
     ``potential`` is a vectorized map x -> V(x).  Each entry is an array
-    over k; (y, y')(x_to) = M (y, y')(x_from) and det M = 1.
+    over k; (y, y')(x_to) = M (y, y')(x_from) and det M = 1.  On a long
+    grid the entries are interpolated from Chebyshev nodes (module
+    docstring).
     """
     k = np.atleast_1d(np.asarray(k, dtype=float))
     length = x_to - x_from
