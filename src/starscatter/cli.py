@@ -5,14 +5,13 @@
     starscatter validate --config net.json
 
 Exit codes: 0 ok, 2 config/parse failure, 3 solver failure, 4 insufficient
-samples, 5 validation failure.  STAR_SCATTER_THREADS caps the sweep pool.
+samples, 5 validation failure.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -24,17 +23,6 @@ from .errors import ConfigError, InsufficientDataError, StarScatterError
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
-
-
-def _thread_count() -> int:
-    threads = os.cpu_count() or 1
-    cap = os.environ.get("STAR_SCATTER_THREADS")
-    if cap:
-        try:
-            threads = min(threads, max(int(cap), 1))
-        except ValueError:
-            pass
-    return threads
 
 
 def cmd_forward(args) -> int:
@@ -56,7 +44,7 @@ def cmd_forward(args) -> int:
         return 2
     grid = args.kmin + args.dk * np.arange(n_pts)
     try:
-        sweep = scattering.reflectogram(net, grid, threads=_thread_count())
+        sweep = scattering.reflectogram(net, grid)
     except StarScatterError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3

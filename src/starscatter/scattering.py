@@ -1,4 +1,4 @@
-"""Central-node linear system and the full scattering solution.
+"""Central-node equation and the full scattering solution.
 
 A unit wave e^{-ikx} comes in on branch 1.  The solution is written as
 
@@ -6,14 +6,29 @@ A unit wave e^{-ikx} comes in on branch 1.  The solution is written as
     branches 2..m     y_j = T_j f_j
     finite branches   y_j = alpha_j u_j
 
-and the node conditions (scaled value continuity plus the derivative
-balance) give an (m+n) x (m+n) system in (R1, T_j, alpha_j) after the
-common node value ybar is eliminated through branch 1.
+Value continuity at the node makes every y_j(0) = A_j ybar, so the
+derivative balance sum_j A_j y_j'(0) = (sum_j A_j A_j') ybar is one scalar
+equation per k in the branches' log-derivatives l_j = y_j'(0)/y_j(0)
+(df0_j/f0_j on infinite branches, u_j'(0)/u_j(0) on finite ones).  With
+(c0, d0) = (y_1, y_1')(0) of the incoming part on branch 1,
+
+    D = sum_j A_j^2 l_j - sum_j A_j A_j'
+    ybar = A_1 (c0 df0_1 - d0 f0_1) / (f0_1 D)
+    R1 = (A_1 ybar - c0) / f0_1,   T_j or alpha_j = A_j ybar / y_j(0)
+
+On a star of uniform lines D = ik (m - i S) with the paper's
+S = sum tan(k tau_j).  At a stub's embedded eigenvalue u_j(0) is rounding
+noise, yet alpha_j stays accurate: D holds A_j^2 u_j'(0)/u_j(0), so
+D u_j(0) = A_j^2 u_j'(0) + u_j(0) (D - A_j^2 l_j) to rounding, and the
+noise cancels.  ybar must come from D for this; taken from R1 as
+(c0 + f0_1 R1)/A_1 it is a difference of O(1) numbers, and alpha_j is off
+by O(1).  Only two branches decoupling at once leave the amplitudes
+non-unique, which the condition proxy flags.
 
 u_j is the solution with u_j(tau_j) = 1, u_j'(tau_j) = h_j, which satisfies
 the terminal condition y'(tau) = h y(tau).  It is propagated from the
 terminal end back to the node in the branch's own coordinate, so its node
-data (u_j(0), u_j'(0)) enter the system with no sign change.  In the
+data (u_j(0), u_j'(0)) enter the equation with no sign change.  In the
 reversed coordinate s = tau_j - x, u_j is the fundamental solution omega_j
 with omega_j(0) = 1, omega_j'(0) = -h_j, and u_j'(0) = -omega_j'(tau_j).
 This convention is checked against the uniform closed form and the
@@ -128,13 +143,17 @@ def network_from_profiles(profiles: Sequence[tuple[str, LineProfile]],
 
 @dataclass(eq=False)
 class ScatteringCoefficients:
-    """Solution of the node system at one frequency."""
+    """Solution of the node conditions at one frequency."""
 
     k: float
     R1: complex
     T: list  # transmission onto infinite branches 2..m
     alpha: list  # finite-branch amplitudes, branches m+1..m+n
     ybar: complex
+    # second-largest |l_j|/k over branches 2..N (0 with fewer than two): it
+    # grows without bound where two branches decouple from the node at once,
+    # an embedded eigenvalue at which the amplitudes are not unique; above
+    # COND_WARN the row carries an ill-conditioned warning
     condition_number: float
     node_values: list = field(repr=False, default_factory=list)  # (y(0), y'(0)) per branch
     warnings: list = field(default_factory=list)
@@ -142,11 +161,12 @@ class ScatteringCoefficients:
 
 @dataclass(eq=False)
 class ScatteringSweep:
-    """Solution of the node system over an array of frequencies, one row
-    per k.
+    """Solution of the node conditions over an array of frequencies, one
+    row per k.
 
-    A row where the node system is singular, or where a(k) ~ 0 on the
-    measurement branch, holds NaN and is flagged by ``resonant``.
+    A row where the node equation's denominator D vanishes, or where
+    a(k) ~ 0 on the measurement branch, holds NaN and is flagged by
+    ``resonant``.
     ``sweep[i]`` is the ScatteringCoefficients of row i.
     """
 
@@ -155,7 +175,7 @@ class ScatteringSweep:
     T: np.ndarray  # [nk, m-1], infinite branches 2..m
     alpha: np.ndarray  # [nk, n], finite branches m+1..m+n
     ybar: np.ndarray  # [nk]
-    cond: np.ndarray  # [nk], condition number of the node matrix
+    cond: np.ndarray  # [nk], condition_number of each row
     node_values: np.ndarray = field(repr=False)  # [nk, N, 2]: y(0), y'(0)
 
     @property
@@ -195,27 +215,10 @@ def _branch_data(net: StarNetwork, k: np.ndarray):
     return data
 
 
-def _node_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve M[i] x[i] = rhs[i] for every k; an exactly singular M[i]
-    leaves a NaN row instead of failing the batch."""
-    try:
-        return np.linalg.solve(M, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        # one singular matrix fails the whole batched call, so solve the
-        # node systems one k at a time
-        sol = np.full_like(rhs, np.nan)
-        for i in range(len(M)):
-            try:
-                sol[i] = np.linalg.solve(M[i], rhs[i])
-            except np.linalg.LinAlgError:
-                pass
-        return sol
-
-
 def solve_scattering_batch(net: StarNetwork, k) -> ScatteringSweep:
-    """Solve the node system for every k in an array (all k >= k_floor).
+    """Solve the node conditions for every k in an array (all k >= k_floor).
 
-    A k where the node system is singular, or where a(k) ~ 0 on the
+    A k where the node equation is singular, or where a(k) ~ 0 on the
     measurement branch, comes back as a NaN row flagged by ``resonant``;
     the other rows are unaffected.
     """
@@ -227,51 +230,38 @@ def solve_scattering_batch(net: StarNetwork, k) -> ScatteringSweep:
     if np.any(k < net.k_floor):
         raise DomainError(f"k below the k_floor {net.k_floor}")
     data = _branch_data(net, k)
-    N = len(net.branches)
-    nk = k.size
-    b1 = net.branches[0]
-    f0_1, df0_1, a1, bb1 = data[b1.id]
-    A1 = b1.geometry.A0
+    f0_1, df0_1, a1, bb1 = data[net.branches[0].id]
+    A = np.array([b.geometry.A0 for b in net.branches])
     saap = sum(b.geometry.A0 * b.geometry.A0prime for b in net.branches)
+    # [nk, N]: (y(0), y'(0)) of f_j on infinite branches, u_j on finite ones
+    val = np.stack([data[b.id][0] for b in net.branches], axis=1)
+    der = np.stack([data[b.id][1] for b in net.branches], axis=1)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        # rows with a(k) ~ 0 are set to NaN after the solve
+        # rows with a(k) ~ 0 or D = 0 are set to NaN below
         c0 = 1.0 / a1 - (bb1 / a1) * f0_1
         d0 = -1j * k / a1 - (bb1 / a1) * df0_1
+        ell = der / val
+        ybar = (A[0] * (c0 * df0_1 - d0 * f0_1)
+                / (f0_1 * ((A ** 2 * ell).sum(axis=1) - saap)))
+        # amplitude per branch: R1, then T_j or alpha_j = A_j ybar / y_j(0)
+        amps = A * ybar[:, None] / val
+        amps[:, 0] = (A[0] * ybar - c0) / f0_1
+    bad = (np.abs(a1) < A_RESONANCE_TOL) | ~np.isfinite(ybar)
+    amps[bad] = ybar[bad] = np.nan
 
-    # unknown column per branch: R1 for branch 1, then T_j / alpha_j in order
-    val_coeff = np.zeros((nk, N), dtype=complex)
-    der_coeff = np.zeros((nk, N), dtype=complex)
-    val_coeff[:, 0] = f0_1
-    der_coeff[:, 0] = df0_1
-    for idx, b in enumerate(net.branches[1:], start=1):
-        val_coeff[:, idx], der_coeff[:, idx] = data[b.id][:2]
-
-    M = np.zeros((nk, N, N), dtype=complex)
-    rhs = np.zeros((nk, N), dtype=complex)
-    for idx, b in enumerate(net.branches[1:], start=1):
-        Aj = b.geometry.A0
-        M[:, idx - 1, idx] = val_coeff[:, idx] / Aj
-        M[:, idx - 1, 0] = -f0_1 / A1
-        rhs[:, idx - 1] = c0 / A1
-    Acol = np.array([b.geometry.A0 for b in net.branches])
-    M[:, N - 1, :] = der_coeff * Acol[None, :]
-    M[:, N - 1, 0] += -saap * f0_1 / A1
-    rhs[:, N - 1] = -A1 * d0 + saap * c0 / A1
-
-    cond = np.linalg.cond(M)
-    sol = _node_solve(M, rhs)
-    sol[np.abs(a1) < A_RESONANCE_TOL] = np.nan
-
-    # (y(0), y'(0)) per branch: u_j times its column, except on branch 1,
-    # where the incoming and reflected waves add
-    y1 = c0 + f0_1 * sol[:, 0]
-    node_values = np.stack([sol * val_coeff, sol * der_coeff], axis=-1)
-    node_values[:, 0, 0] = y1
-    node_values[:, 0, 1] = d0 + df0_1 * sol[:, 0]
+    # (y(0), y'(0)) per branch: the branch's own solution times its
+    # amplitude, plus the incoming wave on branch 1
+    node_values = np.stack([amps * val, amps * der], axis=-1)
+    node_values[:, 0, 0] += c0
+    node_values[:, 0, 1] += d0
+    # two branches decoupling at once leave the amplitudes non-unique
+    ratio = np.abs(ell[:, 1:]) / k[:, None]
+    cond = (np.partition(ratio, -2, axis=1)[:, -2] if ratio.shape[1] > 1
+            else np.zeros_like(k))
     m = net.m
-    return ScatteringSweep(k=k, R1=sol[:, 0], T=sol[:, 1:m],
-                           alpha=sol[:, m:], ybar=y1 / A1, cond=cond,
+    return ScatteringSweep(k=k, R1=amps[:, 0], T=amps[:, 1:m],
+                           alpha=amps[:, m:], ybar=ybar, cond=cond,
                            node_values=node_values)
 
 
@@ -283,7 +273,7 @@ def solve_scattering(net: StarNetwork, k: float) -> ScatteringCoefficients:
     sweep = solve_scattering_batch(net, float(k))
     if sweep.resonant[0]:
         raise ResonanceError(
-            f"node system singular or a(k) ~ 0 at k={float(k)}")
+            f"node equation singular or a(k) ~ 0 at k={float(k)}")
     return sweep[0]
 
 

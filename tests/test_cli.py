@@ -1,12 +1,15 @@
 """Command-line front end: configs, sweeps, inversion, validation."""
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 from starscatter import cli, scattering
 from starscatter.errors import ResonanceError
+
+from conftest import fake_singular_stub, write_sin2_table
 
 
 def write_config(tmp_path, doc, name="net.json"):
@@ -103,11 +106,7 @@ class TestForward:
     def test_all_frequencies_singular_exit_code(self, tmp_path, monkeypatch,
                                                 capsys):
         cfg = write_config(tmp_path, uniform_config(2, [1.0]))
-
-        def singular(*a, **kw):
-            raise np.linalg.LinAlgError("Singular matrix")
-
-        monkeypatch.setattr(np.linalg, "solve", singular)
+        fake_singular_stub(monkeypatch, lambda k: np.ones(k.shape, bool))
         rc = cli.main(["forward", "--config", cfg, "--kmin", "5",
                        "--kmax", "6", "--dk", "0.5",
                        "--out", str(tmp_path / "o.csv")])
@@ -115,27 +114,9 @@ class TestForward:
         assert "all 3 frequencies are singular" in capsys.readouterr().err
 
     def test_singular_k_written_as_nan_row(self, tmp_path, monkeypatch):
-        # record the node matrix at k = 5.5, then make exactly that one
-        # fail np.linalg.solve, as an exactly singular matrix would
         cfg = write_config(tmp_path, uniform_config(2, [1.0]))
         net, _ = cli.load_network(cfg)
-        real_solve = np.linalg.solve
-        seen = []
-
-        def recording(M, rhs):
-            seen.append(M[0].copy())
-            return real_solve(M, rhs)
-
-        monkeypatch.setattr(np.linalg, "solve", recording)
-        scattering.solve_scattering(net, 5.5)
-        bad = seen[0]
-
-        def singular(M, rhs):
-            if np.any(np.all(np.isclose(M, bad), axis=(-2, -1))):
-                raise np.linalg.LinAlgError("Singular matrix")
-            return real_solve(M, rhs)
-
-        monkeypatch.setattr(np.linalg, "solve", singular)
+        fake_singular_stub(monkeypatch, lambda k: np.abs(k - 5.5) < 1e-9)
         out = tmp_path / "o.csv"
         assert cli.main(["forward", "--config", cfg, "--kmin", "5",
                          "--kmax", "6", "--dk", "0.5",
@@ -163,13 +144,27 @@ class TestForward:
         assert "node system ill-conditioned at 1 of 1 frequencies" in err
         assert "k=4.71238898038" in err
 
-    def test_thread_cap_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("STAR_SCATTER_THREADS", "2")
-        assert cli._thread_count() <= 2
-        cfg = write_config(tmp_path, uniform_config(2))
-        assert cli.main(["forward", "--config", cfg, "--kmin", "5",
-                        "--kmax", "7", "--dk", "0.01",
-                         "--out", str(tmp_path / "o.csv")]) == 0
+    def test_csv_independent_of_cpu_count(self, tmp_path, monkeypatch):
+        # sampled tables, so each branch's cells depend on the grid's k_max
+        write_sin2_table(tmp_path / "inf.csv", 0.5, 0.8)
+        write_sin2_table(tmp_path / "fin.csv", 0.4, 0.6)
+        doc = {"schema_version": 1, "branches": [
+            {"kind": "infinite",
+             "direct": {"potential_table_path": "inf.csv"}},
+            {"kind": "finite",
+             "direct": {"potential_table_path": "fin.csv", "tau": 1.0,
+                        "h": 0.12}}]}
+        cfg = write_config(tmp_path, doc)
+        monkeypatch.delenv("STAR_SCATTER_THREADS", raising=False)
+        csvs = []
+        for cpus in (1, 4):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            out = tmp_path / f"cpus{cpus}.csv"
+            assert cli.main(["forward", "--config", cfg, "--kmin", "20",
+                             "--kmax", "60", "--dk", "0.01",
+                             "--out", str(out)]) == 0
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
 
 
 class TestInvert:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from starscatter import jost, propagate, scattering
 from starscatter.config import load_network
@@ -15,8 +16,9 @@ from starscatter.scattering import BranchKind, assemble_field, \
     network_from_profiles, reflectogram, solve_scattering, \
     solve_scattering_batch
 
-from conftest import closed_form_r1, direct_network, random_smooth_network, \
-    sin2_bump, uniform_network, write_sin2_table
+from conftest import closed_form_r1, direct_network, fake_singular_stub, \
+    matrix_node_solve, random_smooth_network, sin2_bump, uniform_network, \
+    write_sin2_table
 
 
 def adaptive_branch_data(net, k):
@@ -54,6 +56,16 @@ class TestUniformJunctions:
             assert abs(c.R1 + 1.0 / 3.0) < 1e-12
             assert abs(c.T[0] - 2.0 / 3.0) < 1e-12
             assert abs(c.T[1] - 2.0 / 3.0) < 1e-12
+
+    def test_stub_at_its_eigenvalue(self):
+        # u(0) = cos(3 pi / 2) is 1.8e-16 of rounding noise; one decoupled
+        # stub leaves alpha unique and must not raise a warning
+        net = uniform_network(2, taus=[1.0])
+        c = solve_scattering(net, 1.5 * math.pi)
+        assert abs(c.R1 + 1.0) < 1e-12
+        assert abs(c.alpha[0] + 2j) < 1e-12
+        assert c.condition_number <= scattering.COND_WARN
+        assert c.warnings == []
 
     def test_single_stub_full_reflection(self):
         net = uniform_network(1, taus=[1.0])
@@ -197,26 +209,8 @@ class TestReflectogram:
             solve_scattering(net, 20.0)
 
     def test_singular_node_solve_flags_only_its_k(self, monkeypatch):
-        # an exactly singular node matrix fails np.linalg.solve for the
-        # whole batch; record the k=20 matrix, then make it singular
         net = uniform_network(2, taus=[1.0])
-        real_solve = np.linalg.solve
-        seen = []
-
-        def recording(M, rhs):
-            seen.append(M[0].copy())
-            return real_solve(M, rhs)
-
-        monkeypatch.setattr(np.linalg, "solve", recording)
-        solve_scattering_batch(net, 20.0)
-        bad = seen[0]
-
-        def singular(M, rhs):
-            if np.any(np.all(np.isclose(M, bad), axis=(-2, -1))):
-                raise np.linalg.LinAlgError("Singular matrix")
-            return real_solve(M, rhs)
-
-        monkeypatch.setattr(np.linalg, "solve", singular)
+        fake_singular_stub(monkeypatch, lambda k: np.abs(k - 20.0) < 1e-9)
         batch = solve_scattering_batch(net, [10.0, 20.0, 30.0])
         assert batch.resonant.tolist() == [False, True, False]
         sweep = reflectogram(net, [10.0, 20.0, 30.0])
@@ -258,6 +252,44 @@ def test_batch_solver_matches_scalar(rng):
     for i, k in enumerate(ks):
         single = solve_scattering(net, float(k))
         assert abs(batch[i].R1 - single.R1) < 1e-13
+
+
+def test_smooth_stub_at_its_eigenvalue():
+    # bisect k until the stub's u(0) is rounding noise; ybar taken from R1
+    # as (c0 + f0_1 R1) / A_1 cancels there and misses alpha by O(1)
+    net = direct_network([(sin2_bump(0.3, 0.7), 0.7),
+                          (sin2_bump(-0.2, 0.5), 0.5)],
+                         [(sin2_bump(0.5, 0.8), 0.8, 1.1, 0.25),
+                          (sin2_bump(0.2, 0.4), 0.4, 0.7, 0.0)])
+    stub = net.finite_branches[0]
+
+    def u0(k):
+        return propagate.sweep(stub.potential, stub.geometry.tau, 0.0, k,
+                               1.0, stub.geometry.h)[0][0].real
+
+    lo, hi = 12.5, 13.0
+    assert u0(lo) > 0 > u0(hi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if u0(mid) > 0 else (lo, mid)
+    k = np.array([lo])
+    assert abs(u0(lo)) < 1e-14
+    got = solve_scattering_batch(net, k)
+    R1, T, alpha, _, _ = matrix_node_solve(net, k)
+    for a, b in ((got.R1, R1), (got.T, T), (got.alpha, alpha)):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+    assert got[0].warnings == []
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.floats(1.0, 60.0))
+@settings(max_examples=40, deadline=None)
+def test_node_equation_matches_matrix_solve(seed, k):
+    net = random_smooth_network(np.random.default_rng(seed))
+    ks = np.array([k, k + 0.37])
+    got = solve_scattering_batch(net, ks)
+    R1, T, alpha, ybar, node_values = matrix_node_solve(net, ks)
+    for a, b in ((got.R1, R1), (got.T, T), (got.alpha, alpha),
+                 (got.ybar, ybar), (got.node_values, node_values)):
+        np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-10)
 
 
 def smooth_demo_star(workdir):
