@@ -98,7 +98,7 @@ def fake_singular_stub(monkeypatch, hit):
 
     The stub's node data become (1, -2ik), whose log-derivative cancels the
     lines' ik + ik.  Im D > 0 for real potentials, so only faked data give
-    D = 0, as an exactly singular node matrix did in the linear-system form.
+    D = 0.
     """
     real_sweep = propagate.sweep
 
@@ -109,50 +109,6 @@ def fake_singular_stub(monkeypatch, hit):
         return np.where(fake, 1.0, u), np.where(fake, -2j * k, du)
 
     monkeypatch.setattr(propagate, "sweep", sweep)
-
-
-def matrix_node_solve(net, k):
-    """Reference for the scalar node equation: the node conditions as one
-    N x N linear system per k in (R1, T_j, alpha_j), solved by
-    np.linalg.solve.  Returns (R1, T, alpha, ybar, node_values)."""
-    from starscatter.scattering import _branch_data
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    data = _branch_data(net, k)
-    N = len(net.branches)
-    nk = k.size
-    b1 = net.branches[0]
-    f0_1, df0_1, a1, bb1 = data[b1.id]
-    A1 = b1.geometry.A0
-    saap = sum(b.geometry.A0 * b.geometry.A0prime for b in net.branches)
-    c0 = 1.0 / a1 - (bb1 / a1) * f0_1
-    d0 = -1j * k / a1 - (bb1 / a1) * df0_1
-
-    # unknown column per branch: R1 for branch 1, then T_j / alpha_j in order
-    val_coeff = np.zeros((nk, N), dtype=complex)
-    der_coeff = np.zeros((nk, N), dtype=complex)
-    val_coeff[:, 0] = f0_1
-    der_coeff[:, 0] = df0_1
-    for idx, b in enumerate(net.branches[1:], start=1):
-        val_coeff[:, idx], der_coeff[:, idx] = data[b.id][:2]
-
-    M = np.zeros((nk, N, N), dtype=complex)
-    rhs = np.zeros((nk, N), dtype=complex)
-    for idx, b in enumerate(net.branches[1:], start=1):
-        M[:, idx - 1, idx] = val_coeff[:, idx] / b.geometry.A0
-        M[:, idx - 1, 0] = -f0_1 / A1
-        rhs[:, idx - 1] = c0 / A1
-    Acol = np.array([b.geometry.A0 for b in net.branches])
-    M[:, N - 1, :] = der_coeff * Acol[None, :]
-    M[:, N - 1, 0] += -saap * f0_1 / A1
-    rhs[:, N - 1] = -A1 * d0 + saap * c0 / A1
-    sol = np.linalg.solve(M, rhs[..., None])[..., 0]
-
-    y1 = c0 + f0_1 * sol[:, 0]
-    node_values = np.stack([sol * val_coeff, sol * der_coeff], axis=-1)
-    node_values[:, 0, 0] = y1
-    node_values[:, 0, 1] = d0 + df0_1 * sol[:, 0]
-    m = net.m
-    return sol[:, 0], sol[:, 1:m], sol[:, m:], y1 / A1, node_values
 
 
 @pytest.fixture

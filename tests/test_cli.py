@@ -155,7 +155,6 @@ class TestForward:
              "direct": {"potential_table_path": "fin.csv", "tau": 1.0,
                         "h": 0.12}}]}
         cfg = write_config(tmp_path, doc)
-        monkeypatch.delenv("STAR_SCATTER_THREADS", raising=False)
         csvs = []
         for cpus in (1, 4):
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)

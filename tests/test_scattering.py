@@ -17,8 +17,7 @@ from starscatter.scattering import BranchKind, assemble_field, \
     solve_scattering_batch
 
 from conftest import closed_form_r1, direct_network, fake_singular_stub, \
-    matrix_node_solve, random_smooth_network, sin2_bump, uniform_network, \
-    write_sin2_table
+    random_smooth_network, sin2_bump, uniform_network, write_sin2_table
 
 
 def adaptive_branch_data(net, k):
@@ -252,6 +251,49 @@ def test_batch_solver_matches_scalar(rng):
     for i, k in enumerate(ks):
         single = solve_scattering(net, float(k))
         assert abs(batch[i].R1 - single.R1) < 1e-13
+
+
+def matrix_node_solve(net, k):
+    """Reference for the scalar node equation: the node conditions as one
+    N x N linear system per k in (R1, T_j, alpha_j), solved by
+    np.linalg.solve.  Returns (R1, T, alpha, ybar, node_values)."""
+    k = np.atleast_1d(np.asarray(k, dtype=float))
+    data = scattering._branch_data(net, k)
+    N = len(net.branches)
+    nk = k.size
+    b1 = net.branches[0]
+    f0_1, df0_1, a1, bb1 = data[b1.id]
+    A1 = b1.geometry.A0
+    saap = sum(b.geometry.A0 * b.geometry.A0prime for b in net.branches)
+    c0 = 1.0 / a1 - (bb1 / a1) * f0_1
+    d0 = -1j * k / a1 - (bb1 / a1) * df0_1
+
+    # unknown column per branch: R1 for branch 1, then T_j / alpha_j in order
+    val_coeff = np.zeros((nk, N), dtype=complex)
+    der_coeff = np.zeros((nk, N), dtype=complex)
+    val_coeff[:, 0] = f0_1
+    der_coeff[:, 0] = df0_1
+    for idx, b in enumerate(net.branches[1:], start=1):
+        val_coeff[:, idx], der_coeff[:, idx] = data[b.id][:2]
+
+    M = np.zeros((nk, N, N), dtype=complex)
+    rhs = np.zeros((nk, N), dtype=complex)
+    for idx, b in enumerate(net.branches[1:], start=1):
+        M[:, idx - 1, idx] = val_coeff[:, idx] / b.geometry.A0
+        M[:, idx - 1, 0] = -f0_1 / A1
+        rhs[:, idx - 1] = c0 / A1
+    Acol = np.array([b.geometry.A0 for b in net.branches])
+    M[:, N - 1, :] = der_coeff * Acol[None, :]
+    M[:, N - 1, 0] += -saap * f0_1 / A1
+    rhs[:, N - 1] = -A1 * d0 + saap * c0 / A1
+    sol = np.linalg.solve(M, rhs[..., None])[..., 0]
+
+    y1 = c0 + f0_1 * sol[:, 0]
+    node_values = np.stack([sol * val_coeff, sol * der_coeff], axis=-1)
+    node_values[:, 0, 0] = y1
+    node_values[:, 0, 1] = d0 + df0_1 * sol[:, 0]
+    m = net.m
+    return sol[:, 0], sol[:, 1:m], sol[:, m:], y1 / A1, node_values
 
 
 def test_smooth_stub_at_its_eigenvalue():
