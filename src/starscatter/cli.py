@@ -4,8 +4,12 @@
     starscatter invert   --csv sweep.csv --max-n 8 --out report.json
     starscatter validate --config net.json
 
-Exit codes: 0 ok, 2 config/parse failure, 3 solver failure, 4 insufficient
-samples, 5 validation failure.
+Exit codes: 0 ok; 2 bad input: a config or table that fails to parse or
+validate, a bad argument, or a path that cannot be read or written; 3 solver
+failure: every swept frequency singular, or a resonant `validate` check
+frequency; 4 too few usable samples to invert; 5 a `validate` check failed.
+`main` alone turns a failure into its exit code, with one line on stderr and
+no traceback.
 """
 from __future__ import annotations
 
@@ -13,12 +17,14 @@ import argparse
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
 from . import fundamental, inversion, jost, oracle, scattering
 from .config import load_network
-from .errors import ConfigError, InsufficientDataError, StarScatterError
+from .errors import ConfigError, InsufficientDataError, ResonanceError, \
+    StarScatterError
 
 
 def _fmt(x: float) -> str:
@@ -26,33 +32,21 @@ def _fmt(x: float) -> str:
 
 
 def cmd_forward(args) -> int:
-    try:
-        net, _ = load_network(args.config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    net, _ = load_network(args.config)
+    if not all(map(math.isfinite, (args.kmin, args.kmax, args.dk))):
+        raise ConfigError("--kmin, --kmax and --dk must be finite")
     if args.dk <= 0:
-        print("error: --dk must be positive", file=sys.stderr)
-        return 2
+        raise ConfigError("--dk must be positive")
     if args.kmin < net.k_floor:
-        print(f"error: --kmin must be >= k_floor ({net.k_floor})",
-              file=sys.stderr)
-        return 2
+        raise ConfigError(f"--kmin must be >= k_floor ({net.k_floor})")
     n_pts = int(math.floor((args.kmax - args.kmin) / args.dk + 1e-9)) + 1
     if n_pts < 1:
-        print("error: empty frequency grid", file=sys.stderr)
-        return 2
+        raise ConfigError("empty frequency grid")
     grid = args.kmin + args.dk * np.arange(n_pts)
-    try:
-        sweep = scattering.reflectogram(net, grid)
-    except StarScatterError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 3
+    sweep = scattering.reflectogram(net, grid)
     resonant = sweep.resonant
     if resonant.all():
-        print(f"solver error: all {len(sweep)} frequencies are singular",
-              file=sys.stderr)
-        return 3
+        raise ResonanceError(f"all {len(sweep)} frequencies are singular")
     m = net.m
     header = ["k", "re_R1", "im_R1", "abs_R1"]
     for j in range(2, m + 1):
@@ -82,33 +76,30 @@ def cmd_forward(args) -> int:
 def read_reflectogram_csv(path):
     """Parse a cmd_forward CSV back into ReflectogramSample rows (NaN rows,
     i.e. flagged resonances, are skipped)."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if header[:4] != ["k", "re_R1", "im_R1", "abs_R1"]:
-            raise ConfigError(f"{path}: not a reflectogram CSV (bad header)")
-        samples = []
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) < 3 or not line.strip():
-                continue
-            k, re, im = (float(parts[0]), float(parts[1]), float(parts[2]))
-            if math.isnan(re) or math.isnan(im):
-                continue
-            samples.append(inversion.ReflectogramSample(k, complex(re, im)))
-    return samples
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip().split(",")
+            if header[:4] != ["k", "re_R1", "im_R1", "abs_R1"]:
+                raise ConfigError(
+                    f"{path}: not a reflectogram CSV (bad header)")
+            with warnings.catch_warnings():
+                # a header-only file has no samples; estimate_taus says so
+                warnings.filterwarnings("ignore", "loadtxt: input contained")
+                k, re, im = np.loadtxt(fh, delimiter=",", usecols=(0, 1, 2),
+                                       ndmin=2, unpack=True)
+    except ValueError as exc:  # a malformed row, or a file that is not text
+        raise ConfigError(f"{path}: {exc}") from exc
+    keep = ~(np.isnan(re) | np.isnan(im))
+    k, re, im = k[keep], re[keep], im[keep]
+    if not np.all(k > 0):
+        raise ConfigError(f"{path}: k must be positive")
+    return [inversion.ReflectogramSample(kk, complex(r, i))
+            for kk, r, i in zip(k.tolist(), re.tolist(), im.tolist())]
 
 
 def cmd_invert(args) -> int:
-    try:
-        samples = read_reflectogram_csv(args.csv)
-    except (OSError, ValueError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        report = inversion.estimate_taus(samples, expected_max_n=args.max_n)
-    except InsufficientDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+    samples = read_reflectogram_csv(args.csv)
+    report = inversion.estimate_taus(samples, expected_max_n=args.max_n)
     doc = {
         "m_hat": report.m_hat,
         "taus": report.taus,
@@ -136,22 +127,22 @@ def _run_checks(net):
     """Invariant battery for `validate`; yields (name, passed, detail)."""
     ks = [10.0, 17.3, 29.0]
 
-    coeffs = [scattering.solve_scattering(net, k) for k in ks]
-    flux_err = max(
-        abs(abs(c.R1) ** 2 + sum(abs(t) ** 2 for t in c.T) - 1.0)
-        for c in coeffs)
+    sweep = scattering.solve_scattering_batch(net, ks)
+    if sweep.resonant.any():
+        k = ks[int(np.argmax(sweep.resonant))]
+        raise ResonanceError(f"node equation singular or a(k) ~ 0 at k={k}")
+    flux_err = float(np.max(np.abs(
+        np.abs(sweep.R1) ** 2 + np.sum(np.abs(sweep.T) ** 2, axis=1) - 1.0)))
     yield ("flux_conservation", flux_err <= 1e-8, f"max err {flux_err:.3e}")
 
-    res = 0.0
-    for c in coeffs:
-        vals = [y / b.geometry.A0
-                for (y, _), b in zip(c.node_values, net.branches)]
-        scale = max(abs(v) for v in vals) + 1e-30
-        res = max(res, max(abs(v - vals[0]) for v in vals) / scale)
-        lhs = sum(b.geometry.A0 * dy
-                  for (_, dy), b in zip(c.node_values, net.branches))
-        saap = sum(b.geometry.A0 * b.geometry.A0prime for b in net.branches)
-        res = max(res, abs(lhs - saap * c.ybar) / (abs(lhs) + c.k))
+    A = np.array([b.geometry.A0 for b in net.branches])
+    saap = sum(b.geometry.A0 * b.geometry.A0prime for b in net.branches)
+    vals = sweep.node_values[..., 0] / A
+    continuity = (np.max(np.abs(vals - vals[:, :1]), axis=1)
+                  / (np.max(np.abs(vals), axis=1) + 1e-30))
+    lhs = sweep.node_values[..., 1] @ A
+    current = np.abs(lhs - saap * sweep.ybar) / (np.abs(lhs) + sweep.k)
+    res = float(max(continuity.max(), current.max()))
     yield ("node_residuals", res <= 1e-10, f"max rel residual {res:.3e}")
 
     b1 = net.branches[0]
@@ -167,12 +158,12 @@ def _run_checks(net):
 
     ok = True
     detail = []
-    for k, c in zip(ks, coeffs):
+    for k, r1 in zip(ks, sweep.R1.tolist()):
         dx = min(1e-3, (2.0 * math.pi / k) / 24.0)
         X_tr = max([b.potential.support_end
                     for b in net.infinite_branches] + [1.0]) + 0.5
         field = oracle.oracle_solve(net, k, dx, X_tr)
-        gap = abs(c.R1 - field.R1_est) / (abs(field.R1_est) + 1e-9)
+        gap = abs(r1 - field.R1_est) / (abs(field.R1_est) + 1e-9)
         detail.append(f"k={k}: {gap:.2e}")
         ok = ok and gap <= 1e-3
     yield ("oracle_comparison", ok, "; ".join(detail))
@@ -194,20 +185,12 @@ def _run_checks(net):
 
 
 def cmd_validate(args) -> int:
-    try:
-        net, _ = load_network(args.config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    net, _ = load_network(args.config)
     failed = []
-    try:
-        for name, passed, detail in _run_checks(net):
-            print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
-            if not passed:
-                failed.append(name)
-    except StarScatterError as exc:
-        print(f"solver error during validation: {exc}", file=sys.stderr)
-        return 3
+    for name, passed, detail in _run_checks(net):
+        print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
+        if not passed:
+            failed.append(name)
     if failed:
         print(f"failed checks: {', '.join(failed)}", file=sys.stderr)
         return 5
@@ -240,8 +223,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the only place a failure becomes an exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except InsufficientDataError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except StarScatterError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

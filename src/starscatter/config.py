@@ -64,6 +64,9 @@ def _spline_potential(path: Path, where: str):
     if x.size < 4:
         raise ConfigError(f"'{where}': potential table needs >= 4 rows",
                           key=where)
+    if not np.all(np.diff(x) > 0):
+        raise ConfigError(f"'{where}': x column must be strictly increasing",
+                          key=where)
     spline = CubicSpline(x, v)
     lo, hi = float(x[0]), float(x[-1])
 
@@ -129,7 +132,7 @@ def load_network(path) -> tuple[StarNetwork, dict]:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}, "

@@ -20,8 +20,6 @@ from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, ProfileValidityError, ResolutionError
 
-QUAD_ABS_TOL = 1e-10  # absolute tolerance for the ||V||_L1 quadrature
-
 
 class ProfileFamily(enum.Enum):
     UNIFORM = "uniform"
@@ -189,9 +187,14 @@ class BranchGeometry:
 
 def read_table_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a two-column (z, value) CSV with a header line."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ProfileValidityError(f"{path}: {exc}") from exc
     if data.shape[1] != 2:
         raise ProfileValidityError(f"{path}: expected two columns (z, value)")
+    if not np.all(np.isfinite(data)):
+        raise ProfileValidityError(f"{path}: NaN or infinite value")
     return data[:, 0], data[:, 1]
 
 
@@ -274,8 +277,7 @@ def _build_potential(evaluator, support_end, grid_step) -> PotentialFn:
     xg = np.linspace(0.0, support_end, n + 1)
     absv = np.abs(np.asarray(evaluator(xg), dtype=float))
     cum = integrate.cumulative_trapezoid(absv, xg, initial=0.0)
-    l1, _ = integrate.quad(lambda x: abs(float(evaluator(x))), 0.0,
-                           support_end, epsabs=QUAD_ABS_TOL, limit=400)
+    l1 = float(integrate.simpson(absv, x=xg))
     # on compact support a finite L1 norm is a finite first moment too
     if not math.isfinite(l1):
         raise ProfileValidityError("L1 norm of |V| is not finite")

@@ -2,6 +2,10 @@
 import json
 import math
 import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,8 @@ from starscatter import cli, scattering
 from starscatter.errors import ResonanceError
 
 from conftest import fake_singular_stub, write_sin2_table
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, doc, name="net.json"):
@@ -29,6 +35,43 @@ def uniform_config(m, stub_lengths=()):
     return {"schema_version": 1,
             "branches": [uniform_branch() for _ in range(m)]
             + [uniform_branch("finite", length) for length in stub_lengths]}
+
+
+def write_zero_csv(tmp_path):
+    """A 100-row reflectogram CSV with R1 = 0, enough to invert."""
+    csv = tmp_path / "zeros.csv"
+    csv.write_text("k,re_R1,im_R1,abs_R1\n"
+                   + "".join(f"{60 + 0.01 * i},0,0,0\n" for i in range(100)))
+    return csv
+
+
+def table_fault_config(tmp_path, fault):
+    """A config whose one table is malformed; returns (path, key named)."""
+    rows = [f"{0.1 * i},{0.01 * i}" for i in range(8)]
+    if fault == "sampled_cell":
+        (tmp_path / "L.csv").write_text(
+            "z,L\n" + "".join(f"{0.1 * i},{'x' if i == 3 else 1}\n"
+                              for i in range(8)))
+        (tmp_path / "C.csv").write_text(
+            "z,C\n" + "".join(f"{0.1 * i},1\n" for i in range(8)))
+        branch = {"kind": "finite", "profile": {
+            "family": "sampled_table", "inductance_table_path": "L.csv",
+            "capacitance_table_path": "C.csv"}}
+    else:
+        if fault == "direct_cell":
+            rows[3] = "0.3,abc"
+        elif fault == "direct_nan":
+            rows[3] = "0.3,nan"
+        else:  # direct_x_order
+            rows[2], rows[3] = rows[3], rows[2]
+        (tmp_path / "V.csv").write_text("x,V\n" + "\n".join(rows) + "\n")
+        branch = {"kind": "infinite",
+                  "direct": {"potential_table_path": "V.csv"}}
+    doc = {"schema_version": 1, "branches": [uniform_branch(), branch]}
+    return write_config(tmp_path, doc), "branches[1]"
+
+
+TABLE_FAULTS = ("direct_cell", "direct_nan", "direct_x_order", "sampled_cell")
 
 
 class TestForward:
@@ -71,6 +114,15 @@ class TestForward:
         assert rc == 2
         assert "invalid JSON" in capsys.readouterr().err
 
+    def test_config_not_text(self, tmp_path, capsys):
+        path = tmp_path / "bin.json"
+        path.write_bytes(b"\xaf\x00\xff")
+        rc = cli.main(["forward", "--config", str(path), "--kmin", "5",
+                       "--kmax", "6", "--dk", "1", "--out",
+                       str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: cannot read")
+
     def test_missing_key_named(self, tmp_path, capsys):
         doc = {"schema_version": 1,
                "branches": [{"profile": {"family": "uniform"}}]}
@@ -90,6 +142,17 @@ class TestForward:
                        "--kmax", "6", "--dk", "1",
                        "--out", str(tmp_path / "o.csv")])
         assert rc == 2
+
+    @pytest.mark.parametrize("flag", ["--kmin", "--kmax", "--dk"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_grid(self, tmp_path, capsys, flag, value):
+        cfg = write_config(tmp_path, uniform_config(2))
+        grid = {"--kmin": "5", "--kmax": "6", "--dk": "1", flag: value}
+        rc = cli.main(["forward", "--config", cfg,
+                       *[x for kv in grid.items() for x in kv],
+                       "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert "must be finite" in capsys.readouterr().err
 
     def test_solver_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         cfg = write_config(tmp_path, uniform_config(2))
@@ -143,6 +206,25 @@ class TestForward:
         err = capsys.readouterr().err
         assert "node system ill-conditioned at 1 of 1 frequencies" in err
         assert "k=4.71238898038" in err
+
+    @pytest.mark.parametrize("fault", TABLE_FAULTS)
+    def test_table_fault_exit_code(self, tmp_path, capsys, fault):
+        cfg, key = table_fault_config(tmp_path, fault)
+        rc = cli.main(["forward", "--config", cfg, "--kmin", "5",
+                       "--kmax", "6", "--dk", "1",
+                       "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, uniform_config(2))
+        rc = cli.main(["forward", "--config", cfg, "--kmin", "5",
+                       "--kmax", "6", "--dk", "1",
+                       "--out", str(tmp_path / "missing" / "o.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
     def test_csv_independent_of_cpu_count(self, tmp_path, monkeypatch):
         # sampled tables, so each branch's cells depend on the grid's k_max
@@ -210,6 +292,30 @@ class TestInvert:
         samples = cli.read_reflectogram_csv(str(csv))
         assert len(samples) == 99
 
+    def test_unwritable_out(self, tmp_path, capsys):
+        csv = write_zero_csv(tmp_path)
+        rc = cli.main(["invert", "--csv", str(csv),
+                       "--out", str(tmp_path / "missing" / "r.json")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize("row", ["60.01,0", "0,0,0,0"])
+    def test_malformed_row(self, tmp_path, capsys, row):
+        # a truncated row, and a row with k <= 0
+        csv = tmp_path / "bad.csv"
+        csv.write_text(f"k,re_R1,im_R1,abs_R1\n60,0,0,0\n{row}\n")
+        assert cli.main(["invert", "--csv", str(csv)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {csv}")
+
+    def test_header_only(self, tmp_path, capsys):
+        csv = tmp_path / "empty.csv"
+        csv.write_text("k,re_R1,im_R1,abs_R1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["invert", "--csv", str(csv)]) == 4
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_bad_header(self, tmp_path):
         csv = tmp_path / "bad.csv"
         csv.write_text("frequency,r\n1,0\n")
@@ -259,3 +365,54 @@ class TestValidate:
         monkeypatch.setattr(cli, "_run_checks", rigged)
         assert cli.main(["validate", "--config", cfg]) == 5
         assert "flux_conservation" in capsys.readouterr().err
+
+    def test_checks_share_one_batched_solve(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, uniform_config(2, [1.0]))
+        calls = {"batch": 0, "single": 0}
+        real_batch = scattering.solve_scattering_batch
+        real_single = scattering.solve_scattering
+
+        def batch(net, k):
+            calls["batch"] += 1
+            return real_batch(net, k)
+
+        def single(net, k):
+            calls["single"] += 1
+            return real_single(net, k)
+
+        monkeypatch.setattr(scattering, "solve_scattering_batch", batch)
+        monkeypatch.setattr(scattering, "solve_scattering", single)
+        assert cli.main(["validate", "--config", cfg]) == 0
+        assert calls == {"batch": 1, "single": 0}
+
+    def test_resonant_check_frequency_exit_code(self, tmp_path, monkeypatch,
+                                                capsys):
+        cfg = write_config(tmp_path, uniform_config(2, [1.0]))
+        fake_singular_stub(monkeypatch, lambda k: np.abs(k - 17.3) < 1e-9)
+        assert cli.main(["validate", "--config", cfg]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("solver error: ")
+        assert "k=17.3" in err[0]
+
+
+def test_no_traceback_from_module_entry(tmp_path):
+    """The inputs that once ended in a traceback exit 2 with one line."""
+    uni = write_config(tmp_path, uniform_config(2))
+    csv = write_zero_csv(tmp_path)
+    missing = tmp_path / "missing"
+    cases = [["forward", "--config", uni, "--kmin", "5", "--kmax", "6",
+              "--dk", "1", "--out", str(missing / "o.csv")],
+             ["invert", "--csv", str(csv), "--out", str(missing / "r.json")]]
+    for fault in TABLE_FAULTS:
+        sub = tmp_path / fault
+        sub.mkdir()
+        cases.append(["validate", "--config",
+                      table_fault_config(sub, fault)[0]])
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for argv in cases:
+        proc = subprocess.run([sys.executable, "-m", "starscatter.cli",
+                               *argv], env=env, capture_output=True,
+                              text=True, timeout=120, check=False)
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1

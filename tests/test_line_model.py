@@ -1,5 +1,6 @@
 """Profile ingestion and the reduction to Schrodinger form."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,17 @@ class TestPotentialFromProfile:
         Xs = np.linspace(0.0, 2.0, 30)
         tb = [V.tail_bound(X) for X in Xs]
         assert np.all(np.diff(tb) <= 1e-15)
+
+    def test_smooth_table_builds_without_warnings(self):
+        # ||V||_L1 comes from the tail grid, so no adaptive quadrature can
+        # warn about roundoff on a smooth spline potential
+        z = np.linspace(0.0, 1.3, 201)
+        p = LineProfile.sampled_table(z, 1.0 + 0.3 * np.sin(2.0 * z) ** 2,
+                                      1.0 + 0.2 * z * (1.3 - z))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            V = potential_from_profile(p)
+        assert V.l1_norm > 0.0
 
 
 class TestTerminalH:
