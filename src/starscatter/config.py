@@ -35,7 +35,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError, StarScatterError
-from .line_model import LineProfile, read_table_csv
+from .line_model import LineProfile, TablePotential, read_table_csv
 from .scattering import StarNetwork, network_from_profiles
 
 SCHEMA_VERSION = 1
@@ -67,15 +67,7 @@ def _spline_potential(path: Path, where: str):
     if not np.all(np.diff(x) > 0):
         raise ConfigError(f"'{where}': x column must be strictly increasing",
                           key=where)
-    spline = CubicSpline(x, v)
-    lo, hi = float(x[0]), float(x[-1])
-
-    def evaluator(xx):
-        xx = np.asarray(xx, dtype=float)
-        inside = (xx >= lo) & (xx <= hi)
-        return np.where(inside, spline(np.clip(xx, lo, hi)), 0.0)
-
-    return evaluator, hi
+    return TablePotential(CubicSpline(x, v), x[0], x[-1]), float(x[-1])
 
 
 def _profile_from_spec(spec: dict, kind: str, base: Path,

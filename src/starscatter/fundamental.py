@@ -1,15 +1,21 @@
 """Fundamental solution on finite branches, with a kernel-based cross-check.
 
 omega(x,k;h,V) solves y'' = (V - k^2) y with omega(0) = 1, omega'(0) = h.
-The primary route integrates this IVP adaptively.  An independent route
-evaluates the integral representation
+``fundamental_batch`` takes it from the network solver's transfer matrix.
+``fundamental_at`` integrates the IVP by adaptive RK45, and an independent
+route evaluates the integral representation
 
     omega(x,k) = cos(kx) + h sin(kx)/k
                  + int_{-x}^{x} K(x,t) {cos(kt) + h sin(kt)/k} dt,
 
 where the transformation kernel K solves a Goursat-type integral equation.
-The kernel path exists purely as an oracle for the IVP path and for the
-high-frequency asymptotics; it is never used by the network solver.
+These two are references only: ``validate`` compares them on every finite
+branch, and the tests check the solver and the high-frequency asymptotics
+against them.
+
+On a branch with V = 0 (support_end <= 0, as on every uniform line) omega
+is cos(kx) + h sin(kx)/k exactly and K = 0, so ``fundamental_at`` returns
+the closed form and ``solve_kernel`` the zero table, with no integration.
 """
 from __future__ import annotations
 
@@ -61,9 +67,14 @@ class KernelTable:
 
 def fundamental_at(V: PotentialFn, tau: float, h: float,
                    k: float) -> FundamentalData:
-    """Integrate the IVP omega(0)=1, omega'(0)=h from 0 to tau."""
+    """Integrate the IVP omega(0)=1, omega'(0)=h from 0 to tau; for V = 0
+    the free solution is returned exactly."""
     if tau <= 0:
         raise ValueError("tau must be positive")
+    if V.support_end <= 0.0:
+        kt = k * tau
+        return FundamentalData(float(k), complex(_cos_term(k, tau, h)),
+                               complex(h * np.cos(kt) - k * np.sin(kt)))
     om, dom = _rk45(V, k, (0.0, tau), [1.0 + 0.0j, complex(h)],
                     max_step=tau)[:, -1]
     return FundamentalData(float(k), om, dom)
@@ -104,6 +115,10 @@ def solve_kernel(V: PotentialFn, tau: float) -> KernelTable:
     grid_step = min(tau / 400.0, 2.5e-3)
     n = max(int(np.ceil(tau / grid_step)), 8)
     xi = np.linspace(0.0, tau, n + 1)
+    if V.support_end <= 0.0:
+        # V = 0: the kernel is 0, which is what the first sweep would give
+        return KernelTable(float(tau), float(grid_step), xi,
+                           np.zeros((n + 1, n + 1)), V.l1_norm)
     hstep = tau / n
     v_line = np.asarray(V(xi), dtype=float)
     source = 0.5 * cumulative_trapezoid(v_line, xi, initial=0.0)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -188,9 +189,14 @@ class BranchGeometry:
 def read_table_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a two-column (z, value) CSV with a header line."""
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():
+            # a header-only table is reported below, not by numpy's warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained")
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:
         raise ProfileValidityError(f"{path}: {exc}") from exc
+    if data.size == 0:
+        raise ProfileValidityError(f"{path}: table has no data rows")
     if data.shape[1] != 2:
         raise ProfileValidityError(f"{path}: expected two columns (z, value)")
     if not np.all(np.isfinite(data)):
@@ -258,14 +264,33 @@ def travel_time(profile: LineProfile) -> float:
     return liouville_coordinate(profile, profile.length)
 
 
-def _clipped(fn, support_end):
+def _clipped(fn, lo, hi):
+    """fn on [lo, hi] and 0 elsewhere; a float x costs one comparison and
+    one call of fn."""
     def evaluator(x):
+        if isinstance(x, float):
+            return float(fn(x)) if lo <= x <= hi else 0.0
         x = np.asarray(x, dtype=float)
-        inside = (x >= 0.0) & (x <= support_end)
-        out = np.where(inside, fn(np.clip(x, 0.0, support_end)), 0.0)
+        inside = (x >= lo) & (x <= hi)
+        out = np.where(inside, fn(np.clip(x, lo, hi)), 0.0)
         return out if out.ndim else float(out)
 
     return evaluator
+
+
+class TablePotential:
+    """V from an (x, V) table: ``spline`` on [x0, x_end], 0 elsewhere.
+
+    As the potential of a direct profile, its window is intersected with
+    the branch's [0, support_end], so V is masked once, not twice.
+    """
+
+    def __init__(self, spline, x0: float, x_end: float):
+        self.spline, self.x0, self.x_end = spline, float(x0), float(x_end)
+        self._evaluator = _clipped(spline, self.x0, self.x_end)
+
+    def __call__(self, x):
+        return self._evaluator(x)
 
 
 def _build_potential(evaluator, support_end, grid_step) -> PotentialFn:
@@ -302,15 +327,19 @@ def potential_from_profile(profile: LineProfile,
     if fam is ProfileFamily.EXPONENTIAL_TAPER:
         tau = p["slowness"] * profile.length
         g2 = p["gamma"] ** 2
-        ev = _clipped(lambda x: np.full_like(np.asarray(x, float), g2), tau)
+        ev = _clipped(lambda x: np.full_like(np.asarray(x, float), g2),
+                      0.0, tau)
         # exact integrals for the constant potential
         n = max(int(math.ceil(tau / grid_step)), 16)
         xg = np.linspace(0.0, tau, n + 1)
         tails = g2 * (tau - xg) + 1e-15
         return PotentialFn(ev, tau, g2 * tau, xg, tails)
     if fam is ProfileFamily.DIRECT_POTENTIAL:
-        ev = _clipped(p["potential"], p["support_end"])
-        return _build_potential(ev, p["support_end"], grid_step)
+        fn, lo, hi = p["potential"], 0.0, p["support_end"]
+        if isinstance(fn, TablePotential):
+            fn, lo, hi = fn.spline, max(lo, fn.x0), min(hi, fn.x_end)
+        return _build_potential(_clipped(fn, lo, hi), p["support_end"],
+                                grid_step)
 
     # SAMPLED_TABLE
     if p["z"].size < 5:
@@ -323,8 +352,7 @@ def potential_from_profile(profile: LineProfile,
         raise ProfileValidityError("A(x) interpolated to a non-positive value")
     v_grid = spline(xg, 2) / a_vals
     v_spline = CubicSpline(xg, v_grid, bc_type="natural")
-    ev = _clipped(v_spline, x_end)
-    return _build_potential(ev, x_end, grid_step)
+    return _build_potential(_clipped(v_spline, 0.0, x_end), x_end, grid_step)
 
 
 def branch_geometry(profile: LineProfile) -> BranchGeometry:

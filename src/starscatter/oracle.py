@@ -75,14 +75,14 @@ def oracle_solve(net: StarNetwork, k: float, dx: float,
         offsets.append(total)
         total += n + 1
 
-    rows, cols, vals = [], [], []
+    # COO triplets as one (rows, cols, vals) array triple per block, joined
+    # once; repeated (row, col) pairs are summed in this order by csr_matrix
+    parts = []
     rhs = np.zeros(total, dtype=complex)
     row = 0
 
     def add(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
+        parts.append((np.broadcast_to(r, np.shape(c)), c, v))
 
     # interior stencils, vectorized per branch
     for bi, b in enumerate(net.branches):
@@ -92,23 +92,21 @@ def oracle_solve(net: StarNetwork, k: float, dx: float,
         v_in = np.asarray(b.potential(g[1:n]), dtype=float)
         i = np.arange(1, n)
         r = row + i - 1
-        rows.extend(r); cols.extend(off + i - 1); vals.extend(np.full(n - 1, 1.0 / d ** 2))
-        rows.extend(r); cols.extend(off + i + 1); vals.extend(np.full(n - 1, 1.0 / d ** 2))
-        rows.extend(r); cols.extend(off + i); vals.extend(-2.0 / d ** 2 + (K2 - v_in))
+        add(r, off + i - 1, np.full(n - 1, 1.0 / d ** 2))
+        add(r, off + i + 1, np.full(n - 1, 1.0 / d ** 2))
+        add(r, off + i, -2.0 / d ** 2 + (K2 - v_in))
         row += n - 1
 
     # node: value continuity against branch 1, then the derivative balance
     A = [b.geometry.A0 for b in net.branches]
     saap = sum(b.geometry.A0 * b.geometry.A0prime for b in net.branches)
     for bi in range(1, len(net.branches)):
-        add(row, offsets[bi], 1.0 / A[bi])
-        add(row, offsets[0], -1.0 / A[0])
+        add(row, [offsets[bi], offsets[0]], [1.0 / A[bi], -1.0 / A[0]])
         row += 1
     for bi, b in enumerate(net.branches):
         idx, w = _one_sided_start(offsets[bi], dxs[bi])
-        for i, wi in zip(idx, w):
-            add(row, i, A[bi] * wi)
-    add(row, offsets[0], -saap / A[0])
+        add(row, idx, A[bi] * w)
+    add(row, [offsets[0]], [-saap / A[0]])
     row += 1
 
     # terminal condition on finite branches: y' = h y
@@ -117,9 +115,7 @@ def oracle_solve(net: StarNetwork, k: float, dx: float,
             continue
         nN = offsets[bi] + grids[bi].size - 1
         idx, w = _one_sided_end(nN, dxs[bi])
-        for i, wi in zip(idx, w):
-            add(row, i, wi)
-        add(row, nN, -b.geometry.h)
+        add(row, np.append(idx, nN), np.append(w, -b.geometry.h))
         row += 1
 
     # radiation closures at infinite-branch truncations (exact lattice rows)
@@ -128,14 +124,14 @@ def oracle_solve(net: StarNetwork, k: float, dx: float,
             continue
         d = dxs[bi]
         nN = offsets[bi] + grids[bi].size - 1
-        add(row, nN, 1.0)
-        add(row, nN - 1, -np.exp(1j * k * d))
+        add(row, [nN, nN - 1], [1.0, -np.exp(1j * k * d)])
         if bi == 0:
             X = grids[bi][-1]
             rhs[row] = np.exp(-1j * k * X) * (1.0 - np.exp(2j * k * d))
         row += 1
 
     assert row == total, (row, total)
+    rows, cols, vals = (np.concatenate(c) for c in zip(*parts))
     mat = sp.csr_matrix((vals, (rows, cols)), shape=(total, total),
                         dtype=complex)
     sol = spla.spsolve(mat, rhs)

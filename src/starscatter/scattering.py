@@ -22,8 +22,10 @@ noise, yet alpha_j stays accurate: D holds A_j^2 u_j'(0)/u_j(0), so
 D u_j(0) = A_j^2 u_j'(0) + u_j(0) (D - A_j^2 l_j) to rounding, and the
 noise cancels.  ybar must come from D for this; taken from R1 as
 (c0 + f0_1 R1)/A_1 it is a difference of O(1) numbers, and alpha_j is off
-by O(1).  Only two branches decoupling at once leave the amplitudes
-non-unique, which the condition proxy flags.
+by O(1).  An exact u_j(0) = 0 makes l_j infinite; that row is solved in
+the limit, ybar = 0, where stub j alone balances branch 1's current.  Only
+two branches decoupling at once leave the amplitudes non-unique, which the
+condition proxy flags.
 
 u_j is the solution with u_j(tau_j) = 1, u_j'(tau_j) = h_j, which satisfies
 the terminal condition y'(tau) = h y(tau).  It is propagated from the
@@ -230,6 +232,7 @@ def solve_scattering_batch(net: StarNetwork, k) -> ScatteringSweep:
     if np.any(k < net.k_floor):
         raise DomainError(f"k below the k_floor {net.k_floor}")
     data = _branch_data(net, k)
+    m = net.m
     f0_1, df0_1, a1, bb1 = data[net.branches[0].id]
     A = np.array([b.geometry.A0 for b in net.branches])
     saap = sum(b.geometry.A0 * b.geometry.A0prime for b in net.branches)
@@ -247,6 +250,18 @@ def solve_scattering_batch(net: StarNetwork, k) -> ScatteringSweep:
         # amplitude per branch: R1, then T_j or alpha_j = A_j ybar / y_j(0)
         amps = A * ybar[:, None] / val
         amps[:, 0] = (A[0] * ybar - c0) / f0_1
+        # a stub with u_j(0) = 0 exactly decouples from the node value:
+        # ybar = 0, so R1 = -c0/f0_1, the other amplitudes are 0, and alpha_j
+        # carries branch 1's current; with two such stubs the row stays NaN
+        zero = val[:, m:] == 0
+        rows = np.flatnonzero(zero.sum(axis=1) == 1)
+        if rows.size:
+            j = m + np.argmax(zero[rows], axis=1)
+            r1 = -c0[rows] / f0_1[rows]
+            ybar[rows] = amps[rows] = 0.0
+            amps[rows, 0] = r1
+            amps[rows, j] = (-A[0] * (d0[rows] + r1 * df0_1[rows])
+                             / (A[j] * der[rows, j]))
     bad = (np.abs(a1) < A_RESONANCE_TOL) | ~np.isfinite(ybar)
     amps[bad] = ybar[bad] = np.nan
 
@@ -259,7 +274,6 @@ def solve_scattering_batch(net: StarNetwork, k) -> ScatteringSweep:
     ratio = np.abs(ell[:, 1:]) / k[:, None]
     cond = (np.partition(ratio, -2, axis=1)[:, -2] if ratio.shape[1] > 1
             else np.zeros_like(k))
-    m = net.m
     return ScatteringSweep(k=k, R1=amps[:, 0], T=amps[:, 1:m],
                            alpha=amps[:, m:], ybar=ybar, cond=cond,
                            node_values=node_values)

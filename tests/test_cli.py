@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from starscatter import cli, scattering
+from starscatter import cli, fundamental, scattering
+from starscatter.line_model import PotentialFn
 from starscatter.errors import ResonanceError
 
 from conftest import fake_singular_stub, write_sin2_table
@@ -58,20 +59,24 @@ def table_fault_config(tmp_path, fault):
             "family": "sampled_table", "inductance_table_path": "L.csv",
             "capacitance_table_path": "C.csv"}}
     else:
-        if fault == "direct_cell":
+        if fault == "direct_header_only":
+            rows = []
+        elif fault == "direct_cell":
             rows[3] = "0.3,abc"
         elif fault == "direct_nan":
             rows[3] = "0.3,nan"
         else:  # direct_x_order
             rows[2], rows[3] = rows[3], rows[2]
-        (tmp_path / "V.csv").write_text("x,V\n" + "\n".join(rows) + "\n")
+        (tmp_path / "V.csv").write_text("".join(
+            f"{row}\n" for row in ["x,V", *rows]))
         branch = {"kind": "infinite",
                   "direct": {"potential_table_path": "V.csv"}}
     doc = {"schema_version": 1, "branches": [uniform_branch(), branch]}
     return write_config(tmp_path, doc), "branches[1]"
 
 
-TABLE_FAULTS = ("direct_cell", "direct_nan", "direct_x_order", "sampled_cell")
+TABLE_FAULTS = ("direct_cell", "direct_nan", "direct_x_order",
+                "direct_header_only", "sampled_cell")
 
 
 class TestForward:
@@ -384,6 +389,48 @@ class TestValidate:
         monkeypatch.setattr(scattering, "solve_scattering", single)
         assert cli.main(["validate", "--config", cfg]) == 0
         assert calls == {"batch": 1, "single": 0}
+
+    def test_header_only_table(self, tmp_path, capsys):
+        cfg, key = table_fault_config(tmp_path, "direct_header_only")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["validate", "--config", cfg]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert key in err[0] and "no data rows" in err[0]
+
+    def test_free_stubs_cost_no_integration(self, tmp_path, monkeypatch,
+                                            capsys):
+        # on V = 0 stubs fundamental_at is the closed form and the kernel
+        # the zero table: no RK45 run and no V evaluation behind either
+        cfg = write_config(tmp_path, uniform_config(2, [1.0, 1.7]))
+        rk45_calls, v_calls, in_kernel = [], [], []
+        real_rk45 = fundamental._rk45
+        real_call = PotentialFn.__call__
+        real_kernel = fundamental.solve_kernel
+
+        def rk45(*args, **kwargs):
+            rk45_calls.append(args[1:3])
+            return real_rk45(*args, **kwargs)
+
+        def counted_call(self, x):
+            if in_kernel:
+                v_calls.append(np.size(x))
+            return real_call(self, x)
+
+        def kernel(V, tau):
+            in_kernel.append(tau)
+            try:
+                return real_kernel(V, tau)
+            finally:
+                in_kernel.pop()
+
+        monkeypatch.setattr(fundamental, "_rk45", rk45)
+        monkeypatch.setattr(PotentialFn, "__call__", counted_call)
+        monkeypatch.setattr(fundamental, "solve_kernel", kernel)
+        assert cli.main(["validate", "--config", cfg]) == 0
+        assert "PASS kernel_vs_ivp" in capsys.readouterr().out
+        assert rk45_calls == [] and v_calls == []
 
     def test_resonant_check_frequency_exit_code(self, tmp_path, monkeypatch,
                                                 capsys):

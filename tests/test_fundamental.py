@@ -1,12 +1,15 @@
 """Fundamental solution omega, transformation kernel, and asymptotics."""
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from starscatter import fundamental
 from starscatter.fundamental import fundamental_at, fundamental_batch, \
     fundamental_via_kernel, solve_kernel
+from starscatter.jost import _rk45
 from starscatter.line_model import LineProfile, potential_from_profile
 
 from conftest import sin2_bump, square_well
@@ -33,6 +36,34 @@ class TestFundamentalAt:
         expect = math.cos(2.0) + 0.25 * math.sin(2.0)
         assert abs(d.omega_tau - expect) < 1e-9
 
+    # fundamental_at answers V = 0 in closed form, so these two twins keep
+    # the RK45 wrapper's accuracy on the free equation covered
+    def test_rk45_free_full_period(self):
+        om, dom = _rk45(ZERO, 2.0, (0.0, math.pi), [1.0 + 0.0j, 0.0j],
+                        max_step=math.pi)[:, -1]
+        assert abs(om - 1.0) < 1e-9
+        assert abs(dom) < 1e-8
+
+    def test_rk45_free_with_slope(self):
+        om, _ = _rk45(ZERO, 2.0, (0.0, 1.0), [1.0 + 0.0j, 0.5 + 0.0j],
+                      max_step=1.0)[:, -1]
+        assert abs(om - (math.cos(2.0) + 0.25 * math.sin(2.0))) < 1e-9
+
+    def test_free_stub_is_closed_form(self, monkeypatch):
+        def no_rk45(*args, **kwargs):
+            raise AssertionError("RK45 called on V = 0")
+
+        monkeypatch.setattr(fundamental, "_rk45", no_rk45)
+        for tau, h, k in ((1.3, 0.0, 6.0), (0.7, -0.4, 14.0),
+                          (2.1, 0.25, 0.0)):
+            d = fundamental_at(ZERO, tau, h, k)
+            sinc = math.sin(k * tau) / k if k else tau
+            assert d.k == k
+            assert d.omega_tau == pytest.approx(
+                math.cos(k * tau) + h * sinc, abs=1e-15)
+            assert d.domega_tau == pytest.approx(
+                -k * math.sin(k * tau) + h * math.cos(k * tau), abs=1e-14)
+
     def test_square_well_shifted_wavenumber(self):
         q = math.sqrt(16.0 - 1.0)
         d = fundamental_at(WELL, 1.0, 0.0, 4.0)
@@ -57,6 +88,14 @@ class TestSolveKernel:
     def test_zero_potential(self):
         K = solve_kernel(ZERO, 1.0)
         assert np.max(np.abs(K.values)) == 0.0
+
+    def test_zero_potential_is_not_evaluated(self):
+        def no_call(x):
+            raise AssertionError("V evaluated on a V = 0 branch")
+
+        K = solve_kernel(dataclasses.replace(ZERO, evaluator=no_call), 1.3)
+        assert K.values.shape == (K.xi.size, K.xi.size)
+        assert not K.values.any()
 
     def test_first_order_constant_well(self):
         v0 = 1e-3

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from starscatter import config, line_model
 from starscatter.errors import DomainError, ProfileValidityError, \
     ResolutionError
 from starscatter.line_model import LineProfile, branch_geometry, \
@@ -206,3 +207,108 @@ def test_read_table_csv(tmp_path):
     z, v = read_table_csv(path)
     assert np.allclose(z, [0.0, 0.5, 1.0])
     assert np.allclose(v, [1.0, 1.25, 2.0])
+
+
+def test_read_table_csv_header_only(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("x,V\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ProfileValidityError, match="no data rows"):
+            read_table_csv(path)
+
+
+# (x0, x_end) of the x,V tables behind direct potentials: starting at the
+# node, inside the branch, and before it
+TABLE_WINDOWS = ((0.0, 0.9), (0.25, 1.1), (-0.2, 0.7))
+
+
+@pytest.fixture(scope="module")
+def table_potentials(tmp_path_factory):
+    """config's table potential of 0.4 sin^2 over each window's rows."""
+    out = []
+    for i, (x0, x_end) in enumerate(TABLE_WINDOWS):
+        x = np.linspace(x0, x_end, 61)
+        path = tmp_path_factory.mktemp("tables") / f"V{i}.csv"
+        np.savetxt(path, np.column_stack(
+            [x, 0.4 * np.sin(np.pi * (x - x0) / (x_end - x0)) ** 2 + 0.1]),
+            delimiter=",", header="x,V", comments="", fmt="%.17g")
+        out.append(config._spline_potential(path, f"V{i}")[0])
+    return out
+
+
+def double_clip(spline, x0, x_end, support_end):
+    """V as composed before the single mask: the table's own mask over
+    [x0, x_end], called inside the branch's mask over [0, support_end]."""
+    def table(xx):
+        xx = np.asarray(xx, dtype=float)
+        inside = (xx >= x0) & (xx <= x_end)
+        return np.where(inside, spline(np.clip(xx, x0, x_end)), 0.0)
+
+    def evaluator(x):
+        x = np.asarray(x, dtype=float)
+        inside = (x >= 0.0) & (x <= support_end)
+        out = np.where(inside, table(np.clip(x, 0.0, support_end)), 0.0)
+        return out if out.ndim else float(out)
+
+    return evaluator
+
+
+@given(which=st.integers(0, len(TABLE_WINDOWS) - 1),
+       support_end=st.one_of(st.floats(0.05, 1.5),
+                             st.sampled_from([0.7, 0.9, 1.1])),
+       xs=st.lists(st.floats(-0.5, 2.0), min_size=1, max_size=12))
+@settings(max_examples=60, deadline=None)
+def test_single_mask_matches_double_clip(table_potentials, which,
+                                         support_end, xs):
+    table = table_potentials[which]
+    V = potential_from_profile(LineProfile.direct(table, support_end))
+    want = double_clip(table.spline, table.x0, table.x_end, support_end)
+    edges = [table.x0, table.x_end, 0.0, -0.0, support_end,
+             np.nextafter(table.x_end, 2.0), np.nextafter(support_end, 2.0)]
+    for x in xs + edges:
+        for arg in (float(x), np.float64(x)):
+            got, ref = V(arg), want(arg)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(ref).tobytes()
+    arr = np.array(xs + edges)
+    for arg in (arr, arr.reshape(-1, 1)):
+        got = V(arg)
+        assert got.shape == arg.shape
+        assert got.tobytes() == want(arg).tobytes()
+
+
+class CountingNumpy:
+    """Stands in for a module's ``np`` and records each attribute used."""
+
+    def __init__(self):
+        self.used = []
+
+    def __getattr__(self, name):
+        self.used.append(name)
+        return getattr(np, name)
+
+
+def test_scalar_table_potential_is_one_spline_call(tmp_path, monkeypatch):
+    calls = []
+
+    class CountedSpline(config.CubicSpline):
+        def __call__(self, x, *args, **kwargs):
+            calls.append(np.ndim(x))
+            return super().__call__(x, *args, **kwargs)
+
+    monkeypatch.setattr(config, "CubicSpline", CountedSpline)
+    path = tmp_path / "V.csv"
+    x = np.linspace(0.0, 0.6, 41)
+    np.savetxt(path, np.column_stack([x, np.sin(5.0 * x) ** 2]),
+               delimiter=",", header="x,V", comments="", fmt="%.17g")
+    table, _ = config._spline_potential(path, "V")
+    V = potential_from_profile(LineProfile.direct(table, 0.5))
+    counting = CountingNumpy()
+    monkeypatch.setattr(line_model, "np", counting)
+    for arg, calls_made in ((0.3, 1), (np.float64(0.45), 1), (0.55, 0),
+                            (-0.1, 0)):
+        calls.clear()
+        V(arg)
+        assert calls == [0] * calls_made
+    assert counting.used == []

@@ -1,9 +1,14 @@
 """Finite-difference graph oracle versus the constructed solution."""
+import math
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from starscatter import oracle
 from starscatter.errors import DomainError
 from starscatter.oracle import oracle_solve
+from starscatter.scattering import BranchKind
 from starscatter.scattering import assemble_field, solve_scattering
 
 from conftest import direct_network, sin2_bump, uniform_network
@@ -76,3 +81,86 @@ class TestOracleSolve:
             oracle_solve(net, 100.0, 1e-2, 1.0)  # too coarse for this k
         with pytest.raises(DomainError):
             oracle_solve(SMOOTH_NET, 10.0, 1e-3, 0.5)  # inside support
+
+
+def list_built_matrix(net, k, dx, X_trunc):
+    """The oracle's CSR matrix built the way it once was: one Python list
+    entry per COO triplet, in the oracle's row order."""
+    grids, dxs, offsets, total = [], [], [], 0
+    for b in net.branches:
+        L = X_trunc if b.kind is BranchKind.INFINITE else b.geometry.tau
+        n = max(int(round(L / dx)), 8)
+        grids.append(np.linspace(0.0, L, n + 1))
+        dxs.append(L / n)
+        offsets.append(total)
+        total += n + 1
+    rows, cols, vals = [], [], []
+
+    def add(r, c, v):
+        rows.append(r)
+        cols.append(c)
+        vals.append(v)
+
+    row = 0
+    for g, d, off, b in zip(grids, dxs, offsets, net.branches):
+        n = g.size - 1
+        K2 = 2.0 * (1.0 - math.cos(k * d)) / (d * d)
+        v_in = np.asarray(b.potential(g[1:n]), dtype=float)
+        i = np.arange(1, n)
+        r = row + i - 1
+        for col, val in ((off + i - 1, np.full(n - 1, 1.0 / d ** 2)),
+                         (off + i + 1, np.full(n - 1, 1.0 / d ** 2)),
+                         (off + i, -2.0 / d ** 2 + (K2 - v_in))):
+            rows.extend(r)
+            cols.extend(col)
+            vals.extend(val)
+        row += n - 1
+    A = [b.geometry.A0 for b in net.branches]
+    saap = sum(b.geometry.A0 * b.geometry.A0prime for b in net.branches)
+    for bi in range(1, len(net.branches)):
+        add(row, offsets[bi], 1.0 / A[bi])
+        add(row, offsets[0], -1.0 / A[0])
+        row += 1
+    for bi in range(len(net.branches)):
+        idx, w = oracle._one_sided_start(offsets[bi], dxs[bi])
+        for i, wi in zip(idx, w):
+            add(row, i, A[bi] * wi)
+    add(row, offsets[0], -saap / A[0])
+    row += 1
+    for bi, b in enumerate(net.branches):
+        if b.kind is BranchKind.FINITE:
+            nN = offsets[bi] + grids[bi].size - 1
+            idx, w = oracle._one_sided_end(nN, dxs[bi])
+            for i, wi in zip(idx, w):
+                add(row, i, wi)
+            add(row, nN, -b.geometry.h)
+            row += 1
+    for bi, b in enumerate(net.branches):
+        if b.kind is BranchKind.INFINITE:
+            nN = offsets[bi] + grids[bi].size - 1
+            add(row, nN, 1.0)
+            add(row, nN - 1, -np.exp(1j * k * dxs[bi]))
+            row += 1
+    return sp.csr_matrix((vals, (rows, cols)), shape=(total, total),
+                         dtype=complex)
+
+
+@pytest.mark.parametrize("net, k, X_trunc", [
+    (SMOOTH_NET, 14.0, 1.4),
+    (uniform_network(2, taus=[0.6, 1.3]), 29.0, 1.0),
+])
+def test_array_built_matrix_matches_list_built(monkeypatch, net, k, X_trunc):
+    seen = []
+    real = oracle.spla.spsolve
+
+    def spsolve(mat, rhs):
+        seen.append(mat)
+        return real(mat, rhs)
+
+    monkeypatch.setattr(oracle.spla, "spsolve", spsolve)
+    oracle_solve(net, k, 1e-3, X_trunc)
+    (got,) = seen
+    want = list_built_matrix(net, k, 1e-3, X_trunc)
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name

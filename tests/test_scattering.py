@@ -322,6 +322,46 @@ def test_smooth_stub_at_its_eigenvalue():
     assert got[0].warnings == []
 
 
+def zero_stub_value(monkeypatch, stubs, at_k):
+    """Set u_j(0) to exactly 0 on the given stubs at the frequency at_k."""
+    real = scattering._branch_data
+
+    def branch_data(net, k):
+        data = real(net, k)
+        for b in stubs:
+            u, du = data[b.id]
+            data[b.id] = (np.where(k == at_k, 0.0, u), du)
+        return data
+
+    monkeypatch.setattr(scattering, "_branch_data", branch_data)
+
+
+def test_exact_zero_stub_value_decouples(monkeypatch):
+    net = random_smooth_network(np.random.default_rng(0))
+    assert net.n == 2
+    stub = net.finite_branches[0]
+    k = np.array([12.84, 13.0])
+    zero_stub_value(monkeypatch, [stub], 12.84)
+    got = solve_scattering_batch(net, k)
+    R1, T, alpha, ybar, node_values = matrix_node_solve(net, k)
+    assert not got.resonant.any()
+    assert got.ybar[0] == 0.0
+    assert not got.T[0].any() and got.alpha[0, 1] == 0.0
+    for a, b in ((got.R1, R1), (got.T, T), (got.alpha, alpha),
+                 (got.ybar, ybar), (got.node_values, node_values)):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+
+def test_two_exact_zero_stub_values_stay_resonant(monkeypatch):
+    net = random_smooth_network(np.random.default_rng(0))
+    k = np.array([12.84, 13.0])
+    want = solve_scattering_batch(net, k)
+    zero_stub_value(monkeypatch, net.finite_branches, 12.84)
+    got = solve_scattering_batch(net, k)
+    assert got.resonant.tolist() == [True, False]
+    assert got.R1[1] == want.R1[1]
+
+
 @given(seed=st.integers(0, 2 ** 32 - 1), k=st.floats(1.0, 60.0))
 @settings(max_examples=40, deadline=None)
 def test_node_equation_matches_matrix_solve(seed, k):
