@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import warnings
 
@@ -37,31 +38,41 @@ def cmd_forward(args) -> int:
         raise ConfigError("--kmin, --kmax and --dk must be finite")
     if args.dk <= 0:
         raise ConfigError("--dk must be positive")
-    if args.kmin < net.k_floor:
-        raise ConfigError(f"--kmin must be >= k_floor ({net.k_floor})")
+    if args.kmin < scattering.K_FLOOR:
+        raise ConfigError(f"--kmin must be >= {scattering.K_FLOOR}")
     n_pts = int(math.floor((args.kmax - args.kmin) / args.dk + 1e-9)) + 1
     if n_pts < 1:
         raise ConfigError("empty frequency grid")
     grid = args.kmin + args.dk * np.arange(n_pts)
-    sweep = scattering.reflectogram(net, grid)
-    resonant = sweep.resonant
-    if resonant.all():
-        raise ResonanceError(f"all {len(sweep)} frequencies are singular")
-    m = net.m
-    header = ["k", "re_R1", "im_R1", "abs_R1"]
-    for j in range(2, m + 1):
-        header += [f"re_T{j}", f"im_T{j}"]
-    row_fmt = ",".join(["%.12g"] * len(header)) + "\n"
-    nan_fmt = "%.12g" + ",NaN" * (len(header) - 1) + "\n"
-    t_parts = np.empty((len(sweep), 2 * (m - 1)))
-    t_parts[:, 0::2], t_parts[:, 1::2] = sweep.T.real, sweep.T.imag
-    with open(args.out, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for k, r, ts, bad in zip(sweep.k.tolist(), sweep.R1.tolist(),
-                                 t_parts.tolist(), resonant.tolist()):
-            # Python's abs(r), not np.abs: the two differ in the last bit
-            fh.write(nan_fmt % k if bad
-                     else row_fmt % (k, r.real, r.imag, abs(r), *ts))
+    # open --out first, so an unwritable path fails before the sweep
+    created = not os.path.lexists(args.out)
+    fh = open(args.out, "w")
+    try:
+        with fh:
+            sweep = scattering.reflectogram(net, grid)
+            resonant = sweep.resonant
+            if resonant.all():
+                raise ResonanceError(
+                    f"all {len(sweep)} frequencies are singular")
+            m = net.m
+            header = ["k", "re_R1", "im_R1", "abs_R1"]
+            for j in range(2, m + 1):
+                header += [f"re_T{j}", f"im_T{j}"]
+            row_fmt = ",".join(["%.12g"] * len(header)) + "\n"
+            nan_fmt = "%.12g" + ",NaN" * (len(header) - 1) + "\n"
+            t_parts = np.empty((len(sweep), 2 * (m - 1)))
+            t_parts[:, 0::2], t_parts[:, 1::2] = sweep.T.real, sweep.T.imag
+            fh.write(",".join(header) + "\n")
+            for k, r, ts, bad in zip(sweep.k.tolist(), sweep.R1.tolist(),
+                                     t_parts.tolist(), resonant.tolist()):
+                # Python's abs(r), not np.abs: the two differ in the last bit
+                fh.write(nan_fmt % k if bad
+                         else row_fmt % (k, r.real, r.imag, abs(r), *ts))
+    except BaseException:
+        # leave no partial CSV; a path that existed may be a device: keep it
+        if created:
+            os.remove(args.out)
+        raise
     print(f"wrote {len(sweep)} rows to {args.out}")
     ill = ~resonant & (sweep.cond > scattering.COND_WARN)
     if ill.any():
@@ -130,7 +141,7 @@ def _run_checks(net):
     sweep = scattering.solve_scattering_batch(net, ks)
     if sweep.resonant.any():
         k = ks[int(np.argmax(sweep.resonant))]
-        raise ResonanceError(f"node equation singular or a(k) ~ 0 at k={k}")
+        raise ResonanceError(f"node equation singular at k={k}")
     flux_err = float(np.max(np.abs(
         np.abs(sweep.R1) ** 2 + np.sum(np.abs(sweep.T) ** 2, axis=1) - 1.0)))
     yield ("flux_conservation", flux_err <= 1e-8, f"max err {flux_err:.3e}")
@@ -147,7 +158,7 @@ def _run_checks(net):
 
     b1 = net.branches[0]
     k = ks[1]
-    X = max(jost.truncation_point(b1.potential), 0.5)
+    X = max(b1.potential.truncation, 0.5)
     xs = np.linspace(0.0, X, 10)
     f, df = jost.jost_profile(b1.potential, k, xs)
     ft, dft = jost.jost_tilde_profile(b1.potential, k, xs)

@@ -4,8 +4,6 @@ Schema (version 1):
 
     {
       "schema_version": 1,
-      "a5_tolerance": 1e-6,          # optional
-      "k_floor": 0.5,                # optional
       "branches": [
         {"kind": "infinite"|"finite",
          "profile": {"family": "uniform", "inductance": .., "capacitance": ..,
@@ -166,10 +164,8 @@ def load_network(path) -> tuple[StarNetwork, dict]:
             raise ConfigError(f"'{where}': {exc}", key=where) from exc
         pairs.append((kind, prof))
 
-    a5 = float(doc.get("a5_tolerance", 1e-6))
-    k_floor = float(doc.get("k_floor", 0.5))
     try:
-        net = network_from_profiles(pairs, a5_tolerance=a5, k_floor=k_floor)
+        net = network_from_profiles(pairs)
     except StarScatterError as exc:
         raise ConfigError(f"'branches': {exc}", key="branches") from exc
     return net, doc

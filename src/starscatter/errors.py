@@ -26,12 +26,8 @@ class AccuracyError(StarScatterError):
     """An integrator failed to meet the requested tolerance."""
 
 
-class NodeSingularityError(StarScatterError):
-    """f(0, k) vanished; the log-derivative is undefined at this k."""
-
-
 class ResonanceError(StarScatterError):
-    """The node system is singular (or a(k) ~ 0) at this frequency."""
+    """The node equation is singular at this frequency."""
 
 
 class DivergenceError(StarScatterError):

@@ -15,7 +15,8 @@ against them.
 
 On a branch with V = 0 (support_end <= 0, as on every uniform line) omega
 is cos(kx) + h sin(kx)/k exactly and K = 0, so ``fundamental_at`` returns
-the closed form and ``solve_kernel`` the zero table, with no integration.
+the closed form, ``solve_kernel`` the zero table and
+``fundamental_via_kernel`` the closed form again, with no integration.
 """
 from __future__ import annotations
 
@@ -53,7 +54,6 @@ class KernelTable:
     grid_step: float
     xi: np.ndarray
     values: np.ndarray  # P[i, j] = K(xi_i + eta_j, xi_i - eta_j)
-    l1_norm: float
 
     def __call__(self, x, t):
         x = np.asarray(x, dtype=float)
@@ -118,7 +118,7 @@ def solve_kernel(V: PotentialFn, tau: float) -> KernelTable:
     if V.support_end <= 0.0:
         # V = 0: the kernel is 0, which is what the first sweep would give
         return KernelTable(float(tau), float(grid_step), xi,
-                           np.zeros((n + 1, n + 1)), V.l1_norm)
+                           np.zeros((n + 1, n + 1)))
     hstep = tau / n
     v_line = np.asarray(V(xi), dtype=float)
     source = 0.5 * cumulative_trapezoid(v_line, xi, initial=0.0)
@@ -138,7 +138,7 @@ def solve_kernel(V: PotentialFn, tau: float) -> KernelTable:
         change = np.max(np.abs(new - P))
         P = new
         if change < 1e-10:
-            return KernelTable(float(tau), float(grid_step), xi, P, V.l1_norm)
+            return KernelTable(float(tau), float(grid_step), xi, P)
     raise DivergenceError("kernel iteration did not reach 1e-10 in 200 sweeps")
 
 
@@ -164,6 +164,8 @@ def fundamental_via_kernel(K: KernelTable, h: float, k: float) -> complex:
     for the oscillation (about 40 samples per period).
     """
     tau = K.tau
+    if not K.values.any():
+        return complex(_cos_term(k, np.asarray(tau), h))
     n = K.values.shape[0] - 1
     idx = np.arange(n + 1)
     spline = CubicSpline(2.0 * K.xi - tau, K.values[idx, n - idx])

@@ -10,6 +10,7 @@ transfer-matrix pass per branch.  Two references check it: an adaptive RK45
 integration of the ODE form (``jost_at_origin``, ``jost_profile``), which
 ``validate`` and the tests use and which stays stable at high k, and a slow
 Volterra successive-approximation solution used by tests at moderate k*X.
+On V = 0 the batch and RK45 routes return e^{ikx} and e^{-ikx} exactly.
 """
 from __future__ import annotations
 
@@ -19,12 +20,11 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid, solve_ivp
 
 from . import propagate
-from .errors import AccuracyError, NodeSingularityError, SingularFrequencyError
+from .errors import AccuracyError, SingularFrequencyError
 from .line_model import PotentialFn
 
 RTOL = 1e-9
 ATOL = 1e-12
-TAIL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -36,17 +36,6 @@ class JostData:
     df0: complex
     a: complex
     b: complex
-
-
-def truncation_point(V: PotentialFn) -> float:
-    """Smallest grid point X with tail_bound(X) < TAIL_TOL (support end if
-    the potential is compactly supported)."""
-    if V.support_end <= 0.0:
-        return 0.0
-    below = np.nonzero(V._tail_vals < TAIL_TOL)[0]
-    if below.size:
-        return float(V._tail_x[below[0]])
-    return float(V.support_end)
 
 
 def _rk45(V, k, t_span, u0, t_eval=None, max_step=np.inf):
@@ -77,7 +66,7 @@ def jost_at_origin(V: PotentialFn, k: float) -> JostData:
     """
     if k == 0:
         raise SingularFrequencyError("Jost data is singular at k = 0")
-    X = truncation_point(V)
+    X = V.truncation
     if X == 0.0:
         return JostData(k, 1.0 + 0.0j, 1j * k, 1.0 + 0.0j, 0.0j)
     eikX = np.exp(1j * k * X)
@@ -88,20 +77,15 @@ def jost_at_origin(V: PotentialFn, k: float) -> JostData:
     return JostData(float(k), f0, df0, a, b)
 
 
-def jost_log_derivative(d: JostData) -> complex:
-    """f'(0,k)/f(0,k); raises if f(0,k) = 0 (resonance at this k)."""
-    if d.f0 == 0:
-        raise NodeSingularityError(
-            f"f(0, k={d.k}) vanished; perturb k and retry")
-    return d.df0 / d.f0
-
-
 def jost_profile(V: PotentialFn, k: float, xs):
     """f and f' sampled on xs (ascending, within [0, X])."""
     if k == 0:
         raise SingularFrequencyError("Jost data is singular at k = 0")
     xs = np.asarray(xs, dtype=float)
-    X = max(truncation_point(V), float(xs[-1]))
+    if V.support_end <= 0.0:
+        f = np.exp(1j * k * xs)
+        return f, 1j * k * f
+    X = max(V.truncation, float(xs[-1]))
     eikX = np.exp(1j * k * X)
     f, df = _rk45(V, k, (X, 0.0), [eikX, 1j * k * eikX], t_eval=xs[::-1])
     return f[::-1], df[::-1]
@@ -112,6 +96,9 @@ def jost_tilde_profile(V: PotentialFn, k: float, xs):
     if k == 0:
         raise SingularFrequencyError("Jost data is singular at k = 0")
     xs = np.asarray(xs, dtype=float)
+    if V.support_end <= 0.0:
+        ft = np.exp(-1j * k * xs)
+        return ft, -1j * k * ft
     ft, dft = _rk45(V, k, (0.0, float(xs[-1]) or 1e-9),
                     [1.0 + 0.0j, -1j * k], t_eval=xs)
     return ft, dft
@@ -126,7 +113,7 @@ def jost_batch(V: PotentialFn, k, with_ab: bool = False):
     k = np.atleast_1d(np.asarray(k, dtype=float))
     if np.any(k == 0):
         raise SingularFrequencyError("Jost data is singular at k = 0")
-    X = truncation_point(V)
+    X = V.truncation
     if X == 0.0:
         one = np.ones_like(k, dtype=complex)
         zero = np.zeros_like(k, dtype=complex)
@@ -151,7 +138,7 @@ def jost_batch(V: PotentialFn, k, with_ab: bool = False):
 
 def jost_via_volterra(V: PotentialFn, k: float, n_grid: int = 4000):
     """Successive approximations for the Jost integral equations on
-    [0, truncation_point(V)]: at most 60 sweeps, stopping when a sweep
+    [0, V.truncation]: at most 60 sweeps, stopping when a sweep
     moves the solution by less than 1e-12.
 
     Returns (x_grid, f, ftilde).  Slow reference path; accuracy degrades as
@@ -159,7 +146,7 @@ def jost_via_volterra(V: PotentialFn, k: float, n_grid: int = 4000):
     """
     if k == 0:
         raise SingularFrequencyError("Jost data is singular at k = 0")
-    x = np.linspace(0.0, truncation_point(V), n_grid + 1)
+    x = np.linspace(0.0, V.truncation, n_grid + 1)
     v = np.asarray(V(x), dtype=float)
     sin_kx, cos_kx = np.sin(k * x), np.cos(k * x)
 

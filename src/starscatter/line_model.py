@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -20,6 +20,8 @@ from scipy import integrate
 from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, ProfileValidityError, ResolutionError
+
+TAIL_TOL = 1e-10
 
 
 class ProfileFamily(enum.Enum):
@@ -143,30 +145,20 @@ class LineProfile:
 
 @dataclass(frozen=True, eq=False)
 class PotentialFn:
-    """Potential V(x) in the travel-time coordinate, with tail bookkeeping.
+    """Potential V(x) in the travel-time coordinate.
 
     ``evaluator`` is vectorized over x and returns 0 outside
-    [0, support_end].  ``tail_bound(X)`` upper-bounds int_X^inf |V| and is
-    nonincreasing in X.
+    [0, support_end].  The Jost routes take V as 0 past ``truncation``,
+    where int_truncation^support_end |V| < TAIL_TOL (0 when V = 0).
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     support_end: float
     l1_norm: float
-    _tail_x: np.ndarray = field(repr=False)
-    _tail_vals: np.ndarray = field(repr=False)
+    truncation: float
 
     def __call__(self, x):
         return self.evaluator(x)
-
-    def tail_bound(self, X: float) -> float:
-        if X >= self.support_end:
-            return 0.0
-        if X <= 0.0:
-            return float(self._tail_vals[0])
-        # step down to the grid point at or below X; tails are nonincreasing
-        i = int(np.searchsorted(self._tail_x, X, side="right")) - 1
-        return float(self._tail_vals[max(i, 0)])
 
 
 @dataclass(frozen=True)
@@ -259,8 +251,6 @@ def travel_time(profile: LineProfile) -> float:
     """tau = x(length).  Only defined for finite branches."""
     if not profile.is_finite:
         raise DomainError("travel time of an infinite branch is undefined")
-    if profile.family is ProfileFamily.DIRECT_POTENTIAL:
-        return float(profile.params["tau"])
     return liouville_coordinate(profile, profile.length)
 
 
@@ -294,10 +284,11 @@ class TablePotential:
 
 
 def _build_potential(evaluator, support_end, grid_step) -> PotentialFn:
-    """Fill l1/tail data for an arbitrary evaluator."""
+    """PotentialFn of an arbitrary evaluator, its L1 norm and truncation
+    point taken on a uniform grid of the given step."""
     if support_end <= 0.0:
         zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-        return PotentialFn(zero, 0.0, 0.0, np.array([0.0]), np.array([0.0]))
+        return PotentialFn(zero, 0.0, 0.0, 0.0)
     n = max(int(math.ceil(support_end / grid_step)), 16)
     xg = np.linspace(0.0, support_end, n + 1)
     absv = np.abs(np.asarray(evaluator(xg), dtype=float))
@@ -310,7 +301,9 @@ def _build_potential(evaluator, support_end, grid_step) -> PotentialFn:
     # small slack absorbs trapezoid error so the bound stays a true bound
     tails = (total - cum) * (1.0 + 1e-6) + 1e-12
     tails = np.maximum.accumulate(tails[::-1])[::-1]
-    return PotentialFn(evaluator, float(support_end), l1, xg, tails)
+    below = np.flatnonzero(tails < TAIL_TOL)
+    truncation = float(xg[below[0]]) if below.size else float(support_end)
+    return PotentialFn(evaluator, float(support_end), l1, truncation)
 
 
 def potential_from_profile(profile: LineProfile,
@@ -327,13 +320,9 @@ def potential_from_profile(profile: LineProfile,
     if fam is ProfileFamily.EXPONENTIAL_TAPER:
         tau = p["slowness"] * profile.length
         g2 = p["gamma"] ** 2
-        ev = _clipped(lambda x: np.full_like(np.asarray(x, float), g2),
-                      0.0, tau)
-        # exact integrals for the constant potential
-        n = max(int(math.ceil(tau / grid_step)), 16)
-        xg = np.linspace(0.0, tau, n + 1)
-        tails = g2 * (tau - xg) + 1e-15
-        return PotentialFn(ev, tau, g2 * tau, xg, tails)
+        return _build_potential(
+            _clipped(lambda x: np.full_like(np.asarray(x, float), g2),
+                     0.0, tau), tau, grid_step)
     if fam is ProfileFamily.DIRECT_POTENTIAL:
         fn, lo, hi = p["potential"], 0.0, p["support_end"]
         if isinstance(fn, TablePotential):
@@ -380,13 +369,6 @@ def branch_geometry(profile: LineProfile) -> BranchGeometry:
         h = float(spline(x_end, 1) / spline(x_end))
         return BranchGeometry(a0, a0p, x_end, h)
     return BranchGeometry(a0, a0p)
-
-
-def terminal_h(profile: LineProfile) -> float:
-    """Terminal log-derivative h = A'(tau)/A(tau) of a finite branch."""
-    if not profile.is_finite:
-        raise DomainError("h is only defined at a finite terminal end")
-    return float(branch_geometry(profile).h)
 
 
 def voltage_from_field(y: complex, A: float) -> complex:

@@ -49,8 +49,8 @@ from .errors import DomainError, ProfileValidityError, ResonanceError
 from .line_model import BranchGeometry, LineProfile, PotentialFn, \
     branch_geometry, potential_from_profile
 
-K_FLOOR = 0.5
-A_RESONANCE_TOL = 1e-12
+K_FLOOR = 0.5  # smallest frequency a sweep accepts
+A5_TOLERANCE = 1e-6  # relative spread of A(0) allowed across branches
 COND_WARN = 1e12
 
 
@@ -82,8 +82,6 @@ class StarNetwork:
     """Ordered branches around the central node; branch 1 measures."""
 
     branches: list[Branch]
-    a5_tolerance: float = 1e-6
-    k_floor: float = K_FLOOR
 
     def __post_init__(self):
         if not self.branches:
@@ -92,11 +90,11 @@ class StarNetwork:
             raise ProfileValidityError("branch 1 must be infinite")
         a0_ref = self.branches[0].geometry.A0
         for b in self.branches:
-            if abs(b.geometry.A0 - a0_ref) > self.a5_tolerance * a0_ref:
+            if abs(b.geometry.A0 - a0_ref) > A5_TOLERANCE * a0_ref:
                 raise ProfileValidityError(
                     f"branch {b.id}: A(0)={b.geometry.A0} breaks the "
                     f"matched-node assumption (ref {a0_ref}, "
-                    f"rel tol {self.a5_tolerance})")
+                    f"rel tol {A5_TOLERANCE})")
 
     @property
     def m(self) -> int:
@@ -115,9 +113,8 @@ class StarNetwork:
         return [b for b in self.branches if b.kind is BranchKind.FINITE]
 
 
-def network_from_profiles(profiles: Sequence[tuple[str, LineProfile]],
-                          a5_tolerance: float = 1e-6,
-                          k_floor: float = K_FLOOR) -> StarNetwork:
+def network_from_profiles(profiles: Sequence[tuple[str, LineProfile]]
+                          ) -> StarNetwork:
     """Build a StarNetwork from ("infinite"|"finite", LineProfile) pairs.
 
     Infinite branches are sorted first so that branch numbering follows the
@@ -127,20 +124,15 @@ def network_from_profiles(profiles: Sequence[tuple[str, LineProfile]],
     tagged = []
     for kind_name, profile in profiles:
         kind = BranchKind(kind_name)
-        if kind is BranchKind.FINITE and not profile.is_finite:
-            raise ProfileValidityError("finite branch built from an "
-                                       "infinite-length profile")
+        if (kind is BranchKind.FINITE) != profile.is_finite:
+            raise ProfileValidityError(
+                f"{kind.value} branch built from a profile of length "
+                f"{profile.length}")
         tagged.append((kind, profile))
     tagged.sort(key=lambda t: 0 if t[0] is BranchKind.INFINITE else 1)
-    branches = []
-    for i, (kind, profile) in enumerate(tagged, start=1):
-        pot = potential_from_profile(profile)
-        geo = branch_geometry(profile)
-        if kind is BranchKind.INFINITE and profile.is_finite:
-            raise ProfileValidityError(
-                f"branch {i}: infinite branch with finite profile")
-        branches.append(Branch(i, kind, pot, geo))
-    return StarNetwork(branches, a5_tolerance, k_floor)
+    return StarNetwork([Branch(i, kind, potential_from_profile(profile),
+                               branch_geometry(profile))
+                        for i, (kind, profile) in enumerate(tagged, start=1)])
 
 
 @dataclass(eq=False)
@@ -166,9 +158,8 @@ class ScatteringSweep:
     """Solution of the node conditions over an array of frequencies, one
     row per k.
 
-    A row where the node equation's denominator D vanishes, or where
-    a(k) ~ 0 on the measurement branch, holds NaN and is flagged by
-    ``resonant``.
+    A row where the node equation's denominator D vanishes holds NaN and is
+    flagged by ``resonant``; a(k) cannot vanish, as |a|^2 = 1 + |b|^2.
     ``sweep[i]`` is the ScatteringCoefficients of row i.
     """
 
@@ -218,19 +209,18 @@ def _branch_data(net: StarNetwork, k: np.ndarray):
 
 
 def solve_scattering_batch(net: StarNetwork, k) -> ScatteringSweep:
-    """Solve the node conditions for every k in an array (all k >= k_floor).
+    """Solve the node conditions for every k in an array (all k >= K_FLOOR).
 
-    A k where the node equation is singular, or where a(k) ~ 0 on the
-    measurement branch, comes back as a NaN row flagged by ``resonant``;
-    the other rows are unaffected.
+    A k where the node equation is singular comes back as a NaN row flagged
+    by ``resonant``; the other rows are unaffected.
     """
     k = np.atleast_1d(np.asarray(k, dtype=float))
     if k.ndim > 1:
         raise DomainError("frequency grid must be one-dimensional")
     if k.size == 0:
         raise DomainError("empty frequency grid")
-    if np.any(k < net.k_floor):
-        raise DomainError(f"k below the k_floor {net.k_floor}")
+    if np.any(k < K_FLOOR):
+        raise DomainError(f"k below the k floor {K_FLOOR}")
     data = _branch_data(net, k)
     m = net.m
     f0_1, df0_1, a1, bb1 = data[net.branches[0].id]
@@ -241,7 +231,7 @@ def solve_scattering_batch(net: StarNetwork, k) -> ScatteringSweep:
     der = np.stack([data[b.id][1] for b in net.branches], axis=1)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        # rows with a(k) ~ 0 or D = 0 are set to NaN below
+        # rows with D = 0 are set to NaN below
         c0 = 1.0 / a1 - (bb1 / a1) * f0_1
         d0 = -1j * k / a1 - (bb1 / a1) * df0_1
         ell = der / val
@@ -262,7 +252,7 @@ def solve_scattering_batch(net: StarNetwork, k) -> ScatteringSweep:
             amps[rows, 0] = r1
             amps[rows, j] = (-A[0] * (d0[rows] + r1 * df0_1[rows])
                              / (A[j] * der[rows, j]))
-    bad = (np.abs(a1) < A_RESONANCE_TOL) | ~np.isfinite(ybar)
+    bad = ~np.isfinite(ybar)
     amps[bad] = ybar[bad] = np.nan
 
     # (y(0), y'(0)) per branch: the branch's own solution times its
@@ -280,14 +270,13 @@ def solve_scattering_batch(net: StarNetwork, k) -> ScatteringSweep:
 
 
 def solve_scattering(net: StarNetwork, k: float) -> ScatteringCoefficients:
-    """Scattering coefficients at a single frequency (k >= k_floor).
+    """Scattering coefficients at a single frequency (k >= K_FLOOR).
 
     Raises ResonanceError where ``solve_scattering_batch`` flags the row.
     """
     sweep = solve_scattering_batch(net, float(k))
     if sweep.resonant[0]:
-        raise ResonanceError(
-            f"node equation singular or a(k) ~ 0 at k={float(k)}")
+        raise ResonanceError(f"node equation singular at k={float(k)}")
     return sweep[0]
 
 

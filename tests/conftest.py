@@ -42,16 +42,16 @@ def write_sin2_table(path, amplitude, width, rows=161):
                comments="", fmt="%.17g")
 
 
-def uniform_network(m, taus=(), k_floor=0.5):
+def uniform_network(m, taus=()):
     """All-uniform star: V=0 everywhere, h=0, unit A0."""
     profs = [("infinite", LineProfile.uniform(1.0, 1.0))
              for _ in range(m)]
     for tau in taus:
         profs.append(("finite", LineProfile.uniform(1.0, 1.0, length=tau)))
-    return network_from_profiles(profs, k_floor=k_floor)
+    return network_from_profiles(profs)
 
 
-def direct_network(infinite_pots, finite_specs, k_floor=0.5):
+def direct_network(infinite_pots, finite_specs):
     """Star from direct data.
 
     infinite_pots: list of (potential_fn, support_end)
@@ -62,7 +62,7 @@ def direct_network(infinite_pots, finite_specs, k_floor=0.5):
         profs.append(("infinite", LineProfile.direct(fn, supp)))
     for fn, supp, tau, h in finite_specs:
         profs.append(("finite", LineProfile.direct(fn, supp, tau=tau, h=h)))
-    return network_from_profiles(profs, k_floor=k_floor)
+    return network_from_profiles(profs)
 
 
 def random_smooth_network(rng, m_max=4, n_max=3, l1_cap=1.0):

@@ -170,6 +170,7 @@ class TestForward:
                        "--kmax", "6", "--dk", "1",
                        "--out", str(tmp_path / "o.csv")])
         assert rc == 3
+        assert not (tmp_path / "o.csv").exists()
 
     def test_all_frequencies_singular_exit_code(self, tmp_path, monkeypatch,
                                                 capsys):
@@ -180,6 +181,7 @@ class TestForward:
                        "--out", str(tmp_path / "o.csv")])
         assert rc == 3
         assert "all 3 frequencies are singular" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_singular_k_written_as_nan_row(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, uniform_config(2, [1.0]))
@@ -222,12 +224,17 @@ class TestForward:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
 
-    def test_unwritable_out(self, tmp_path, capsys):
+    def test_unwritable_out(self, tmp_path, monkeypatch, capsys):
+        # the output is opened first, so a bad path costs no sweep
         cfg = write_config(tmp_path, uniform_config(2))
+        sweeps = []
+        real = cli.scattering.reflectogram
+        monkeypatch.setattr(cli.scattering, "reflectogram",
+                            lambda *a: sweeps.append(a) or real(*a))
         rc = cli.main(["forward", "--config", cfg, "--kmin", "5",
                        "--kmax", "6", "--dk", "1",
                        "--out", str(tmp_path / "missing" / "o.csv")])
-        assert rc == 2
+        assert rc == 2 and sweeps == []
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
@@ -401,17 +408,19 @@ class TestValidate:
 
     def test_free_stubs_cost_no_integration(self, tmp_path, monkeypatch,
                                             capsys):
-        # on V = 0 stubs fundamental_at is the closed form and the kernel
-        # the zero table: no RK45 run and no V evaluation behind either
+        # on V = 0 branches the Jost profiles and fundamental_at are closed
+        # forms, and the kernel is the zero table, read without a spline or
+        # a quadrature: no RK45 run and no V evaluation behind any of them
         cfg = write_config(tmp_path, uniform_config(2, [1.0, 1.7]))
-        rk45_calls, v_calls, in_kernel = [], [], []
-        real_rk45 = fundamental._rk45
+        calls, v_calls, in_kernel = [], [], []
         real_call = PotentialFn.__call__
         real_kernel = fundamental.solve_kernel
 
-        def rk45(*args, **kwargs):
-            rk45_calls.append(args[1:3])
-            return real_rk45(*args, **kwargs)
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
 
         def counted_call(self, x):
             if in_kernel:
@@ -425,12 +434,15 @@ class TestValidate:
             finally:
                 in_kernel.pop()
 
-        monkeypatch.setattr(fundamental, "_rk45", rk45)
+        for mod, name in ((fundamental, "_rk45"), (cli.jost, "_rk45"),
+                          (fundamental, "CubicSpline"),
+                          (fundamental, "simpson")):
+            monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
         monkeypatch.setattr(PotentialFn, "__call__", counted_call)
         monkeypatch.setattr(fundamental, "solve_kernel", kernel)
         assert cli.main(["validate", "--config", cfg]) == 0
         assert "PASS kernel_vs_ivp" in capsys.readouterr().out
-        assert rk45_calls == [] and v_calls == []
+        assert calls == [] and v_calls == []
 
     def test_resonant_check_frequency_exit_code(self, tmp_path, monkeypatch,
                                                 capsys):

@@ -144,6 +144,17 @@ class TestViaKernel:
         val = fundamental_via_kernel(K, 1.0, 1.0)
         assert abs(val - 1.0) < 1e-12
 
+    def test_zero_kernel_is_the_closed_form(self, monkeypatch):
+        def no_call(*args, **kwargs):
+            raise AssertionError("spline or quadrature on a zero kernel")
+
+        monkeypatch.setattr(fundamental, "CubicSpline", no_call)
+        monkeypatch.setattr(fundamental, "simpson", no_call)
+        for tau, h, k in ((1.3, 0.0, 6.0), (0.7, -0.4, 14.0),
+                          (2.1, 0.25, 0.0)):
+            val = fundamental_via_kernel(solve_kernel(ZERO, tau), h, k)
+            assert val == fundamental_at(ZERO, tau, h, k).omega_tau
+
     def test_square_well_cross_validation(self):
         K = solve_kernel(WELL, 1.0)
         ivp = fundamental_at(WELL, 1.0, 0.0, 6.0)

@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from starscatter.errors import NodeSingularityError, SingularFrequencyError
-from starscatter.jost import JostData, jost_at_origin, jost_batch, \
-    jost_log_derivative, jost_profile, jost_tilde_profile, jost_via_volterra, \
-    truncation_point
+from starscatter import jost
+from starscatter.errors import SingularFrequencyError
+from starscatter.jost import jost_at_origin, jost_batch, jost_profile, \
+    jost_tilde_profile, jost_via_volterra
 from starscatter.line_model import LineProfile, potential_from_profile
 
 from conftest import sin2_bump, square_well
@@ -79,23 +79,19 @@ class TestJostAtOrigin:
             jost_at_origin(WELL, 0.0)
 
     def test_truncation_point_compact_support(self):
-        assert truncation_point(WELL) == pytest.approx(1.0, abs=1e-6)
+        assert WELL.truncation == pytest.approx(1.0, abs=1e-6)
 
 
 class TestLogDerivative:
     def test_free(self):
         V = make_potential(lambda x: np.zeros_like(np.asarray(x, float)), 0.0)
-        assert jost_log_derivative(jost_at_origin(V, 7.0)) == 7.0j
+        d = jost_at_origin(V, 7.0)
+        assert d.df0 / d.f0 == 7.0j
 
     @pytest.mark.parametrize("k", [50.0, 200.0])
     def test_stays_near_ik(self, k):
-        ld = jost_log_derivative(jost_at_origin(WELL, k))
-        assert abs(ld - 1j * k) <= 2.0
-
-    def test_resonant_f0_rejected(self):
-        d = JostData(5.0, 0.0, 1.0j, 1.0, 0.0)
-        with pytest.raises(NodeSingularityError):
-            jost_log_derivative(d)
+        d = jost_at_origin(WELL, k)
+        assert abs(d.df0 / d.f0 - 1j * k) <= 2.0
 
 
 class TestJostProfileBounds:
@@ -109,6 +105,21 @@ class TestJostProfileBounds:
             assert abs(fx - np.exp(1j * k * x)) <= bound + 1e-9
             assert abs(dfx - 1j * k * np.exp(1j * k * x)) <= \
                 k * bound + 1e-9
+
+    def test_free_profiles_in_closed_form(self, monkeypatch):
+        def no_rk45(*args, **kwargs):
+            raise AssertionError("RK45 called on V = 0")
+
+        monkeypatch.setattr(jost, "_rk45", no_rk45)
+        V = make_potential(lambda x: np.zeros_like(np.asarray(x, float)), 0.0)
+        k, xs = 17.3, np.linspace(0.0, 0.5, 10)
+        f, df = jost_profile(V, k, xs)
+        ft, dft = jost_tilde_profile(V, k, xs)
+        e = np.exp(1j * k * xs)
+        np.testing.assert_allclose(f, e, rtol=1e-15)
+        np.testing.assert_allclose(df, 1j * k * e, rtol=1e-15)
+        np.testing.assert_allclose(ft, e.conj(), rtol=1e-15)
+        np.testing.assert_allclose(dft, -1j * k * e.conj(), rtol=1e-15)
 
     def test_wronskian_constancy(self):
         k = 17.3

@@ -12,7 +12,7 @@ from starscatter.errors import DomainError, ProfileValidityError, \
     ResolutionError
 from starscatter.line_model import LineProfile, branch_geometry, \
     liouville_coordinate, potential_from_profile, read_table_csv, \
-    terminal_h, travel_time, voltage_from_field
+    travel_time, voltage_from_field
 
 
 def table_profile_for_A(a_fn, z_end, n, infinite=False):
@@ -109,20 +109,15 @@ class TestPotentialFromProfile:
         with pytest.raises(ResolutionError):
             LineProfile.sampled_table(z, np.ones(4), np.ones(4))
 
-    def test_tail_bound_dominates_tail_integral(self):
-        a_fn = lambda x: 1.0 + 0.05 * np.sin(2.0 * x)
-        p = table_profile_for_A(a_fn, 2.0, 2001)
-        V = potential_from_profile(p, grid_step=1e-3)
-        for X in np.linspace(0.0, V.support_end, 9):
-            tail, _ = integrate.quad(lambda x: abs(float(V(x))), X,
-                                     V.support_end, limit=200)
-            assert V.tail_bound(X) >= tail - 1e-12
-
-    def test_tail_bound_nonincreasing(self):
-        V = potential_from_profile(LineProfile.exponential_taper(0.4, 1.5))
-        Xs = np.linspace(0.0, 2.0, 30)
-        tb = [V.tail_bound(X) for X in Xs]
-        assert np.all(np.diff(tb) <= 1e-15)
+    def test_truncation_drops_at_most_tail_tol(self):
+        # a Gaussian whose tail falls below TAIL_TOL well before the support
+        # ends, so the truncation point lies inside it
+        gauss = lambda x: np.exp(-((np.asarray(x, float) - 1.0) / 0.15) ** 2)
+        V = potential_from_profile(LineProfile.direct(gauss, 3.0))
+        assert 1.0 < V.truncation < V.support_end
+        tail, _ = integrate.quad(lambda x: abs(float(V(x))), V.truncation,
+                                 V.support_end, limit=200)
+        assert tail <= line_model.TAIL_TOL
 
     def test_smooth_table_builds_without_warnings(self):
         # ||V||_L1 comes from the tail grid, so no adaptive quadrature can
@@ -138,16 +133,16 @@ class TestPotentialFromProfile:
 
 class TestTerminalH:
     def test_uniform(self):
-        assert terminal_h(LineProfile.uniform(1.0, 3.0, 1.0)) == 0.0
+        assert branch_geometry(LineProfile.uniform(1.0, 3.0, 1.0)).h == 0.0
 
     def test_exponential(self):
-        assert terminal_h(LineProfile.exponential_taper(0.3, 2.0)) == \
-            pytest.approx(0.3, abs=1e-12)
+        assert branch_geometry(LineProfile.exponential_taper(0.3, 2.0)).h \
+            == pytest.approx(0.3, abs=1e-12)
 
     def test_linear_A(self):
         # A(x) = 1 + 0.1 x on [0,2]: h = 0.1/1.2
         p = table_profile_for_A(lambda x: 1.0 + 0.1 * x, 2.0, 2001)
-        assert terminal_h(p) == pytest.approx(0.1 / 1.2, abs=1e-6)
+        assert branch_geometry(p).h == pytest.approx(0.1 / 1.2, abs=1e-6)
 
 
 class TestBranchGeometry:
