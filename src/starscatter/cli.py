@@ -109,6 +109,8 @@ def read_reflectogram_csv(path):
 
 
 def cmd_invert(args) -> int:
+    if args.max_n < 1:
+        raise ConfigError("--max-n must be at least 1")
     samples = read_reflectogram_csv(args.csv)
     report = inversion.estimate_taus(samples, expected_max_n=args.max_n)
     doc = {

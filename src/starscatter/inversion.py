@@ -126,6 +126,8 @@ def estimate_taus(samples, expected_max_n: int = 8) -> InversionReport:
     histogramming pairwise differences at resolution 2*dk and greedily
     extracting fundamental spacings; tau_j = pi / spacing_j.
     """
+    if expected_max_n < 1:
+        raise ValueError("expected_max_n must be at least 1")
     ks = np.array([s.k for s in samples])
     if ks.size < 2:
         raise InsufficientDataError("need at least two samples")
@@ -137,9 +139,8 @@ def estimate_taus(samples, expected_max_n: int = 8) -> InversionReport:
     m_hat, m_diag = estimate_m(samples)
     poles = detect_poles(samples)
     warnings = []
-    if not poles or expected_max_n == 0:
-        if expected_max_n > 0:
-            warnings.append("no poles detected; n=0 network or grid too coarse")
+    if not poles:
+        warnings.append("no poles detected; n=0 network or grid too coarse")
         return InversionReport(m_hat, [], poles, m_diag["retained"], [],
                                m_diag["abs_deviation"], warnings)
 

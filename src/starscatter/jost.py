@@ -6,10 +6,11 @@ far field a e^{-ikx} + b e^{ikx} carries the half-line transfer data.  (The
 -ik initial slope is what the integral equation for ftilde implies.)
 
 ``jost_batch`` is the route the network solver uses: one vectorized
-transfer-matrix pass per branch.  Two references check it: an adaptive RK45
-integration of the ODE form (``jost_at_origin``, ``jost_profile``), which
-``validate`` and the tests use and which stays stable at high k, and a slow
-Volterra successive-approximation solution used by tests at moderate k*X.
+transfer-matrix pass per branch, whose (f0, df0) the sweep takes (a and b
+only on request).  Two references check it: an adaptive RK45 integration
+of the ODE form (``jost_at_origin``, ``jost_profile``), which ``validate``
+and the tests use and which stays stable at high k, and a slow Volterra
+successive-approximation solution used by tests at moderate k*X.
 On V = 0 the batch and RK45 routes return e^{ikx} and e^{-ikx} exactly.
 """
 from __future__ import annotations

@@ -206,7 +206,9 @@ def _x_of_z(profile: LineProfile) -> Callable[[np.ndarray], np.ndarray]:
     uniformly past the last row."""
     z, L, C = profile.params["z"], profile.params["L"], profile.params["C"]
     slowness = CubicSpline(z, np.sqrt(L * C))
-    if slowness.roots(extrapolate=False).size:
+    # each cubic piece is smallest at a (positive) knot or where its slope is 0
+    crit = slowness.derivative().roots(extrapolate=False)
+    if np.any(slowness(crit[np.isfinite(crit)]) <= 0):
         raise ProfileValidityError(
             "interpolated slowness sqrt(L*C) became non-positive")
     x_spline = slowness.antiderivative()

@@ -1,31 +1,33 @@
 """Central-node equation and the full scattering solution.
 
-A unit wave e^{-ikx} comes in on branch 1.  The solution is written as
+A unit wave e^{-ikx} comes in on branch 1.  For real V and k it is
+conj(f_1) = f_1(., -k), so the solution is written as
 
-    branch 1          y_1 = (1/a) ftilde + (R1 - b/a) f
+    branch 1          y_1 = conj(f_1) + R1 f_1
     branches 2..m     y_j = T_j f_j
     finite branches   y_j = alpha_j u_j
 
 Value continuity at the node makes every y_j(0) = A_j ybar, so the
 derivative balance sum_j A_j y_j'(0) = (sum_j A_j A_j') ybar is one scalar
 equation per k in the branches' log-derivatives l_j = y_j'(0)/y_j(0)
-(df0_j/f0_j on infinite branches, u_j'(0)/u_j(0) on finite ones).  With
-(c0, d0) = (y_1, y_1')(0) of the incoming part on branch 1,
+(df0_j/f0_j on infinite branches, u_j'(0)/u_j(0) on finite ones).  Each
+branch enters only through its node pair, and W(conj f_1, f_1) = 2ik, so
 
     D = sum_j A_j^2 l_j - sum_j A_j A_j'
-    ybar = A_1 (c0 df0_1 - d0 f0_1) / (f0_1 D)
-    R1 = (A_1 ybar - c0) / f0_1,   T_j or alpha_j = A_j ybar / y_j(0)
+    ybar = 2ik A_1 / (f0_1 D)
+    R1 = (A_1 ybar - conj f0_1) / f0_1,   T_j or alpha_j = A_j ybar / y_j(0)
 
 On a star of uniform lines D = ik (m - i S) with the paper's
 S = sum tan(k tau_j).  At a stub's embedded eigenvalue u_j(0) is rounding
 noise, yet alpha_j stays accurate: D holds A_j^2 u_j'(0)/u_j(0), so
 D u_j(0) = A_j^2 u_j'(0) + u_j(0) (D - A_j^2 l_j) to rounding, and the
 noise cancels.  ybar must come from D for this; taken from R1 as
-(c0 + f0_1 R1)/A_1 it is a difference of O(1) numbers, and alpha_j is off
-by O(1).  An exact u_j(0) = 0 makes l_j infinite; that row is solved in
-the limit, ybar = 0, where stub j alone balances branch 1's current.  Only
-two branches decoupling at once leave the amplitudes non-unique, which the
-condition proxy flags.
+(conj f0_1 + f0_1 R1)/A_1 it is a difference of O(1) numbers, and alpha_j
+is off by O(1).  An exact u_j(0) = 0 makes l_j infinite; that row is
+solved in the limit, ybar = 0, where stub j alone balances branch 1's
+current: R1 = -conj(f0_1)/f0_1 and alpha_j = 2ik A_1 / (f0_1 A_j u_j'(0)).
+Only two branches decoupling at once leave the amplitudes non-unique,
+which the condition proxy flags.
 
 u_j is the solution with u_j(tau_j) = 1, u_j'(tau_j) = h_j, which satisfies
 the terminal condition y'(tau) = h y(tau).  It is propagated from the
@@ -147,10 +149,9 @@ class ScatteringCoefficients:
     # second-largest |l_j|/k over branches 2..N (0 with fewer than two): it
     # grows without bound where two branches decouple from the node at once,
     # an embedded eigenvalue at which the amplitudes are not unique; above
-    # COND_WARN the row carries an ill-conditioned warning
+    # COND_WARN the row is ill-conditioned
     condition_number: float
     node_values: list = field(repr=False, default_factory=list)  # (y(0), y'(0)) per branch
-    warnings: list = field(default_factory=list)
 
 
 @dataclass(eq=False)
@@ -159,7 +160,7 @@ class ScatteringSweep:
     row per k.
 
     A row where the node equation's denominator D vanishes holds NaN and is
-    flagged by ``resonant``; a(k) cannot vanish, as |a|^2 = 1 + |b|^2.
+    flagged by ``resonant``.
     ``sweep[i]`` is the ScatteringCoefficients of row i.
     """
 
@@ -179,33 +180,23 @@ class ScatteringSweep:
         return self.k.size
 
     def __getitem__(self, i) -> ScatteringCoefficients:
-        cond = float(self.cond[i])
-        warns = []
-        if cond > COND_WARN:
-            warns.append(f"node system ill-conditioned (cond={cond:.3e})")
         return ScatteringCoefficients(
             k=float(self.k[i]), R1=complex(self.R1[i]),
             T=self.T[i].tolist(), alpha=self.alpha[i].tolist(),
-            ybar=complex(self.ybar[i]), condition_number=cond,
-            node_values=[tuple(v) for v in self.node_values[i].tolist()],
-            warnings=warns)
+            ybar=complex(self.ybar[i]), condition_number=float(self.cond[i]),
+            node_values=[tuple(v) for v in self.node_values[i].tolist()])
 
 
 def _branch_data(net: StarNetwork, k: np.ndarray):
-    """Per-branch node data arrays over k.
-
-    Infinite branches yield (f0, df0, a, b); finite branches yield
-    (u(0), u'(0)) for the solution with u(tau) = 1, u'(tau) = h.
-    """
-    data = {}
-    for b in net.branches:
-        if b.kind is BranchKind.INFINITE:
-            f0, df0, a, bb, _ = jost.jost_batch(b.potential, k, with_ab=True)
-            data[b.id] = (f0, df0, a, bb)
-        else:
-            data[b.id] = propagate.sweep(b.potential, b.geometry.tau, 0.0, k,
-                                         1.0, b.geometry.h)
-    return data
+    """Node pairs (val, der) = (y(0), y'(0)) over k, two [nk, N] arrays with
+    one column per branch: f_j on infinite branches, and on finite ones the
+    solution u_j with u_j(tau) = 1, u_j'(tau) = h."""
+    val, der = zip(*(jost.jost_batch(b.potential, k)[:2]
+                     if b.kind is BranchKind.INFINITE else
+                     propagate.sweep(b.potential, b.geometry.tau, 0.0, k,
+                                     1.0, b.geometry.h)
+                     for b in net.branches))
+    return np.stack(val, axis=1), np.stack(der, axis=1)
 
 
 def solve_scattering_batch(net: StarNetwork, k) -> ScatteringSweep:
@@ -221,45 +212,38 @@ def solve_scattering_batch(net: StarNetwork, k) -> ScatteringSweep:
         raise DomainError("empty frequency grid")
     if np.any(k < K_FLOOR):
         raise DomainError(f"k below the k floor {K_FLOOR}")
-    data = _branch_data(net, k)
+    val, der = _branch_data(net, k)
     m = net.m
-    f0_1, df0_1, a1, bb1 = data[net.branches[0].id]
+    f0_1 = val[:, 0]
     A = np.array([b.geometry.A0 for b in net.branches])
     saap = sum(b.geometry.A0 * b.geometry.A0prime for b in net.branches)
-    # [nk, N]: (y(0), y'(0)) of f_j on infinite branches, u_j on finite ones
-    val = np.stack([data[b.id][0] for b in net.branches], axis=1)
-    der = np.stack([data[b.id][1] for b in net.branches], axis=1)
+    # branch 1's incoming wave conj(f_1), whose Wronskian with f_1 is 2ik
+    w = 2j * k * A[0] / f0_1
 
     with np.errstate(divide="ignore", invalid="ignore"):
         # rows with D = 0 are set to NaN below
-        c0 = 1.0 / a1 - (bb1 / a1) * f0_1
-        d0 = -1j * k / a1 - (bb1 / a1) * df0_1
         ell = der / val
-        ybar = (A[0] * (c0 * df0_1 - d0 * f0_1)
-                / (f0_1 * ((A ** 2 * ell).sum(axis=1) - saap)))
-        # amplitude per branch: R1, then T_j or alpha_j = A_j ybar / y_j(0)
-        amps = A * ybar[:, None] / val
-        amps[:, 0] = (A[0] * ybar - c0) / f0_1
+        ybar = w / ((A ** 2 * ell).sum(axis=1) - saap)
         # a stub with u_j(0) = 0 exactly decouples from the node value:
-        # ybar = 0, so R1 = -c0/f0_1, the other amplitudes are 0, and alpha_j
-        # carries branch 1's current; with two such stubs the row stays NaN
+        # ybar = 0, so R1 = -conj(f0_1)/f0_1, the other amplitudes are 0,
+        # and alpha_j carries branch 1's current; with two such stubs the
+        # row stays NaN
         zero = val[:, m:] == 0
         rows = np.flatnonzero(zero.sum(axis=1) == 1)
+        ybar[rows] = 0.0
+        # amplitude per branch: R1, then T_j or alpha_j = A_j ybar / y_j(0)
+        amps = A * ybar[:, None] / val
+        amps[:, 0] = (A[0] * ybar - f0_1.conj()) / f0_1
         if rows.size:
             j = m + np.argmax(zero[rows], axis=1)
-            r1 = -c0[rows] / f0_1[rows]
-            ybar[rows] = amps[rows] = 0.0
-            amps[rows, 0] = r1
-            amps[rows, j] = (-A[0] * (d0[rows] + r1 * df0_1[rows])
-                             / (A[j] * der[rows, j]))
+            amps[rows, j] = w[rows] / (A[j] * der[rows, j])
     bad = ~np.isfinite(ybar)
     amps[bad] = ybar[bad] = np.nan
 
     # (y(0), y'(0)) per branch: the branch's own solution times its
     # amplitude, plus the incoming wave on branch 1
     node_values = np.stack([amps * val, amps * der], axis=-1)
-    node_values[:, 0, 0] += c0
-    node_values[:, 0, 1] += d0
+    node_values[:, 0] += np.column_stack([f0_1, der[:, 0]]).conj()
     # two branches decoupling at once leave the amplitudes non-unique
     ratio = np.abs(ell[:, 1:]) / k[:, None]
     cond = (np.partition(ratio, -2, axis=1)[:, -2] if ratio.shape[1] > 1

@@ -295,6 +295,15 @@ class TestInvert:
                        + "".join(f"{60 + i},0,0,0\n" for i in range(5)))
         assert cli.main(["invert", "--csv", str(csv)]) == 4
 
+    @pytest.mark.parametrize("max_n", ["0", "-1"])
+    def test_max_n_below_one(self, tmp_path, capsys, max_n):
+        csv = tmp_path / "zeros.csv"
+        csv.write_text("k,re_R1,im_R1,abs_R1\n"
+                       + "".join(f"{60 + 0.01 * i},0,0,0\n"
+                                 for i in range(100)))
+        assert cli.main(["invert", "--csv", str(csv), "--max-n", max_n]) == 2
+        assert "--max-n" in capsys.readouterr().err
+
     def test_nan_rows_skipped(self, tmp_path):
         csv = tmp_path / "gaps.csv"
         rows = ["k,re_R1,im_R1,abs_R1"]

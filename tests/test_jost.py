@@ -159,8 +159,14 @@ class TestTransferInvariants:
     @settings(max_examples=30, deadline=None)
     def test_unimodularity(self, v0, w, k):
         V = make_potential(square_well(v0, w), w)
-        _, _, a, b, _ = jost_batch(V, np.array([k]), with_ab=True)
+        f0, df0, a, b, _ = jost_batch(V, np.array([k]), with_ab=True)
         assert abs(abs(a[0]) ** 2 - abs(b[0]) ** 2 - 1.0) < 1e-9
+        # ftilde = a conj(f) + b f, the identity behind the node solve's
+        # incoming wave conj(f) on branch 1
+        np.testing.assert_allclose(np.conj(f0), (1.0 - b * f0) / a,
+                                   rtol=1e-12)
+        np.testing.assert_allclose(np.conj(df0), (-1j * k - b * df0) / a,
+                                   rtol=1e-12)
 
     def test_unimodularity_smooth_bump(self):
         V = make_potential(sin2_bump(0.8, 1.2), 1.2)

@@ -176,6 +176,14 @@ class TestBranchGeometry:
             with pytest.raises(ProfileValidityError):
                 fn(p)
 
+    def test_table_with_slowness_constant_to_rounding_accepted(self):
+        # sqrt(LC) samples are 1 or 1 + 2^-52, so the spline's pieces carry
+        # cubic coefficients near 1e-231 that must not read as sign changes
+        p = table_profile_for_A(
+            lambda z: 1.0 + 0.05 * np.exp(-((z - 1.0) / 0.15) ** 2), 3.0, 3001)
+        assert branch_geometry(p).tau == pytest.approx(3.0, rel=1e-12)
+        assert potential_from_profile(p).truncation == pytest.approx(3.0)
+
 
 class TestVoltageFromField:
     def test_identity(self):
