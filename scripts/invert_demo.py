@@ -13,8 +13,7 @@ import argparse
 
 import numpy as np
 
-from starscatter import LineProfile, ReflectogramSample, estimate_taus, \
-    reflectogram
+from starscatter import LineProfile, estimate_taus, reflectogram
 from starscatter.scattering import network_from_profiles
 
 
@@ -50,11 +49,7 @@ def main():
     print(f"forward sweep: {ks.size} frequencies on "
           f"[{args.kmin}, {args.kmax})")
     sweep = reflectogram(net, ks)
-    ok = ~sweep.resonant
-    samples = [ReflectogramSample(k, r) for k, r in
-               zip(sweep.k[ok].tolist(), sweep.R1[ok].tolist())]
-
-    report = estimate_taus(samples)
+    report = estimate_taus(np.column_stack([sweep.k, sweep.R1]))
     print("true     : m = 2, taus = [1.0, 1.7]")
     print(f"recovered: m = {report.m_hat}, taus = "
           + "[" + ", ".join(f"{t:.6f}" for t in report.taus) + "]")

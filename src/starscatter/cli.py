@@ -85,8 +85,10 @@ def cmd_forward(args) -> int:
 
 
 def read_reflectogram_csv(path):
-    """Parse a cmd_forward CSV back into ReflectogramSample rows (NaN rows,
-    i.e. flagged resonances, are skipped)."""
+    """Parse a cmd_forward CSV into a complex [n, 2] array of (k, R1) rows.
+
+    NaN rows (flagged resonances) are kept, so the k grid stays whole; the
+    inversion ignores them."""
     try:
         with open(path) as fh:
             header = fh.readline().strip().split(",")
@@ -100,19 +102,16 @@ def read_reflectogram_csv(path):
                                        ndmin=2, unpack=True)
     except ValueError as exc:  # a malformed row, or a file that is not text
         raise ConfigError(f"{path}: {exc}") from exc
-    keep = ~(np.isnan(re) | np.isnan(im))
-    k, re, im = k[keep], re[keep], im[keep]
     if not np.all(k > 0):
         raise ConfigError(f"{path}: k must be positive")
-    return [inversion.ReflectogramSample(kk, complex(r, i))
-            for kk, r, i in zip(k.tolist(), re.tolist(), im.tolist())]
+    return np.column_stack([k, re + 1j * im])
 
 
 def cmd_invert(args) -> int:
     if args.max_n < 1:
         raise ConfigError("--max-n must be at least 1")
-    samples = read_reflectogram_csv(args.csv)
-    report = inversion.estimate_taus(samples, expected_max_n=args.max_n)
+    rows = read_reflectogram_csv(args.csv)
+    report = inversion.estimate_taus(rows, expected_max_n=args.max_n)
     doc = {
         "m_hat": report.m_hat,
         "taus": report.taus,

@@ -41,15 +41,13 @@ SCHEMA_VERSION = 1
 
 def _require(obj, key, typ, where):
     if key not in obj:
-        raise ConfigError(f"missing required key '{where}.{key}'",
-                          key=f"{where}.{key}")
+        raise ConfigError(f"missing required key '{where}.{key}'")
     val = obj[key]
     if typ is float and isinstance(val, int):
         val = float(val)
     if not isinstance(val, typ):
         raise ConfigError(
-            f"'{where}.{key}' has wrong type (expected {typ.__name__})",
-            key=f"{where}.{key}")
+            f"'{where}.{key}' has wrong type (expected {typ.__name__})")
     return val
 
 
@@ -57,14 +55,11 @@ def _spline_potential(path: Path, where: str):
     try:
         x, v = read_table_csv(path)
     except OSError as exc:
-        raise ConfigError(f"'{where}': cannot read {path}: {exc}",
-                          key=where) from exc
+        raise ConfigError(f"'{where}': cannot read {path}: {exc}") from exc
     if x.size < 4:
-        raise ConfigError(f"'{where}': potential table needs >= 4 rows",
-                          key=where)
+        raise ConfigError(f"'{where}': potential table needs >= 4 rows")
     if not np.all(np.diff(x) > 0):
-        raise ConfigError(f"'{where}': x column must be strictly increasing",
-                          key=where)
+        raise ConfigError(f"'{where}': x column must be strictly increasing")
     return TablePotential(CubicSpline(x, v), x[0], x[-1]), float(x[-1])
 
 
@@ -80,8 +75,7 @@ def _profile_from_spec(spec: dict, kind: str, base: Path,
     if family == "exponential_taper":
         if infinite:
             raise ConfigError(
-                f"'{where}.family': exponential_taper needs a finite branch",
-                key=f"{where}.family")
+                f"'{where}.family': exponential_taper needs a finite branch")
         return LineProfile.exponential_taper(
             _require(spec, "gamma", float, where),
             _require(spec, "length", float, where),
@@ -93,10 +87,8 @@ def _profile_from_spec(spec: dict, kind: str, base: Path,
         try:
             return LineProfile.sampled_table_from_csv(lp, cp, infinite=infinite)
         except OSError as exc:
-            raise ConfigError(f"'{where}': cannot read table: {exc}",
-                              key=where) from exc
-    raise ConfigError(f"'{where}.family': unknown family '{family}'",
-                      key=f"{where}.family")
+            raise ConfigError(f"'{where}': cannot read table: {exc}") from exc
+    raise ConfigError(f"'{where}.family': unknown family '{family}'")
 
 
 def _direct_from_spec(spec: dict, kind: str, base: Path,
@@ -112,8 +104,8 @@ def _direct_from_spec(spec: dict, kind: str, base: Path,
         return LineProfile.direct(evaluator, support_end, A0, A0prime,
                                   tau=tau, h=h)
     if "tau" in spec or "h" in spec:
-        raise ConfigError(f"'{where}': tau/h are not allowed on infinite "
-                          "branches", key=where)
+        raise ConfigError(
+            f"'{where}': tau/h are not allowed on infinite branches")
     return LineProfile.direct(evaluator, support_end, A0, A0prime)
 
 
@@ -132,25 +124,24 @@ def load_network(path) -> tuple[StarNetwork, dict]:
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(
-            f"'schema_version': expected {SCHEMA_VERSION}, got {version!r}",
-            key="schema_version")
+            f"'schema_version': expected {SCHEMA_VERSION}, got {version!r}")
     branches = _require(doc, "branches", list, "$")
     if not branches:
-        raise ConfigError("'branches' must not be empty", key="branches")
+        raise ConfigError("'branches' must not be empty")
 
     base = path.parent
     pairs = []
     for i, bspec in enumerate(branches):
         where = f"branches[{i}]"
         if not isinstance(bspec, dict):
-            raise ConfigError(f"'{where}' must be an object", key=where)
+            raise ConfigError(f"'{where}' must be an object")
         kind = _require(bspec, "kind", str, where)
         if kind not in ("infinite", "finite"):
-            raise ConfigError(f"'{where}.kind' must be 'infinite' or "
-                              "'finite'", key=f"{where}.kind")
+            raise ConfigError(
+                f"'{where}.kind' must be 'infinite' or 'finite'")
         if ("profile" in bspec) == ("direct" in bspec):
-            raise ConfigError(f"'{where}' needs exactly one of 'profile' "
-                              "or 'direct'", key=where)
+            raise ConfigError(
+                f"'{where}' needs exactly one of 'profile' or 'direct'")
         try:
             if "profile" in bspec:
                 prof = _profile_from_spec(bspec["profile"], kind, base,
@@ -161,11 +152,11 @@ def load_network(path) -> tuple[StarNetwork, dict]:
         except ConfigError:
             raise
         except StarScatterError as exc:
-            raise ConfigError(f"'{where}': {exc}", key=where) from exc
+            raise ConfigError(f"'{where}': {exc}") from exc
         pairs.append((kind, prof))
 
     try:
         net = network_from_profiles(pairs)
     except StarScatterError as exc:
-        raise ConfigError(f"'branches': {exc}", key="branches") from exc
+        raise ConfigError(f"'branches': {exc}") from exc
     return net, doc

@@ -43,11 +43,4 @@ class InsufficientDataError(StarScatterError):
 
 
 class ConfigError(StarScatterError):
-    """A network configuration file failed to parse or validate.
-
-    ``key`` names the offending JSON field when known.
-    """
-
-    def __init__(self, message, key=None):
-        super().__init__(message)
-        self.key = key
+    """A network configuration file failed to parse or validate."""

@@ -14,6 +14,7 @@ recovery is insensitive to the printed-vs-chain-rule sign convention.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,14 +26,9 @@ M_GUARD = 0.1  # drop samples with |1 + R1| below this (near the pole of 1/(1+R1
 MIN_SAMPLES = 10
 
 
-@dataclass(frozen=True)
-class ReflectogramSample:
-    k: float
-    R1: complex
-
-    def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError("k must be positive")
+# One reflectogram row.  A list of these is a sequence of (k, R1) pairs,
+# which numpy reads exactly as it reads an [n, 2] array of rows.
+ReflectogramSample = namedtuple("ReflectogramSample", "k R1")
 
 
 @dataclass(eq=False)
@@ -59,46 +55,54 @@ def high_freq_reflection(m: int, taus, k: float) -> complex:
     return (-(m - 2) + 1j * S) / (m - 1j * S)
 
 
+def _rows(samples) -> np.ndarray:
+    """The samples, an [n, 2] array or a sequence of (k, R1) pairs (n may
+    be 0), as one complex [n, 2] array; ValueError on any other shape or
+    on a row with k <= 0.  NaN rows stay, so the k grid stays whole."""
+    rows = np.asarray(samples, dtype=complex)
+    if rows.shape == (0,):
+        rows = rows.reshape(0, 2)
+    if rows.ndim != 2 or rows.shape[1] != 2:
+        raise ValueError("samples must be (k, R1) rows")
+    if not np.all(rows[:, 0].real > 0):
+        raise ValueError("k must be positive")
+    return rows
+
+
 def estimate_m(samples) -> tuple[int, dict]:
     """Median-based recovery of the infinite-branch count.
 
-    Samples too close to the pole of 1/(1+R1) are excluded; the median (not
-    the mean) keeps the remaining near-pole samples from biasing the count.
+    Samples too close to the pole of 1/(1+R1), and NaN rows, are excluded;
+    the median (not the mean) keeps the remaining near-pole samples from
+    biasing the count.
     """
-    vals = []
-    for s in samples:
-        if abs(1.0 + s.R1) > M_GUARD:
-            vals.append(2.0 * (1.0 / (1.0 + s.R1)).real)
-    if len(vals) < MIN_SAMPLES:
+    z = 1.0 + _rows(samples)[:, 1]
+    vals = 2.0 * (1.0 / z[np.abs(z) > M_GUARD]).real
+    if vals.size < MIN_SAMPLES:
         raise InsufficientDataError(
-            f"only {len(vals)} usable samples (need {MIN_SAMPLES})")
+            f"only {vals.size} usable samples (need {MIN_SAMPLES})")
     med = float(np.median(vals))
-    mad = float(np.median(np.abs(np.array(vals) - med)))
+    mad = float(np.median(np.abs(vals - med)))
     return int(round(med)), {"median": med, "abs_deviation": mad,
-                             "retained": len(vals)}
-
-
-def _pole_indicator(samples):
-    k = np.array([s.k for s in samples])
-    g = np.array([2.0 * (1.0 / (1.0 + s.R1)).imag for s in samples])
-    return k, g
+                             "retained": vals.size}
 
 
 def detect_poles(samples):
     """Pole candidates of g(k) = 2 Im(1/(1+R1)).
 
-    A candidate is an adjacent sample pair with |g| above POLE_THRESHOLD on
-    both sides and a sign flip; its position is the zero of the linear
-    interpolation of 1/g between the bracketing samples.
+    A candidate is an adjacent sample pair with finite |g| above
+    POLE_THRESHOLD on both sides and a sign flip; its position is the zero
+    of the linear interpolation of 1/g between the bracketing samples.
     """
-    k, g = _pole_indicator(samples)
-    poles = []
-    for i in range(k.size - 1):
-        if abs(g[i]) > POLE_THRESHOLD and abs(g[i + 1]) > POLE_THRESHOLD \
-                and (g[i] > 0) != (g[i + 1] > 0):
-            f0, f1 = 1.0 / g[i], 1.0 / g[i + 1]
-            poles.append(float(k[i] - f0 * (k[i + 1] - k[i]) / (f1 - f0)))
-    return poles
+    rows = _rows(samples)
+    k = rows[:, 0].real
+    with np.errstate(divide="ignore", invalid="ignore"):  # R1 = -1 or NaN
+        g = 2.0 * (1.0 / (1.0 + rows[:, 1])).imag
+    big = np.isfinite(g) & (np.abs(g) > POLE_THRESHOLD)
+    up = g > 0
+    i = np.flatnonzero(big[:-1] & big[1:] & (up[:-1] != up[1:]))
+    f0, f1 = 1.0 / g[i], 1.0 / g[i + 1]
+    return (k[i] - f0 * (k[i + 1] - k[i]) / (f1 - f0)).tolist()
 
 
 def _fit_family(poles, spacing, tol):
@@ -128,7 +132,8 @@ def estimate_taus(samples, expected_max_n: int = 8) -> InversionReport:
     """
     if expected_max_n < 1:
         raise ValueError("expected_max_n must be at least 1")
-    ks = np.array([s.k for s in samples])
+    rows = _rows(samples)
+    ks = rows[:, 0].real
     if ks.size < 2:
         raise InsufficientDataError("need at least two samples")
     dks = np.diff(ks)
@@ -136,8 +141,8 @@ def estimate_taus(samples, expected_max_n: int = 8) -> InversionReport:
     if np.max(np.abs(dks - dk)) > 0.05 * dk:
         raise InsufficientDataError("samples must sit on a uniform k grid")
 
-    m_hat, m_diag = estimate_m(samples)
-    poles = detect_poles(samples)
+    m_hat, m_diag = estimate_m(rows)
+    poles = detect_poles(rows)
     warnings = []
     if not poles:
         warnings.append("no poles detected; n=0 network or grid too coarse")

@@ -115,14 +115,9 @@ def jost_batch(V: PotentialFn, k, with_ab: bool = False):
     if np.any(k == 0):
         raise SingularFrequencyError("Jost data is singular at k = 0")
     X = V.truncation
-    if X == 0.0:
-        one = np.ones_like(k, dtype=complex)
-        zero = np.zeros_like(k, dtype=complex)
-        if with_ab:
-            return one, 1j * k, one.copy(), zero, X
-        return one, 1j * k, X
     # one pass over [0, X]: ftilde(X) = M (1, -ik), f(0) = M^-1 f(X), where
-    # M^-1 = [[m22, -m12], [-m21, m11]] because det M = 1
+    # M^-1 = [[m22, -m12], [-m21, m11]] because det M = 1; on V = 0, X = 0
+    # and M is the identity
     m11, m12, m21, m22 = propagate.transfer_matrix(V, 0.0, X, k)
     ik = 1j * k
     eikX = np.exp(ik * X)

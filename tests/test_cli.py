@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from starscatter import cli, fundamental, scattering
+from starscatter import cli, fundamental, inversion, scattering
 from starscatter.line_model import PotentialFn
 from starscatter.errors import ResonanceError
 
@@ -43,6 +43,21 @@ def write_zero_csv(tmp_path):
     csv = tmp_path / "zeros.csv"
     csv.write_text("k,re_R1,im_R1,abs_R1\n"
                    + "".join(f"{60 + 0.01 * i},0,0,0\n" for i in range(100)))
+    return csv
+
+
+def write_closed_form_csv(tmp_path, nan_row=None, name="closed.csv"):
+    """A reflectogram CSV of the closed form for m = 2, taus (1.0, 1.7) on
+    k in [60, 100), with row `nan_row` written as forward writes a singular
+    frequency."""
+    ks = np.arange(60.0, 100.0, 0.005)
+    S = np.tan(ks) + np.tan(1.7 * ks)
+    r1 = 1j * S / (2.0 - 1j * S)
+    rows = [f"{k!r},NaN,NaN,NaN" if i == nan_row
+            else f"{k!r},{r.real!r},{r.imag!r},{abs(r)!r}"
+            for i, (k, r) in enumerate(zip(ks.tolist(), r1.tolist()))]
+    csv = tmp_path / name
+    csv.write_text("k,re_R1,im_R1,abs_R1\n" + "\n".join(rows) + "\n")
     return csv
 
 
@@ -305,13 +320,37 @@ class TestInvert:
         assert "--max-n" in capsys.readouterr().err
 
     def test_nan_rows_skipped(self, tmp_path):
+        # the reader keeps a NaN row, so the grid stays whole; the
+        # inversion then skips it
         csv = tmp_path / "gaps.csv"
         rows = ["k,re_R1,im_R1,abs_R1"]
         for i, k in enumerate(np.arange(60.0, 61.0, 0.01)):
             rows.append(f"{k},NaN,NaN,NaN" if i == 3 else f"{k},0,0,0")
         csv.write_text("\n".join(rows) + "\n")
         samples = cli.read_reflectogram_csv(str(csv))
-        assert len(samples) == 99
+        assert isinstance(samples, np.ndarray)
+        assert samples.shape == (100, 2)
+        assert np.flatnonzero(np.isnan(samples[:, 1])).tolist() == [3]
+        assert inversion.estimate_taus(samples).m_samples_used == 99
+
+    def test_nan_row_inverts_like_full_file(self, tmp_path):
+        full, gapped = tmp_path / "full.json", tmp_path / "gapped.json"
+        for nan_row, out in ((None, full), (4000, gapped)):
+            csv = write_closed_form_csv(tmp_path, nan_row)
+            assert cli.main(["invert", "--csv", str(csv),
+                             "--out", str(out)]) == 0
+        a, b = json.loads(full.read_text()), json.loads(gapped.read_text())
+        assert b["m_hat"] == a["m_hat"] == 2
+        assert len(b["taus"]) == len(a["taus"]) == 2
+        assert b["taus"] == pytest.approx(a["taus"], rel=1e-6)
+
+    def test_builds_no_object_per_row(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("invert built a ReflectogramSample")
+
+        monkeypatch.setattr(inversion, "ReflectogramSample", refuse)
+        csv = write_closed_form_csv(tmp_path)
+        assert cli.main(["invert", "--csv", str(csv)]) == 0
 
     def test_unwritable_out(self, tmp_path, capsys):
         csv = write_zero_csv(tmp_path)

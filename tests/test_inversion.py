@@ -13,13 +13,24 @@ from starscatter.scattering import reflectogram
 from conftest import direct_network, sin2_bump
 
 
-def synth_samples(m, taus, ks):
-    """Closed-form reflectogram on a k grid, without the pole guard."""
+def synth_rows(m, taus, ks):
+    """Closed-form reflectogram on a k grid, without the pole guard, as an
+    [n, 2] array of (k, R1) rows."""
     S = np.zeros_like(ks)
     for tau in taus:
         S = S + np.tan(ks * tau)
-    R1 = (-(m - 2) + 1j * S) / (m - 1j * S)
-    return [ReflectogramSample(float(k), complex(r)) for k, r in zip(ks, R1)]
+    return np.column_stack([ks, (-(m - 2) + 1j * S) / (m - 1j * S)])
+
+
+def synth_samples(m, taus, ks):
+    """The same rows as a list of ReflectogramSample."""
+    return [ReflectogramSample(float(k.real), complex(r))
+            for k, r in synth_rows(m, taus, ks)]
+
+
+def in_form(m, taus, ks, form):
+    return synth_rows(m, taus, ks) if form == "array" \
+        else synth_samples(m, taus, ks)
 
 
 class TestClosedForm:
@@ -95,13 +106,18 @@ class TestEstimateTaus:
             frac = p / math.pi - 0.5
             assert abs(frac - round(frac)) < 1e-3
 
-    def test_two_taus(self):
+    @pytest.mark.parametrize("form", ["list", "array"])
+    def test_two_taus(self, form):
         ks = np.arange(60.0, 160.0, 0.005)
-        report = estimate_taus(synth_samples(2, [1.0, 1.7], ks))
+        report = estimate_taus(in_form(2, [1.0, 1.7], ks, form))
         assert report.m_hat == 2
         assert len(report.taus) == 2
         assert abs(report.taus[0] - 1.0) < 0.01
         assert abs(report.taus[1] - 1.7) < 0.017
+        # rows reach the inversion as the same floats in either form
+        listed = estimate_taus(synth_samples(2, [1.0, 1.7], ks))
+        assert report.taus == listed.taus
+        assert report.poles == listed.poles
 
     def test_forward_solver_data(self):
         net = direct_network([(sin2_bump(0.4, 0.8), 0.8)],
@@ -116,15 +132,21 @@ class TestEstimateTaus:
         assert len(report.taus) == 1
         assert abs(report.taus[0] - 1.2) / 1.2 < 0.01
 
-    def test_sign_robustness(self):
+    @pytest.mark.parametrize("form", ["list", "array"])
+    def test_sign_robustness(self, form):
         ks = np.arange(60.0, 160.0, 0.005)
-        plus = estimate_taus(synth_samples(2, [1.0, 1.7], ks))
-        flipped = [ReflectogramSample(s.k, s.R1.conjugate())
-                   for s in synth_samples(2, [1.0, 1.7], ks)]
+        plus = estimate_taus(in_form(2, [1.0, 1.7], ks, form))
+        if form == "array":
+            flipped = synth_rows(2, [1.0, 1.7], ks).conj()
+        else:
+            flipped = [ReflectogramSample(s.k, s.R1.conjugate())
+                       for s in synth_samples(2, [1.0, 1.7], ks)]
         minus = estimate_taus(flipped)
         assert len(plus.taus) == len(minus.taus)
         for a, b in zip(plus.taus, minus.taus):
             assert abs(a - b) < 1e-9
+        assert minus.poles == estimate_taus(
+            synth_rows(2, [1.0, 1.7], ks).conj()).poles
 
     def test_no_poles_warning(self):
         ks = np.arange(60.0, 70.0, 0.01)
@@ -139,6 +161,24 @@ class TestEstimateTaus:
         with pytest.raises(ValueError):
             estimate_taus(samples, expected_max_n=max_n)
 
+    @pytest.mark.parametrize("form", ["list", "array"])
+    def test_nonpositive_k_rejected(self, form):
+        ks = np.arange(60.0, 70.0, 0.01)
+        ks[5] = 0.0
+        with pytest.raises(ValueError, match="k must be positive"):
+            estimate_taus(in_form(2, [1.0], ks, form))
+
+    @pytest.mark.parametrize("bad", [np.zeros((5, 3)), np.ones(4),
+                                     [(60.0, 0.0, 0.0)] * 4])
+    def test_rows_must_be_pairs(self, bad):
+        with pytest.raises(ValueError, match="rows"):
+            estimate_taus(bad)
+
+    @pytest.mark.parametrize("empty", [[], np.zeros((0, 2))])
+    def test_empty_input_is_too_few_samples(self, empty):
+        with pytest.raises(InsufficientDataError):
+            estimate_taus(empty)
+
     def test_nonuniform_grid_rejected(self):
         samples = synth_samples(2, [1.0], np.array([60.0, 60.01, 60.5, 61.7]))
         with pytest.raises(InsufficientDataError):
@@ -151,7 +191,34 @@ class TestEstimateTaus:
         assert any(abs(t - 1.0) < 0.02 for t in report.taus)
 
 
+def loop_reference(samples):
+    """Per-sample loops of estimate_m's median and detect_poles, in Python
+    complex arithmetic, as the array code replaced them."""
+    vals = [2.0 * (1.0 / (1.0 + s.R1)).real for s in samples
+            if abs(1.0 + s.R1) > 0.1]
+    g = [2.0 * (1.0 / (1.0 + s.R1)).imag for s in samples]
+    poles = []
+    for i in range(len(samples) - 1):
+        if abs(g[i]) > 10.0 and abs(g[i + 1]) > 10.0 \
+                and (g[i] > 0) != (g[i + 1] > 0):
+            k0, k1 = samples[i].k, samples[i + 1].k
+            f0, f1 = 1.0 / g[i], 1.0 / g[i + 1]
+            poles.append(k0 - f0 * (k1 - k0) / (f1 - f0))
+    return float(np.median(vals)), len(vals), poles
+
+
 class TestDetectPoles:
+    def test_matches_loop_reference(self):
+        # numpy's complex division may round the last bit apart from
+        # Python's, so agreement is to a few ulps, not exact
+        samples = synth_samples(3, [1.0, 1.7], np.arange(60.0, 90.0, 0.005))
+        median, retained, poles = loop_reference(samples)
+        _, diag = estimate_m(samples)
+        assert diag["median"] == pytest.approx(median, rel=1e-12)
+        assert diag["retained"] == retained
+        assert detect_poles(samples) == pytest.approx(poles, rel=1e-12)
+        assert len(poles) > 20
+
     def test_sign_flip_required(self):
         # large |g| without a sign change is not a pole
         ks = np.arange(50.0, 51.0, 0.01)

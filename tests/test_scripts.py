@@ -1,9 +1,12 @@
-"""The demo scripts run end to end on a tiny frequency grid, and the
-benchmark's self-test passes against this checkout."""
+"""The demo scripts run end to end on a tiny frequency grid, the README's
+library example runs, and the benchmark's self-test passes against this
+checkout."""
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -36,6 +39,17 @@ def test_invert_demo(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "forward sweep: 40 frequencies" in proc.stdout
     assert "recovered: m = " in proc.stdout
+
+
+def test_readme_library_example():
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(compile(code, "README.md", "exec"), scope)
+    report = scope["report"]
+    assert report.m_hat == 2
+    assert report.taus == pytest.approx([1.0, 1.7], rel=0.01)
 
 
 def test_oracle_convergence(tmp_path):
