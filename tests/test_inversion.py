@@ -106,10 +106,17 @@ class TestEstimateTaus:
             frac = p / math.pi - 0.5
             assert abs(frac - round(frac)) < 1e-3
 
-    @pytest.mark.parametrize("form", ["list", "array"])
-    def test_two_taus(self, form):
+    def test_two_taus(self):
         ks = np.arange(60.0, 160.0, 0.005)
-        report = estimate_taus(in_form(2, [1.0, 1.7], ks, form))
+        report = estimate_taus(synth_samples(2, [1.0, 1.7], ks))
+        assert report.m_hat == 2
+        assert len(report.taus) == 2
+        assert abs(report.taus[0] - 1.0) < 0.01
+        assert abs(report.taus[1] - 1.7) < 0.017
+
+    def test_two_taus_array_input(self):
+        ks = np.arange(60.0, 160.0, 0.005)
+        report = estimate_taus(synth_rows(2, [1.0, 1.7], ks))
         assert report.m_hat == 2
         assert len(report.taus) == 2
         assert abs(report.taus[0] - 1.0) < 0.01
@@ -132,21 +139,25 @@ class TestEstimateTaus:
         assert len(report.taus) == 1
         assert abs(report.taus[0] - 1.2) / 1.2 < 0.01
 
-    @pytest.mark.parametrize("form", ["list", "array"])
-    def test_sign_robustness(self, form):
+    def test_sign_robustness(self):
         ks = np.arange(60.0, 160.0, 0.005)
-        plus = estimate_taus(in_form(2, [1.0, 1.7], ks, form))
-        if form == "array":
-            flipped = synth_rows(2, [1.0, 1.7], ks).conj()
-        else:
-            flipped = [ReflectogramSample(s.k, s.R1.conjugate())
-                       for s in synth_samples(2, [1.0, 1.7], ks)]
+        plus = estimate_taus(synth_samples(2, [1.0, 1.7], ks))
+        flipped = [ReflectogramSample(s.k, s.R1.conjugate())
+                   for s in synth_samples(2, [1.0, 1.7], ks)]
         minus = estimate_taus(flipped)
         assert len(plus.taus) == len(minus.taus)
         for a, b in zip(plus.taus, minus.taus):
             assert abs(a - b) < 1e-9
         assert minus.poles == estimate_taus(
             synth_rows(2, [1.0, 1.7], ks).conj()).poles
+
+    def test_sign_robustness_array_input(self):
+        ks = np.arange(60.0, 160.0, 0.005)
+        plus = estimate_taus(synth_rows(2, [1.0, 1.7], ks))
+        minus = estimate_taus(synth_rows(2, [1.0, 1.7], ks).conj())
+        assert len(plus.taus) == len(minus.taus)
+        for a, b in zip(plus.taus, minus.taus):
+            assert abs(a - b) < 1e-9
 
     def test_no_poles_warning(self):
         ks = np.arange(60.0, 70.0, 0.01)
