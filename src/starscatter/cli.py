@@ -60,14 +60,21 @@ def cmd_forward(args) -> int:
                 header += [f"re_T{j}", f"im_T{j}"]
             row_fmt = ",".join(["%.12g"] * len(header)) + "\n"
             nan_fmt = "%.12g" + ",NaN" * (len(header) - 1) + "\n"
-            t_parts = np.empty((len(sweep), 2 * (m - 1)))
-            t_parts[:, 0::2], t_parts[:, 1::2] = sweep.T.real, sweep.T.imag
+            table = np.empty((len(sweep), len(header)))
+            table[:, 0], table[:, 1], table[:, 2] = (sweep.k, sweep.R1.real,
+                                                     sweep.R1.imag)
+            # np.hypot is Python's abs(complex) to the bit; np.abs is not
+            table[:, 3] = np.hypot(sweep.R1.real, sweep.R1.imag)
+            table[:, 4::2], table[:, 5::2] = sweep.T.real, sweep.T.imag
             fh.write(",".join(header) + "\n")
-            for k, r, ts, bad in zip(sweep.k.tolist(), sweep.R1.tolist(),
-                                     t_parts.tolist(), resonant.tolist()):
-                # Python's abs(r), not np.abs: the two differ in the last bit
-                fh.write(nan_fmt % k if bad
-                         else row_fmt % (k, r.real, r.imag, abs(r), *ts))
+            # one %-format per stretch of rows between two resonant rows
+            lo = 0
+            for hi in [*np.flatnonzero(resonant).tolist(), len(sweep)]:
+                fh.write((row_fmt * (hi - lo))
+                         % tuple(table[lo:hi].ravel().tolist()))
+                if hi < len(sweep):
+                    fh.write(nan_fmt % sweep.k[hi])
+                lo = hi + 1
     except BaseException:
         # leave no partial CSV; a path that existed may be a device: keep it
         if created:

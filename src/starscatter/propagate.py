@@ -32,6 +32,16 @@ interpolant is checked against the direct product at a few off-node grid
 k; an error above CHECK_TOL of an entry's largest value sends the whole
 grid to the direct product.  A short grid or a branch of few cells takes
 the direct product, at (cells) x (number of frequencies).
+
+Both loops are blocked array operations of at most BLOCK elements a block,
+so memory stays O(BLOCK + number of frequencies).  The cell product takes
+the cells a power of two at a time, as many as BLOCK allows at the grid's
+size: one vectorized call gives a block's cell matrices, a pairwise (tree)
+product of log2(cells) levels reduces them, and the result is folded into
+the running product.  A long grid thus takes a block of one or two cells,
+and the nodes a few hundred.  The interpolant is one matrix product per
+block of grid points: the node values times the block's [nodes, points]
+barycentric weights.
 """
 from __future__ import annotations
 
@@ -44,6 +54,7 @@ DX_MAX = 2e-3
 NODE_MARGIN = 60  # Chebyshev nodes beyond |length| (k_max - k_min) / 2
 N_CHECKS = 5  # off-node grid k where the interpolant is checked
 CHECK_TOL = 1e-12  # largest check error, relative to the entry's largest value
+BLOCK = 1 << 16  # elements per block of the blocked array operations
 
 
 def step_count(length: float, k_max: float) -> int:
@@ -55,8 +66,9 @@ def step_count(length: float, k_max: float) -> int:
     return max(int(math.ceil(length / dx)), 1)
 
 
-def _step_factors(s: np.ndarray, dx: float):
-    """(c, sl) with c = cos(q dx), sl = sin(q dx)/q for s = q^2 of any sign."""
+def _step_factors(s: np.ndarray, dx):
+    """(c, sl) with c = cos(q dx), sl = sin(q dx)/q for s = q^2 of any sign;
+    dx broadcasts against s."""
     small = np.abs(s) * dx * dx < 1e-14
     if np.all(s > 0):
         q = np.sqrt(s)
@@ -76,18 +88,49 @@ def _step_factors(s: np.ndarray, dx: float):
     return c, sl
 
 
+_EYE = (1.0, 0.0, 0.0, 1.0)
+
+
+def _times(b, a):
+    """The 2x2 product b @ a of matrices given as (m11, m12, m21, m22)
+    tuples of arrays that broadcast together."""
+    b11, b12, b21, b22 = b
+    a11, a12, a21, a22 = a
+    return (b11 * a11 + b12 * a21, b11 * a12 + b12 * a22,
+            b21 * a11 + b22 * a21, b21 * a12 + b22 * a22)
+
+
+def _block_product(s: np.ndarray, dx: np.ndarray):
+    """Product of the [cells, nk] cell matrices of s = k^2 - V and widths
+    dx[cells, 1], by pairs (a tree), later cells on the left; an odd level
+    is padded with the identity.  Overwrites s, whose block is the largest
+    array here."""
+    c, sl = _step_factors(s, dx)
+    s *= sl
+    m = (c, sl, np.negative(s, out=s), c)  # -q sin(q dx)
+    while m[0].shape[0] > 1:
+        if m[0].shape[0] % 2:
+            m = tuple(np.concatenate([e, np.full_like(e[:1], i)])
+                      for e, i in zip(m, _EYE))
+        m = _times(tuple(e[1::2] for e in m), tuple(e[0::2] for e in m))
+    return tuple(e[0] for e in m)
+
+
 def _cell_product(k: np.ndarray, v_runs: np.ndarray, widths: np.ndarray):
-    """Product of the constant-V cell matrices (one per run) at each k."""
+    """Product of the constant-V cell matrices (one per run) at each k.
+
+    The runs are taken in blocks of at most BLOCK (run, k) elements, a power
+    of two runs each so that only the last block pads.  A block's cells cost
+    one _step_factors call and are reduced by pairs, and the block's product
+    is folded into the running one.  Memory stays O(BLOCK + len(k)).
+    """
     k2 = k * k
-    m11, m12 = np.ones_like(k2), np.zeros_like(k2)
-    m21, m22 = np.zeros_like(k2), np.ones_like(k2)
-    for v, w in zip(v_runs, widths):
-        s = k2 - v
-        c, sl = _step_factors(s, w)
-        qs = s * sl  # q sin(q dx): the cell's lower-left entry, negated
-        m11, m21 = c * m11 + sl * m21, c * m21 - qs * m11
-        m12, m22 = c * m12 + sl * m22, c * m22 - qs * m12
-    return m11, m12, m21, m22
+    total = _EYE
+    step = 1 << max(1, BLOCK // k.size).bit_length() - 1
+    for lo in range(0, v_runs.size, step):
+        total = _times(_block_product(k2 - v_runs[lo:lo + step, None],
+                                      widths[lo:lo + step, None]), total)
+    return total
 
 
 def _chebyshev_nodes(k_min: float, k_max: float, n: int):
@@ -106,28 +149,25 @@ def _barycentric(k: np.ndarray, nodes: np.ndarray, weights: np.ndarray,
     """Evaluate the interpolants through (nodes, values[e]) at k, for
     ascending nodes.
 
-    Sums node by node so memory stays O(len(k)); a k equal to a node gets
-    that node's value.
+    Takes k in blocks of BLOCK // len(nodes) points.  With a block's
+    [nodes, points] matrix d = weights / (k - nodes), one product F @ d
+    gives every numerator and, from F's last row of ones, the denominator,
+    where F stacks the values.  Memory stays O(BLOCK + len(k)); a k equal
+    to a node gets that node's value.
     """
-    num = [np.zeros_like(k) for _ in values]
-    den = np.zeros_like(k)
-    d = np.empty_like(k)
-    term = np.empty_like(k)
+    F = np.vstack([*values, np.ones_like(nodes)])
+    out = np.empty((len(values), k.size))
+    step = max(1, BLOCK // nodes.size)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for j, (kj, wj) in enumerate(zip(nodes, weights)):
-            np.subtract(k, kj, out=d)
-            np.divide(wj, d, out=d)
-            den += d
-            for acc, f in zip(num, values):
-                np.multiply(d, f[j], out=term)
-                acc += term
-        for acc in num:
-            acc /= den
+        for lo in range(0, k.size, step):
+            d = k[lo:lo + step] - nodes[:, None]
+            np.divide(weights[:, None], d, out=d)
+            num = F @ d
+            out[:, lo:lo + step] = num[:-1] / num[-1]
     pos = np.minimum(np.searchsorted(nodes, k), nodes.size - 1)
     hit = nodes[pos] == k
-    for acc, f in zip(num, values):
-        acc[hit] = f[pos[hit]]
-    return num
+    out[:, hit] = F[:-1, pos[hit]]
+    return list(out)
 
 
 def transfer_matrix(potential, x_from: float, x_to: float, k: np.ndarray):

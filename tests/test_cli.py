@@ -216,6 +216,43 @@ class TestForward:
         with pytest.raises(ResonanceError):
             scattering.solve_scattering(net, 5.5)
 
+    @staticmethod
+    def per_row_csv(sweep):
+        """The reference CSV of a sweep, written one row at a time."""
+        m = sweep.T.shape[1] + 1
+        header = ["k", "re_R1", "im_R1", "abs_R1"]
+        for j in range(2, m + 1):
+            header += [f"re_T{j}", f"im_T{j}"]
+        lines = [",".join(header)]
+        for k, r, ts, bad in zip(sweep.k.tolist(), sweep.R1.tolist(),
+                                 sweep.T.tolist(), sweep.resonant.tolist()):
+            if bad:
+                lines.append(cli._fmt(k) + ",NaN" * (len(header) - 1))
+                continue
+            fields = [k, r.real, r.imag, abs(r)]
+            for t in ts:
+                fields += [t.real, t.imag]
+            lines.append(",".join(cli._fmt(x) for x in fields))
+        return ("\n".join(lines) + "\n").encode()
+
+    def test_csv_matches_the_per_row_writer(self, tmp_path, monkeypatch):
+        grid = 5.0 + 0.25 * np.arange(13)
+        argv = ["--kmin", "5", "--kmax", "8", "--dk", "0.25"]
+        # fake_singular_stub needs two V = 0 lines and one stub
+        for m, stubs, singular in ((3, [1.0, 0.7], []),
+                                   (2, [1.0], [5.0, 6.5])):
+            cfg = write_config(tmp_path, uniform_config(m, stubs))
+            net, _ = cli.load_network(cfg)
+            if singular:
+                fake_singular_stub(
+                    monkeypatch, lambda k: np.isin(np.round(k, 9), singular))
+            out = tmp_path / "o.csv"
+            assert cli.main(["forward", "--config", cfg, *argv,
+                             "--out", str(out)]) == 0
+            sweep = scattering.reflectogram(net, grid)
+            assert sweep.resonant.sum() == len(singular)
+            assert out.read_bytes() == self.per_row_csv(sweep)
+
     def test_ill_conditioned_node_warning(self, tmp_path, capsys):
         # two equal unit stubs carry an embedded eigenvalue at k = 3 pi / 2
         cfg = write_config(tmp_path, uniform_config(2, [1.0, 1.0]))

@@ -1,5 +1,5 @@
-"""The transfer-matrix kernel: merged constant runs, Chebyshev-node
-interpolation, closed forms, cost.
+"""The transfer-matrix kernel: merged constant runs, the blocked pairwise
+cell product, Chebyshev-node interpolation, closed forms, cost.
 
 The reference for the merged kernel is a plain per-cell product written
 here with complex square roots, so it shares no code with the kernel.  The
@@ -12,10 +12,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from starscatter import config, jost, propagate
+from starscatter import config, jost, propagate, scattering
 from starscatter.line_model import LineProfile, potential_from_profile
 
-from conftest import sin2_bump, write_sin2_table
+from conftest import direct_network, sin2_bump, write_sin2_table
 
 KS = np.linspace(60.0, 160.0, 11)
 FINE = 60.0 + 0.005 * np.arange(20001)  # the benchmark's grid
@@ -27,6 +27,23 @@ def plateau_bump(x):
     bump = 3.0 * np.sin(np.pi * (x - 0.7) / 0.5) ** 2
     return np.select([x < 0.3, x < 0.7, x < 1.2, x < 1.5],
                      [0.0, 1.5, bump, -0.8], 0.0)
+
+
+def barrier_bump(x):
+    """plateau_bump plus a 4000 sin^2 barrier on [1.6, 1.67]: k^2 < V on
+    eight cells at k = 60, and 295 runs, 7 past a multiple of 8."""
+    x = np.asarray(x, dtype=float)
+    inside = (x > 1.6) & (x < 1.67)
+    return plateau_bump(x) + np.where(
+        inside, 4000.0 * np.sin(np.pi * (x - 1.6) / 0.07) ** 2, 0.0)
+
+
+def run_count(potential, x_from, x_to, k):
+    """Merged constant-V runs of transfer_matrix's partition."""
+    n = propagate.step_count(abs(x_to - x_from), float(np.max(k)))
+    dx = (x_to - x_from) / n
+    v = potential(x_from + (np.arange(n) + 0.5) * dx)
+    return 1 + int(np.count_nonzero(v[1:] != v[:-1]))
 
 
 def naive_matrix(potential, x_from, x_to, k):
@@ -65,6 +82,22 @@ def test_merged_kernel_matches_per_cell_product(x_from, x_to):
             assert rel_err(got[..., i, j], want[..., i, j]) < 1e-12
 
 
+@pytest.mark.parametrize("block", [None, 4 * KS.size, 8 * KS.size])
+@pytest.mark.parametrize("x_from, x_to", [(0.0, 2.0), (2.0, 0.0)])
+def test_pairwise_product_through_a_barrier(x_from, x_to, block,
+                                            monkeypatch):
+    # 295 runs: every block size leaves a last block with odd levels
+    if block is not None:
+        monkeypatch.setattr(propagate, "BLOCK", block)
+    got = as_array(propagate.transfer_matrix(barrier_bump, x_from, x_to, KS))
+    want = naive_matrix(barrier_bump, x_from, x_to, KS)
+    for i in range(2):
+        for j in range(2):
+            assert rel_err(got[..., i, j], want[..., i, j]) < 1e-12
+    det = got[..., 0, 0] * got[..., 1, 1] - got[..., 0, 1] * got[..., 1, 0]
+    assert np.max(np.abs(det - 1.0)) < 1e-12
+
+
 def test_backward_matrix_inverts_forward():
     fwd = as_array(propagate.transfer_matrix(plateau_bump, 0.0, 2.0, KS))
     bwd = as_array(propagate.transfer_matrix(plateau_bump, 2.0, 0.0, KS))
@@ -92,7 +125,8 @@ def test_constant_stub_matches_closed_form(profile, v):
 
 
 def count_step_factors(monkeypatch):
-    """Record the number of frequencies of each _step_factors call."""
+    """Record the (cell, frequency) evaluations of each _step_factors
+    call."""
     calls = []
     real = propagate._step_factors
 
@@ -136,7 +170,7 @@ def test_smooth_stub_costs_its_support_cells_plus_one(table_stub,
     for potential in (bump, reversed_bump):
         calls = count_step_factors(monkeypatch)
         propagate.sweep(potential, 0.0, tau, KS, 1.0, -0.12)
-        assert len(calls) == support_cells + 1
+        assert sum(calls) == (support_cells + 1) * KS.size
         monkeypatch.undo()
 
 
@@ -170,8 +204,12 @@ def test_interpolated_matches_direct(table_stub, monkeypatch):
         calls = count_step_factors(monkeypatch)
         got = propagate.transfer_matrix(potential, x_from, x_to, FINE)
         monkeypatch.undo()
-        # the cells were multiplied out on the nodes only
-        assert calls and max(calls) < FINE.size // 100
+        # the cells were multiplied out on the nodes and the checks only
+        n = (math.ceil(abs(x_to - x_from) * (FINE[-1] - FINE[0]) / 2)
+             + propagate.NODE_MARGIN)
+        runs = run_count(potential, x_from, x_to, FINE)
+        assert sum(calls) == runs * (n + 1 + propagate.N_CHECKS)
+        assert max(calls) <= propagate.BLOCK
         for g, w in zip(got, want):
             assert rel_err(g, w) <= 1e-12
         assert np.max(np.abs(got[0] * got[3] - got[1] * got[2] - 1)) <= 1e-12
@@ -208,3 +246,28 @@ def test_interpolation_memory_is_linear_in_the_grid():
     finally:
         tracemalloc.stop()
     assert peak < 20 * FINE.size * 8
+
+
+def test_direct_product_memory_is_linear_in_the_grid(monkeypatch):
+    # 258 runs on 20 001 k: blocks of cells, never all the cells at once
+    assert run_count(plateau_bump, 0.0, 2.0, FINE) > 200
+    direct_matrix(monkeypatch, plateau_bump, 0.0, 2.0, FINE)
+    tracemalloc.start()
+    try:
+        direct_matrix(monkeypatch, plateau_bump, 0.0, 2.0, FINE)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * FINE.size * 8
+
+
+def test_few_frequencies_cost_a_call_per_branch(table_stub, monkeypatch):
+    # validate's solve at k = 10, 17.3, 29 on a star of smooth table
+    # potentials: hundreds of cells per branch, one _step_factors call
+    net = direct_network([(table_stub, 0.6), (table_stub, 0.6)],
+                         [(table_stub, 0.6, 1.0, 0.12)])
+    calls = count_step_factors(monkeypatch)
+    sweep = scattering.solve_scattering_batch(net, [10.0, 17.3, 29.0])
+    assert not sweep.resonant.any()
+    assert 0 < len(calls) <= len(net.branches)
+    assert sum(calls) > 3 * 250 * len(net.branches)
