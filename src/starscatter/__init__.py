@@ -10,8 +10,8 @@ from .inversion import InversionReport, ReflectogramSample, estimate_m, \
     estimate_taus, high_freq_reflection
 from .jost import JostData, jost_at_origin
 from .line_model import BranchGeometry, LineProfile, PotentialFn, \
-    branch_geometry, liouville_coordinate, potential_from_profile, \
-    travel_time, voltage_from_field
+    branch_geometry, branch_model, liouville_coordinate, \
+    potential_from_profile, travel_time, voltage_from_field
 from .oracle import DiscreteGraphField, oracle_solve
 from .scattering import Branch, BranchKind, ScatteringCoefficients, \
     ScatteringSweep, StarNetwork, assemble_field, network_from_profiles, \
@@ -25,8 +25,9 @@ __all__ = [
     "LineProfile", "PotentialFn", "ReflectogramSample",
     "ScatteringCoefficients", "ScatteringSweep", "StarNetwork",
     "StarScatterError",
-    "assemble_field", "branch_geometry", "estimate_m", "estimate_taus",
-    "fundamental_at", "fundamental_via_kernel", "high_freq_reflection",
+    "assemble_field", "branch_geometry", "branch_model", "estimate_m",
+    "estimate_taus", "fundamental_at", "fundamental_via_kernel",
+    "high_freq_reflection",
     "jost_at_origin", "liouville_coordinate", "network_from_profiles",
     "oracle_solve", "potential_from_profile", "reflectogram",
     "solve_kernel", "solve_scattering", "travel_time", "voltage_from_field",

@@ -21,7 +21,9 @@ Schema (version 1):
 
 Table paths are resolved relative to the config file.  Potential tables are
 two-column (x, V) CSVs with a header and are interpolated with a cubic
-spline, zero outside the tabulated range.
+spline, zero outside the tabulated range.  Every number must be a finite
+JSON number: NaN, Infinity and the booleans are rejected, as is a missing
+required key or a value of the wrong type.
 """
 from __future__ import annotations
 
@@ -30,24 +32,39 @@ import math
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError, StarScatterError
 from .line_model import LineProfile, TablePotential, read_table_csv
 from .scattering import StarNetwork, network_from_profiles
 
 SCHEMA_VERSION = 1
+_JSON_TYPES = {float: "number", str: "string", list: "array", dict: "object"}
+_NO_DEFAULT = object()
 
 
-def _require(obj, key, typ, where):
+def _require(obj, key, typ, where, default=_NO_DEFAULT):
+    """obj[key] as a typ, or ``default`` when an optional key is absent.
+
+    A number must be a finite JSON number: bools (which Python counts as
+    ints) and the NaN and Infinity literals that ``json`` parses are
+    rejected.
+    """
     if key not in obj:
-        raise ConfigError(f"missing required key '{where}.{key}'")
+        if default is _NO_DEFAULT:
+            raise ConfigError(f"missing required key '{where}.{key}'")
+        return default
     val = obj[key]
-    if typ is float and isinstance(val, int):
-        val = float(val)
-    if not isinstance(val, typ):
-        raise ConfigError(
-            f"'{where}.{key}' has wrong type (expected {typ.__name__})")
+    wanted = (int, float) if typ is float else typ
+    if not isinstance(val, wanted) or isinstance(val, bool):
+        raise ConfigError(f"'{where}.{key}' has wrong type "
+                          f"(expected {_JSON_TYPES[typ]})")
+    if typ is float:
+        try:
+            val = float(val)
+        except OverflowError:  # an integer literal past the float range
+            val = math.inf
+        if not math.isfinite(val):
+            raise ConfigError(f"'{where}.{key}' must be a finite number")
     return val
 
 
@@ -60,7 +77,7 @@ def _spline_potential(path: Path, where: str):
         raise ConfigError(f"'{where}': potential table needs >= 4 rows")
     if not np.all(np.diff(x) > 0):
         raise ConfigError(f"'{where}': x column must be strictly increasing")
-    return TablePotential(CubicSpline(x, v), x[0], x[-1]), float(x[-1])
+    return TablePotential(x, v), float(x[-1])
 
 
 def _profile_from_spec(spec: dict, kind: str, base: Path,
@@ -79,8 +96,8 @@ def _profile_from_spec(spec: dict, kind: str, base: Path,
         return LineProfile.exponential_taper(
             _require(spec, "gamma", float, where),
             _require(spec, "length", float, where),
-            slowness=float(spec.get("slowness", 1.0)),
-            scale=float(spec.get("scale", 1.0)))
+            slowness=_require(spec, "slowness", float, where, 1.0),
+            scale=_require(spec, "scale", float, where, 1.0))
     if family == "sampled_table":
         lp = base / _require(spec, "inductance_table_path", str, where)
         cp = base / _require(spec, "capacitance_table_path", str, where)
@@ -95,12 +112,12 @@ def _direct_from_spec(spec: dict, kind: str, base: Path,
                       where: str) -> LineProfile:
     path = base / _require(spec, "potential_table_path", str, where)
     evaluator, table_end = _spline_potential(path, f"{where}.potential_table_path")
-    support_end = float(spec.get("support_end", table_end))
-    A0 = float(spec.get("A0", 1.0))
-    A0prime = float(spec.get("A0prime", 0.0))
+    support_end = _require(spec, "support_end", float, where, table_end)
+    A0 = _require(spec, "A0", float, where, 1.0)
+    A0prime = _require(spec, "A0prime", float, where, 0.0)
     if kind == "finite":
         tau = _require(spec, "tau", float, where)
-        h = float(spec.get("h", 0.0))
+        h = _require(spec, "h", float, where, 0.0)
         return LineProfile.direct(evaluator, support_end, A0, A0prime,
                                   tau=tau, h=h)
     if "tau" in spec or "h" in spec:
@@ -122,7 +139,7 @@ def load_network(path) -> tuple[StarNetwork, dict]:
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
         raise ConfigError(
             f"'schema_version': expected {SCHEMA_VERSION}, got {version!r}")
     branches = _require(doc, "branches", list, "$")
@@ -144,11 +161,13 @@ def load_network(path) -> tuple[StarNetwork, dict]:
                 f"'{where}' needs exactly one of 'profile' or 'direct'")
         try:
             if "profile" in bspec:
-                prof = _profile_from_spec(bspec["profile"], kind, base,
-                                          f"{where}.profile")
+                prof = _profile_from_spec(
+                    _require(bspec, "profile", dict, where), kind, base,
+                    f"{where}.profile")
             else:
-                prof = _direct_from_spec(bspec["direct"], kind, base,
-                                         f"{where}.direct")
+                prof = _direct_from_spec(
+                    _require(bspec, "direct", dict, where), kind, base,
+                    f"{where}.direct")
         except ConfigError:
             raise
         except StarScatterError as exc:

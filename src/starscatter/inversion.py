@@ -138,7 +138,7 @@ def estimate_taus(samples, expected_max_n: int = 8) -> InversionReport:
         raise InsufficientDataError("need at least two samples")
     dks = np.diff(ks)
     dk = float(np.median(dks))
-    if np.max(np.abs(dks - dk)) > 0.05 * dk:
+    if dk <= 0 or np.max(np.abs(dks - dk)) > 0.05 * dk:
         raise InsufficientDataError("samples must sit on a uniform k grid")
 
     m_hat, m_diag = estimate_m(rows)

@@ -6,6 +6,13 @@ the travel-time coordinate x(z) = int_0^z sqrt(L C) du (seconds), where the
 frequency-domain voltage equation becomes y'' + (k^2 - V(x)) y = 0 with
 V = A''/A and A = (C/L)^(1/4).  This module owns that conversion; all other
 modules consume PotentialFn / BranchGeometry and never see z again.
+
+``branch_model`` is the one switch over the profile families: it turns a
+profile into its (PotentialFn, BranchGeometry) pair, fitting a sampled
+table's splines once for both.  ``potential_from_profile`` and
+``branch_geometry`` are its two halves.  ||V||_L1, the truncation point and
+a sampled table's V spline are all taken on a uniform x-grid of spacing
+GRID_STEP.
 """
 from __future__ import annotations
 
@@ -22,6 +29,7 @@ from scipy.interpolate import CubicSpline
 from .errors import DomainError, ProfileValidityError, ResolutionError
 
 TAIL_TOL = 1e-10
+GRID_STEP = 1e-3  # x spacing of the grid behind ||V||_L1, truncation and V
 
 
 class ProfileFamily(enum.Enum):
@@ -50,8 +58,9 @@ class LineProfile:
                 length: float = math.inf) -> "LineProfile":
         if inductance <= 0 or capacitance <= 0:
             raise ProfileValidityError("L and C must be strictly positive")
+        L, C = float(inductance), float(capacitance)
         return cls(ProfileFamily.UNIFORM,
-                   {"L": float(inductance), "C": float(capacitance)},
+                   {"L": L, "C": C, "slowness": math.sqrt(L * C)},
                    float(length))
 
     @classmethod
@@ -239,14 +248,10 @@ def liouville_coordinate(profile: LineProfile, z: float) -> float:
     row of a sampled table)."""
     if z < 0 or z > profile.length:
         raise DomainError(f"z={z} outside [0, {profile.length}]")
-    fam, p = profile.family, profile.params
-    if fam is ProfileFamily.UNIFORM:
-        return math.sqrt(p["L"] * p["C"]) * z
-    if fam is ProfileFamily.EXPONENTIAL_TAPER:
-        return p["slowness"] * z
-    if fam is ProfileFamily.DIRECT_POTENTIAL:
-        return float(z)
-    return float(_x_of_z(profile)(z))
+    if profile.family is ProfileFamily.SAMPLED_TABLE:
+        return float(_x_of_z(profile)(z))
+    # a direct profile lives in x already
+    return float(profile.params.get("slowness", 1.0) * z)
 
 
 def travel_time(profile: LineProfile) -> float:
@@ -271,27 +276,29 @@ def _clipped(fn, lo, hi):
 
 
 class TablePotential:
-    """V from an (x, V) table: ``spline`` on [x0, x_end], 0 elsewhere.
+    """V from an (x, V) table: a not-a-knot cubic ``spline`` through the
+    rows on [x0, x_end], 0 elsewhere.
 
     As the potential of a direct profile, its window is intersected with
     the branch's [0, support_end], so V is masked once, not twice.
     """
 
-    def __init__(self, spline, x0: float, x_end: float):
-        self.spline, self.x0, self.x_end = spline, float(x0), float(x_end)
-        self._evaluator = _clipped(spline, self.x0, self.x_end)
+    def __init__(self, x: np.ndarray, v: np.ndarray):
+        self.spline = CubicSpline(x, v)
+        self.x0, self.x_end = float(x[0]), float(x[-1])
+        self._evaluator = _clipped(self.spline, self.x0, self.x_end)
 
     def __call__(self, x):
         return self._evaluator(x)
 
 
-def _build_potential(evaluator, support_end, grid_step) -> PotentialFn:
+def _build_potential(evaluator, support_end) -> PotentialFn:
     """PotentialFn of an arbitrary evaluator, its L1 norm and truncation
-    point taken on a uniform grid of the given step."""
+    point taken on a uniform grid of step GRID_STEP."""
     if support_end <= 0.0:
         zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
         return PotentialFn(zero, 0.0, 0.0, 0.0)
-    n = max(int(math.ceil(support_end / grid_step)), 16)
+    n = max(int(math.ceil(support_end / GRID_STEP)), 16)
     xg = np.linspace(0.0, support_end, n + 1)
     absv = np.abs(np.asarray(evaluator(xg), dtype=float))
     cum = integrate.cumulative_trapezoid(absv, xg, initial=0.0)
@@ -308,69 +315,62 @@ def _build_potential(evaluator, support_end, grid_step) -> PotentialFn:
     return PotentialFn(evaluator, float(support_end), l1, truncation)
 
 
-def potential_from_profile(profile: LineProfile,
-                           grid_step: float = 1e-3) -> PotentialFn:
-    """V(x) = A''(x)/A(x) in the travel-time coordinate.
+def branch_model(profile: LineProfile) -> tuple[PotentialFn, BranchGeometry]:
+    """V(x) = A''(x)/A(x) in the travel-time coordinate, plus the node
+    coefficients A(0), A'(0) and, on finite branches, (tau, h).
 
-    Parametric families use analytic second derivatives; sampled tables go
-    through a natural cubic spline of A on a uniform x-grid of the given
-    spacing.
+    Parametric families use analytic second derivatives.  A sampled table
+    fits one natural cubic spline of A; V is its second derivative over A
+    on a uniform x-grid of step GRID_STEP, and the geometry reads A and A'
+    off the same spline.  V is built before the geometry, so its errors
+    come first.
     """
     fam, p = profile.family, profile.params
-    if fam is ProfileFamily.UNIFORM:
-        return _build_potential(None, 0.0, grid_step)
-    if fam is ProfileFamily.EXPONENTIAL_TAPER:
-        tau = p["slowness"] * profile.length
-        g2 = p["gamma"] ** 2
-        return _build_potential(
-            _clipped(lambda x: np.full_like(np.asarray(x, float), g2),
-                     0.0, tau), tau, grid_step)
-    if fam is ProfileFamily.DIRECT_POTENTIAL:
+    if fam is ProfileFamily.SAMPLED_TABLE:
+        spline, x_end = _a_spline(profile)
+        n = max(int(math.ceil(x_end / GRID_STEP)), 16)
+        xg = np.linspace(0.0, x_end, n + 1)
+        a_vals = spline(xg)
+        if np.any(a_vals <= 0):
+            raise ProfileValidityError(
+                "A(x) interpolated to a non-positive value")
+        v_spline = CubicSpline(xg, spline(xg, 2) / a_vals, bc_type="natural")
+        potential = _build_potential(_clipped(v_spline, 0.0, x_end), x_end)
+        ends = (x_end, float(spline(x_end, 1) / spline(x_end)))
+        a0, a0p = float(spline(0.0)), float(spline(0.0, 1))
+    elif fam is ProfileFamily.DIRECT_POTENTIAL:
         fn, lo, hi = p["potential"], 0.0, p["support_end"]
         if isinstance(fn, TablePotential):
             fn, lo, hi = fn.spline, max(lo, fn.x0), min(hi, fn.x_end)
-        return _build_potential(_clipped(fn, lo, hi), p["support_end"],
-                                grid_step)
+        potential = _build_potential(_clipped(fn, lo, hi), p["support_end"])
+        ends = (p["tau"], p["h"])
+        a0, a0p = p["A0"], p["A0prime"]
+    elif fam is ProfileFamily.UNIFORM:
+        potential = _build_potential(None, 0.0)
+        ends = (travel_time(profile), 0.0) if profile.is_finite else ()
+        a0, a0p = (p["C"] / p["L"]) ** 0.25, 0.0
+    else:  # EXPONENTIAL_TAPER, always finite
+        tau, g = travel_time(profile), p["gamma"]
+        g2 = g ** 2
+        potential = _build_potential(
+            _clipped(lambda x: np.full_like(np.asarray(x, float), g2),
+                     0.0, tau), tau)
+        ends = (tau, g)
+        a0, a0p = p["scale"], g * p["scale"]
+    geometry = BranchGeometry(a0, a0p, *ends) if profile.is_finite \
+        else BranchGeometry(a0, a0p)
+    return potential, geometry
 
-    # SAMPLED_TABLE
-    if p["z"].size < 5:
-        raise ResolutionError("need at least 5 samples for d2A/dx2")
-    spline, x_end = _a_spline(profile)
-    n = max(int(math.ceil(x_end / grid_step)), 16)
-    xg = np.linspace(0.0, x_end, n + 1)
-    a_vals = spline(xg)
-    if np.any(a_vals <= 0):
-        raise ProfileValidityError("A(x) interpolated to a non-positive value")
-    v_grid = spline(xg, 2) / a_vals
-    v_spline = CubicSpline(xg, v_grid, bc_type="natural")
-    return _build_potential(_clipped(v_spline, 0.0, x_end), x_end, grid_step)
+
+def potential_from_profile(profile: LineProfile) -> PotentialFn:
+    """V(x) = A''(x)/A(x) in the travel-time coordinate (``branch_model``)."""
+    return branch_model(profile)[0]
 
 
 def branch_geometry(profile: LineProfile) -> BranchGeometry:
-    """Node coefficients A(0), A'(0) plus (tau, h) on finite branches."""
-    fam, p = profile.family, profile.params
-    if fam is ProfileFamily.UNIFORM:
-        a0 = (p["C"] / p["L"]) ** 0.25
-        if profile.is_finite:
-            return BranchGeometry(a0, 0.0, travel_time(profile), 0.0)
-        return BranchGeometry(a0, 0.0)
-    if fam is ProfileFamily.EXPONENTIAL_TAPER:
-        a0, g = p["scale"], p["gamma"]
-        return BranchGeometry(a0, g * a0, travel_time(profile), g)
-    if fam is ProfileFamily.DIRECT_POTENTIAL:
-        if profile.is_finite:
-            return BranchGeometry(p["A0"], p["A0prime"], p["tau"], p["h"])
-        return BranchGeometry(p["A0"], p["A0prime"])
-
-    spline, x_end = _a_spline(profile)
-    a0 = float(spline(0.0))
-    a0p = float(spline(0.0, 1))
-    if a0 <= 0:
-        raise ProfileValidityError("A(0) must be strictly positive")
-    if profile.is_finite:
-        h = float(spline(x_end, 1) / spline(x_end))
-        return BranchGeometry(a0, a0p, x_end, h)
-    return BranchGeometry(a0, a0p)
+    """Node coefficients A(0), A'(0) plus (tau, h) on finite branches
+    (``branch_model``)."""
+    return branch_model(profile)[1]
 
 
 def voltage_from_field(y: complex, A: float) -> complex:

@@ -49,7 +49,7 @@ import numpy as np
 from . import jost, propagate
 from .errors import DomainError, ProfileValidityError, ResonanceError
 from .line_model import BranchGeometry, LineProfile, PotentialFn, \
-    branch_geometry, potential_from_profile
+    branch_model
 
 K_FLOOR = 0.5  # smallest frequency a sweep accepts
 A5_TOLERANCE = 1e-6  # relative spread of A(0) allowed across branches
@@ -132,8 +132,7 @@ def network_from_profiles(profiles: Sequence[tuple[str, LineProfile]]
                 f"{profile.length}")
         tagged.append((kind, profile))
     tagged.sort(key=lambda t: 0 if t[0] is BranchKind.INFINITE else 1)
-    return StarNetwork([Branch(i, kind, potential_from_profile(profile),
-                               branch_geometry(profile))
+    return StarNetwork([Branch(i, kind, *branch_model(profile))
                         for i, (kind, profile) in enumerate(tagged, start=1)])
 
 

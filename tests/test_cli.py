@@ -93,6 +93,42 @@ def table_fault_config(tmp_path, fault):
 TABLE_FAULTS = ("direct_cell", "direct_nan", "direct_x_order",
                 "direct_header_only", "sampled_cell")
 
+# a finite branch of each spec kind that reads every optional number
+VALUE_BRANCHES = {
+    "uniform": {"family": "uniform", "inductance": 1.0, "capacitance": 1.0,
+                "length": 1.0},
+    "taper": {"family": "exponential_taper", "gamma": 0.2, "length": 1.3,
+              "slowness": 1.0, "scale": 1.0},
+    "direct": {"potential_table_path": "V.csv", "support_end": 0.5,
+               "A0": 1.0, "A0prime": 0.0, "tau": 0.9, "h": 0.2},
+}
+VALUE_KEYS = [(spec, key) for spec, keys in VALUE_BRANCHES.items()
+              for key in keys if key not in ("family", "potential_table_path")]
+BAD_VALUES = ["abc", None, True, [1], math.nan, math.inf, -math.inf]
+
+
+def value_config(tmp_path, spec=None, key=None, value=None):
+    """A line and the three VALUE_BRANCHES, with branch `spec`'s `key` set
+    to `value` (JSON writes NaN and Infinity as those literals)."""
+    write_sin2_table(tmp_path / "V.csv", 0.4, 0.6)
+    branches = [uniform_branch()]
+    for name, fields in VALUE_BRANCHES.items():
+        fields = dict(fields)
+        if name == spec:
+            fields[key] = value
+        branches.append({"kind": "finite",
+                         "direct" if name == "direct" else "profile": fields})
+    return write_config(tmp_path, {"schema_version": 1,
+                                   "branches": branches})
+
+
+def forward_exit(cfg, tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return cli.main(["forward", "--config", cfg, "--kmin", "5",
+                         "--kmax", "6", "--dk", "1",
+                         "--out", str(tmp_path / "o.csv")])
+
 
 class TestForward:
     def test_three_way_junction(self, tmp_path, capsys):
@@ -162,6 +198,33 @@ class TestForward:
                        "--kmax", "6", "--dk", "1",
                        "--out", str(tmp_path / "o.csv")])
         assert rc == 2
+
+    def test_value_config_runs(self, tmp_path):
+        assert forward_exit(value_config(tmp_path), tmp_path) == 0
+
+    @pytest.mark.parametrize("spec,key", VALUE_KEYS)
+    @pytest.mark.parametrize("value", BAD_VALUES, ids=repr)
+    def test_bad_config_number(self, tmp_path, capsys, spec, key, value):
+        cfg = value_config(tmp_path, spec, key, value)
+        assert forward_exit(cfg, tmp_path) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert f".{key}'" in err[0]
+
+    @pytest.mark.parametrize("spec", ["profile", "direct"])
+    def test_spec_not_an_object(self, tmp_path, capsys, spec):
+        doc = {"schema_version": 1,
+               "branches": [uniform_branch(), {"kind": "finite", spec: 5}]}
+        assert forward_exit(write_config(tmp_path, doc), tmp_path) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: 'branches[1].{spec}' has wrong type "
+                       "(expected object)"]
+
+    def test_schema_version_true_rejected(self, tmp_path, capsys):
+        # json reads true as True, which equals 1
+        doc = dict(uniform_config(2), schema_version=True)
+        assert forward_exit(write_config(tmp_path, doc), tmp_path) == 2
+        assert capsys.readouterr().err.startswith("error: 'schema_version'")
 
     @pytest.mark.parametrize("flag", ["--kmin", "--kmax", "--dk"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -412,6 +475,13 @@ class TestInvert:
             warnings.simplefilter("error")
             assert cli.main(["invert", "--csv", str(csv)]) == 4
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_grid_that_does_not_advance(self, tmp_path, capsys):
+        csv = tmp_path / "flat.csv"
+        csv.write_text("k,re_R1,im_R1,abs_R1\n" + "60,0.1,0.2,0.3\n" * 2001)
+        assert cli.main(["invert", "--csv", str(csv)]) == 4
+        assert capsys.readouterr().err == \
+            "error: samples must sit on a uniform k grid\n"
 
     def test_bad_header(self, tmp_path):
         csv = tmp_path / "bad.csv"

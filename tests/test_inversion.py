@@ -195,6 +195,11 @@ class TestEstimateTaus:
         with pytest.raises(InsufficientDataError):
             estimate_taus(samples)
 
+    def test_grid_that_does_not_advance_rejected(self):
+        rows = synth_rows(2, [1.0], np.full(2001, 60.0))
+        with pytest.raises(InsufficientDataError, match="uniform k grid"):
+            estimate_taus(rows)
+
     def test_near_degenerate_does_not_crash(self):
         ks = np.arange(60.0, 160.0, 0.005)
         report = estimate_taus(synth_samples(2, [1.0, 1.004], ks))

@@ -11,8 +11,9 @@ from starscatter import config, line_model
 from starscatter.errors import DomainError, ProfileValidityError, \
     ResolutionError
 from starscatter.line_model import LineProfile, branch_geometry, \
-    liouville_coordinate, potential_from_profile, read_table_csv, \
-    travel_time, voltage_from_field
+    branch_model, liouville_coordinate, potential_from_profile, \
+    read_table_csv, travel_time, voltage_from_field
+from starscatter.scattering import network_from_profiles
 
 
 def table_profile_for_A(a_fn, z_end, n, infinite=False):
@@ -101,7 +102,7 @@ class TestPotentialFromProfile:
         # A(x) = 1 + 0.1 exp(-(x-1)^2); A''(1) = -0.2 so V(1) = -0.2/1.1
         a_fn = lambda x: 1.0 + 0.1 * np.exp(-(x - 1.0) ** 2)
         p = table_profile_for_A(a_fn, 2.0, 4001)
-        V = potential_from_profile(p, grid_step=5e-4)
+        V = potential_from_profile(p)
         assert float(V(1.0)) == pytest.approx(-0.2 / 1.1, abs=1e-6)
 
     def test_table_too_coarse(self):
@@ -183,6 +184,66 @@ class TestBranchGeometry:
             lambda z: 1.0 + 0.05 * np.exp(-((z - 1.0) / 0.15) ** 2), 3.0, 3001)
         assert branch_geometry(p).tau == pytest.approx(3.0, rel=1e-12)
         assert potential_from_profile(p).truncation == pytest.approx(3.0)
+
+
+def sampled_line(infinite=False):
+    """A 201-row table on [0, 1.3] with L = 1 + 0.3 sin^2(2z) and
+    C = 1 + 0.2 z (1.3 - z), so A(0) = 1."""
+    z = np.linspace(0.0, 1.3, 201)
+    return LineProfile.sampled_table(z, 1.0 + 0.3 * np.sin(2.0 * z) ** 2,
+                                     1.0 + 0.2 * z * (1.3 - z),
+                                     infinite=infinite)
+
+
+def sin2_table_potential():
+    x = np.linspace(0.0, 0.6, 161)
+    return line_model.TablePotential(x, 0.4 * np.sin(np.pi * x / 0.6) ** 2)
+
+
+# one profile of each family, and both kinds where a family has both
+FAMILY_PROFILES = {
+    "uniform_finite": lambda: LineProfile.uniform(2.0, 0.5, 1.7),
+    "uniform_infinite": lambda: LineProfile.uniform(0.3, 3.0),
+    "taper": lambda: LineProfile.exponential_taper(0.3, 2.0, slowness=1.3,
+                                                   scale=1.5),
+    "table_finite": sampled_line,
+    "table_infinite": lambda: sampled_line(infinite=True),
+    "direct_table": lambda: LineProfile.direct(sin2_table_potential(), 0.5,
+                                               tau=1.0, h=0.12),
+    "direct_callable": lambda: LineProfile.direct(
+        lambda x: np.exp(-((np.asarray(x, float) - 1.0) / 0.15) ** 2), 3.0,
+        A0=1.2, A0prime=0.1),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_PROFILES))
+def test_branch_model_is_both_halves(family):
+    p = FAMILY_PROFILES[family]()
+    V, geometry = branch_model(p)
+    half = potential_from_profile(p)
+    xs = np.linspace(-0.5, 4.0, 901)
+    assert V(xs).tobytes() == half(xs).tobytes()
+    assert (V.l1_norm, V.truncation, V.support_end) == \
+        (half.l1_norm, half.truncation, half.support_end)
+    assert geometry == branch_geometry(p)
+    if p.is_finite:
+        assert geometry.tau == travel_time(p) == \
+            liouville_coordinate(p, p.length)
+
+
+def test_network_build_fits_each_table_spline_once(monkeypatch):
+    fits = []
+
+    class CountedSpline(line_model.CubicSpline):
+        def __init__(self, *args, **kwargs):
+            fits.append(args[0].size)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(line_model, "CubicSpline", CountedSpline)
+    network_from_profiles([("infinite", LineProfile.uniform(1.0, 1.0)),
+                           ("finite", sampled_line())])
+    # the slowness on the rows, A on the rows, V on the GRID_STEP grid
+    assert len(fits) == 3
 
 
 class TestVoltageFromField:
@@ -295,12 +356,12 @@ class CountingNumpy:
 def test_scalar_table_potential_is_one_spline_call(tmp_path, monkeypatch):
     calls = []
 
-    class CountedSpline(config.CubicSpline):
+    class CountedSpline(line_model.CubicSpline):
         def __call__(self, x, *args, **kwargs):
             calls.append(np.ndim(x))
             return super().__call__(x, *args, **kwargs)
 
-    monkeypatch.setattr(config, "CubicSpline", CountedSpline)
+    monkeypatch.setattr(line_model, "CubicSpline", CountedSpline)
     path = tmp_path / "V.csv"
     x = np.linspace(0.0, 0.6, 41)
     np.savetxt(path, np.column_stack([x, np.sin(5.0 * x) ** 2]),

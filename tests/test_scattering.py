@@ -374,6 +374,18 @@ def smooth_demo_star(workdir):
     return load_network(path)[0]
 
 
+def test_interpolant_check_holds_the_csv_gate(tmp_path, monkeypatch):
+    # with 40 spare Chebyshev nodes, not 60, the tau = 1.7 stub's
+    # interpolant is off by about 6e-13 of an entry, which R1 amplifies
+    # about 50x; the check must send that branch to the direct product
+    net = smooth_demo_star(tmp_path)
+    k = 60.0 + 0.005 * np.arange(20001)
+    want = solve_scattering_batch(net, k)
+    monkeypatch.setattr(propagate, "NODE_MARGIN", 40)
+    got = solve_scattering_batch(net, k)
+    assert np.max(np.abs(got.R1 - want.R1)) <= 1e-11
+
+
 def test_interpolated_sweep_matches_direct(tmp_path, monkeypatch):
     net = smooth_demo_star(tmp_path)
     k = 60.0 + 0.005 * np.arange(20001)
