@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import cumulative_trapezoid, simpson
 from scipy.interpolate import CubicSpline, RegularGridInterpolator
 
@@ -65,19 +66,26 @@ class KernelTable:
         return out if out.ndim else float(out)
 
 
-def fundamental_at(V: PotentialFn, tau: float, h: float,
-                   k: float) -> FundamentalData:
+def fundamental_at(V: PotentialFn, tau: float, h: float, k):
     """Integrate the IVP omega(0)=1, omega'(0)=h from 0 to tau; for V = 0
-    the free solution is returned exactly."""
+    the free solution is returned exactly.
+
+    A 1-D sequence of k is integrated as one system (``_rk45``) and gives a
+    list of FundamentalData, one per k, in order."""
     if tau <= 0:
         raise ValueError("tau must be positive")
+    ks = [float(q) for q in np.atleast_1d(k)]
     if V.support_end <= 0.0:
-        kt = k * tau
-        return FundamentalData(float(k), complex(_cos_term(k, tau, h)),
-                               complex(h * np.cos(kt) - k * np.sin(kt)))
-    om, dom = _rk45(V, k, (0.0, tau), [1.0 + 0.0j, complex(h)],
-                    max_step=tau)[:, -1]
-    return FundamentalData(float(k), om, dom)
+        out = [FundamentalData(q, complex(_cos_term(q, tau, h)),
+                               complex(h * np.cos(q * tau)
+                                       - q * np.sin(q * tau)))
+               for q in ks]
+    else:
+        u0 = [1.0 + 0.0j] * len(ks) + [complex(h)] * len(ks)
+        om, dom = _rk45(V, ks, (0.0, tau), u0,
+                        max_step=tau)[:, -1].reshape(2, -1)
+        out = [FundamentalData(*row) for row in zip(ks, om, dom)]
+    return out if np.ndim(k) else out[0]
 
 
 def fundamental_profile(V: PotentialFn, tau: float, h: float, k: float, xs):
@@ -124,19 +132,37 @@ def solve_kernel(V: PotentialFn, tau: float) -> KernelTable:
     source = 0.5 * cumulative_trapezoid(v_line, xi, initial=0.0)
     # sample V at beta-cell midpoints: the zero extension of V jumps exactly
     # on grid nodes, and midpoint sampling keeps the quadrature second order
-    # across that jump instead of degrading to first order
-    mids = 0.5 * (xi[:-1] + xi[1:])
-    v_mid = np.asarray(V(xi[:, None] + mids[None, :]), dtype=float)
+    # across that jump instead of degrading to first order.  V(xi_i + mid_j)
+    # depends on i + j alone, so it is sampled once per diagonal, at
+    # (i + j + 1/2) h, and read through a window: half_v[i, j] = V/2 there
+    v_diag = np.asarray(V((np.arange(2 * n) + 0.5) * hstep), dtype=float)
+    half_v = sliding_window_view(0.5 * v_diag, n)
+    dxi = np.diff(xi)[:, None]
+    # the sweep runs in four (n+1)^2 buffers: P, the next P, the inner
+    # integral (first column 0) and one scratch that holds the beta-cell
+    # weights, then the trapezoid terms, then |new - P|
     P = np.tile(source[:, None], (1, n + 1))
-    zeros = np.zeros((n + 1, 1))
+    new = np.empty_like(P)
+    inner = np.zeros_like(P)
+    scratch = np.empty_like(P)
+    w_cell = scratch[:, :n]
+    trap = scratch.reshape(-1)[:n * (n + 1)].reshape(n, n + 1)
     for _ in range(200):
-        w_cell = v_mid * 0.5 * (P[:, :-1] + P[:, 1:])
-        inner = np.concatenate(
-            [zeros, np.cumsum(w_cell, axis=1) * hstep], axis=1)
-        outer = cumulative_trapezoid(inner, xi, axis=0, initial=0.0)
-        new = source[:, None] + outer
-        change = np.max(np.abs(new - P))
-        P = new
+        # inner[:, j] = h * sum_{b < j} V(mid) (P_b + P_{b+1}) / 2
+        np.add(P[:, :-1], P[:, 1:], out=w_cell)
+        w_cell *= half_v
+        np.cumsum(w_cell, axis=1, out=inner[:, 1:])
+        inner[:, 1:] *= hstep
+        # new = source + the cumulative trapezoid of inner over xi
+        np.add(inner[1:], inner[:-1], out=trap)
+        trap *= dxi
+        trap /= 2.0
+        new[0] = 0.0
+        np.cumsum(trap, axis=0, out=new[1:])
+        new += source[:, None]
+        np.subtract(new, P, out=scratch)
+        change = np.max(np.abs(scratch, out=scratch))
+        P, new = new, P
         if change < 1e-10:
             return KernelTable(float(tau), float(grid_step), xi, P)
     raise DivergenceError("kernel iteration did not reach 1e-10 in 200 sweeps")

@@ -6,11 +6,11 @@ far field a e^{-ikx} + b e^{ikx} carries the half-line transfer data.  (The
 -ik initial slope is what the integral equation for ftilde implies.)
 
 ``jost_batch`` is the route the network solver uses: one vectorized
-transfer-matrix pass per branch, whose (f0, df0) the sweep takes (a and b
-only on request).  Two references check it: an adaptive RK45 integration
-of the ODE form (``jost_at_origin``, ``jost_profile``), which ``validate``
-and the tests use and which stays stable at high k, and a slow Volterra
-successive-approximation solution used by tests at moderate k*X.
+transfer-matrix pass per branch gives (f0, df0).  Two references check
+it: an adaptive RK45 integration of the ODE form (``jost_at_origin``,
+``jost_profile``), which ``validate`` and the tests use and which stays
+stable at high k, and a slow Volterra successive-approximation solution
+used by tests at moderate k*X.
 On V = 0 the batch and RK45 routes return e^{ikx} and e^{-ikx} exactly.
 """
 from __future__ import annotations
@@ -43,13 +43,22 @@ def _rk45(V, k, t_span, u0, t_eval=None, max_step=np.inf):
     """Adaptive RK45 for y'' = (V(x) - k^2) y from (y, y') = u0 at
     t_span[0], in steps of at most max_step and, for k != 0, of
     1/STEPS_PER_WAVELENGTH of a wavelength.  Returns the rows (y, y') at
-    t_eval, or at the solver's own steps (the endpoint last) without it."""
-    if k != 0:
-        max_step = min(max_step, (2.0 * np.pi / abs(k))
+    t_eval, or at the solver's own steps (the endpoint last) without it.
+
+    k may also be a 1-D sequence of n frequencies, integrated as one system
+    of 2n components: u0 and the rows are then (y_1..y_n, y'_1..y'_n), and
+    the step cap comes from max |k|."""
+    ks = [float(q) for q in np.atleast_1d(k)]
+    k_top = max(map(abs, ks))
+    if k_top != 0:
+        max_step = min(max_step, (2.0 * np.pi / k_top)
                        / propagate.STEPS_PER_WAVELENGTH)
+    n, k2 = len(ks), [q * q for q in ks]
 
     def rhs(x, u):
-        return [u[1], (V(x) - k * k) * u[0]]
+        v = V(x)
+        y = u.tolist()
+        return y[n:] + [(v - q2) * yj for q2, yj in zip(k2, y)]
 
     sol = solve_ivp(rhs, t_span, u0, method="RK45", rtol=RTOL, atol=ATOL,
                     max_step=max_step, t_eval=t_eval)
@@ -105,17 +114,18 @@ def jost_tilde_profile(V: PotentialFn, k: float, xs):
     return ft, dft
 
 
-def jost_batch(V: PotentialFn, k, with_ab: bool = False):
-    """Vectorized (f0, df0[, a, b]) over an array of frequencies.
+def jost_batch(V: PotentialFn, k):
+    """Vectorized (f0, df0, X) over an array of frequencies, X the
+    truncation point.
 
-    One real transfer matrix over [0, X] gives both f and ftilde;
-    cross-validated against ``jost_at_origin`` in the test suite.
+    One real transfer matrix over [0, X] gives f; cross-validated against
+    ``jost_at_origin`` in the test suite.
     """
     k = np.atleast_1d(np.asarray(k, dtype=float))
     if np.any(k == 0):
         raise SingularFrequencyError("Jost data is singular at k = 0")
     X = V.truncation
-    # one pass over [0, X]: ftilde(X) = M (1, -ik), f(0) = M^-1 f(X), where
+    # f(0) = M^-1 f(X) with M the transfer matrix over [0, X] and
     # M^-1 = [[m22, -m12], [-m21, m11]] because det M = 1; on V = 0, X = 0
     # and M is the identity
     m11, m12, m21, m22 = propagate.transfer_matrix(V, 0.0, X, k)
@@ -123,13 +133,7 @@ def jost_batch(V: PotentialFn, k, with_ab: bool = False):
     eikX = np.exp(ik * X)
     f0 = (m22 - m12 * ik) * eikX
     df0 = (m11 * ik - m21) * eikX
-    if not with_ab:
-        return f0, df0, X
-    ft = m11 - m12 * ik
-    dft = m21 - m22 * ik
-    a = eikX * (ik * ft - dft) / (2j * k)
-    b = (ik * ft + dft) / (2j * k * eikX)
-    return f0, df0, a, b, X
+    return f0, df0, X
 
 
 def jost_via_volterra(V: PotentialFn, k: float, n_grid: int = 4000):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -56,8 +57,11 @@ class LineProfile:
     @classmethod
     def uniform(cls, inductance: float, capacitance: float,
                 length: float = math.inf) -> "LineProfile":
+        _require_finite(L=inductance, C=capacitance)
         if inductance <= 0 or capacitance <= 0:
             raise ProfileValidityError("L and C must be strictly positive")
+        if math.isnan(length):
+            raise ProfileValidityError("length must not be NaN")
         L, C = float(inductance), float(capacitance)
         return cls(ProfileFamily.UNIFORM,
                    {"L": L, "C": C, "slowness": math.sqrt(L * C)},
@@ -76,6 +80,7 @@ class LineProfile:
         if not math.isfinite(length):
             raise ProfileValidityError(
                 "exponential taper is only defined on finite branches")
+        _require_finite(gamma=gamma, slowness=slowness, scale=scale)
         if slowness <= 0 or scale <= 0:
             raise ProfileValidityError("slowness and scale must be positive")
         return cls(ProfileFamily.EXPONENTIAL_TAPER,
@@ -97,6 +102,10 @@ class LineProfile:
         C = np.asarray(capacitance, dtype=float)
         if z.ndim != 1 or z.shape != L.shape or z.shape != C.shape:
             raise ProfileValidityError("z, L, C tables must share one shape")
+        if not (np.all(np.isfinite(z)) and np.all(np.isfinite(L))
+                and np.all(np.isfinite(C))):
+            raise ProfileValidityError(
+                "z, L, C tables must hold finite samples only")
         if z.size < 5:
             raise ResolutionError(
                 "sampled tables need at least 5 points to estimate d2A/dx2")
@@ -128,6 +137,7 @@ class LineProfile:
         The profile lives in the Liouville coordinate already (z == x).
         Finite branches must give ``tau`` and ``h``; infinite ones must not.
         """
+        _require_finite(support_end=support_end, A0=A0, A0prime=A0prime)
         if A0 <= 0:
             raise ProfileValidityError("A0 must be strictly positive")
         if tau is None:
@@ -135,10 +145,11 @@ class LineProfile:
             if h is not None:
                 raise ProfileValidityError("h is only defined on finite branches")
         else:
+            h = 0.0 if h is None else float(h)
+            _require_finite(tau=tau, h=h)
             if tau <= 0:
                 raise ProfileValidityError("tau must be positive")
             length = float(tau)
-            h = 0.0 if h is None else float(h)
         return cls(ProfileFamily.DIRECT_POTENTIAL,
                    {"potential": potential, "support_end": float(support_end),
                     "A0": float(A0), "A0prime": float(A0prime),
@@ -205,6 +216,14 @@ def read_table_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return data[:, 0], data[:, 1]
 
 
+def _require_finite(**values) -> None:
+    """Reject NaN and infinite constructor arguments: NaN passes a
+    ``<= 0`` test, and would surface later as a raw ValueError."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ProfileValidityError(f"{name} must be finite, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # internal per-family helpers
 # ---------------------------------------------------------------------------
@@ -261,12 +280,39 @@ def travel_time(profile: LineProfile) -> float:
     return liouville_coordinate(profile, profile.length)
 
 
+def _spline_at(spline: CubicSpline) -> Callable[[float], float]:
+    """spline(x) for a float x on its knots, in Python floats: the piece is
+    chosen as scipy's ``find_interval`` chooses it (x_i <= x < x_{i+1}, the
+    last piece closed) and its power sum runs in ``evaluate_poly1``'s order,
+    so the value is the array path's to the bit."""
+    knots = spline.x.tolist()
+    last = len(knots) - 2
+    # per piece (c0, c1, c2, 0 + c3): the sum starts from 0.0 + c3, as there
+    pieces = [(c0, c1, c2, 0.0 + c3) for c0, c1, c2, c3 in spline.c.T.tolist()]
+
+    def value(x):
+        i = min(bisect_right(knots, x) - 1, last)
+        c0, c1, c2, c3 = pieces[i]
+        s = x - knots[i]
+        z = s * s
+        return c3 + c2 * s + c1 * z + c0 * (z * s)
+
+    return value
+
+
 def _clipped(fn, lo, hi):
-    """fn on [lo, hi] and 0 elsewhere; a float x costs one comparison and
-    one call of fn."""
+    """fn on [lo, hi] and 0 elsewhere.  A float x costs one comparison and
+    one call of fn, or, when fn is a CubicSpline whose knots span [lo, hi],
+    one numpy-free piece evaluation (``_spline_at``)."""
+    if isinstance(fn, CubicSpline) and fn.x[0] <= lo and hi <= fn.x[-1]:
+        scalar = _spline_at(fn)
+    else:
+        scalar = lambda x: float(fn(x))
+
     def evaluator(x):
         if isinstance(x, float):
-            return float(fn(x)) if lo <= x <= hi else 0.0
+            x = float(x)
+            return scalar(x) if lo <= x <= hi else 0.0
         x = np.asarray(x, dtype=float)
         inside = (x >= lo) & (x <= hi)
         out = np.where(inside, fn(np.clip(x, lo, hi)), 0.0)

@@ -86,6 +86,33 @@ def random_smooth_network(rng, m_max=4, n_max=3, l1_cap=1.0):
     return direct_network(infinite, finite)
 
 
+class CountingNumpy:
+    """Stands in for a module's ``np`` and records each attribute used."""
+
+    def __init__(self):
+        self.used = []
+
+    def __getattr__(self, name):
+        self.used.append(name)
+        return getattr(np, name)
+
+
+def jost_ab(V, k):
+    """Half-line transfer data a(k), b(k) over an array k, from the same
+    transfer matrix M over [0, X] that ``jost.jost_batch`` takes f from:
+    ftilde(X) = M (1, -ik), matched to a e^{-ikX} + b e^{ikX}."""
+    k = np.atleast_1d(np.asarray(k, dtype=float))
+    X = V.truncation
+    m11, m12, m21, m22 = propagate.transfer_matrix(V, 0.0, X, k)
+    ik = 1j * k
+    eikX = np.exp(ik * X)
+    ft = m11 - m12 * ik
+    dft = m21 - m22 * ik
+    a = eikX * (ik * ft - dft) / (2j * k)
+    b = (ik * ft + dft) / (2j * k * eikX)
+    return a, b
+
+
 def closed_form_r1(m, taus, k):
     """Hand-derived uniform-network reflection (chain-rule sign)."""
     S = sum(math.tan(k * tau) for tau in taus)

@@ -19,8 +19,8 @@ from starscatter.line_model import LineProfile, potential_from_profile
 from starscatter.oracle import oracle_solve
 from starscatter.scattering import solve_scattering, solve_scattering_batch
 
-from conftest import closed_form_r1, direct_network, random_smooth_network, \
-    sin2_bump, square_well, uniform_network
+from conftest import closed_form_r1, direct_network, jost_ab, \
+    random_smooth_network, sin2_bump, square_well, uniform_network
 
 
 def report(num, name, ok, detail):
@@ -126,7 +126,8 @@ def test_criterion_4_jost_asymptotics():
     b_scaled, ld_max = [], []
     for kc in ladder:
         ks = np.linspace(kc - 1.0, kc + 1.0, 81)
-        f0, df0, a, b, _ = jost_batch(V, ks, with_ab=True)
+        f0, df0, _ = jost_batch(V, ks)
+        a, b = jost_ab(V, ks)
         bound = l1 / (2.0 * ks) * np.exp(l1 / ks)
         ok = ok and bool(np.all(np.abs(a - 1.0) <= bound + 1e-10))
         b_scaled.append(float(np.max(np.abs(b) * ks)))

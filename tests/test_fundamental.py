@@ -2,17 +2,20 @@
 import cmath
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from starscatter import fundamental
 from starscatter.fundamental import fundamental_at, fundamental_batch, \
     fundamental_via_kernel, solve_kernel
 from starscatter.jost import _rk45
-from starscatter.line_model import LineProfile, potential_from_profile
+from starscatter.line_model import LineProfile, TablePotential, \
+    potential_from_profile
 
-from conftest import sin2_bump, square_well
+from conftest import CountingNumpy, sin2_bump, square_well
 
 
 def make_potential(fn, support_end):
@@ -23,6 +26,11 @@ def make_potential(fn, support_end):
 ZERO = make_potential(lambda x: np.zeros_like(np.asarray(x, float)), 0.0)
 WELL = make_potential(square_well(1.0, 1.0), 1.0)
 BUMP = make_potential(sin2_bump(1.2, 1.4), 1.4)  # ||V||_L1 = 0.84
+# the benchmark's tau = 1.7 stub: a 161-row x,V table of -0.3 sin^2 on
+# [0, 0.9], the spline its config route builds
+_X = np.linspace(0.0, 0.9, 161)
+TABLE = make_potential(
+    TablePotential(_X, -0.3 * np.sin(np.pi * _X / 0.9) ** 2), 0.9)
 
 
 class TestFundamentalAt:
@@ -75,6 +83,27 @@ class TestFundamentalAt:
         assert abs(d.omega_tau.imag) < 1e-10
         assert abs(d.domega_tau.imag) < 1e-9
 
+    @pytest.mark.parametrize("V, tau, h", [(WELL, 1.0, 0.0),
+                                          (BUMP, 1.4, 0.3),
+                                          (TABLE, 1.7, -0.1)],
+                             ids=["well", "bump", "table"])
+    def test_joint_ivp_matches_per_k(self, V, tau, h):
+        # validate's two frequencies in one system, whose steps follow the
+        # larger k.  Each run is within about 1e-9 of a DOP853 reference at
+        # rtol 1e-13 (the k = 6 run alone is 1.2e-9 off on the table stub),
+        # so two runs may differ by twice that; omega' carries a factor k
+        joint = fundamental_at(V, tau, h, (6.0, 14.0))
+        assert [d.k for d in joint] == [6.0, 14.0]
+        for d in joint:
+            one = fundamental_at(V, tau, h, d.k)
+            assert abs(d.omega_tau - one.omega_tau) <= 2e-9
+            assert abs(d.domega_tau - one.domega_tau) <= 1e-8 * d.k
+
+    def test_joint_free_stub_is_per_k_closed_form(self):
+        ks = np.array([0.0, 6.0, 14.0])
+        joint = fundamental_at(ZERO, 1.3, 0.25, ks)
+        assert joint == [fundamental_at(ZERO, 1.3, 0.25, k) for k in ks]
+
     def test_batch_matches_adaptive(self):
         ks = np.array([3.0, 11.0, 37.0])
         om, dom = fundamental_batch(BUMP, 1.4, 0.3, ks)
@@ -84,7 +113,58 @@ class TestFundamentalAt:
             assert abs(dom[i] - d.domega_tau) < 1e-6 * max(k, 1.0)
 
 
+def reference_kernel(V, tau):
+    """The Goursat sweep in plain form: V at every xi_i + mid_j of the
+    (n+1) x n grid, fresh arrays each sweep.  Returns (P, sweeps)."""
+    grid_step = min(tau / 400.0, 2.5e-3)
+    n = max(int(np.ceil(tau / grid_step)), 8)
+    xi = np.linspace(0.0, tau, n + 1)
+    hstep = tau / n
+    source = 0.5 * cumulative_trapezoid(V(xi), xi, initial=0.0)
+    mids = 0.5 * (xi[:-1] + xi[1:])
+    v_mid = np.asarray(V(xi[:, None] + mids[None, :]), dtype=float)
+    P = np.tile(source[:, None], (1, n + 1))
+    zeros = np.zeros((n + 1, 1))
+    for sweep in range(1, 201):
+        w_cell = v_mid * 0.5 * (P[:, :-1] + P[:, 1:])
+        inner = np.concatenate(
+            [zeros, np.cumsum(w_cell, axis=1) * hstep], axis=1)
+        outer = cumulative_trapezoid(inner, xi, axis=0, initial=0.0)
+        new = source[:, None] + outer
+        change = np.max(np.abs(new - P))
+        P = new
+        if change < 1e-10:
+            return P, sweep
+    raise AssertionError("reference kernel did not converge")
+
+
 class TestSolveKernel:
+    @pytest.mark.parametrize("V, tau", [(WELL, 1.0), (BUMP, 1.4),
+                                        (TABLE, 1.7)],
+                             ids=["well", "bump", "table"])
+    def test_matches_reference_sweep(self, V, tau, monkeypatch):
+        want, sweeps = reference_kernel(V, tau)
+        counting = CountingNumpy()
+        monkeypatch.setattr(fundamental, "np", counting)
+        K = solve_kernel(V, tau)
+        # V is sampled per diagonal at (i + j + 1/2) h rather than at
+        # xi_i + mid_j, which differ in the last bit
+        assert np.max(np.abs(K.values - want)) <= 1e-15
+        assert counting.used.count("subtract") == sweeps  # one per sweep
+
+    def test_peak_memory(self):
+        # the tau = 1.7 stub on its 681 x 681 grid: P, the next P, the
+        # inner integral and one scratch; fresh arrays per sweep and the
+        # full V table (reference_kernel) peak at about 8 such arrays
+        tracemalloc.start()
+        try:
+            K = solve_kernel(TABLE, 1.7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert K.values.shape == (681, 681)
+        assert peak < 5 * K.values.nbytes
+
     def test_zero_potential(self):
         K = solve_kernel(ZERO, 1.0)
         assert np.max(np.abs(K.values)) == 0.0

@@ -18,7 +18,7 @@ from starscatter.jost import jost_at_origin, jost_batch, jost_profile, \
     jost_tilde_profile, jost_via_volterra
 from starscatter.line_model import LineProfile, potential_from_profile
 
-from conftest import sin2_bump, square_well
+from conftest import jost_ab, sin2_bump, square_well
 
 
 def make_potential(fn, support_end):
@@ -133,14 +133,14 @@ class TestJostProfileBounds:
 class TestTransferInvariants:
     def test_a_to_one_bound(self):
         ks = np.array([5.0, 10.0, 25.0, 50.0, 100.0])
-        _, _, a, b, _ = jost_batch(WELL, ks, with_ab=True)
+        a, b = jost_ab(WELL, ks)
         l1 = WELL.l1_norm
         bound = l1 / (2.0 * ks) * np.exp(l1 / ks)
         assert np.all(np.abs(a - 1.0) <= bound + 1e-10)
 
     def test_b_decay_dyadic_ladder(self):
         ks = np.array([25.0, 50.0, 100.0, 200.0])
-        _, _, _, b, _ = jost_batch(WELL, ks, with_ab=True)
+        _, b = jost_ab(WELL, ks)
         scaled = np.abs(b) * ks
         C = 2.0 * scaled[0] + 0.1
         assert np.all(scaled <= C)
@@ -148,7 +148,8 @@ class TestTransferInvariants:
     def test_batch_matches_adaptive(self):
         for k in (4.0, 21.0):
             d = jost_at_origin(WELL, k)
-            f0, df0, a, b, _ = jost_batch(WELL, np.array([k]), with_ab=True)
+            f0, df0, _ = jost_batch(WELL, np.array([k]))
+            a, b = jost_ab(WELL, k)
             assert abs(f0[0] - d.f0) < 1e-7
             assert abs(df0[0] - d.df0) < 1e-6 * k
             assert abs(a[0] - d.a) < 1e-7
@@ -159,7 +160,8 @@ class TestTransferInvariants:
     @settings(max_examples=30, deadline=None)
     def test_unimodularity(self, v0, w, k):
         V = make_potential(square_well(v0, w), w)
-        f0, df0, a, b, _ = jost_batch(V, np.array([k]), with_ab=True)
+        f0, df0, _ = jost_batch(V, np.array([k]))
+        a, b = jost_ab(V, k)
         assert abs(abs(a[0]) ** 2 - abs(b[0]) ** 2 - 1.0) < 1e-9
         # ftilde = a conj(f) + b f, the identity behind the node solve's
         # incoming wave conj(f) on branch 1
@@ -171,7 +173,7 @@ class TestTransferInvariants:
     def test_unimodularity_smooth_bump(self):
         V = make_potential(sin2_bump(0.8, 1.2), 1.2)
         ks = np.array([3.0, 9.0, 27.0])
-        _, _, a, b, _ = jost_batch(V, ks, with_ab=True)
+        a, b = jost_ab(V, ks)
         assert np.max(np.abs(np.abs(a) ** 2 - np.abs(b) ** 2 - 1.0)) < 1e-9
 
 

@@ -15,6 +15,8 @@ from starscatter.line_model import LineProfile, branch_geometry, \
     read_table_csv, travel_time, voltage_from_field
 from starscatter.scattering import network_from_profiles
 
+from conftest import CountingNumpy
+
 
 def table_profile_for_A(a_fn, z_end, n, infinite=False):
     """SampledTable realizing A(x)=a_fn(x) with unit slowness: C=A^2, L=A^-2."""
@@ -63,6 +65,47 @@ class TestLiouvilleCoordinate:
         with pytest.raises(ProfileValidityError):
             LineProfile.sampled_table(z, np.linspace(1.0, -0.1, 11),
                                       np.ones_like(z))
+
+
+BAD = (math.nan, math.inf, -math.inf)
+
+
+class TestConstructorsRejectNonFinite:
+    """NaN passes every ``<= 0`` test; each constructor rejects it (and
+    infinities) before it can reach the solver."""
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_uniform(self, bad):
+        for args in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(ProfileValidityError, match="finite"):
+                LineProfile.uniform(*args, length=1.0)
+        with pytest.raises(ProfileValidityError, match="NaN"):
+            LineProfile.uniform(1.0, 1.0, length=math.nan)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_exponential_taper(self, bad):
+        for kwargs in ({"gamma": bad}, {"slowness": bad}, {"scale": bad}):
+            kwargs = {"gamma": 0.3, **kwargs}
+            with pytest.raises(ProfileValidityError, match="finite"):
+                LineProfile.exponential_taper(length=1.0, **kwargs)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_sampled_table(self, bad):
+        for column in range(3):
+            table = [np.linspace(0.0, 1.0, 11), np.ones(11), np.ones(11)]
+            table[column][4] = bad
+            with pytest.raises(ProfileValidityError, match="finite"):
+                LineProfile.sampled_table(*table)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_direct(self, bad):
+        good = {"support_end": 0.5, "A0": 1.0, "A0prime": 0.0, "tau": 1.0,
+                "h": 0.1}
+        for name in good:
+            with pytest.raises(ProfileValidityError,
+                               match=f"^{name} must be finite"):
+                LineProfile.direct(sin2_table_potential(),
+                                   **{**good, name: bad})
 
 
 class TestTravelTime:
@@ -318,12 +361,32 @@ def double_clip(spline, x0, x_end, support_end):
     return evaluator
 
 
+@pytest.fixture(scope="module")
+def sampled_v():
+    """The sampled-table V spline of ``sampled_line`` and its knots, the
+    GRID_STEP grid on [0, x_end]."""
+    V = potential_from_profile(sampled_line())
+    n = max(int(math.ceil(V.support_end / line_model.GRID_STEP)), 16)
+    return V, np.linspace(0.0, V.support_end, n + 1).tolist()
+
+
+def assert_float_path_is_array_path(V, points):
+    """V at each point, given as a float or an np.float64, is a float and,
+    to the bit, the array path's value there."""
+    ref = V(np.array(points)).tolist()
+    for x, want in zip(points, ref):
+        for arg in (float(x), np.float64(x)):
+            got = V(arg)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 @given(which=st.integers(0, len(TABLE_WINDOWS) - 1),
        support_end=st.one_of(st.floats(0.05, 1.5),
                              st.sampled_from([0.7, 0.9, 1.1])),
        xs=st.lists(st.floats(-0.5, 2.0), min_size=1, max_size=12))
 @settings(max_examples=60, deadline=None)
-def test_single_mask_matches_double_clip(table_potentials, which,
+def test_single_mask_matches_double_clip(table_potentials, sampled_v, which,
                                          support_end, xs):
     table = table_potentials[which]
     V = potential_from_profile(LineProfile.direct(table, support_end))
@@ -340,20 +403,28 @@ def test_single_mask_matches_double_clip(table_potentials, which,
         got = V(arg)
         assert got.shape == arg.shape
         assert got.tobytes() == want(arg).tobytes()
+    # a float takes the numpy-free piece evaluation: the array path's value
+    # to the bit on the table's knots and the cut, for the direct table and
+    # for a sampled table's V spline
+    assert_float_path_is_array_path(V, xs + edges + table.spline.x.tolist())
+    sampled, knots = sampled_v
+    x_end = sampled.support_end
+    assert_float_path_is_array_path(sampled, xs + knots + [
+        -0.0, np.nextafter(0.0, -1.0), np.nextafter(x_end, 2.0),
+        np.nextafter(x_end, 0.0)])
 
 
-class CountingNumpy:
-    """Stands in for a module's ``np`` and records each attribute used."""
-
-    def __init__(self):
-        self.used = []
-
-    def __getattr__(self, name):
-        self.used.append(name)
-        return getattr(np, name)
+def test_raw_spline_past_its_knots_keeps_scipy_extrapolation():
+    # a CubicSpline handed to ``direct`` as is may not span [0, support_end];
+    # a float x then goes through the spline itself, which extrapolates
+    x = np.linspace(0.2, 0.6, 9)
+    spline = line_model.CubicSpline(x, np.sin(4.0 * x))
+    V = potential_from_profile(LineProfile.direct(spline, 1.0))
+    assert_float_path_is_array_path(V, [0.0, 0.1, 0.2, 0.45, 0.6, 0.8, 1.0])
 
 
-def test_scalar_table_potential_is_one_spline_call(tmp_path, monkeypatch):
+def test_scalar_table_potential_makes_no_spline_or_numpy_call(tmp_path,
+                                                              monkeypatch):
     calls = []
 
     class CountedSpline(line_model.CubicSpline):
@@ -367,12 +438,15 @@ def test_scalar_table_potential_is_one_spline_call(tmp_path, monkeypatch):
     np.savetxt(path, np.column_stack([x, np.sin(5.0 * x) ** 2]),
                delimiter=",", header="x,V", comments="", fmt="%.17g")
     table, _ = config._spline_potential(path, "V")
-    V = potential_from_profile(LineProfile.direct(table, 0.5))
+    potentials = (potential_from_profile(LineProfile.direct(table, 0.5)),
+                  potential_from_profile(sampled_line()))
+    calls.clear()
     counting = CountingNumpy()
     monkeypatch.setattr(line_model, "np", counting)
-    for arg, calls_made in ((0.3, 1), (np.float64(0.45), 1), (0.55, 0),
-                            (-0.1, 0)):
-        calls.clear()
-        V(arg)
-        assert calls == [0] * calls_made
-    assert counting.used == []
+    for V in potentials:
+        for arg in (0.3, np.float64(0.45), 0.0, 0.5, 0.55, -0.1):
+            assert type(V(arg)) is float
+    assert calls == [] and counting.used == []
+    # the array path still calls the spline, so the counter is live
+    potentials[0](np.array([0.3]))
+    assert calls == [1]

@@ -15,7 +15,7 @@ import pytest
 from starscatter import config, jost, propagate, scattering
 from starscatter.line_model import LineProfile, potential_from_profile
 
-from conftest import direct_network, sin2_bump, write_sin2_table
+from conftest import direct_network, jost_ab, sin2_bump, write_sin2_table
 
 KS = np.linspace(60.0, 160.0, 11)
 FINE = 60.0 + 0.005 * np.arange(20001)  # the benchmark's grid
@@ -176,7 +176,8 @@ def test_smooth_stub_costs_its_support_cells_plus_one(table_stub,
 
 def test_jost_batch_matches_two_sweeps():
     V = potential_from_profile(LineProfile.direct(sin2_bump(0.5, 0.8), 0.8))
-    f0, df0, a, b, X = jost.jost_batch(V, KS, with_ab=True)
+    f0, df0, X = jost.jost_batch(V, KS)
+    a, b = jost_ab(V, KS)
     eikX = np.exp(1j * KS * X)
     g0, dg0 = propagate.sweep(V, X, 0.0, KS, eikX, 1j * KS * eikX)
     ft, dft = propagate.sweep(V, 0.0, X, KS, 1.0, -1j * KS)

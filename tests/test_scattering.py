@@ -17,7 +17,8 @@ from starscatter.scattering import BranchKind, assemble_field, \
     solve_scattering_batch
 
 from conftest import closed_form_r1, direct_network, fake_singular_stub, \
-    random_smooth_network, sin2_bump, uniform_network, write_sin2_table
+    jost_ab, random_smooth_network, sin2_bump, uniform_network, \
+    write_sin2_table
 
 
 def adaptive_branch_data(net, k):
@@ -253,7 +254,7 @@ def matrix_node_solve(net, k):
     nk = k.size
     b1 = net.branches[0]
     f0_1, df0_1 = val_coeff[:, 0], der_coeff[:, 0]
-    _, _, a1, bb1, _ = jost.jost_batch(b1.potential, k, with_ab=True)
+    a1, bb1 = jost_ab(b1.potential, k)
     A1 = b1.geometry.A0
     saap = sum(b.geometry.A0 * b.geometry.A0prime for b in net.branches)
     c0 = 1.0 / a1 - (bb1 / a1) * f0_1
