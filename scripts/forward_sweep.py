@@ -19,10 +19,10 @@ from starscatter.scattering import network_from_profiles
 
 def demo_network():
     return network_from_profiles([
-        ("infinite", LineProfile.uniform(1.0, 1.0)),
-        ("infinite", LineProfile.uniform(1.0, 1.0)),
-        ("finite", LineProfile.uniform(1.0, 1.0, length=1.0)),
-        ("finite", LineProfile.uniform(1.0, 1.0, length=1.7)),
+        LineProfile.uniform(1.0, 1.0),
+        LineProfile.uniform(1.0, 1.0),
+        LineProfile.uniform(1.0, 1.0, length=1.0),
+        LineProfile.uniform(1.0, 1.0, length=1.7),
     ])
 
 

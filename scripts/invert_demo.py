@@ -28,12 +28,11 @@ def bump(amplitude, width):
 def demo_network():
     profiles = []
     for amp, width in ((0.5, 0.8), (-0.35, 0.7)):
-        profiles.append(("infinite", LineProfile.direct(bump(amp, width),
-                                                        width)))
+        profiles.append(LineProfile.direct(bump(amp, width), width))
     for amp, width, tau, h in ((0.4, 0.6, 1.0, 0.12),
                                (-0.3, 0.9, 1.7, -0.1)):
-        profiles.append(("finite", LineProfile.direct(bump(amp, width),
-                                                      width, tau=tau, h=h)))
+        profiles.append(LineProfile.direct(bump(amp, width), width,
+                                           tau=tau, h=h))
     return network_from_profiles(profiles)
 
 

@@ -28,10 +28,9 @@ def bump(amplitude, width):
 
 def demo_network():
     return network_from_profiles([
-        ("infinite", LineProfile.direct(bump(0.6, 0.9), 0.9)),
-        ("infinite", LineProfile.direct(bump(-0.4, 0.7), 0.7)),
-        ("finite", LineProfile.direct(bump(0.5, 0.8), 0.8, tau=1.2,
-                                      h=0.15)),
+        LineProfile.direct(bump(0.6, 0.9), 0.9),
+        LineProfile.direct(bump(-0.4, 0.7), 0.7),
+        LineProfile.direct(bump(0.5, 0.8), 0.8, tau=1.2, h=0.15),
     ])
 
 
@@ -44,7 +43,7 @@ def main():
 
     net = demo_network()
     X = 1.4
-    exact = solve_scattering(net, args.k).R1
+    exact = solve_scattering(net, args.k).R1[0]
     print(f"k = {args.k}, reference R1 = {exact:.10f}")
     print(f"{'dx':>10}  {'|gap|':>12}  {'ratio':>8}  {'order':>6}")
     prev = None

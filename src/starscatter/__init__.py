@@ -10,25 +10,22 @@ from .inversion import InversionReport, ReflectogramSample, estimate_m, \
     estimate_taus, high_freq_reflection
 from .jost import JostData, jost_at_origin
 from .line_model import BranchGeometry, LineProfile, PotentialFn, \
-    branch_geometry, branch_model, liouville_coordinate, \
-    potential_from_profile, travel_time, voltage_from_field
+    branch_model, liouville_coordinate, travel_time
 from .oracle import DiscreteGraphField, oracle_solve
-from .scattering import Branch, BranchKind, ScatteringCoefficients, \
-    ScatteringSweep, StarNetwork, assemble_field, network_from_profiles, \
-    reflectogram, solve_scattering
+from .scattering import Branch, ScatteringSweep, StarNetwork, \
+    network_from_profiles, reflectogram, solve_scattering
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Branch", "BranchGeometry", "BranchKind", "DiscreteGraphField",
+    "Branch", "BranchGeometry", "DiscreteGraphField",
     "FundamentalData", "InversionReport", "JostData", "KernelTable",
     "LineProfile", "PotentialFn", "ReflectogramSample",
-    "ScatteringCoefficients", "ScatteringSweep", "StarNetwork",
-    "StarScatterError",
-    "assemble_field", "branch_geometry", "branch_model", "estimate_m",
+    "ScatteringSweep", "StarNetwork", "StarScatterError",
+    "branch_model", "estimate_m",
     "estimate_taus", "fundamental_at", "fundamental_via_kernel",
     "high_freq_reflection",
     "jost_at_origin", "liouville_coordinate", "network_from_profiles",
-    "oracle_solve", "potential_from_profile", "reflectogram",
-    "solve_kernel", "solve_scattering", "travel_time", "voltage_from_field",
+    "oracle_solve", "reflectogram",
+    "solve_kernel", "solve_scattering", "travel_time",
 ]

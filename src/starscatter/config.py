@@ -147,7 +147,7 @@ def load_network(path) -> tuple[StarNetwork, dict]:
         raise ConfigError("'branches' must not be empty")
 
     base = path.parent
-    pairs = []
+    profiles = []
     for i, bspec in enumerate(branches):
         where = f"branches[{i}]"
         if not isinstance(bspec, dict):
@@ -172,10 +172,10 @@ def load_network(path) -> tuple[StarNetwork, dict]:
             raise
         except StarScatterError as exc:
             raise ConfigError(f"'{where}': {exc}") from exc
-        pairs.append((kind, prof))
+        profiles.append(prof)
 
     try:
-        net = network_from_profiles(pairs)
+        net = network_from_profiles(profiles)
     except StarScatterError as exc:
         raise ConfigError(f"'branches': {exc}") from exc
     return net, doc

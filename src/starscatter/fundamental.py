@@ -1,7 +1,7 @@
 """Fundamental solution on finite branches, with a kernel-based cross-check.
 
 omega(x,k;h,V) solves y'' = (V - k^2) y with omega(0) = 1, omega'(0) = h.
-``fundamental_batch`` takes it from the network solver's transfer matrix.
+The network solver's ``propagate.sweep`` gives it over an array of k.
 ``fundamental_at`` integrates the IVP by adaptive RK45, and an independent
 route evaluates the integral representation
 
@@ -25,9 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import cumulative_trapezoid, simpson
-from scipy.interpolate import CubicSpline, RegularGridInterpolator
+from scipy.interpolate import CubicSpline
 
-from . import propagate
 from .errors import DivergenceError
 from .jost import _rk45
 from .line_model import PotentialFn
@@ -56,15 +55,6 @@ class KernelTable:
     xi: np.ndarray
     values: np.ndarray  # P[i, j] = K(xi_i + eta_j, xi_i - eta_j)
 
-    def __call__(self, x, t):
-        x = np.asarray(x, dtype=float)
-        t = np.asarray(t, dtype=float)
-        interp = RegularGridInterpolator((self.xi, self.xi), self.values,
-                                         bounds_error=False, fill_value=None)
-        pts = np.stack([(x + t) / 2.0, (x - t) / 2.0], axis=-1)
-        out = interp(pts)
-        return out if out.ndim else float(out)
-
 
 def fundamental_at(V: PotentialFn, tau: float, h: float, k):
     """Integrate the IVP omega(0)=1, omega'(0)=h from 0 to tau; for V = 0
@@ -86,21 +76,6 @@ def fundamental_at(V: PotentialFn, tau: float, h: float, k):
                         max_step=tau)[:, -1].reshape(2, -1)
         out = [FundamentalData(*row) for row in zip(ks, om, dom)]
     return out if np.ndim(k) else out[0]
-
-
-def fundamental_profile(V: PotentialFn, tau: float, h: float, k: float, xs):
-    """omega and omega' sampled on xs in [0, tau]."""
-    xs = np.asarray(xs, dtype=float)
-    om, dom = _rk45(V, k, (0.0, tau), [1.0 + 0.0j, complex(h)], t_eval=xs,
-                    max_step=tau)
-    return om, dom
-
-
-def fundamental_batch(V: PotentialFn, tau: float, h: float, k):
-    """Vectorized (omega(tau), omega'(tau)) over an array of frequencies."""
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    ones = np.ones_like(k, dtype=complex)
-    return propagate.sweep(V, 0.0, tau, k, ones, complex(h) * ones)
 
 
 def solve_kernel(V: PotentialFn, tau: float) -> KernelTable:

@@ -6,11 +6,9 @@ far field a e^{-ikx} + b e^{ikx} carries the half-line transfer data.  (The
 -ik initial slope is what the integral equation for ftilde implies.)
 
 ``jost_batch`` is the route the network solver uses: one vectorized
-transfer-matrix pass per branch gives (f0, df0).  Two references check
-it: an adaptive RK45 integration of the ODE form (``jost_at_origin``,
-``jost_profile``), which ``validate`` and the tests use and which stays
-stable at high k, and a slow Volterra successive-approximation solution
-used by tests at moderate k*X.
+transfer-matrix pass per branch gives (f0, df0).  An adaptive RK45
+integration of the ODE form (``jost_at_origin``, ``jost_profile``) checks
+it; ``validate`` and the tests use it, and it stays stable at high k.
 On V = 0 the batch and RK45 routes return e^{ikx} and e^{-ikx} exactly.
 """
 from __future__ import annotations
@@ -18,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, solve_ivp
+from scipy.integrate import solve_ivp
 
 from . import propagate
 from .errors import AccuracyError, SingularFrequencyError
@@ -135,46 +133,3 @@ def jost_batch(V: PotentialFn, k):
     df0 = (m11 * ik - m21) * eikX
     return f0, df0, X
 
-
-def jost_via_volterra(V: PotentialFn, k: float, n_grid: int = 4000):
-    """Successive approximations for the Jost integral equations on
-    [0, V.truncation]: at most 60 sweeps, stopping when a sweep
-    moves the solution by less than 1e-12.
-
-    Returns (x_grid, f, ftilde).  Slow reference path; accuracy degrades as
-    k*X grows, so tests use it at moderate frequencies only.
-    """
-    if k == 0:
-        raise SingularFrequencyError("Jost data is singular at k = 0")
-    x = np.linspace(0.0, V.truncation, n_grid + 1)
-    v = np.asarray(V(x), dtype=float)
-    sin_kx, cos_kx = np.sin(k * x), np.cos(k * x)
-
-    def forward_iterate(g0, weight):
-        # int_0^x sin(k(x-y))/k w(y) dy via two cumulative trapezoids
-        g = g0.copy()
-        for _ in range(60):
-            w = weight * g
-            ic = cumulative_trapezoid(cos_kx * w, x, initial=0.0)
-            is_ = cumulative_trapezoid(sin_kx * w, x, initial=0.0)
-            new = g0 + (sin_kx * ic - cos_kx * is_) / k
-            if np.max(np.abs(new - g)) < 1e-12:
-                return new
-            g = new
-        return g
-
-    def backward_iterate(g0, weight):
-        g = g0.copy()
-        for _ in range(60):
-            w = weight * g
-            tc = cumulative_trapezoid((cos_kx * w)[::-1], x, initial=0.0)[::-1]
-            ts = cumulative_trapezoid((sin_kx * w)[::-1], x, initial=0.0)[::-1]
-            new = g0 - (sin_kx * tc - cos_kx * ts) / k
-            if np.max(np.abs(new - g)) < 1e-12:
-                return new
-            g = new
-        return g
-
-    ftilde = forward_iterate(np.exp(-1j * k * x), v)
-    f = backward_iterate(np.exp(1j * k * x), v)
-    return x, f, ftilde

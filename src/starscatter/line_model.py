@@ -9,9 +9,8 @@ modules consume PotentialFn / BranchGeometry and never see z again.
 
 ``branch_model`` is the one switch over the profile families: it turns a
 profile into its (PotentialFn, BranchGeometry) pair, fitting a sampled
-table's splines once for both.  ``potential_from_profile`` and
-``branch_geometry`` are its two halves.  ||V||_L1, the truncation point and
-a sampled table's V spline are all taken on a uniform x-grid of spacing
+table's splines once for both.  ||V||_L1, the truncation point and a
+sampled table's V spline are all taken on a uniform x-grid of spacing
 GRID_STEP.
 """
 from __future__ import annotations
@@ -62,6 +61,8 @@ class LineProfile:
             raise ProfileValidityError("L and C must be strictly positive")
         if math.isnan(length):
             raise ProfileValidityError("length must not be NaN")
+        if length <= 0:  # -inf would otherwise make an infinite branch
+            raise ProfileValidityError(f"length must be > 0, got {length}")
         L, C = float(inductance), float(capacitance)
         return cls(ProfileFamily.UNIFORM,
                    {"L": L, "C": C, "slowness": math.sqrt(L * C)},
@@ -77,6 +78,8 @@ class LineProfile:
         unbounded A violates the positive-limit assumption on infinite
         branches.
         """
+        if length <= 0:
+            raise ProfileValidityError(f"length must be > 0, got {length}")
         if not math.isfinite(length):
             raise ProfileValidityError(
                 "exponential taper is only defined on finite branches")
@@ -194,6 +197,9 @@ class BranchGeometry:
     def __post_init__(self):
         if self.A0 <= 0:
             raise ProfileValidityError("A0 must be strictly positive")
+        if (self.tau is None) != (self.h is None):
+            raise ProfileValidityError(
+                "tau and h come together (finite branch) or not at all")
         if self.tau is not None and self.tau <= 0:
             raise ProfileValidityError("tau must be positive")
 
@@ -407,20 +413,3 @@ def branch_model(profile: LineProfile) -> tuple[PotentialFn, BranchGeometry]:
         else BranchGeometry(a0, a0p)
     return potential, geometry
 
-
-def potential_from_profile(profile: LineProfile) -> PotentialFn:
-    """V(x) = A''(x)/A(x) in the travel-time coordinate (``branch_model``)."""
-    return branch_model(profile)[0]
-
-
-def branch_geometry(profile: LineProfile) -> BranchGeometry:
-    """Node coefficients A(0), A'(0) plus (tau, h) on finite branches
-    (``branch_model``)."""
-    return branch_model(profile)[1]
-
-
-def voltage_from_field(y: complex, A: float) -> complex:
-    """Convert a Schrodinger-field sample back to physical voltage U = y/A."""
-    if A <= 0:
-        raise ProfileValidityError("A must be strictly positive")
-    return y / A

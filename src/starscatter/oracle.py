@@ -23,7 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DomainError, ResonanceError
-from .scattering import BranchKind, StarNetwork
+from .scattering import StarNetwork
 
 
 @dataclass(eq=False)
@@ -68,7 +68,7 @@ def oracle_solve(net: StarNetwork, k: float, dx: float,
     grids, dxs, offsets = [], [], []
     total = 0
     for b in net.branches:
-        L = X_trunc if b.kind is BranchKind.INFINITE else b.geometry.tau
+        L = b.geometry.tau if b.is_finite else X_trunc
         n = max(int(round(L / dx)), 8)
         grids.append(np.linspace(0.0, L, n + 1))
         dxs.append(L / n)
@@ -111,7 +111,7 @@ def oracle_solve(net: StarNetwork, k: float, dx: float,
 
     # terminal condition on finite branches: y' = h y
     for bi, b in enumerate(net.branches):
-        if b.kind is not BranchKind.FINITE:
+        if not b.is_finite:
             continue
         nN = offsets[bi] + grids[bi].size - 1
         idx, w = _one_sided_end(nN, dxs[bi])
@@ -120,7 +120,7 @@ def oracle_solve(net: StarNetwork, k: float, dx: float,
 
     # radiation closures at infinite-branch truncations (exact lattice rows)
     for bi, b in enumerate(net.branches):
-        if b.kind is not BranchKind.INFINITE:
+        if b.is_finite:
             continue
         d = dxs[bi]
         nN = offsets[bi] + grids[bi].size - 1

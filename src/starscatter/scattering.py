@@ -37,10 +37,12 @@ reversed coordinate s = tau_j - x, u_j is the fundamental solution omega_j
 with omega_j(0) = 1, omega_j'(0) = -h_j, and u_j'(0) = -omega_j'(tau_j).
 This convention is checked against the uniform closed form and the
 finite-difference oracle.
+
+Every solve returns one ScatteringSweep, arrays with one row per k;
+``solve_scattering`` is the one-row case.
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field, fields
 from typing import Sequence
 
@@ -56,27 +58,17 @@ A5_TOLERANCE = 1e-6  # relative spread of A(0) allowed across branches
 COND_WARN = 1e12
 
 
-class BranchKind(enum.Enum):
-    INFINITE = "infinite"
-    FINITE = "finite"
-
-
 @dataclass(frozen=True, eq=False)
 class Branch:
+    """One branch; it is finite exactly when its geometry carries tau."""
+
     id: int  # 1-based; branch 1 is the measurement branch
-    kind: BranchKind
     potential: PotentialFn
     geometry: BranchGeometry
 
-    def __post_init__(self):
-        if self.kind is BranchKind.FINITE:
-            if self.geometry.tau is None or self.geometry.h is None:
-                raise ProfileValidityError(
-                    f"branch {self.id}: finite branches need tau and h")
-        else:
-            if self.geometry.tau is not None or self.geometry.h is not None:
-                raise ProfileValidityError(
-                    f"branch {self.id}: infinite branches carry no tau or h")
+    @property
+    def is_finite(self) -> bool:
+        return self.geometry.tau is not None
 
 
 @dataclass(eq=False)
@@ -88,7 +80,7 @@ class StarNetwork:
     def __post_init__(self):
         if not self.branches:
             raise ProfileValidityError("network needs at least one branch")
-        if self.branches[0].kind is not BranchKind.INFINITE:
+        if self.branches[0].is_finite:
             raise ProfileValidityError("branch 1 must be infinite")
         a0_ref = self.branches[0].geometry.A0
         for b in self.branches:
@@ -100,57 +92,31 @@ class StarNetwork:
 
     @property
     def m(self) -> int:
-        return sum(1 for b in self.branches if b.kind is BranchKind.INFINITE)
+        return len(self.infinite_branches)
 
     @property
     def n(self) -> int:
-        return sum(1 for b in self.branches if b.kind is BranchKind.FINITE)
+        return len(self.finite_branches)
 
     @property
     def infinite_branches(self) -> list[Branch]:
-        return [b for b in self.branches if b.kind is BranchKind.INFINITE]
+        return [b for b in self.branches if not b.is_finite]
 
     @property
     def finite_branches(self) -> list[Branch]:
-        return [b for b in self.branches if b.kind is BranchKind.FINITE]
+        return [b for b in self.branches if b.is_finite]
 
 
-def network_from_profiles(profiles: Sequence[tuple[str, LineProfile]]
-                          ) -> StarNetwork:
-    """Build a StarNetwork from ("infinite"|"finite", LineProfile) pairs.
+def network_from_profiles(profiles: Sequence[LineProfile]) -> StarNetwork:
+    """Build a StarNetwork from LineProfiles.
 
-    Infinite branches are sorted first so that branch numbering follows the
+    Infinite profiles are sorted first so that branch numbering follows the
     usual convention (1..m infinite, m+1..m+n finite); order within each
     group is preserved.
     """
-    tagged = []
-    for kind_name, profile in profiles:
-        kind = BranchKind(kind_name)
-        if (kind is BranchKind.FINITE) != profile.is_finite:
-            raise ProfileValidityError(
-                f"{kind.value} branch built from a profile of length "
-                f"{profile.length}")
-        tagged.append((kind, profile))
-    tagged.sort(key=lambda t: 0 if t[0] is BranchKind.INFINITE else 1)
-    return StarNetwork([Branch(i, kind, *branch_model(profile))
-                        for i, (kind, profile) in enumerate(tagged, start=1)])
-
-
-@dataclass(eq=False)
-class ScatteringCoefficients:
-    """Solution of the node conditions at one frequency."""
-
-    k: float
-    R1: complex
-    T: list  # transmission onto infinite branches 2..m
-    alpha: list  # finite-branch amplitudes, branches m+1..m+n
-    ybar: complex
-    # second-largest |l_j|/k over branches 2..N (0 with fewer than two): it
-    # grows without bound where two branches decouple from the node at once,
-    # an embedded eigenvalue at which the amplitudes are not unique; above
-    # COND_WARN the row is ill-conditioned
-    condition_number: float
-    node_values: list = field(repr=False, default_factory=list)  # (y(0), y'(0)) per branch
+    ordered = sorted(profiles, key=lambda p: p.is_finite)
+    return StarNetwork([Branch(i, *branch_model(profile))
+                        for i, profile in enumerate(ordered, start=1)])
 
 
 @dataclass(eq=False)
@@ -160,7 +126,6 @@ class ScatteringSweep:
 
     A row where the node equation's denominator D vanishes holds NaN and is
     flagged by ``resonant``.
-    ``sweep[i]`` is the ScatteringCoefficients of row i.
     """
 
     k: np.ndarray  # [nk]
@@ -168,7 +133,10 @@ class ScatteringSweep:
     T: np.ndarray  # [nk, m-1], infinite branches 2..m
     alpha: np.ndarray  # [nk, n], finite branches m+1..m+n
     ybar: np.ndarray  # [nk]
-    cond: np.ndarray  # [nk], condition_number of each row
+    # [nk]: second-largest |l_j|/k over branches 2..N, 0 with fewer than
+    # two; unbounded where two branches decouple from the node at once
+    # (amplitudes not unique), ill-conditioned above COND_WARN
+    cond: np.ndarray
     node_values: np.ndarray = field(repr=False)  # [nk, N, 2]: y(0), y'(0)
 
     @property
@@ -178,22 +146,15 @@ class ScatteringSweep:
     def __len__(self) -> int:
         return self.k.size
 
-    def __getitem__(self, i) -> ScatteringCoefficients:
-        return ScatteringCoefficients(
-            k=float(self.k[i]), R1=complex(self.R1[i]),
-            T=self.T[i].tolist(), alpha=self.alpha[i].tolist(),
-            ybar=complex(self.ybar[i]), condition_number=float(self.cond[i]),
-            node_values=[tuple(v) for v in self.node_values[i].tolist()])
-
 
 def _branch_data(net: StarNetwork, k: np.ndarray):
     """Node pairs (val, der) = (y(0), y'(0)) over k, two [nk, N] arrays with
     one column per branch: f_j on infinite branches, and on finite ones the
     solution u_j with u_j(tau) = 1, u_j'(tau) = h."""
-    val, der = zip(*(jost.jost_batch(b.potential, k)[:2]
-                     if b.kind is BranchKind.INFINITE else
-                     propagate.sweep(b.potential, b.geometry.tau, 0.0, k,
+    val, der = zip(*(propagate.sweep(b.potential, b.geometry.tau, 0.0, k,
                                      1.0, b.geometry.h)
+                     if b.is_finite else
+                     jost.jost_batch(b.potential, k)[:2]
                      for b in net.branches))
     return np.stack(val, axis=1), np.stack(der, axis=1)
 
@@ -252,38 +213,15 @@ def solve_scattering_batch(net: StarNetwork, k) -> ScatteringSweep:
                            node_values=node_values)
 
 
-def solve_scattering(net: StarNetwork, k: float) -> ScatteringCoefficients:
-    """Scattering coefficients at a single frequency (k >= K_FLOOR).
+def solve_scattering(net: StarNetwork, k: float) -> ScatteringSweep:
+    """The one-row sweep at a single frequency (k >= K_FLOOR).
 
     Raises ResonanceError where ``solve_scattering_batch`` flags the row.
     """
     sweep = solve_scattering_batch(net, float(k))
     if sweep.resonant[0]:
         raise ResonanceError(f"node equation singular at k={float(k)}")
-    return sweep[0]
-
-
-def assemble_field(net: StarNetwork, coeffs: ScatteringCoefficients,
-                   branch_id: int, x: float, derivative: bool = False):
-    """Field y (optionally (y, y')) on one branch at position x.
-
-    Propagates the stored node boundary values outward, so the result is
-    consistent with the coefficients to solver accuracy.
-    """
-    if branch_id < 1 or branch_id > len(net.branches):
-        raise DomainError(f"branch_id {branch_id} out of range")
-    b = net.branches[branch_id - 1]
-    if x < 0:
-        raise DomainError("x must be nonnegative")
-    if b.kind is BranchKind.FINITE and x > b.geometry.tau + 1e-12:
-        raise DomainError(f"x={x} beyond tau={b.geometry.tau}")
-    y0, dy0 = coeffs.node_values[branch_id - 1]
-    k = np.array([coeffs.k])
-    y, dy = propagate.sweep(b.potential, 0.0, float(x), k,
-                            np.array([y0]), np.array([dy0]))
-    if derivative:
-        return complex(y[0]), complex(dy[0])
-    return complex(y[0])
+    return sweep
 
 
 def reflectogram(net: StarNetwork, k_grid,

@@ -44,10 +44,9 @@ def write_sin2_table(path, amplitude, width, rows=161):
 
 def uniform_network(m, taus=()):
     """All-uniform star: V=0 everywhere, h=0, unit A0."""
-    profs = [("infinite", LineProfile.uniform(1.0, 1.0))
-             for _ in range(m)]
+    profs = [LineProfile.uniform(1.0, 1.0) for _ in range(m)]
     for tau in taus:
-        profs.append(("finite", LineProfile.uniform(1.0, 1.0, length=tau)))
+        profs.append(LineProfile.uniform(1.0, 1.0, length=tau))
     return network_from_profiles(profs)
 
 
@@ -59,9 +58,9 @@ def direct_network(infinite_pots, finite_specs):
     """
     profs = []
     for fn, supp in infinite_pots:
-        profs.append(("infinite", LineProfile.direct(fn, supp)))
+        profs.append(LineProfile.direct(fn, supp))
     for fn, supp, tau, h in finite_specs:
-        profs.append(("finite", LineProfile.direct(fn, supp, tau=tau, h=h)))
+        profs.append(LineProfile.direct(fn, supp, tau=tau, h=h))
     return network_from_profiles(profs)
 
 

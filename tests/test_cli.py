@@ -211,6 +211,12 @@ class TestForward:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert f".{key}'" in err[0]
 
+    def test_non_positive_length_named(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, uniform_config(1, [-1.0]))
+        assert forward_exit(cfg, tmp_path) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: 'branches[1]': length must be > 0, got -1.0"]
+
     @pytest.mark.parametrize("spec", ["profile", "direct"])
     def test_spec_not_an_object(self, tmp_path, capsys, spec):
         doc = {"schema_version": 1,
@@ -273,8 +279,8 @@ class TestForward:
         assert rows[1] == "5.5,NaN,NaN,NaN,NaN,NaN"
         for k, row in ((5.0, rows[0]), (6.0, rows[2])):
             c = scattering.solve_scattering(net, k)
-            fields = [k, c.R1.real, c.R1.imag, abs(c.R1),
-                      c.T[0].real, c.T[0].imag]
+            r1, t = c.R1[0], c.T[0, 0]
+            fields = [k, r1.real, r1.imag, abs(r1), t.real, t.imag]
             assert row == ",".join(cli._fmt(x) for x in fields)
         with pytest.raises(ResonanceError):
             scattering.solve_scattering(net, 5.5)

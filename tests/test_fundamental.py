@@ -8,19 +8,19 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
-from starscatter import fundamental
-from starscatter.fundamental import fundamental_at, fundamental_batch, \
+from starscatter import fundamental, propagate
+from starscatter.fundamental import fundamental_at, \
     fundamental_via_kernel, solve_kernel
 from starscatter.jost import _rk45
-from starscatter.line_model import LineProfile, TablePotential, \
-    potential_from_profile
+from starscatter.line_model import LineProfile, TablePotential, branch_model
 
 from conftest import CountingNumpy, sin2_bump, square_well
+from references import kernel_at
 
 
 def make_potential(fn, support_end):
     prof = LineProfile.direct(fn, support_end)
-    return potential_from_profile(prof)
+    return branch_model(prof)[0]
 
 
 ZERO = make_potential(lambda x: np.zeros_like(np.asarray(x, float)), 0.0)
@@ -106,7 +106,7 @@ class TestFundamentalAt:
 
     def test_batch_matches_adaptive(self):
         ks = np.array([3.0, 11.0, 37.0])
-        om, dom = fundamental_batch(BUMP, 1.4, 0.3, ks)
+        om, dom = propagate.sweep(BUMP, 0.0, 1.4, ks, 1.0, 0.3)
         for i, k in enumerate(ks):
             d = fundamental_at(BUMP, 1.4, 0.3, float(k))
             assert abs(om[i] - d.omega_tau) < 1e-7
@@ -184,7 +184,7 @@ class TestSolveKernel:
         xs = np.linspace(0.05, 0.95, 10)
         for x in xs:
             ts = np.linspace(-x + 0.01, x - 0.01, 9)
-            vals = K(np.full_like(ts, x), ts)
+            vals = kernel_at(K, np.full_like(ts, x), ts)
             assert np.max(np.abs(vals - v0 * (x + ts) / 4.0)) < 1e-6
 
     def test_sup_bound(self):
@@ -202,10 +202,10 @@ class TestSolveKernel:
         xs = np.linspace(0.2, tau - 0.2, 6)
         for x in xs:
             ts = np.linspace(-x + 0.1, x - 0.1, 7)
-            kx = (K(np.full_like(ts, x + d), ts)
-                  - K(np.full_like(ts, x - d), ts)) / (2 * d)
-            kt = (K(np.full_like(ts, x), ts + d)
-                  - K(np.full_like(ts, x), ts - d)) / (2 * d)
+            kx = (kernel_at(K, np.full_like(ts, x + d), ts)
+                  - kernel_at(K, np.full_like(ts, x - d), ts)) / (2 * d)
+            kt = (kernel_at(K, np.full_like(ts, x), ts + d)
+                  - kernel_at(K, np.full_like(ts, x), ts - d)) / (2 * d)
             bound = 0.25 * np.abs(V((x + ts) / 2.0)) \
                 + 0.5 * l1 ** 2 * math.exp(x * l1)
             slack = 0.05 * (l1 + l1 ** 2) + 10.0 * d
@@ -263,7 +263,7 @@ class TestHighFrequency:
 
     def window_max(self, k_center, fn):
         ks = np.linspace(k_center - 1.0, k_center + 1.0, 81)
-        om, dom = fundamental_batch(BUMP, self.TAU, self.H, ks)
+        om, dom = propagate.sweep(BUMP, 0.0, self.TAU, ks, 1.0, self.H)
         return np.max(fn(ks, om, dom))
 
     def test_value_asymptotics(self):
@@ -282,7 +282,7 @@ class TestHighFrequency:
         # away from zeros of cos(k tau), omega'/omega + k tan(k tau) stays
         # bounded as k grows
         ks = np.linspace(20.0, 220.0, 4001)
-        om, dom = fundamental_batch(BUMP, self.TAU, self.H, ks)
+        om, dom = propagate.sweep(BUMP, 0.0, self.TAU, ks, 1.0, self.H)
         mask = np.abs(np.cos(ks * self.TAU)) > 0.3
         resid = np.abs(dom / om + ks * np.tan(ks * self.TAU))[mask]
         lo = resid[ks[mask] < 70.0]

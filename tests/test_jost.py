@@ -15,15 +15,16 @@ from scipy import integrate
 from starscatter import jost
 from starscatter.errors import SingularFrequencyError
 from starscatter.jost import jost_at_origin, jost_batch, jost_profile, \
-    jost_tilde_profile, jost_via_volterra
-from starscatter.line_model import LineProfile, potential_from_profile
+    jost_tilde_profile
+from starscatter.line_model import LineProfile, branch_model
 
 from conftest import jost_ab, sin2_bump, square_well
+from references import jost_via_volterra
 
 
 def make_potential(fn, support_end):
     prof = LineProfile.direct(fn, support_end)
-    return potential_from_profile(prof)
+    return branch_model(prof)[0]
 
 
 def well_oracle(v0, w, k):

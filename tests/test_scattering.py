@@ -1,4 +1,5 @@
 """Node system assembly and the constructed scattering solution."""
+import dataclasses
 import json
 import math
 
@@ -10,15 +11,16 @@ from starscatter import jost, propagate, scattering
 from starscatter.config import load_network
 from starscatter.errors import DomainError, ProfileValidityError, \
     ResonanceError
-from starscatter.fundamental import fundamental_at, fundamental_profile
-from starscatter.line_model import LineProfile, potential_from_profile
-from starscatter.scattering import BranchKind, assemble_field, \
+from starscatter.fundamental import fundamental_at
+from starscatter.line_model import BranchGeometry, LineProfile, branch_model
+from starscatter.scattering import Branch, ScatteringSweep, StarNetwork, \
     network_from_profiles, reflectogram, solve_scattering, \
     solve_scattering_batch
 
 from conftest import closed_form_r1, direct_network, fake_singular_stub, \
     jost_ab, random_smooth_network, sin2_bump, uniform_network, \
     write_sin2_table
+from references import assemble_field, fundamental_profile
 
 
 def adaptive_branch_data(net, k):
@@ -27,7 +29,7 @@ def adaptive_branch_data(net, k):
     val = np.empty((k.size, len(net.branches)), dtype=complex)
     der = np.empty_like(val)
     for j, b in enumerate(net.branches):
-        if b.kind is BranchKind.INFINITE:
+        if not b.is_finite:
             rows = [jost.jost_at_origin(b.potential, float(kk)) for kk in k]
             val[:, j] = [r.f0 for r in rows]
             der[:, j] = [r.df0 for r in rows]
@@ -47,31 +49,31 @@ class TestUniformJunctions:
     def test_matched_line(self):
         net = uniform_network(2)
         c = solve_scattering(net, 13.0)
-        assert abs(c.R1) < 1e-12
-        assert abs(c.T[0] - 1.0) < 1e-12
+        assert abs(c.R1[0]) < 1e-12
+        assert abs(c.T[0, 0] - 1.0) < 1e-12
 
     def test_three_way_junction(self):
         net = uniform_network(3)
         for k in (5.0, 40.0):
             c = solve_scattering(net, k)
-            assert abs(c.R1 + 1.0 / 3.0) < 1e-12
-            assert abs(c.T[0] - 2.0 / 3.0) < 1e-12
-            assert abs(c.T[1] - 2.0 / 3.0) < 1e-12
+            assert abs(c.R1[0] + 1.0 / 3.0) < 1e-12
+            assert abs(c.T[0, 0] - 2.0 / 3.0) < 1e-12
+            assert abs(c.T[0, 1] - 2.0 / 3.0) < 1e-12
 
     def test_stub_at_its_eigenvalue(self):
         # u(0) = cos(3 pi / 2) is 1.8e-16 of rounding noise; one decoupled
         # stub leaves alpha unique and must not raise a warning
         net = uniform_network(2, taus=[1.0])
         c = solve_scattering(net, 1.5 * math.pi)
-        assert abs(c.R1 + 1.0) < 1e-12
-        assert abs(c.alpha[0] + 2j) < 1e-12
-        assert c.condition_number <= scattering.COND_WARN
+        assert abs(c.R1[0] + 1.0) < 1e-12
+        assert abs(c.alpha[0, 0] + 2j) < 1e-12
+        assert c.cond[0] <= scattering.COND_WARN
 
     def test_single_stub_full_reflection(self):
         net = uniform_network(1, taus=[1.0])
-        c = solve_scattering(net, math.pi / 4.0)
-        assert abs(abs(c.R1) - 1.0) < 1e-12
-        assert abs(c.R1 - 1.0j) < 1e-10  # phase from the closed form
+        r1 = solve_scattering(net, math.pi / 4.0).R1[0]
+        assert abs(abs(r1) - 1.0) < 1e-12
+        assert abs(r1 - 1.0j) < 1e-10  # phase from the closed form
 
     @pytest.mark.parametrize("m,taus", [(1, [1.0]), (2, [0.7, 1.3]),
                                         (3, [2.0])])
@@ -80,8 +82,8 @@ class TestUniformJunctions:
         for k in (5.0, 17.0, 63.0):
             if any(abs(math.cos(k * t)) < 0.05 for t in taus):
                 continue
-            c = solve_scattering(net, k)
-            assert abs(c.R1 - closed_form_r1(m, taus, k)) < 1e-10
+            r1 = solve_scattering(net, k).R1[0]
+            assert abs(r1 - closed_form_r1(m, taus, k)) < 1e-10
 
 
 class TestInvariants:
@@ -90,20 +92,20 @@ class TestInvariants:
             net = random_smooth_network(rng)
             for k in rng.uniform(5.0, 100.0, size=3):
                 c = solve_scattering(net, float(k))
-                flux = abs(c.R1) ** 2 + sum(abs(t) ** 2 for t in c.T)
+                flux = abs(c.R1[0]) ** 2 + sum(abs(t) ** 2 for t in c.T[0])
                 assert abs(flux - 1.0) < 1e-8
 
     def test_node_residuals(self, rng):
         net = random_smooth_network(rng)
         c = solve_scattering(net, 23.0)
         vals = [y / b.geometry.A0
-                for (y, _), b in zip(c.node_values, net.branches)]
+                for (y, _), b in zip(c.node_values[0], net.branches)]
         scale = max(abs(v) for v in vals)
         assert max(abs(v - vals[0]) for v in vals) / scale < 1e-10
         lhs = sum(b.geometry.A0 * dy
-                  for (_, dy), b in zip(c.node_values, net.branches))
+                  for (_, dy), b in zip(c.node_values[0], net.branches))
         saap = sum(b.geometry.A0 * b.geometry.A0prime for b in net.branches)
-        assert abs(lhs - saap * c.ybar) / (abs(lhs) + c.k) < 1e-10
+        assert abs(lhs - saap * c.ybar[0]) / (abs(lhs) + c.k[0]) < 1e-10
 
     def test_uniqueness_under_branch_reordering(self):
         specs = [(sin2_bump(0.5, 0.8), 0.8, 1.1, 0.2),
@@ -113,9 +115,9 @@ class TestInvariants:
         for k in (9.0, 31.0):
             ca = solve_scattering(net_a, k)
             cb = solve_scattering(net_b, k)
-            assert abs(ca.R1 - cb.R1) < 1e-12
-            assert abs(sorted(ca.alpha, key=abs)[0]
-                       - sorted(cb.alpha, key=abs)[0]) < 1e-10
+            assert abs(ca.R1[0] - cb.R1[0]) < 1e-12
+            assert abs(sorted(ca.alpha[0], key=abs)[0]
+                       - sorted(cb.alpha[0], key=abs)[0]) < 1e-10
 
     def test_transfer_matches_adaptive(self, rng, monkeypatch):
         net = random_smooth_network(rng)
@@ -124,11 +126,11 @@ class TestInvariants:
             with monkeypatch.context() as mp:
                 mp.setattr(scattering, "_branch_data", adaptive_branch_data)
                 ca = solve_scattering(net, k)
-            assert abs(ct.R1 - ca.R1) < 1e-6
+            assert abs(ct.R1[0] - ca.R1[0]) < 1e-6
 
     def test_wronskian_constant_on_finite_branch(self):
-        V = potential_from_profile(
-            LineProfile.direct(sin2_bump(0.8, 1.0), 1.0, tau=1.3, h=0.2))
+        V = branch_model(
+            LineProfile.direct(sin2_bump(0.8, 1.0), 1.0, tau=1.3, h=0.2))[0]
         xs = np.linspace(0.0, 1.3, 10)
         y1, dy1 = fundamental_profile(V, 1.3, 0.2, 11.0, xs)
         y2, dy2 = fundamental_profile(V, 1.3, 1.7, 11.0, xs)
@@ -141,10 +143,43 @@ class TestInvariants:
             solve_scattering(net, 0.1)
 
     def test_a5_violation_rejected(self):
-        profs = [("infinite", LineProfile.uniform(1.0, 1.0)),
-                 ("infinite", LineProfile.uniform(1.0, 2.0))]
+        profs = [LineProfile.uniform(1.0, 1.0), LineProfile.uniform(1.0, 2.0)]
         with pytest.raises(ProfileValidityError):
             network_from_profiles(profs)
+
+
+class TestBranchTag:
+    """A branch is finite exactly when its geometry carries tau."""
+
+    def test_infinite_profiles_numbered_first(self):
+        infinite = [LineProfile.direct(sin2_bump(0.3, w), w)
+                    for w in (0.4, 0.6)]
+        finite = [LineProfile.direct(sin2_bump(0.2, 0.5), 0.5, tau=tau, h=0.1)
+                  for tau in (1.3, 0.8)]
+        net = network_from_profiles([finite[0], infinite[0], finite[1],
+                                     infinite[1]])
+        assert [b.id for b in net.branches] == [1, 2, 3, 4]
+        assert [b.potential.support_end for b in net.branches[:2]] == \
+            [0.4, 0.6]
+        assert [b.geometry.tau for b in net.branches[2:]] == [1.3, 0.8]
+
+    def test_counts_follow_geometry(self):
+        V = branch_model(LineProfile.uniform(1.0, 1.0))[0]
+        geometries = [BranchGeometry(1.0, 0.0),
+                      BranchGeometry(1.0, 0.0, 1.2, 0.3),
+                      BranchGeometry(1.0, 0.0)]
+        net = StarNetwork([Branch(i, V, g)
+                           for i, g in enumerate(geometries, start=1)])
+        assert [b.is_finite for b in net.branches] == [False, True, False]
+        assert (net.m, net.n) == (2, 1)
+        assert [b.id for b in net.infinite_branches] == [1, 3]
+        assert [b.id for b in net.finite_branches] == [2]
+
+    def test_all_finite_star_rejected(self):
+        stubs = [LineProfile.uniform(1.0, 1.0, length=t) for t in (1.0, 1.7)]
+        with pytest.raises(ProfileValidityError,
+                           match="branch 1 must be infinite"):
+            network_from_profiles(stubs)
 
 
 class TestAssembleField:
@@ -160,7 +195,7 @@ class TestAssembleField:
         c = solve_scattering(net, 15.0)
         for b in net.branches:
             y = assemble_field(net, c, b.id, 0.0)
-            assert abs(y - b.geometry.A0 * c.ybar) < 1e-9
+            assert abs(y - b.geometry.A0 * c.ybar[0]) < 1e-9
 
     def test_bad_branch_id(self):
         net = uniform_network(2)
@@ -181,15 +216,14 @@ class TestAssembleField:
 class TestReflectogram:
     def test_three_way_grid(self):
         net = uniform_network(3)
-        entries = reflectogram(net, [10.0, 20.0, 30.0])
-        assert [e.k for e in entries] == [10.0, 20.0, 30.0]
-        for e in entries:
-            assert abs(e.R1 + 1.0 / 3.0) < 1e-12
+        sweep = reflectogram(net, [10.0, 20.0, 30.0])
+        assert sweep.k.tolist() == [10.0, 20.0, 30.0]
+        assert np.max(np.abs(sweep.R1 + 1.0 / 3.0)) < 1e-12
 
     def test_matched_line_zeros(self):
         net = uniform_network(2)
-        for e in reflectogram(net, np.linspace(5.0, 6.0, 11)):
-            assert abs(e.R1) < 1e-12
+        sweep = reflectogram(net, np.linspace(5.0, 6.0, 11))
+        assert len(sweep) == 11 and np.max(np.abs(sweep.R1)) < 1e-12
 
     def test_singular_node_solve_flags_only_its_k(self, monkeypatch):
         net = uniform_network(2, taus=[1.0])
@@ -220,25 +254,30 @@ class TestReflectogram:
             reflectogram(net, [0.1, 5.0])
         one = reflectogram(stub, 5.0)
         assert len(one) == 1
-        assert one[0].R1 == solve_scattering(stub, 5.0).R1
+        assert one.R1.tolist() == solve_scattering(stub, 5.0).R1.tolist()
 
     def test_threaded_matches_serial(self):
         net = uniform_network(1, taus=[1.0])
         grid = np.linspace(10.0, 12.0, 101)
         serial = reflectogram(net, grid, threads=1)
         threaded = reflectogram(net, grid, threads=4)
-        for a, b in zip(serial, threaded):
-            assert a.k == b.k
-            assert abs(a.R1 - b.R1) < 1e-14
+        assert threaded.k.tolist() == serial.k.tolist()
+        assert np.max(np.abs(threaded.R1 - serial.R1)) < 1e-14
 
 
 def test_batch_solver_matches_scalar(rng):
+    # solve_scattering is the one-row sweep: every field has the batch's
+    # row shape and values
     net = random_smooth_network(rng)
     ks = np.array([6.0, 18.5, 44.0])
     batch = solve_scattering_batch(net, ks)
     for i, k in enumerate(ks):
         single = solve_scattering(net, float(k))
-        assert abs(batch[i].R1 - single.R1) < 1e-13
+        assert len(single) == 1
+        for f in dataclasses.fields(ScatteringSweep):
+            one, row = getattr(single, f.name), getattr(batch, f.name)
+            assert one.shape == (1, *row.shape[1:])
+            np.testing.assert_allclose(one[0], row[i], rtol=0, atol=1e-13)
 
 
 def matrix_node_solve(net, k):
@@ -303,7 +342,7 @@ def test_smooth_stub_at_its_eigenvalue():
     R1, T, alpha, _, _ = matrix_node_solve(net, k)
     for a, b in ((got.R1, R1), (got.T, T), (got.alpha, alpha)):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
-    assert got[0].condition_number <= scattering.COND_WARN
+    assert got.cond[0] <= scattering.COND_WARN
 
 
 def zero_stub_value(monkeypatch, stubs, at_k):
