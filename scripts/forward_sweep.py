@@ -13,12 +13,11 @@ import cmath
 
 import numpy as np
 
-from starscatter import LineProfile, reflectogram
-from starscatter.scattering import network_from_profiles
+from starscatter import LineProfile, StarNetwork, reflectogram
 
 
 def demo_network():
-    return network_from_profiles([
+    return StarNetwork([
         LineProfile.uniform(1.0, 1.0),
         LineProfile.uniform(1.0, 1.0),
         LineProfile.uniform(1.0, 1.0, length=1.0),

@@ -13,8 +13,8 @@ import argparse
 
 import numpy as np
 
-from starscatter import LineProfile, estimate_taus, reflectogram
-from starscatter.scattering import network_from_profiles
+from starscatter import LineProfile, StarNetwork, estimate_taus, \
+    reflectogram
 
 
 def bump(amplitude, width):
@@ -33,7 +33,7 @@ def demo_network():
                                (-0.3, 0.9, 1.7, -0.1)):
         profiles.append(LineProfile.direct(bump(amp, width), width,
                                            tau=tau, h=h))
-    return network_from_profiles(profiles)
+    return StarNetwork(profiles)
 
 
 def main():

@@ -14,8 +14,8 @@ import math
 
 import numpy as np
 
-from starscatter import LineProfile, oracle_solve, solve_scattering
-from starscatter.scattering import network_from_profiles
+from starscatter import LineProfile, StarNetwork, oracle_solve, \
+    solve_scattering
 
 
 def bump(amplitude, width):
@@ -27,7 +27,7 @@ def bump(amplitude, width):
 
 
 def demo_network():
-    return network_from_profiles([
+    return StarNetwork([
         LineProfile.direct(bump(0.6, 0.9), 0.9),
         LineProfile.direct(bump(-0.4, 0.7), 0.7),
         LineProfile.direct(bump(0.5, 0.8), 0.8, tau=1.2, h=0.15),

@@ -10,22 +10,19 @@ from .inversion import InversionReport, ReflectogramSample, estimate_m, \
     estimate_taus, high_freq_reflection
 from .jost import JostData, jost_at_origin
 from .line_model import BranchGeometry, LineProfile, PotentialFn, \
-    branch_model, liouville_coordinate, travel_time
+    liouville_coordinate, travel_time
 from .oracle import DiscreteGraphField, oracle_solve
-from .scattering import Branch, ScatteringSweep, StarNetwork, \
-    network_from_profiles, reflectogram, solve_scattering
+from .scattering import ScatteringSweep, StarNetwork, reflectogram, \
+    solve_scattering
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Branch", "BranchGeometry", "DiscreteGraphField",
-    "FundamentalData", "InversionReport", "JostData", "KernelTable",
-    "LineProfile", "PotentialFn", "ReflectogramSample",
-    "ScatteringSweep", "StarNetwork", "StarScatterError",
-    "branch_model", "estimate_m",
-    "estimate_taus", "fundamental_at", "fundamental_via_kernel",
-    "high_freq_reflection",
-    "jost_at_origin", "liouville_coordinate", "network_from_profiles",
-    "oracle_solve", "reflectogram",
-    "solve_kernel", "solve_scattering", "travel_time",
+    "BranchGeometry", "DiscreteGraphField", "FundamentalData",
+    "InversionReport", "JostData", "KernelTable", "LineProfile",
+    "PotentialFn", "ReflectogramSample", "ScatteringSweep", "StarNetwork",
+    "StarScatterError", "estimate_m", "estimate_taus", "fundamental_at",
+    "fundamental_via_kernel", "high_freq_reflection", "jost_at_origin",
+    "liouville_coordinate", "oracle_solve", "reflectogram", "solve_kernel",
+    "solve_scattering", "travel_time",
 ]

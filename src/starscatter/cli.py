@@ -191,14 +191,14 @@ def _run_checks(net):
     if fins:
         ok = True
         detail = []
-        for b in fins:
+        for j, b in enumerate(fins, start=net.m + 1):
             tau, h = b.geometry.tau, b.geometry.h
             K = fundamental.solve_kernel(b.potential, tau)
             for ivp in fundamental.fundamental_at(b.potential, tau, h,
                                                   (6.0, 14.0)):
                 ker = fundamental.fundamental_via_kernel(K, h, ivp.k)
                 gap = abs(ivp.omega_tau - ker)
-                detail.append(f"b{b.id},k={ivp.k}: {gap:.2e}")
+                detail.append(f"b{j},k={ivp.k}: {gap:.2e}")
                 ok = ok and gap <= 1e-6
         yield ("kernel_vs_ivp", ok, "; ".join(detail))
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ConfigError, StarScatterError
 from .line_model import LineProfile, TablePotential, read_table_csv
-from .scattering import StarNetwork, network_from_profiles
+from .scattering import StarNetwork
 
 SCHEMA_VERSION = 1
 _JSON_TYPES = {float: "number", str: "string", list: "array", dict: "object"}
@@ -175,7 +175,7 @@ def load_network(path) -> tuple[StarNetwork, dict]:
         profiles.append(prof)
 
     try:
-        net = network_from_profiles(profiles)
+        net = StarNetwork(profiles)
     except StarScatterError as exc:
         raise ConfigError(f"'branches': {exc}") from exc
     return net, doc

@@ -7,15 +7,13 @@ frequency-domain voltage equation becomes y'' + (k^2 - V(x)) y = 0 with
 V = A''/A and A = (C/L)^(1/4).  This module owns that conversion; all other
 modules consume PotentialFn / BranchGeometry and never see z again.
 
-``branch_model`` is the one switch over the profile families: it turns a
-profile into its (PotentialFn, BranchGeometry) pair, fitting a sampled
-table's splines once for both.  ||V||_L1, the truncation point and a
-sampled table's V spline are all taken on a uniform x-grid of spacing
-GRID_STEP.
+Each ``LineProfile`` constructor builds its branch once: the potential V,
+the node geometry and the map x(z), fitting a sampled table's splines once
+for all three.  ||V||_L1, the truncation point and a sampled table's V
+spline are all taken on a uniform x-grid of spacing GRID_STEP.
 """
 from __future__ import annotations
 
-import enum
 import math
 import warnings
 from bisect import bisect_right
@@ -32,24 +30,25 @@ TAIL_TOL = 1e-10
 GRID_STEP = 1e-3  # x spacing of the grid behind ||V||_L1, truncation and V
 
 
-class ProfileFamily(enum.Enum):
-    UNIFORM = "uniform"
-    EXPONENTIAL_TAPER = "exponential_taper"
-    SAMPLED_TABLE = "sampled_table"
-    DIRECT_POTENTIAL = "direct_potential"
-
-
 @dataclass(frozen=True, eq=False)
 class LineProfile:
-    """One branch's line description.
+    """One branch: its potential V(x), node geometry, the map x(z) and its
+    length in meters (``math.inf`` on an infinite branch).
 
-    ``length`` is in meters; ``math.inf`` marks an infinite branch.  Family
-    parameters live in ``params`` (see the constructors below for keys).
+    A branch is finite exactly when its geometry carries tau.  Parametric
+    families use analytic second derivatives of A; a sampled table fits one
+    natural cubic spline of A, takes V as its second derivative over A and
+    reads A and A' off the same spline.
     """
 
-    family: ProfileFamily
-    params: dict
+    potential: PotentialFn
+    geometry: BranchGeometry
+    x_of_z: Callable[[np.ndarray], np.ndarray]
     length: float
+
+    @property
+    def is_finite(self) -> bool:
+        return self.geometry.tau is not None
 
     # -- constructors -------------------------------------------------------
 
@@ -63,10 +62,12 @@ class LineProfile:
             raise ProfileValidityError("length must not be NaN")
         if length <= 0:  # -inf would otherwise make an infinite branch
             raise ProfileValidityError(f"length must be > 0, got {length}")
-        L, C = float(inductance), float(capacitance)
-        return cls(ProfileFamily.UNIFORM,
-                   {"L": L, "C": C, "slowness": math.sqrt(L * C)},
-                   float(length))
+        L, C, length = float(inductance), float(capacitance), float(length)
+        slowness = math.sqrt(L * C)
+        ends = (slowness * length, 0.0) if math.isfinite(length) else ()
+        return cls(_build_potential(None, 0.0),
+                   BranchGeometry((C / L) ** 0.25, 0.0, *ends),
+                   lambda z: slowness * z, length)
 
     @classmethod
     def exponential_taper(cls, gamma: float, length: float,
@@ -86,10 +87,13 @@ class LineProfile:
         _require_finite(gamma=gamma, slowness=slowness, scale=scale)
         if slowness <= 0 or scale <= 0:
             raise ProfileValidityError("slowness and scale must be positive")
-        return cls(ProfileFamily.EXPONENTIAL_TAPER,
-                   {"gamma": float(gamma), "slowness": float(slowness),
-                    "scale": float(scale)},
-                   float(length))
+        g, s, a0 = float(gamma), float(slowness), float(scale)
+        tau, g2 = s * float(length), g ** 2
+        potential = _build_potential(
+            _clipped(lambda x: np.full_like(np.asarray(x, float), g2),
+                     0.0, tau), tau)
+        return cls(potential, BranchGeometry(a0, g * a0, tau, g),
+                   lambda z: s * z, float(length))
 
     @classmethod
     def sampled_table(cls, z: np.ndarray, inductance: np.ndarray,
@@ -97,8 +101,12 @@ class LineProfile:
                       infinite: bool = False) -> "LineProfile":
         """Tabulated L(z), C(z) on a common strictly increasing z grid.
 
-        For an infinite branch the last sample is taken as the limit value;
-        beyond the table the line is treated as uniform.
+        z is measured from the first row, the node, so a finite branch is
+        z[-1] - z[0] long.  For an infinite branch the last sample is taken
+        as the limit value; beyond the table the line is treated as uniform.
+        Natural end conditions on A's spline are part of the contract:
+        tables rougher than C^2 are unsupported, and the forced zero
+        curvature at the ends decays geometrically into the interior.
         """
         z = np.asarray(z, dtype=float)
         L = np.asarray(inductance, dtype=float)
@@ -116,9 +124,25 @@ class LineProfile:
             raise ProfileValidityError("z samples must be strictly increasing")
         if np.any(L <= 0) or np.any(C <= 0):
             raise ProfileValidityError("encountered non-positive L or C sample")
-        length = math.inf if infinite else float(z[-1])
-        return cls(ProfileFamily.SAMPLED_TABLE,
-                   {"z": z, "L": L, "C": C}, length)
+        z = z - z[0]
+        x_of_z = _x_of_z(z, L, C)
+        x_samples = x_of_z(z)
+        spline = CubicSpline(x_samples, (C / L) ** 0.25, bc_type="natural")
+        x_end = float(x_samples[-1])
+        n = max(int(math.ceil(x_end / GRID_STEP)), 16)
+        xg = np.linspace(0.0, x_end, n + 1)
+        a_vals = spline(xg)
+        if np.any(a_vals <= 0):
+            raise ProfileValidityError(
+                "A(x) interpolated to a non-positive value")
+        v_spline = CubicSpline(xg, spline(xg, 2) / a_vals, bc_type="natural")
+        potential = _build_potential(_clipped(v_spline, 0.0, x_end), x_end)
+        ends = () if infinite else (
+            x_end, float(spline(x_end, 1) / spline(x_end)))
+        geometry = BranchGeometry(float(spline(0.0)), float(spline(0.0, 1)),
+                                  *ends)
+        return cls(potential, geometry, x_of_z,
+                   math.inf if infinite else float(z[-1]))
 
     @classmethod
     def sampled_table_from_csv(cls, inductance_path, capacitance_path,
@@ -141,29 +165,22 @@ class LineProfile:
         Finite branches must give ``tau`` and ``h``; infinite ones must not.
         """
         _require_finite(support_end=support_end, A0=A0, A0prime=A0prime)
-        if A0 <= 0:
-            raise ProfileValidityError("A0 must be strictly positive")
         if tau is None:
-            length = math.inf
             if h is not None:
                 raise ProfileValidityError("h is only defined on finite branches")
+            ends = ()
         else:
-            h = 0.0 if h is None else float(h)
+            h = 0.0 if h is None else h
             _require_finite(tau=tau, h=h)
-            if tau <= 0:
-                raise ProfileValidityError("tau must be positive")
-            length = float(tau)
-        return cls(ProfileFamily.DIRECT_POTENTIAL,
-                   {"potential": potential, "support_end": float(support_end),
-                    "A0": float(A0), "A0prime": float(A0prime),
-                    "tau": tau, "h": h},
-                   length)
-
-    # -----------------------------------------------------------------------
-
-    @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self.length)
+            ends = (float(tau), float(h))
+        geometry = BranchGeometry(float(A0), float(A0prime), *ends)
+        support_end = float(support_end)
+        fn, lo, hi = potential, 0.0, support_end
+        if isinstance(fn, TablePotential):
+            fn, lo, hi = fn.spline, max(lo, fn.x0), min(hi, fn.x_end)
+        return cls(_build_potential(_clipped(fn, lo, hi), support_end),
+                   geometry, lambda z: z,
+                   ends[0] if ends else math.inf)
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,15 +247,9 @@ def _require_finite(**values) -> None:
             raise ProfileValidityError(f"{name} must be finite, got {value}")
 
 
-# ---------------------------------------------------------------------------
-# internal per-family helpers
-# ---------------------------------------------------------------------------
-
-def _x_of_z(profile: LineProfile) -> Callable[[np.ndarray], np.ndarray]:
-    """x(z) of a SAMPLED_TABLE profile, measured from the first row (the
-    node): the antiderivative of a cubic spline of sqrt(L C), continued
-    uniformly past the last row."""
-    z, L, C = profile.params["z"], profile.params["L"], profile.params["C"]
+def _x_of_z(z, L, C) -> Callable[[np.ndarray], np.ndarray]:
+    """x(z) of a sampled table whose z starts at 0: the antiderivative of a
+    cubic spline of sqrt(L C), continued uniformly past the last row."""
     slowness = CubicSpline(z, np.sqrt(L * C))
     # each cubic piece is smallest at a (positive) knot or where its slope is 0
     crit = slowness.derivative().roots(extrapolate=False)
@@ -251,39 +262,19 @@ def _x_of_z(profile: LineProfile) -> Callable[[np.ndarray], np.ndarray]:
                        + s_end * np.maximum(zq - z_end, 0.0))
 
 
-def _a_spline(profile: LineProfile) -> tuple[CubicSpline, float]:
-    """Natural cubic spline of A = (C/L)^(1/4) versus x, plus x(z_end).
-
-    Only meaningful for SAMPLED_TABLE profiles.  Natural end conditions are
-    part of the contract: tables rougher than C^2 are unsupported, and the
-    forced zero curvature at the ends decays geometrically into the interior.
-    """
-    z, L, C = profile.params["z"], profile.params["L"], profile.params["C"]
-    x_samples = _x_of_z(profile)(z)
-    A_samples = (C / L) ** 0.25
-    return CubicSpline(x_samples, A_samples, bc_type="natural"), float(x_samples[-1])
-
-
-# ---------------------------------------------------------------------------
-# operations
-# ---------------------------------------------------------------------------
-
 def liouville_coordinate(profile: LineProfile, z: float) -> float:
-    """Travel-time coordinate x(z) = int_0^z sqrt(L C) du (from the first
-    row of a sampled table)."""
+    """Travel-time coordinate x(z) = int_0^z sqrt(L C) du (z measured from
+    the first row of a sampled table)."""
     if z < 0 or z > profile.length:
         raise DomainError(f"z={z} outside [0, {profile.length}]")
-    if profile.family is ProfileFamily.SAMPLED_TABLE:
-        return float(_x_of_z(profile)(z))
-    # a direct profile lives in x already
-    return float(profile.params.get("slowness", 1.0) * z)
+    return float(profile.x_of_z(z))
 
 
 def travel_time(profile: LineProfile) -> float:
     """tau = x(length).  Only defined for finite branches."""
     if not profile.is_finite:
         raise DomainError("travel time of an infinite branch is undefined")
-    return liouville_coordinate(profile, profile.length)
+    return profile.geometry.tau
 
 
 def _spline_at(spline: CubicSpline) -> Callable[[float], float]:
@@ -365,51 +356,3 @@ def _build_potential(evaluator, support_end) -> PotentialFn:
     below = np.flatnonzero(tails < TAIL_TOL)
     truncation = float(xg[below[0]]) if below.size else float(support_end)
     return PotentialFn(evaluator, float(support_end), l1, truncation)
-
-
-def branch_model(profile: LineProfile) -> tuple[PotentialFn, BranchGeometry]:
-    """V(x) = A''(x)/A(x) in the travel-time coordinate, plus the node
-    coefficients A(0), A'(0) and, on finite branches, (tau, h).
-
-    Parametric families use analytic second derivatives.  A sampled table
-    fits one natural cubic spline of A; V is its second derivative over A
-    on a uniform x-grid of step GRID_STEP, and the geometry reads A and A'
-    off the same spline.  V is built before the geometry, so its errors
-    come first.
-    """
-    fam, p = profile.family, profile.params
-    if fam is ProfileFamily.SAMPLED_TABLE:
-        spline, x_end = _a_spline(profile)
-        n = max(int(math.ceil(x_end / GRID_STEP)), 16)
-        xg = np.linspace(0.0, x_end, n + 1)
-        a_vals = spline(xg)
-        if np.any(a_vals <= 0):
-            raise ProfileValidityError(
-                "A(x) interpolated to a non-positive value")
-        v_spline = CubicSpline(xg, spline(xg, 2) / a_vals, bc_type="natural")
-        potential = _build_potential(_clipped(v_spline, 0.0, x_end), x_end)
-        ends = (x_end, float(spline(x_end, 1) / spline(x_end)))
-        a0, a0p = float(spline(0.0)), float(spline(0.0, 1))
-    elif fam is ProfileFamily.DIRECT_POTENTIAL:
-        fn, lo, hi = p["potential"], 0.0, p["support_end"]
-        if isinstance(fn, TablePotential):
-            fn, lo, hi = fn.spline, max(lo, fn.x0), min(hi, fn.x_end)
-        potential = _build_potential(_clipped(fn, lo, hi), p["support_end"])
-        ends = (p["tau"], p["h"])
-        a0, a0p = p["A0"], p["A0prime"]
-    elif fam is ProfileFamily.UNIFORM:
-        potential = _build_potential(None, 0.0)
-        ends = (travel_time(profile), 0.0) if profile.is_finite else ()
-        a0, a0p = (p["C"] / p["L"]) ** 0.25, 0.0
-    else:  # EXPONENTIAL_TAPER, always finite
-        tau, g = travel_time(profile), p["gamma"]
-        g2 = g ** 2
-        potential = _build_potential(
-            _clipped(lambda x: np.full_like(np.asarray(x, float), g2),
-                     0.0, tau), tau)
-        ends = (tau, g)
-        a0, a0p = p["scale"], g * p["scale"]
-    geometry = BranchGeometry(a0, a0p, *ends) if profile.is_finite \
-        else BranchGeometry(a0, a0p)
-    return potential, geometry
-

@@ -38,55 +38,46 @@ with omega_j(0) = 1, omega_j'(0) = -h_j, and u_j'(0) = -omega_j'(tau_j).
 This convention is checked against the uniform closed form and the
 finite-difference oracle.
 
-Every solve returns one ScatteringSweep, arrays with one row per k;
+A StarNetwork holds LineProfiles and orders them infinite first, so the
+columns 0..m-1 of every per-branch array are the infinite branches.  Every
+solve returns one ScatteringSweep, arrays with one row per k;
 ``solve_scattering`` is the one-row case.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Sequence
 
 import numpy as np
 
 from . import jost, propagate
 from .errors import DomainError, ProfileValidityError, ResonanceError
-from .line_model import BranchGeometry, LineProfile, PotentialFn, \
-    branch_model
+from .line_model import LineProfile
 
 K_FLOOR = 0.5  # smallest frequency a sweep accepts
 A5_TOLERANCE = 1e-6  # relative spread of A(0) allowed across branches
 COND_WARN = 1e12
 
 
-@dataclass(frozen=True, eq=False)
-class Branch:
-    """One branch; it is finite exactly when its geometry carries tau."""
-
-    id: int  # 1-based; branch 1 is the measurement branch
-    potential: PotentialFn
-    geometry: BranchGeometry
-
-    @property
-    def is_finite(self) -> bool:
-        return self.geometry.tau is not None
-
-
 @dataclass(eq=False)
 class StarNetwork:
-    """Ordered branches around the central node; branch 1 measures."""
+    """Branches around the central node, held infinite first as the node
+    solve needs, each group in the order given: branch j is
+    ``branches[j - 1]``, 1..m infinite and m+1..m+n finite.  Branch 1
+    measures."""
 
-    branches: list[Branch]
+    branches: list[LineProfile]
 
     def __post_init__(self):
+        self.branches = sorted(self.branches, key=lambda b: b.is_finite)
         if not self.branches:
             raise ProfileValidityError("network needs at least one branch")
         if self.branches[0].is_finite:
             raise ProfileValidityError("branch 1 must be infinite")
         a0_ref = self.branches[0].geometry.A0
-        for b in self.branches:
+        for j, b in enumerate(self.branches, start=1):
             if abs(b.geometry.A0 - a0_ref) > A5_TOLERANCE * a0_ref:
                 raise ProfileValidityError(
-                    f"branch {b.id}: A(0)={b.geometry.A0} breaks the "
+                    f"branch {j}: A(0)={b.geometry.A0} breaks the "
                     f"matched-node assumption (ref {a0_ref}, "
                     f"rel tol {A5_TOLERANCE})")
 
@@ -99,24 +90,12 @@ class StarNetwork:
         return len(self.finite_branches)
 
     @property
-    def infinite_branches(self) -> list[Branch]:
+    def infinite_branches(self) -> list[LineProfile]:
         return [b for b in self.branches if not b.is_finite]
 
     @property
-    def finite_branches(self) -> list[Branch]:
+    def finite_branches(self) -> list[LineProfile]:
         return [b for b in self.branches if b.is_finite]
-
-
-def network_from_profiles(profiles: Sequence[LineProfile]) -> StarNetwork:
-    """Build a StarNetwork from LineProfiles.
-
-    Infinite profiles are sorted first so that branch numbering follows the
-    usual convention (1..m infinite, m+1..m+n finite); order within each
-    group is preserved.
-    """
-    ordered = sorted(profiles, key=lambda p: p.is_finite)
-    return StarNetwork([Branch(i, *branch_model(profile))
-                        for i, profile in enumerate(ordered, start=1)])
 
 
 @dataclass(eq=False)
@@ -160,7 +139,8 @@ def _branch_data(net: StarNetwork, k: np.ndarray):
 
 
 def solve_scattering_batch(net: StarNetwork, k) -> ScatteringSweep:
-    """Solve the node conditions for every k in an array (all k >= K_FLOOR).
+    """Solve the node conditions for every k in an array (all k finite and
+    >= K_FLOOR).
 
     A k where the node equation is singular comes back as a NaN row flagged
     by ``resonant``; the other rows are unaffected.
@@ -170,8 +150,8 @@ def solve_scattering_batch(net: StarNetwork, k) -> ScatteringSweep:
         raise DomainError("frequency grid must be one-dimensional")
     if k.size == 0:
         raise DomainError("empty frequency grid")
-    if np.any(k < K_FLOOR):
-        raise DomainError(f"k below the k floor {K_FLOOR}")
+    if not np.all(np.isfinite(k) & (k >= K_FLOOR)):
+        raise DomainError(f"k must be finite and >= the k floor {K_FLOOR}")
     val, der = _branch_data(net, k)
     m = net.m
     f0_1 = val[:, 0]

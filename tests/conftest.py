@@ -10,7 +10,7 @@ import pytest
 
 from starscatter import propagate
 from starscatter.line_model import LineProfile
-from starscatter.scattering import network_from_profiles
+from starscatter.scattering import StarNetwork
 
 
 def zero_potential(x):
@@ -47,7 +47,7 @@ def uniform_network(m, taus=()):
     profs = [LineProfile.uniform(1.0, 1.0) for _ in range(m)]
     for tau in taus:
         profs.append(LineProfile.uniform(1.0, 1.0, length=tau))
-    return network_from_profiles(profs)
+    return StarNetwork(profs)
 
 
 def direct_network(infinite_pots, finite_specs):
@@ -61,7 +61,7 @@ def direct_network(infinite_pots, finite_specs):
         profs.append(LineProfile.direct(fn, supp))
     for fn, supp, tau, h in finite_specs:
         profs.append(LineProfile.direct(fn, supp, tau=tau, h=h))
-    return network_from_profiles(profs)
+    return StarNetwork(profs)
 
 
 def random_smooth_network(rng, m_max=4, n_max=3, l1_cap=1.0):

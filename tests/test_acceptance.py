@@ -15,7 +15,7 @@ from starscatter.fundamental import fundamental_at, fundamental_via_kernel, \
     solve_kernel
 from starscatter.inversion import ReflectogramSample, estimate_taus
 from starscatter.jost import jost_batch
-from starscatter.line_model import LineProfile, branch_model
+from starscatter.line_model import LineProfile
 from starscatter.oracle import oracle_solve
 from starscatter.scattering import solve_scattering, solve_scattering_batch
 
@@ -29,7 +29,7 @@ def report(num, name, ok, detail):
 
 
 def make_potential(fn, support_end):
-    return branch_model(LineProfile.direct(fn, support_end))[0]
+    return LineProfile.direct(fn, support_end).potential
 
 
 # shared by criteria 6 and 7: m=2, n=2, tau = {1.0, 1.7}, smooth potentials

@@ -161,6 +161,23 @@ class TestForward:
         assert cli.main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_finite_branch_listed_first(self, tmp_path):
+        # the network numbers infinite branches first, whatever the order
+        write_sin2_table(tmp_path / "V.csv", 0.4, 0.6)
+        bump = {"kind": "infinite", "direct": {"potential_table_path": "V.csv"}}
+        stub = uniform_branch("finite", 1.3)
+        csvs = []
+        for name, branches in (("first", [stub, uniform_branch(), bump]),
+                               ("last", [uniform_branch(), bump, stub])):
+            cfg = write_config(tmp_path, {"schema_version": 1,
+                                          "branches": branches}, f"{name}.json")
+            out = tmp_path / f"{name}.csv"
+            assert cli.main(["forward", "--config", cfg, "--kmin", "10",
+                             "--kmax", "11", "--dk", "0.1",
+                             "--out", str(out)]) == 0
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
+
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"schema_version": 1, "branches": [}')

@@ -12,7 +12,7 @@ from starscatter import fundamental, propagate
 from starscatter.fundamental import fundamental_at, \
     fundamental_via_kernel, solve_kernel
 from starscatter.jost import _rk45
-from starscatter.line_model import LineProfile, TablePotential, branch_model
+from starscatter.line_model import LineProfile, TablePotential
 
 from conftest import CountingNumpy, sin2_bump, square_well
 from references import kernel_at
@@ -20,7 +20,7 @@ from references import kernel_at
 
 def make_potential(fn, support_end):
     prof = LineProfile.direct(fn, support_end)
-    return branch_model(prof)[0]
+    return prof.potential
 
 
 ZERO = make_potential(lambda x: np.zeros_like(np.asarray(x, float)), 0.0)

@@ -16,7 +16,7 @@ from starscatter import jost
 from starscatter.errors import SingularFrequencyError
 from starscatter.jost import jost_at_origin, jost_batch, jost_profile, \
     jost_tilde_profile
-from starscatter.line_model import LineProfile, branch_model
+from starscatter.line_model import LineProfile
 
 from conftest import jost_ab, sin2_bump, square_well
 from references import jost_via_volterra
@@ -24,7 +24,7 @@ from references import jost_via_volterra
 
 def make_potential(fn, support_end):
     prof = LineProfile.direct(fn, support_end)
-    return branch_model(prof)[0]
+    return prof.potential
 
 
 def well_oracle(v0, w, k):

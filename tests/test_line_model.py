@@ -12,8 +12,8 @@ from starscatter import config, line_model
 from starscatter.errors import DomainError, ProfileValidityError, \
     ResolutionError
 from starscatter.line_model import BranchGeometry, LineProfile, \
-    branch_model, liouville_coordinate, read_table_csv, travel_time
-from starscatter.scattering import network_from_profiles
+    liouville_coordinate, read_table_csv, travel_time
+from starscatter.scattering import StarNetwork
 
 from conftest import CountingNumpy
 
@@ -137,16 +137,31 @@ class TestTravelTime:
         with pytest.raises(DomainError):
             travel_time(LineProfile.uniform(1.0, 1.0))
 
+    def test_table_measured_from_first_row(self):
+        z = np.linspace(0.5, 1.5, 11)
+        p = LineProfile.sampled_table(z, np.ones(11), np.ones(11))
+        assert p.length == 1.0
+        assert travel_time(p) == 1.0
+        assert liouville_coordinate(p, 0.2) == 0.2
+        with pytest.raises(DomainError):
+            liouville_coordinate(p, 1.2)
+
+    def test_table_on_negative_z(self):
+        z = np.linspace(-2.0, -1.0, 11)
+        p = LineProfile.sampled_table(z, np.ones(11), np.ones(11))
+        assert p.length == p.geometry.tau == travel_time(p) == 1.0
+        assert liouville_coordinate(p, 1.0) == 1.0
+
 
 class TestPotentialFromProfile:
     def test_uniform_zero(self):
-        V = branch_model(LineProfile.uniform(2.0, 0.5, 3.0))[0]
+        V = LineProfile.uniform(2.0, 0.5, 3.0).potential
         xs = np.linspace(-1.0, 4.0, 50)
         assert np.all(V(xs) == 0.0)
         assert V.l1_norm == 0.0
 
     def test_exponential_taper_constant(self):
-        V = branch_model(LineProfile.exponential_taper(0.3, 2.0))[0]
+        V = LineProfile.exponential_taper(0.3, 2.0).potential
         xs = np.linspace(0.0, 2.0, 41)
         assert np.max(np.abs(V(xs) - 0.09)) < 1e-9
         assert V.l1_norm == pytest.approx(0.18, rel=1e-9)
@@ -155,7 +170,7 @@ class TestPotentialFromProfile:
         # A(x) = 1 + 0.1 exp(-(x-1)^2); A''(1) = -0.2 so V(1) = -0.2/1.1
         a_fn = lambda x: 1.0 + 0.1 * np.exp(-(x - 1.0) ** 2)
         p = table_profile_for_A(a_fn, 2.0, 4001)
-        V = branch_model(p)[0]
+        V = p.potential
         assert float(V(1.0)) == pytest.approx(-0.2 / 1.1, abs=1e-6)
 
     def test_table_too_coarse(self):
@@ -167,7 +182,7 @@ class TestPotentialFromProfile:
         # a Gaussian whose tail falls below TAIL_TOL well before the support
         # ends, so the truncation point lies inside it
         gauss = lambda x: np.exp(-((np.asarray(x, float) - 1.0) / 0.15) ** 2)
-        V = branch_model(LineProfile.direct(gauss, 3.0))[0]
+        V = LineProfile.direct(gauss, 3.0).potential
         assert 1.0 < V.truncation < V.support_end
         tail, _ = integrate.quad(lambda x: abs(float(V(x))), V.truncation,
                                  V.support_end, limit=200)
@@ -181,34 +196,34 @@ class TestPotentialFromProfile:
                                       1.0 + 0.2 * z * (1.3 - z))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            V = branch_model(p)[0]
+            V = p.potential
         assert V.l1_norm > 0.0
 
 
 class TestTerminalH:
     def test_uniform(self):
-        assert branch_model(LineProfile.uniform(1.0, 3.0, 1.0))[1].h == 0.0
+        assert LineProfile.uniform(1.0, 3.0, 1.0).geometry.h == 0.0
 
     def test_exponential(self):
-        assert branch_model(LineProfile.exponential_taper(0.3, 2.0))[1].h \
+        assert LineProfile.exponential_taper(0.3, 2.0).geometry.h \
             == pytest.approx(0.3, abs=1e-12)
 
     def test_linear_A(self):
         # A(x) = 1 + 0.1 x on [0,2]: h = 0.1/1.2
         p = table_profile_for_A(lambda x: 1.0 + 0.1 * x, 2.0, 2001)
-        assert branch_model(p)[1].h == pytest.approx(0.1 / 1.2, abs=1e-6)
+        assert p.geometry.h == pytest.approx(0.1 / 1.2, abs=1e-6)
 
 
 class TestBranchGeometry:
     def test_uniform_a0(self):
-        g = branch_model(LineProfile.uniform(1.0, 16.0))[1]
+        g = LineProfile.uniform(1.0, 16.0).geometry
         assert g.A0 == pytest.approx(2.0)
         assert g.A0prime == 0.0
         assert g.tau is None
 
     def test_taper_geometry(self):
         p = LineProfile.exponential_taper(0.3, 2.0, scale=1.5)
-        g = branch_model(p)[1]
+        g = p.geometry
         assert g.A0 == pytest.approx(1.5)
         assert g.A0prime == pytest.approx(0.45)
         assert g.tau == pytest.approx(2.0)
@@ -218,27 +233,23 @@ class TestBranchGeometry:
         # one x(z) serves both: a coarse table must not give two taus
         z = np.linspace(0.0, 1.0, 11)
         p = LineProfile.sampled_table(z, 1.0 + z, np.ones_like(z))
-        assert branch_model(p)[1].tau == travel_time(p)
+        assert p.geometry.tau == travel_time(p)
         assert liouville_coordinate(p, 1.0) == travel_time(p)
 
     def test_table_with_negative_interpolated_slowness_rejected(self):
         # all samples positive, but the spline of sqrt(LC) dips below zero
         z = np.linspace(0.0, 1.0, 6)
-        p = LineProfile.sampled_table(z, [1.0, 1e-4, 1.0, 1e-4, 1.0, 1.0],
+        with pytest.raises(ProfileValidityError, match="slowness"):
+            LineProfile.sampled_table(z, [1.0, 1e-4, 1.0, 1e-4, 1.0, 1.0],
                                       np.ones(6))
-        for fn in (branch_model, travel_time,
-                   lambda q: liouville_coordinate(q, 0.5)):
-            with pytest.raises(ProfileValidityError):
-                fn(p)
 
     def test_table_with_slowness_constant_to_rounding_accepted(self):
         # sqrt(LC) samples are 1 or 1 + 2^-52, so the spline's pieces carry
         # cubic coefficients near 1e-231 that must not read as sign changes
         p = table_profile_for_A(
             lambda z: 1.0 + 0.05 * np.exp(-((z - 1.0) / 0.15) ** 2), 3.0, 3001)
-        V, geometry = branch_model(p)
-        assert geometry.tau == pytest.approx(3.0, rel=1e-12)
-        assert V.truncation == pytest.approx(3.0)
+        assert p.geometry.tau == pytest.approx(3.0, rel=1e-12)
+        assert p.potential.truncation == pytest.approx(3.0)
 
     @pytest.mark.parametrize("ends", [{"tau": 1.0}, {"h": 0.1}])
     def test_tau_and_h_come_together(self, ends):
@@ -279,9 +290,9 @@ FAMILY_PROFILES = {
 @pytest.mark.parametrize("family", sorted(FAMILY_PROFILES))
 def test_branch_model_is_both_halves(family):
     # V is zero off [0, support_end]; the geometry carries (tau, h) exactly
-    # when the profile is finite, which is how a Branch tells the kinds apart
+    # when the profile is finite, which is how the kinds are told apart
     p = FAMILY_PROFILES[family]()
-    V, geometry = branch_model(p)
+    V, geometry = p.potential, p.geometry
     xs = np.linspace(-0.5, 4.0, 901)
     assert not V(xs)[(xs < 0.0) | (xs > V.support_end)].any()
     assert 0.0 <= V.truncation <= V.support_end
@@ -301,7 +312,7 @@ def test_network_build_fits_each_table_spline_once(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(line_model, "CubicSpline", CountedSpline)
-    network_from_profiles([LineProfile.uniform(1.0, 1.0), sampled_line()])
+    StarNetwork([LineProfile.uniform(1.0, 1.0), sampled_line()])
     # the slowness on the rows, A on the rows, V on the GRID_STEP grid
     assert len(fits) == 3
 
@@ -363,7 +374,7 @@ def double_clip(spline, x0, x_end, support_end):
 def sampled_v():
     """The sampled-table V spline of ``sampled_line`` and its knots, the
     GRID_STEP grid on [0, x_end]."""
-    V = branch_model(sampled_line())[0]
+    V = sampled_line().potential
     n = max(int(math.ceil(V.support_end / line_model.GRID_STEP)), 16)
     return V, np.linspace(0.0, V.support_end, n + 1).tolist()
 
@@ -387,7 +398,7 @@ def assert_float_path_is_array_path(V, points):
 def test_single_mask_matches_double_clip(table_potentials, sampled_v, which,
                                          support_end, xs):
     table = table_potentials[which]
-    V = branch_model(LineProfile.direct(table, support_end))[0]
+    V = LineProfile.direct(table, support_end).potential
     want = double_clip(table.spline, table.x0, table.x_end, support_end)
     edges = [table.x0, table.x_end, 0.0, -0.0, support_end,
              np.nextafter(table.x_end, 2.0), np.nextafter(support_end, 2.0)]
@@ -417,7 +428,7 @@ def test_raw_spline_past_its_knots_keeps_scipy_extrapolation():
     # a float x then goes through the spline itself, which extrapolates
     x = np.linspace(0.2, 0.6, 9)
     spline = line_model.CubicSpline(x, np.sin(4.0 * x))
-    V = branch_model(LineProfile.direct(spline, 1.0))[0]
+    V = LineProfile.direct(spline, 1.0).potential
     assert_float_path_is_array_path(V, [0.0, 0.1, 0.2, 0.45, 0.6, 0.8, 1.0])
 
 
@@ -436,8 +447,8 @@ def test_scalar_table_potential_makes_no_spline_or_numpy_call(tmp_path,
     np.savetxt(path, np.column_stack([x, np.sin(5.0 * x) ** 2]),
                delimiter=",", header="x,V", comments="", fmt="%.17g")
     table, _ = config._spline_potential(path, "V")
-    potentials = (branch_model(LineProfile.direct(table, 0.5))[0],
-                  branch_model(sampled_line())[0])
+    potentials = (LineProfile.direct(table, 0.5).potential,
+                  sampled_line().potential)
     calls.clear()
     counting = CountingNumpy()
     monkeypatch.setattr(line_model, "np", counting)

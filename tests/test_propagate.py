@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from starscatter import config, jost, propagate, scattering
-from starscatter.line_model import LineProfile, branch_model
+from starscatter.line_model import LineProfile
 
 from conftest import direct_network, jost_ab, sin2_bump, write_sin2_table
 
@@ -114,7 +114,7 @@ def test_backward_matrix_inverts_forward():
 ])
 def test_constant_stub_matches_closed_form(profile, v):
     k, tau = 160.0, 2.0
-    V = branch_model(profile)[0]
+    V = profile.potential
     y0, dy0 = 0.3 - 0.2j, 40.0 + 7.0j
     y, dy = propagate.sweep(V, 0.0, tau, np.array([k]), y0, dy0)
     q = np.sqrt(k * k - v)
@@ -139,7 +139,7 @@ def count_step_factors(monkeypatch):
 
 
 def test_uniform_stub_is_one_cell(monkeypatch):
-    V = branch_model(LineProfile.uniform(1.0, 1.0, length=1.7))[0]
+    V = LineProfile.uniform(1.0, 1.0, length=1.7).potential
     for k in (KS, FINE):
         calls = count_step_factors(monkeypatch)
         propagate.sweep(V, 0.0, 1.7, k, 1.0, 0.0)
@@ -175,7 +175,7 @@ def test_smooth_stub_costs_its_support_cells_plus_one(table_stub,
 
 
 def test_jost_batch_matches_two_sweeps():
-    V = branch_model(LineProfile.direct(sin2_bump(0.5, 0.8), 0.8))[0]
+    V = LineProfile.direct(sin2_bump(0.5, 0.8), 0.8).potential
     f0, df0, X = jost.jost_batch(V, KS)
     a, b = jost_ab(V, KS)
     eikX = np.exp(1j * KS * X)

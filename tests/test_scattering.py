@@ -12,10 +12,9 @@ from starscatter.config import load_network
 from starscatter.errors import DomainError, ProfileValidityError, \
     ResonanceError
 from starscatter.fundamental import fundamental_at
-from starscatter.line_model import BranchGeometry, LineProfile, branch_model
-from starscatter.scattering import Branch, ScatteringSweep, StarNetwork, \
-    network_from_profiles, reflectogram, solve_scattering, \
-    solve_scattering_batch
+from starscatter.line_model import LineProfile
+from starscatter.scattering import ScatteringSweep, StarNetwork, \
+    reflectogram, solve_scattering, solve_scattering_batch
 
 from conftest import closed_form_r1, direct_network, fake_singular_stub, \
     jost_ab, random_smooth_network, sin2_bump, uniform_network, \
@@ -129,8 +128,8 @@ class TestInvariants:
             assert abs(ct.R1[0] - ca.R1[0]) < 1e-6
 
     def test_wronskian_constant_on_finite_branch(self):
-        V = branch_model(
-            LineProfile.direct(sin2_bump(0.8, 1.0), 1.0, tau=1.3, h=0.2))[0]
+        V = LineProfile.direct(sin2_bump(0.8, 1.0), 1.0, tau=1.3,
+                               h=0.2).potential
         xs = np.linspace(0.0, 1.3, 10)
         y1, dy1 = fundamental_profile(V, 1.3, 0.2, 11.0, xs)
         y2, dy2 = fundamental_profile(V, 1.3, 1.7, 11.0, xs)
@@ -142,10 +141,19 @@ class TestInvariants:
         with pytest.raises(DomainError):
             solve_scattering(net, 0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_k_rejected(self, bad):
+        net = uniform_network(2, [1.0])
+        for solve, k in ((solve_scattering, bad),
+                         (solve_scattering_batch, [10.0, bad]),
+                         (reflectogram, [10.0, bad])):
+            with pytest.raises(DomainError, match="finite"):
+                solve(net, k)
+
     def test_a5_violation_rejected(self):
         profs = [LineProfile.uniform(1.0, 1.0), LineProfile.uniform(1.0, 2.0)]
         with pytest.raises(ProfileValidityError):
-            network_from_profiles(profs)
+            StarNetwork(profs)
 
 
 class TestBranchTag:
@@ -156,30 +164,40 @@ class TestBranchTag:
                     for w in (0.4, 0.6)]
         finite = [LineProfile.direct(sin2_bump(0.2, 0.5), 0.5, tau=tau, h=0.1)
                   for tau in (1.3, 0.8)]
-        net = network_from_profiles([finite[0], infinite[0], finite[1],
-                                     infinite[1]])
-        assert [b.id for b in net.branches] == [1, 2, 3, 4]
+        net = StarNetwork([finite[0], infinite[0], finite[1], infinite[1]])
+        assert net.branches == [infinite[0], infinite[1], finite[0],
+                                finite[1]]
         assert [b.potential.support_end for b in net.branches[:2]] == \
             [0.4, 0.6]
         assert [b.geometry.tau for b in net.branches[2:]] == [1.3, 0.8]
 
     def test_counts_follow_geometry(self):
-        V = branch_model(LineProfile.uniform(1.0, 1.0))[0]
-        geometries = [BranchGeometry(1.0, 0.0),
-                      BranchGeometry(1.0, 0.0, 1.2, 0.3),
-                      BranchGeometry(1.0, 0.0)]
-        net = StarNetwork([Branch(i, V, g)
-                           for i, g in enumerate(geometries, start=1)])
-        assert [b.is_finite for b in net.branches] == [False, True, False]
+        given = [LineProfile.uniform(1.0, 1.0),
+                 LineProfile.uniform(1.0, 1.0, length=1.2),
+                 LineProfile.uniform(1.0, 1.0)]
+        net = StarNetwork(given)
+        assert [b.is_finite for b in net.branches] == [False, False, True]
         assert (net.m, net.n) == (2, 1)
-        assert [b.id for b in net.infinite_branches] == [1, 3]
-        assert [b.id for b in net.finite_branches] == [2]
+        assert net.infinite_branches == [given[0], given[2]]
+        assert net.finite_branches == [given[1]]
+
+    def test_interleaved_order_solves_as_infinite_first(self):
+        # the node solve reads columns 0..m-1 as the infinite branches
+        inf = [LineProfile.direct(sin2_bump(a, 0.6), 0.6) for a in (0.4, -0.3)]
+        fin = LineProfile.direct(sin2_bump(0.5, 0.8), 0.8, tau=1.1, h=0.25)
+        want = solve_scattering(StarNetwork([inf[0], inf[1], fin]), 10.0)
+        got = solve_scattering(StarNetwork([inf[0], fin, inf[1]]), 10.0)
+        for name in ("R1", "T", "alpha"):
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(want, name))
+        flux = abs(got.R1[0]) ** 2 + np.sum(np.abs(got.T[0]) ** 2)
+        assert abs(flux - 1.0) <= 1e-12
 
     def test_all_finite_star_rejected(self):
         stubs = [LineProfile.uniform(1.0, 1.0, length=t) for t in (1.0, 1.7)]
         with pytest.raises(ProfileValidityError,
                            match="branch 1 must be infinite"):
-            network_from_profiles(stubs)
+            StarNetwork(stubs)
 
 
 class TestAssembleField:
@@ -193,8 +211,8 @@ class TestAssembleField:
     def test_node_continuity(self, rng):
         net = random_smooth_network(rng)
         c = solve_scattering(net, 15.0)
-        for b in net.branches:
-            y = assemble_field(net, c, b.id, 0.0)
+        for j, b in enumerate(net.branches, start=1):
+            y = assemble_field(net, c, j, 0.0)
             assert abs(y - b.geometry.A0 * c.ybar[0]) < 1e-9
 
     def test_bad_branch_id(self):
@@ -208,7 +226,7 @@ class TestAssembleField:
                              [(sin2_bump(0.5, 0.8), 0.8, 1.1, 0.25)])
         c = solve_scattering(net, 12.0)
         fin = net.finite_branches[0]
-        y, dy = assemble_field(net, c, fin.id, fin.geometry.tau,
+        y, dy = assemble_field(net, c, net.m + 1, fin.geometry.tau,
                                derivative=True)
         assert abs(dy - 0.25 * y) < 1e-7 * max(abs(y), 1.0)
 
@@ -351,7 +369,7 @@ def zero_stub_value(monkeypatch, stubs, at_k):
 
     def branch_data(net, k):
         val, der = real(net, k)
-        val[np.ix_(k == at_k, [b.id - 1 for b in stubs])] = 0.0
+        val[np.ix_(k == at_k, [net.branches.index(b) for b in stubs])] = 0.0
         return val, der
 
     monkeypatch.setattr(scattering, "_branch_data", branch_data)
