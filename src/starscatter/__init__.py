@@ -4,11 +4,11 @@ branch, and recovery of the branch count and finite-branch travel times
 from high-frequency reflection data."""
 
 from .errors import StarScatterError
-from .fundamental import FundamentalData, KernelTable, fundamental_at, \
+from .fundamental import KernelTable, fundamental_at, \
     fundamental_via_kernel, solve_kernel
 from .inversion import InversionReport, ReflectogramSample, estimate_m, \
     estimate_taus, high_freq_reflection
-from .jost import JostData, jost_at_origin
+from .jost import jost_at_origin
 from .line_model import BranchGeometry, LineProfile, PotentialFn, \
     liouville_coordinate, travel_time
 from .oracle import DiscreteGraphField, oracle_solve
@@ -18,11 +18,11 @@ from .scattering import ScatteringSweep, StarNetwork, reflectogram, \
 __version__ = "0.1.0"
 
 __all__ = [
-    "BranchGeometry", "DiscreteGraphField", "FundamentalData",
-    "InversionReport", "JostData", "KernelTable", "LineProfile",
-    "PotentialFn", "ReflectogramSample", "ScatteringSweep", "StarNetwork",
-    "StarScatterError", "estimate_m", "estimate_taus", "fundamental_at",
-    "fundamental_via_kernel", "high_freq_reflection", "jost_at_origin",
-    "liouville_coordinate", "oracle_solve", "reflectogram", "solve_kernel",
-    "solve_scattering", "travel_time",
+    "BranchGeometry", "DiscreteGraphField", "InversionReport",
+    "KernelTable", "LineProfile", "PotentialFn", "ReflectogramSample",
+    "ScatteringSweep", "StarNetwork", "StarScatterError", "estimate_m",
+    "estimate_taus", "fundamental_at", "fundamental_via_kernel",
+    "high_freq_reflection", "jost_at_origin", "liouville_coordinate",
+    "oracle_solve", "reflectogram", "solve_kernel", "solve_scattering",
+    "travel_time",
 ]

@@ -11,7 +11,8 @@ route evaluates the integral representation
 where the transformation kernel K solves a Goursat-type integral equation.
 These two are references only: ``validate`` compares them on every finite
 branch, and the tests check the solver and the high-frequency asymptotics
-against them.
+against them.  Like the sweep, each takes a scalar or a 1-D array of k and
+returns arrays with one entry per k.
 
 On a branch with V = 0 (support_end <= 0, as on every uniform line) omega
 is cos(kx) + h sin(kx)/k exactly and K = 0, so ``fundamental_at`` returns
@@ -32,15 +33,6 @@ from .jost import _rk45
 from .line_model import PotentialFn
 
 
-@dataclass(frozen=True)
-class FundamentalData:
-    """Endpoint value and derivative of omega at one frequency."""
-
-    k: float
-    omega_tau: complex
-    domega_tau: complex
-
-
 @dataclass(frozen=True, eq=False)
 class KernelTable:
     """K(x,t) on the triangle |t| <= x <= tau.
@@ -57,25 +49,21 @@ class KernelTable:
 
 
 def fundamental_at(V: PotentialFn, tau: float, h: float, k):
-    """Integrate the IVP omega(0)=1, omega'(0)=h from 0 to tau; for V = 0
-    the free solution is returned exactly.
+    """(omega(tau), omega'(tau)) from omega(0) = 1, omega'(0) = h, two
+    complex arrays over ``np.atleast_1d(k)`` as ``propagate.sweep`` returns
+    them.
 
-    A 1-D sequence of k is integrated as one system (``_rk45``) and gives a
-    list of FundamentalData, one per k, in order."""
+    All k are integrated by RK45 as one system (``_rk45``); for V = 0 the
+    free solution is returned exactly."""
     if tau <= 0:
         raise ValueError("tau must be positive")
-    ks = [float(q) for q in np.atleast_1d(k)]
+    k = np.atleast_1d(np.asarray(k, dtype=float))
     if V.support_end <= 0.0:
-        out = [FundamentalData(q, complex(_cos_term(q, tau, h)),
-                               complex(h * np.cos(q * tau)
-                                       - q * np.sin(q * tau)))
-               for q in ks]
-    else:
-        u0 = [1.0 + 0.0j] * len(ks) + [complex(h)] * len(ks)
-        om, dom = _rk45(V, ks, (0.0, tau), u0,
-                        max_step=tau)[:, -1].reshape(2, -1)
-        out = [FundamentalData(*row) for row in zip(ks, om, dom)]
-    return out if np.ndim(k) else out[0]
+        return (_cos_term(k, tau, h).astype(complex),
+                (h * np.cos(k * tau) - k * np.sin(k * tau)).astype(complex))
+    u0 = np.r_[np.ones(k.size), np.full(k.size, h)].astype(complex)
+    return tuple(_rk45(V, k, (0.0, tau), u0,
+                       max_step=tau)[:, -1].reshape(2, -1))
 
 
 def solve_kernel(V: PotentialFn, tau: float) -> KernelTable:
@@ -143,37 +131,33 @@ def solve_kernel(V: PotentialFn, tau: float) -> KernelTable:
     raise DivergenceError("kernel iteration did not reach 1e-10 in 200 sweeps")
 
 
-def _cos_term(k: float, t: np.ndarray, h: float) -> np.ndarray:
-    """cos(kt) + h sin(kt)/k with the removable k -> 0 limit handled."""
-    t = np.asarray(t, dtype=float)
-    kt = k * t
-    if k == 0:
-        return np.cos(kt) + h * t
-    sinc = np.sin(kt) / k
-    small = np.abs(kt) < 1e-4
-    if np.any(small):
-        sinc = np.where(small, t * (1.0 - kt * kt / 6.0), sinc)
+def _cos_term(k, t, h: float) -> np.ndarray:
+    """cos(kt) + h sin(kt)/k for k and t that broadcast, with the removable
+    k -> 0 limit (h t) handled."""
+    kt = np.multiply(k, t)
+    with np.errstate(divide="ignore", invalid="ignore"):  # k = 0: replaced
+        sinc = np.sin(kt) / k
+    sinc = np.where(np.abs(kt) < 1e-4, t * (1.0 - kt * kt / 6.0), sinc)
     return np.cos(kt) + h * sinc
 
 
-def fundamental_via_kernel(K: KernelTable, h: float, k: float) -> complex:
-    """Evaluate omega(tau, k) at tau = K.tau from the integral representation.
+def fundamental_via_kernel(K: KernelTable, h: float, k) -> np.ndarray:
+    """omega(tau, k) at tau = K.tau from the integral representation, a
+    complex array over ``np.atleast_1d(k)``.
 
     At the edge x = tau the slice K(tau, .) lies on the anti-diagonal of the
-    characteristic grid, so it is read off without interpolation, splined,
-    and integrated against the trig factor by Simpson on a grid fine enough
-    for the oscillation (about 40 samples per period).
+    characteristic grid, so it is read off without interpolation, splined
+    once, and integrated against each k's trig factor by Simpson on a grid
+    fine enough for the oscillation (about 40 samples per period).
     """
     tau = K.tau
+    k = np.atleast_1d(np.asarray(k, dtype=float))
+    out = _cos_term(k, tau, h).astype(complex)
     if not K.values.any():
-        return complex(_cos_term(k, np.asarray(tau), h))
-    n = K.values.shape[0] - 1
-    idx = np.arange(n + 1)
-    spline = CubicSpline(2.0 * K.xi - tau, K.values[idx, n - idx])
-    n_quad = max(4001, int(40.0 * abs(k) * tau) + 1)
-    if n_quad % 2 == 0:
-        n_quad += 1
-    t = np.linspace(-tau, tau, n_quad)
-    integrand = spline(t) * _cos_term(k, t, h)
-    integral = simpson(integrand, x=t)
-    return complex(_cos_term(k, np.asarray(tau), h) + integral)
+        return out
+    spline = CubicSpline(2.0 * K.xi - tau, np.fliplr(K.values).diagonal())
+    for i, q in enumerate(k.tolist()):
+        # an odd point count, as Simpson's rule wants
+        t = np.linspace(-tau, tau, max(4001, int(40.0 * abs(q) * tau) + 1) | 1)
+        out[i] += simpson(spline(t) * _cos_term(q, t, h), x=t)
+    return out

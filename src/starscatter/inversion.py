@@ -24,6 +24,9 @@ from .errors import InsufficientDataError, PoleProximityError
 POLE_THRESHOLD = 10.0
 M_GUARD = 0.1  # drop samples with |1 + R1| below this (near the pole of 1/(1+R1))
 MIN_SAMPLES = 10
+# spacings extracted at most; a histogram peak must hold at least
+# max(2, poles // MAX_SPACINGS) pole differences
+MAX_SPACINGS = 32
 
 
 # One reflectogram row.  A list of these is a sequence of (k, R1) pairs,
@@ -123,15 +126,14 @@ def _fit_family(poles, spacing, tol):
     return s_fit, rms, members
 
 
-def estimate_taus(samples, expected_max_n: int = 8) -> InversionReport:
+def estimate_taus(samples) -> InversionReport:
     """Recover travel times from uniformly sampled reflectogram data.
 
     Pole positions are clustered into arithmetic progressions by
     histogramming pairwise differences at resolution 2*dk and greedily
-    extracting fundamental spacings; tau_j = pi / spacing_j.
+    extracting up to MAX_SPACINGS fundamental spacings; tau_j = pi /
+    spacing_j for every spacing whose ladder the poles confirm.
     """
-    if expected_max_n < 1:
-        raise ValueError("expected_max_n must be at least 1")
     rows = _rows(samples)
     ks = rows[:, 0].real
     if ks.size < 2:
@@ -158,9 +160,9 @@ def estimate_taus(samples, expected_max_n: int = 8) -> InversionReport:
 
     spacings = []
     remaining = diffs.copy()
-    min_count = max(2, poles_arr.size // (4 * expected_max_n))
-    for _ in range(4 * expected_max_n):
-        if remaining.size == 0 or len(spacings) >= 4 * expected_max_n:
+    min_count = max(2, poles_arr.size // MAX_SPACINGS)
+    for _ in range(MAX_SPACINGS):
+        if remaining.size == 0:
             break
         edges = np.arange(0.0, remaining.max() + 2 * bin_w, bin_w)
         counts, _ = np.histogram(remaining, edges)
@@ -196,28 +198,20 @@ def estimate_taus(samples, expected_max_n: int = 8) -> InversionReport:
     taus, diags, fitted = [], [], []
     claimed = np.zeros(0)
     for s_fit, rms, members in fits:
-        dup = False
-        for f in fitted:
-            if abs(s_fit - f) < 2 * bin_w:
-                dup = True
-                warnings.append(
-                    "near-degenerate travel times detected; identifiability "
-                    "assumption (all tau distinct) is violated")
-        if dup:
+        near = sum(abs(s_fit - f) < 2 * bin_w for f in fitted)
+        warnings += near * [
+            "near-degenerate travel times detected; identifiability "
+            "assumption (all tau distinct) is violated"]
+        if near:
             continue
-        if claimed.size:
-            novel = np.sum(np.min(np.abs(members[:, None]
-                                         - claimed[None, :]), axis=1) > dk)
-        else:
-            novel = members.size
+        novel = np.sum(np.min(np.abs(members[:, None] - claimed[None, :]),
+                              axis=1, initial=np.inf) > dk)
         if novel < 0.5 * members.size:
             continue
         fitted.append(s_fit)
         taus.append(math.pi / s_fit)
         diags.append(rms)
         claimed = np.concatenate([claimed, members])
-        if len(taus) >= expected_max_n:
-            break
     order = np.argsort(taus)
     taus = [taus[i] for i in order]
     diags = [diags[i] for i in order]

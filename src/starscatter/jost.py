@@ -9,11 +9,11 @@ far field a e^{-ikx} + b e^{ikx} carries the half-line transfer data.  (The
 transfer-matrix pass per branch gives (f0, df0).  An adaptive RK45
 integration of the ODE form (``jost_at_origin``, ``jost_profile``) checks
 it; ``validate`` and the tests use it, and it stays stable at high k.
-On V = 0 the batch and RK45 routes return e^{ikx} and e^{-ikx} exactly.
+``jost_at_origin`` answers an array of k with arrays, as ``jost_batch``
+does.  On V = 0 the batch and RK45 routes return e^{ikx} and e^{-ikx}
+exactly.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -24,17 +24,6 @@ from .line_model import PotentialFn
 
 RTOL = 1e-9
 ATOL = 1e-12
-
-
-@dataclass(frozen=True)
-class JostData:
-    """Boundary values and asymptotic coefficients at one frequency."""
-
-    k: float
-    f0: complex
-    df0: complex
-    a: complex
-    b: complex
 
 
 def _rk45(V, k, t_span, u0, t_eval=None, max_step=np.inf):
@@ -66,23 +55,30 @@ def _rk45(V, k, t_span, u0, t_eval=None, max_step=np.inf):
     return sol.y
 
 
-def jost_at_origin(V: PotentialFn, k: float) -> JostData:
-    """f(0,k), f'(0,k) plus a(k), b(k) for one half-line potential.
+def jost_at_origin(V: PotentialFn, k):
+    """(f0, df0, a, b): f(0,k), f'(0,k) and a(k), b(k) for one half-line
+    potential, four complex arrays over ``np.atleast_1d(k)``.
 
-    f is integrated backwards from the truncation point with exact free data;
-    ftilde is integrated forwards from the node and matched to plane waves.
+    f is integrated backwards from the truncation point with exact free
+    data and ftilde forwards from the node, then matched to plane waves;
+    each is one RK45 system over all k.
     """
-    if k == 0:
+    k = np.atleast_1d(np.asarray(k, dtype=float))
+    if np.any(k == 0):
         raise SingularFrequencyError("Jost data is singular at k = 0")
     X = V.truncation
+    ik = 1j * k
     if X == 0.0:
-        return JostData(k, 1.0 + 0.0j, 1j * k, 1.0 + 0.0j, 0.0j)
-    eikX = np.exp(1j * k * X)
-    f0, df0 = _rk45(V, k, (X, 0.0), [eikX, 1j * k * eikX])[:, -1]
-    ft, dft = _rk45(V, k, (0.0, X), [1.0 + 0.0j, -1j * k])[:, -1]
-    a = eikX * (1j * k * ft - dft) / (2j * k)
-    b = (1j * k * ft + dft) / (2j * k * eikX)
-    return JostData(float(k), f0, df0, a, b)
+        one = np.ones(k.size, dtype=complex)
+        return one, ik, one.copy(), np.zeros_like(one)
+    eikX = np.exp(ik * X)
+    f0, df0 = _rk45(V, k, (X, 0.0),
+                    np.r_[eikX, ik * eikX])[:, -1].reshape(2, -1)
+    ft, dft = _rk45(V, k, (0.0, X),
+                    np.r_[np.ones(k.size), -ik])[:, -1].reshape(2, -1)
+    a = eikX * (ik * ft - dft) / (2j * k)
+    b = (ik * ft + dft) / (2j * k * eikX)
+    return f0, df0, a, b
 
 
 def jost_profile(V: PotentialFn, k: float, xs):
@@ -107,9 +103,8 @@ def jost_tilde_profile(V: PotentialFn, k: float, xs):
     if V.support_end <= 0.0:
         ft = np.exp(-1j * k * xs)
         return ft, -1j * k * ft
-    ft, dft = _rk45(V, k, (0.0, float(xs[-1]) or 1e-9),
-                    [1.0 + 0.0j, -1j * k], t_eval=xs)
-    return ft, dft
+    return tuple(_rk45(V, k, (0.0, float(xs[-1]) or 1e-9),
+                       [1.0 + 0.0j, -1j * k], t_eval=xs))
 
 
 def jost_batch(V: PotentialFn, k):

@@ -212,6 +212,9 @@ class BranchGeometry:
     h: Optional[float] = None
 
     def __post_init__(self):
+        if not (math.isfinite(self.A0) and math.isfinite(self.A0prime)):
+            raise ProfileValidityError(
+                f"A(0)={self.A0} and A'(0)={self.A0prime} must be finite")
         if self.A0 <= 0:
             raise ProfileValidityError("A0 must be strictly positive")
         if (self.tau is None) != (self.h is None):

@@ -16,6 +16,7 @@ dominate the O(dx^2) interior error.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,9 +68,12 @@ def oracle_solve(net: StarNetwork, k: float, dx: float,
 
     grids, dxs, offsets = [], [], []
     total = 0
-    for b in net.branches:
+    for j, b in enumerate(net.branches, start=1):
         L = b.geometry.tau if b.is_finite else X_trunc
         n = max(int(round(L / dx)), 8)
+        if (L / n) ** 2 < sys.float_info.min:  # the stencil divides by it
+            raise DomainError(f"branch {j}: grid step {L / n:.3g} is too "
+                              f"small for the stencil")
         grids.append(np.linspace(0.0, L, n + 1))
         dxs.append(L / n)
         offsets.append(total)

@@ -38,13 +38,15 @@ with omega_j(0) = 1, omega_j'(0) = -h_j, and u_j'(0) = -omega_j'(tau_j).
 This convention is checked against the uniform closed form and the
 finite-difference oracle.
 
-A StarNetwork holds LineProfiles and orders them infinite first, so the
+A StarNetwork holds LineProfiles in a tuple ordered infinite first, so the
 columns 0..m-1 of every per-branch array are the infinite branches.  Every
 solve returns one ScatteringSweep, arrays with one row per k;
 ``solve_scattering`` is the one-row case.
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -54,48 +56,51 @@ from .errors import DomainError, ProfileValidityError, ResonanceError
 from .line_model import LineProfile
 
 K_FLOOR = 0.5  # smallest frequency a sweep accepts
+K_CEIL = math.sqrt(sys.float_info.max)  # largest k whose k^2 is finite
 A5_TOLERANCE = 1e-6  # relative spread of A(0) allowed across branches
 COND_WARN = 1e12
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class StarNetwork:
-    """Branches around the central node, held infinite first as the node
-    solve needs, each group in the order given: branch j is
+    """Branches around the central node, held as a tuple infinite first as
+    the node solve needs, each group in the order given: branch j is
     ``branches[j - 1]``, 1..m infinite and m+1..m+n finite.  Branch 1
-    measures."""
+    measures.  The A(0) check, against the first infinite profile, names
+    a profile by its position in the list given."""
 
-    branches: list[LineProfile]
+    branches: tuple[LineProfile, ...]
 
     def __post_init__(self):
-        self.branches = sorted(self.branches, key=lambda b: b.is_finite)
-        if not self.branches:
-            raise ProfileValidityError("network needs at least one branch")
-        if self.branches[0].is_finite:
+        given = tuple(self.branches)
+        ref = next((i for i, b in enumerate(given) if not b.is_finite), None)
+        if ref is None:  # also an empty list
             raise ProfileValidityError("branch 1 must be infinite")
-        a0_ref = self.branches[0].geometry.A0
-        for j, b in enumerate(self.branches, start=1):
+        a0_ref = given[ref].geometry.A0
+        for i, b in enumerate(given):
             if abs(b.geometry.A0 - a0_ref) > A5_TOLERANCE * a0_ref:
                 raise ProfileValidityError(
-                    f"branch {j}: A(0)={b.geometry.A0} breaks the "
-                    f"matched-node assumption (ref {a0_ref}, "
-                    f"rel tol {A5_TOLERANCE})")
+                    f"A(0)={b.geometry.A0} of branches[{i}] breaks the "
+                    f"matched-node assumption (ref {a0_ref} of "
+                    f"branches[{ref}], rel tol {A5_TOLERANCE})")
+        object.__setattr__(self, "branches",
+                           tuple(sorted(given, key=lambda b: b.is_finite)))
 
     @property
     def m(self) -> int:
-        return len(self.infinite_branches)
+        return sum(not b.is_finite for b in self.branches)
 
     @property
     def n(self) -> int:
-        return len(self.finite_branches)
+        return len(self.branches) - self.m
 
     @property
-    def infinite_branches(self) -> list[LineProfile]:
-        return [b for b in self.branches if not b.is_finite]
+    def infinite_branches(self) -> tuple[LineProfile, ...]:
+        return self.branches[:self.m]
 
     @property
-    def finite_branches(self) -> list[LineProfile]:
-        return [b for b in self.branches if b.is_finite]
+    def finite_branches(self) -> tuple[LineProfile, ...]:
+        return self.branches[self.m:]
 
 
 @dataclass(eq=False)
@@ -139,8 +144,8 @@ def _branch_data(net: StarNetwork, k: np.ndarray):
 
 
 def solve_scattering_batch(net: StarNetwork, k) -> ScatteringSweep:
-    """Solve the node conditions for every k in an array (all k finite and
-    >= K_FLOOR).
+    """Solve the node conditions for every k in an array (all k in
+    [K_FLOOR, K_CEIL]).
 
     A k where the node equation is singular comes back as a NaN row flagged
     by ``resonant``; the other rows are unaffected.
@@ -150,8 +155,10 @@ def solve_scattering_batch(net: StarNetwork, k) -> ScatteringSweep:
         raise DomainError("frequency grid must be one-dimensional")
     if k.size == 0:
         raise DomainError("empty frequency grid")
-    if not np.all(np.isfinite(k) & (k >= K_FLOOR)):
-        raise DomainError(f"k must be finite and >= the k floor {K_FLOOR}")
+    # k <= K_CEIL, not k * k, so the test itself cannot overflow
+    if not np.all((k >= K_FLOOR) & (k <= K_CEIL)):
+        raise DomainError(f"k must be finite and in [{K_FLOOR}, {K_CEIL:.6g}]"
+                          f", where its square is finite")
     val, der = _branch_data(net, k)
     m = net.m
     f0_1 = val[:, 0]

@@ -155,13 +155,10 @@ def test_criterion_5_fundamental_asymptotics():
     ok = all(s <= 1.5 * val_scaled[0] + 1e-6 for s in val_scaled)
     ok = ok and all(s <= 1.5 * der_scaled[0] + 1e-6 for s in der_scaled)
 
-    K = solve_kernel(V, tau)
-    kernel_gap = 0.0
-    for k in (6.0, 14.0, 33.0):
-        ivp = fundamental_at(V, tau, h, k)
-        kernel_gap = max(kernel_gap,
-                         abs(fundamental_via_kernel(K, h, k)
-                             - ivp.omega_tau))
+    ks = (6.0, 14.0, 33.0)
+    omega, _ = fundamental_at(V, tau, h, ks)
+    kernel_gap = float(np.max(np.abs(
+        fundamental_via_kernel(solve_kernel(V, tau), h, ks) - omega)))
     ok = ok and kernel_gap <= 1e-6
     dt = time.time() - t0
     report(5, "fundamental-solution asymptotics", ok and dt < 30.0,

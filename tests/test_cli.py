@@ -25,8 +25,10 @@ def write_config(tmp_path, doc, name="net.json"):
     return str(path)
 
 
-def uniform_branch(kind="infinite", length=None):
-    prof = {"family": "uniform", "inductance": 1.0, "capacitance": 1.0}
+def uniform_branch(kind="infinite", length=None, inductance=1.0,
+                   capacitance=1.0):
+    prof = {"family": "uniform", "inductance": inductance,
+            "capacitance": capacitance}
     if length is not None:
         prof["length"] = length
     return {"kind": kind, "profile": prof}
@@ -433,15 +435,6 @@ class TestInvert:
                        + "".join(f"{60 + i},0,0,0\n" for i in range(5)))
         assert cli.main(["invert", "--csv", str(csv)]) == 4
 
-    @pytest.mark.parametrize("max_n", ["0", "-1"])
-    def test_max_n_below_one(self, tmp_path, capsys, max_n):
-        csv = tmp_path / "zeros.csv"
-        csv.write_text("k,re_R1,im_R1,abs_R1\n"
-                       + "".join(f"{60 + 0.01 * i},0,0,0\n"
-                                 for i in range(100)))
-        assert cli.main(["invert", "--csv", str(csv), "--max-n", max_n]) == 2
-        assert "--max-n" in capsys.readouterr().err
-
     def test_nan_rows_skipped(self, tmp_path):
         # the reader keeps a NaN row, so the grid stays whole; the
         # inversion then skips it
@@ -690,3 +683,60 @@ def test_no_traceback_from_module_entry(tmp_path):
         assert proc.returncode == 2, (argv, proc.stderr)
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1
+
+
+def grid_argv(kmin, kmax, dk):
+    return lambda tmp_path: ["forward", "--config", write_config(
+        tmp_path, uniform_config(1, [1.0])), "--kmin", kmin, "--kmax", kmax,
+        "--dk", dk, "--out", str(tmp_path / "o.csv")]
+
+
+def validate_argv(*branches):
+    return lambda tmp_path: ["validate", "--config", write_config(
+        tmp_path, {"schema_version": 1, "branches": list(branches)})]
+
+
+def out_of_memory(message):
+    def raise_it(*args, **kwargs):
+        raise MemoryError(message)
+    return raise_it
+
+
+# (argv builder, stand-in for scattering.reflectogram or None, exit code,
+# text the stderr line holds); no case allocates for real: a k of 1e15 on
+# a unit stub asks numpy for petabytes, and 1e7-1e9 for gigabytes
+EXTREME_INPUTS = {
+    "dk-past-array-size": (grid_argv("60", "61", "1e-300"), None, 2,
+                           "frequency grid too large"),
+    "point-count-overflows": (grid_argv("60", "1e150", "1e-300"), None, 2,
+                              "frequency grid too large"),
+    "kmax-1e300": (grid_argv("60", "1e300", "1e-300"), None, 2, "--kmax"),
+    "k-squared-overflows": (grid_argv("1e200", "1e200", "1"), None, 2,
+                            "--kmax"),
+    "k-near-float-max": (grid_argv("1e308", "1.5e308", "1e307"), None, 2,
+                         "--kmax"),
+    "infinite-A0": (validate_argv(
+        *[uniform_branch(inductance=1e-300, capacitance=1e300)] * 2),
+        None, 2, "'branches[0]': A(0)=inf"),
+    "stub-grid-underflows": (validate_argv(
+        uniform_branch(), uniform_branch("finite", 1e-300)),
+        None, 3, "grid step"),
+    "a0-mismatch-listed-first": (validate_argv(
+        uniform_branch("finite", 1.0, capacitance=4.0), uniform_branch(),
+        uniform_branch()), None, 2, "of branches[0] breaks"),
+    "memory-error": (grid_argv("60", "61", "0.5"), out_of_memory(
+        "Unable to allocate 22.6 PiB"), 3, "solver error: Unable to"),
+    "bare-memory-error": (grid_argv("60", "61", "0.5"), out_of_memory(""),
+                          3, "solver error: out of memory"),
+}
+
+
+@pytest.mark.parametrize("case", EXTREME_INPUTS)
+def test_extreme_input_exit_code(tmp_path, monkeypatch, capsys, case):
+    argv, reflectogram, code, text = EXTREME_INPUTS[case]
+    if reflectogram is not None:
+        monkeypatch.setattr(cli.scattering, "reflectogram", reflectogram)
+    assert cli.main(argv(tmp_path)) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+    assert text in err, err

@@ -35,14 +35,14 @@ TABLE = make_potential(
 
 class TestFundamentalAt:
     def test_free_full_period(self):
-        d = fundamental_at(ZERO, math.pi, 0.0, 2.0)
-        assert abs(d.omega_tau - 1.0) < 1e-9
-        assert abs(d.domega_tau) < 1e-8
+        (om,), (dom,) = fundamental_at(ZERO, math.pi, 0.0, 2.0)
+        assert abs(om - 1.0) < 1e-9
+        assert abs(dom) < 1e-8
 
     def test_free_with_slope(self):
-        d = fundamental_at(ZERO, 1.0, 0.5, 2.0)
+        (om,), _ = fundamental_at(ZERO, 1.0, 0.5, 2.0)
         expect = math.cos(2.0) + 0.25 * math.sin(2.0)
-        assert abs(d.omega_tau - expect) < 1e-9
+        assert abs(om - expect) < 1e-9
 
     # fundamental_at answers V = 0 in closed form, so these two twins keep
     # the RK45 wrapper's accuracy on the free equation covered
@@ -64,24 +64,23 @@ class TestFundamentalAt:
         monkeypatch.setattr(fundamental, "_rk45", no_rk45)
         for tau, h, k in ((1.3, 0.0, 6.0), (0.7, -0.4, 14.0),
                           (2.1, 0.25, 0.0)):
-            d = fundamental_at(ZERO, tau, h, k)
+            (om,), (dom,) = fundamental_at(ZERO, tau, h, k)
             sinc = math.sin(k * tau) / k if k else tau
-            assert d.k == k
-            assert d.omega_tau == pytest.approx(
+            assert om == pytest.approx(
                 math.cos(k * tau) + h * sinc, abs=1e-15)
-            assert d.domega_tau == pytest.approx(
+            assert dom == pytest.approx(
                 -k * math.sin(k * tau) + h * math.cos(k * tau), abs=1e-14)
 
     def test_square_well_shifted_wavenumber(self):
         q = math.sqrt(16.0 - 1.0)
-        d = fundamental_at(WELL, 1.0, 0.0, 4.0)
-        assert abs(d.omega_tau - math.cos(q)) < 1e-8
-        assert abs(d.domega_tau + q * math.sin(q)) < 1e-7
+        (om,), (dom,) = fundamental_at(WELL, 1.0, 0.0, 4.0)
+        assert abs(om - math.cos(q)) < 1e-8
+        assert abs(dom + q * math.sin(q)) < 1e-7
 
     def test_real_for_real_data(self):
-        d = fundamental_at(BUMP, 1.4, 0.3, 9.0)
-        assert abs(d.omega_tau.imag) < 1e-10
-        assert abs(d.domega_tau.imag) < 1e-9
+        (om,), (dom,) = fundamental_at(BUMP, 1.4, 0.3, 9.0)
+        assert abs(om.imag) < 1e-10
+        assert abs(dom.imag) < 1e-9
 
     @pytest.mark.parametrize("V, tau, h", [(WELL, 1.0, 0.0),
                                           (BUMP, 1.4, 0.3),
@@ -92,25 +91,36 @@ class TestFundamentalAt:
         # larger k.  Each run is within about 1e-9 of a DOP853 reference at
         # rtol 1e-13 (the k = 6 run alone is 1.2e-9 off on the table stub),
         # so two runs may differ by twice that; omega' carries a factor k
-        joint = fundamental_at(V, tau, h, (6.0, 14.0))
-        assert [d.k for d in joint] == [6.0, 14.0]
-        for d in joint:
-            one = fundamental_at(V, tau, h, d.k)
-            assert abs(d.omega_tau - one.omega_tau) <= 2e-9
-            assert abs(d.domega_tau - one.domega_tau) <= 1e-8 * d.k
+        om, dom = fundamental_at(V, tau, h, (6.0, 14.0))
+        for i, k in enumerate((6.0, 14.0)):
+            (om1,), (dom1,) = fundamental_at(V, tau, h, k)
+            assert abs(om[i] - om1) <= 2e-9
+            assert abs(dom[i] - dom1) <= 1e-8 * k
 
     def test_joint_free_stub_is_per_k_closed_form(self):
         ks = np.array([0.0, 6.0, 14.0])
-        joint = fundamental_at(ZERO, 1.3, 0.25, ks)
-        assert joint == [fundamental_at(ZERO, 1.3, 0.25, k) for k in ks]
+        om, dom = fundamental_at(ZERO, 1.3, 0.25, ks)
+        for i, k in enumerate(ks):
+            np.testing.assert_array_equal(
+                (om[i:i + 1], dom[i:i + 1]),
+                fundamental_at(ZERO, 1.3, 0.25, k))
+
+    @pytest.mark.parametrize("V", [ZERO, BUMP], ids=["free", "bump"])
+    @pytest.mark.parametrize("k", [9.0, [9.0], (3.0, 9.0)],
+                             ids=["scalar", "one", "two"])
+    def test_shape_is_the_sweeps(self, V, k):
+        got = fundamental_at(V, 1.4, 0.3, k)
+        want = propagate.sweep(V, 0.0, 1.4, k, 1.0, 0.3)
+        assert [(a.shape, a.dtype) for a in got] == \
+            [(a.shape, a.dtype) for a in want] == [((np.size(k),),
+                                                    np.dtype(complex))] * 2
 
     def test_batch_matches_adaptive(self):
         ks = np.array([3.0, 11.0, 37.0])
         om, dom = propagate.sweep(BUMP, 0.0, 1.4, ks, 1.0, 0.3)
-        for i, k in enumerate(ks):
-            d = fundamental_at(BUMP, 1.4, 0.3, float(k))
-            assert abs(om[i] - d.omega_tau) < 1e-7
-            assert abs(dom[i] - d.domega_tau) < 1e-6 * max(k, 1.0)
+        om_ref, dom_ref = fundamental_at(BUMP, 1.4, 0.3, ks)
+        assert np.all(np.abs(om - om_ref) < 1e-7)
+        assert np.all(np.abs(dom - dom_ref) < 1e-6 * np.maximum(ks, 1.0))
 
 
 def reference_kernel(V, tau):
@@ -216,12 +226,12 @@ class TestSolveKernel:
 class TestViaKernel:
     def test_zero_kernel_reduces_to_cosine(self):
         K = solve_kernel(ZERO, 1.3)
-        val = fundamental_via_kernel(K, 0.0, 5.0)
+        (val,) = fundamental_via_kernel(K, 0.0, 5.0)
         assert abs(val - math.cos(5.0 * 1.3)) < 1e-12
 
     def test_zero_kernel_with_slope(self):
         K = solve_kernel(ZERO, math.pi / 2.0)
-        val = fundamental_via_kernel(K, 1.0, 1.0)
+        (val,) = fundamental_via_kernel(K, 1.0, 1.0)
         assert abs(val - 1.0) < 1e-12
 
     def test_zero_kernel_is_the_closed_form(self, monkeypatch):
@@ -233,29 +243,43 @@ class TestViaKernel:
         for tau, h, k in ((1.3, 0.0, 6.0), (0.7, -0.4, 14.0),
                           (2.1, 0.25, 0.0)):
             val = fundamental_via_kernel(solve_kernel(ZERO, tau), h, k)
-            assert val == fundamental_at(ZERO, tau, h, k).omega_tau
+            np.testing.assert_array_equal(
+                val, fundamental_at(ZERO, tau, h, k)[0])
 
     def test_square_well_cross_validation(self):
         K = solve_kernel(WELL, 1.0)
-        ivp = fundamental_at(WELL, 1.0, 0.0, 6.0)
-        assert abs(fundamental_via_kernel(K, 0.0, 6.0) - ivp.omega_tau) < 1e-6
+        omega, _ = fundamental_at(WELL, 1.0, 0.0, 6.0)
+        assert np.abs(fundamental_via_kernel(K, 0.0, 6.0) - omega) < 1e-6
 
     def test_smooth_cross_validation_sweep(self):
         # ||V||_L1 <= 2, tau <= 3, k in [1, 50]
         V = make_potential(sin2_bump(1.5, 2.5), 2.5)
         tau, h = 2.8, 0.4
-        K = solve_kernel(V, tau)
-        for k in (1.0, 4.0, 13.0, 27.0, 50.0):
-            ivp = fundamental_at(V, tau, h, k)
-            ker = fundamental_via_kernel(K, h, k)
-            assert abs(ker - ivp.omega_tau) < 1e-6
+        ks = (1.0, 4.0, 13.0, 27.0, 50.0)
+        omega, _ = fundamental_at(V, tau, h, ks)
+        ker = fundamental_via_kernel(solve_kernel(V, tau), h, ks)
+        assert np.all(np.abs(ker - omega) < 1e-6)
+
+    def test_one_spline_serves_every_k(self, monkeypatch):
+        # each k keeps its own Simpson grid, so the array is the per-k
+        # values to the bit
+        K = solve_kernel(BUMP, 1.4)
+        ks = (0.0, 6.0, 14.0, 120.0)
+        per_k = [fundamental_via_kernel(K, 0.3, k)[0] for k in ks]
+        fits = []
+        spline = fundamental.CubicSpline
+        monkeypatch.setattr(fundamental, "CubicSpline",
+                            lambda *a: fits.append(1) or spline(*a))
+        got = fundamental_via_kernel(K, 0.3, ks)
+        assert len(fits) == 1 and got.shape == (4,)
+        np.testing.assert_array_equal(got, per_k)
 
     def test_k_zero_limit(self):
         K = solve_kernel(WELL, 1.0)
         val = fundamental_via_kernel(K, 0.7, 0.0)
         # omega(tau, 0) from the IVP at k=0
-        ivp = fundamental_at(WELL, 1.0, 0.7, 0.0)
-        assert abs(val - ivp.omega_tau) < 1e-6
+        omega, _ = fundamental_at(WELL, 1.0, 0.7, 0.0)
+        assert np.abs(val - omega) < 1e-6
 
 
 class TestHighFrequency:

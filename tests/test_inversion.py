@@ -166,12 +166,6 @@ class TestEstimateTaus:
         assert report.taus == []
         assert any("no poles" in w for w in report.warnings)
 
-    @pytest.mark.parametrize("max_n", [0, -1])
-    def test_max_n_below_one_rejected(self, max_n):
-        samples = synth_samples(2, [1.0], np.arange(60.0, 70.0, 0.01))
-        with pytest.raises(ValueError):
-            estimate_taus(samples, expected_max_n=max_n)
-
     @pytest.mark.parametrize("form", ["list", "array"])
     def test_nonpositive_k_rejected(self, form):
         ks = np.arange(60.0, 70.0, 0.01)

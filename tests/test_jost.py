@@ -49,19 +49,28 @@ WELL = make_potential(square_well(1.0, 1.0), 1.0)
 class TestJostAtOrigin:
     def test_free_potential(self):
         V = make_potential(lambda x: np.zeros_like(np.asarray(x, float)), 0.0)
-        d = jost_at_origin(V, 3.0)
-        assert d.f0 == 1.0
-        assert d.df0 == 3.0j
-        assert d.a == 1.0
-        assert d.b == 0.0
+        f0, df0, a, b = jost_at_origin(V, (3.0, 5.0))
+        np.testing.assert_array_equal(f0, [1.0, 1.0])
+        np.testing.assert_array_equal(df0, [3.0j, 5.0j])
+        np.testing.assert_array_equal(a, [1.0, 1.0])
+        np.testing.assert_array_equal(b, [0.0, 0.0])
 
     def test_square_well_against_closed_form(self):
-        d = jost_at_origin(WELL, 5.0)
-        f0, df0, a, b = well_oracle(1.0, 1.0, 5.0)
-        assert abs(d.f0 - f0) < 1e-8
-        assert abs(d.df0 - df0) < 1e-8
-        assert abs(d.a - a) < 1e-8
-        assert abs(d.b - b) < 1e-8
+        got = jost_at_origin(WELL, 5.0)
+        for (d,), want in zip(got, well_oracle(1.0, 1.0, 5.0)):
+            assert abs(d - want) < 1e-8
+
+    @pytest.mark.parametrize("k", [5.0, [5.0], (3.0, 5.0, 12.0)],
+                             ids=["scalar", "one", "three"])
+    def test_arrays_over_k(self, k):
+        got = jost_at_origin(WELL, k)
+        assert [(e.shape, e.dtype) for e in got] == \
+            [((np.size(k),), np.dtype(complex))] * 4
+        # one system for all k takes its steps from the largest; f' carries
+        # a factor k
+        for i, kk in enumerate(np.atleast_1d(k)):
+            for d, want in zip(got, well_oracle(1.0, 1.0, kk)):
+                assert abs(d[i] - want) < 1e-8 * kk
 
     def test_gaussian_bump_a_asymptotics(self):
         # scale a Gaussian bump so int V = 0.5; then a(100) ~ 1 - 0.0025i
@@ -69,15 +78,19 @@ class TestJostAtOrigin:
         mass, _ = integrate.quad(lambda x: float(raw(x)), 0.0, 2.0)
         c = 0.5 / mass
         V = make_potential(lambda x: c * raw(x), 2.0)
-        d = jost_at_origin(V, 100.0)
+        _, _, (a,), _ = jost_at_origin(V, 100.0)
         # first Born term of the ftilde integral equation (ftilde'(0) = -ik)
         # gives a = 1 - int V/(2ik) = 1 + i int V / (2k)
-        assert abs(d.a - (1.0 + 0.0025j)) <= 5e-4
-        assert abs(abs(d.a - 1.0) - 0.0025) <= 5e-4
+        assert abs(a - (1.0 + 0.0025j)) <= 5e-4
+        assert abs(abs(a - 1.0) - 0.0025) <= 5e-4
 
     def test_zero_frequency_rejected(self):
         with pytest.raises(SingularFrequencyError):
             jost_at_origin(WELL, 0.0)
+
+    def test_zero_among_frequencies_rejected(self):
+        with pytest.raises(SingularFrequencyError):
+            jost_at_origin(WELL, [4.0, 0.0])
 
     def test_truncation_point_compact_support(self):
         assert WELL.truncation == pytest.approx(1.0, abs=1e-6)
@@ -86,13 +99,13 @@ class TestJostAtOrigin:
 class TestLogDerivative:
     def test_free(self):
         V = make_potential(lambda x: np.zeros_like(np.asarray(x, float)), 0.0)
-        d = jost_at_origin(V, 7.0)
-        assert d.df0 / d.f0 == 7.0j
+        f0, df0, _, _ = jost_at_origin(V, 7.0)
+        assert df0 / f0 == 7.0j
 
     @pytest.mark.parametrize("k", [50.0, 200.0])
     def test_stays_near_ik(self, k):
-        d = jost_at_origin(WELL, k)
-        assert abs(d.df0 / d.f0 - 1j * k) <= 2.0
+        f0, df0, _, _ = jost_at_origin(WELL, k)
+        assert abs(df0 / f0 - 1j * k) <= 2.0
 
 
 class TestJostProfileBounds:
@@ -147,14 +160,14 @@ class TestTransferInvariants:
         assert np.all(scaled <= C)
 
     def test_batch_matches_adaptive(self):
-        for k in (4.0, 21.0):
-            d = jost_at_origin(WELL, k)
-            f0, df0, _ = jost_batch(WELL, np.array([k]))
-            a, b = jost_ab(WELL, k)
-            assert abs(f0[0] - d.f0) < 1e-7
-            assert abs(df0[0] - d.df0) < 1e-6 * k
-            assert abs(a[0] - d.a) < 1e-7
-            assert abs(b[0] - d.b) < 1e-7
+        ks = np.array([4.0, 21.0])
+        f0_ref, df0_ref, a_ref, b_ref = jost_at_origin(WELL, ks)
+        f0, df0, _ = jost_batch(WELL, ks)
+        a, b = jost_ab(WELL, ks)
+        assert np.all(np.abs(f0 - f0_ref) < 1e-7)
+        assert np.all(np.abs(df0 - df0_ref) < 1e-6 * ks)
+        assert np.all(np.abs(a - a_ref) < 1e-7)
+        assert np.all(np.abs(b - b_ref) < 1e-7)
 
     @given(v0=st.floats(-2.0, 2.0), w=st.floats(0.2, 1.5),
            k=st.floats(2.0, 40.0))
@@ -182,8 +195,8 @@ class TestVolterraReference:
     def test_agrees_with_ode_path(self):
         k = 4.0
         x, f, ftilde = jost_via_volterra(WELL, k, n_grid=6000)
-        d = jost_at_origin(WELL, k)
-        assert abs(f[0] - d.f0) < 1e-5
+        (f0,), _, _, _ = jost_at_origin(WELL, k)
+        assert abs(f[0] - f0) < 1e-5
         ft, _ = jost_tilde_profile(WELL, k, x[[0, -1]])
         assert abs(ftilde[0] - 1.0) < 1e-12
         f0o, _, _, _ = well_oracle(1.0, 1.0, k)

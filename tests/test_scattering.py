@@ -23,25 +23,24 @@ from references import assemble_field, fundamental_profile
 
 
 def adaptive_branch_data(net, k):
-    """Reference node data from adaptive RK45, one frequency at a time, in
-    the (val, der) layout of ``scattering._branch_data``."""
-    val = np.empty((k.size, len(net.branches)), dtype=complex)
-    der = np.empty_like(val)
-    for j, b in enumerate(net.branches):
+    """Reference node data from adaptive RK45, one call per branch over all
+    k, in the (val, der) layout of ``scattering._branch_data``."""
+    val, der = [], []
+    for b in net.branches:
         if not b.is_finite:
-            rows = [jost.jost_at_origin(b.potential, float(kk)) for kk in k]
-            val[:, j] = [r.f0 for r in rows]
-            der[:, j] = [r.df0 for r in rows]
+            f0, df0, _, _ = jost.jost_at_origin(b.potential, k)
+            val.append(f0)
+            der.append(df0)
         else:
             # u(x) = omega(tau - x) for omega on the reversed potential with
             # omega(0) = 1, omega'(0) = -h, so (u(0), u'(0)) = (omega, -omega')
             tau, V = b.geometry.tau, b.potential
-            rows = [fundamental_at(lambda s: V(tau - np.asarray(s, float)),
-                                   tau, -b.geometry.h, float(kk))
-                    for kk in k]
-            val[:, j] = [r.omega_tau for r in rows]
-            der[:, j] = [-r.domega_tau for r in rows]
-    return val, der
+            reversed_v = LineProfile.direct(lambda s: V(tau - s), tau)
+            om, dom = fundamental_at(reversed_v.potential, tau,
+                                     -b.geometry.h, k)
+            val.append(om)
+            der.append(-dom)
+    return np.stack(val, axis=1), np.stack(der, axis=1)
 
 
 class TestUniformJunctions:
@@ -119,13 +118,18 @@ class TestInvariants:
                        - sorted(cb.alpha[0], key=abs)[0]) < 1e-10
 
     def test_transfer_matches_adaptive(self, rng, monkeypatch):
-        net = random_smooth_network(rng)
-        for k in (7.0, 29.0):
-            ct = solve_scattering(net, k)
+        # the seeded random star has no stub, so a fixed one with two
+        # stubs (h of both signs) covers the finite-branch reference
+        stubbed = direct_network(
+            [(sin2_bump(0.3, 0.7), 0.7), (sin2_bump(-0.4, 0.5), 0.5)],
+            [(sin2_bump(0.5, 0.8), 0.8, 1.1, 0.2),
+             (sin2_bump(-0.6, 0.6), 0.6, 1.7, -0.3)])
+        for net in (random_smooth_network(rng), stubbed):
+            ct = solve_scattering_batch(net, (7.0, 29.0))
             with monkeypatch.context() as mp:
                 mp.setattr(scattering, "_branch_data", adaptive_branch_data)
-                ca = solve_scattering(net, k)
-            assert abs(ct.R1[0] - ca.R1[0]) < 1e-6
+                ca = solve_scattering_batch(net, (7.0, 29.0))
+            assert np.all(np.abs(ct.R1 - ca.R1) < 1e-6)
 
     def test_wronskian_constant_on_finite_branch(self):
         V = LineProfile.direct(sin2_bump(0.8, 1.0), 1.0, tau=1.3,
@@ -150,6 +154,15 @@ class TestInvariants:
             with pytest.raises(DomainError, match="finite"):
                 solve(net, k)
 
+    @pytest.mark.parametrize("big", [1.5e154, 1e200, 1.5e308])
+    def test_k_whose_square_overflows_rejected(self, big):
+        # before the check, the stub's partition divided by zero or asked
+        # numpy for an array past its size limit
+        net = uniform_network(2, [1.0])
+        assert scattering.K_CEIL ** 2 < math.inf
+        with pytest.raises(DomainError, match="square is finite"):
+            solve_scattering_batch(net, [10.0, big])
+
     def test_a5_violation_rejected(self):
         profs = [LineProfile.uniform(1.0, 1.0), LineProfile.uniform(1.0, 2.0)]
         with pytest.raises(ProfileValidityError):
@@ -165,8 +178,8 @@ class TestBranchTag:
         finite = [LineProfile.direct(sin2_bump(0.2, 0.5), 0.5, tau=tau, h=0.1)
                   for tau in (1.3, 0.8)]
         net = StarNetwork([finite[0], infinite[0], finite[1], infinite[1]])
-        assert net.branches == [infinite[0], infinite[1], finite[0],
-                                finite[1]]
+        assert net.branches == (infinite[0], infinite[1], finite[0],
+                                finite[1])
         assert [b.potential.support_end for b in net.branches[:2]] == \
             [0.4, 0.6]
         assert [b.geometry.tau for b in net.branches[2:]] == [1.3, 0.8]
@@ -178,8 +191,8 @@ class TestBranchTag:
         net = StarNetwork(given)
         assert [b.is_finite for b in net.branches] == [False, False, True]
         assert (net.m, net.n) == (2, 1)
-        assert net.infinite_branches == [given[0], given[2]]
-        assert net.finite_branches == [given[1]]
+        assert net.infinite_branches == (given[0], given[2])
+        assert net.finite_branches == (given[1],)
 
     def test_interleaved_order_solves_as_infinite_first(self):
         # the node solve reads columns 0..m-1 as the infinite branches
@@ -192,6 +205,17 @@ class TestBranchTag:
                                           getattr(want, name))
         flux = abs(got.R1[0]) ** 2 + np.sum(np.abs(got.T[0]) ** 2)
         assert abs(flux - 1.0) <= 1e-12
+
+    def test_branches_cannot_be_appended_to(self):
+        # an appended infinite line would sit after the stub, in a column
+        # the node solve reads as finite
+        net = StarNetwork([LineProfile.uniform(1.0, 1.0),
+                           LineProfile.uniform(1.0, 1.0, length=1.0)])
+        with pytest.raises(AttributeError):
+            net.branches.append(LineProfile.uniform(1.0, 1.0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            net.branches = [LineProfile.uniform(1.0, 4.0)]
+        assert net.m == 1 and net.n == 1
 
     def test_all_finite_star_rejected(self):
         stubs = [LineProfile.uniform(1.0, 1.0, length=t) for t in (1.0, 1.7)]
