@@ -8,9 +8,10 @@ Exit codes: 0 ok; 2 bad input: a config or table that fails to parse or
 validate, a bad argument (a grid too large for an array, a k whose square
 overflows), or a path that cannot be read or written; 3 solver failure:
 every swept frequency singular, a resonant `validate` check frequency, a
-branch a reference cannot resolve, or out of memory; 4 too few usable
-samples to invert; 5 a `validate` check failed.  `main` alone turns a
-failure into its exit code, with one line on stderr and no traceback.
+branch a reference cannot resolve, a k too high for a branch's cells, or
+out of memory; 4 too few usable samples to invert; 5 a `validate` check
+failed.  `main` alone turns a failure into its exit code, with one line on
+stderr and no traceback.
 """
 from __future__ import annotations
 
@@ -157,8 +158,7 @@ def _run_checks(net):
         np.abs(sweep.R1) ** 2 + np.sum(np.abs(sweep.T) ** 2, axis=1) - 1.0)))
     yield ("flux_conservation", flux_err <= 1e-8, f"max err {flux_err:.3e}")
 
-    A = np.array([b.geometry.A0 for b in net.branches])
-    saap = sum(b.geometry.A0 * b.geometry.A0prime for b in net.branches)
+    A, saap = net.A, net.saap
     vals = sweep.node_values[..., 0] / A
     continuity = (np.max(np.abs(vals - vals[:, :1]), axis=1)
                   / (np.max(np.abs(vals), axis=1) + 1e-30))

@@ -1,9 +1,10 @@
 """Fundamental solution on finite branches, with a kernel-based cross-check.
 
 omega(x,k;h,V) solves y'' = (V - k^2) y with omega(0) = 1, omega'(0) = h.
-The network solver's ``propagate.sweep`` gives it over an array of k.
-``fundamental_at`` integrates the IVP by adaptive RK45, and an independent
-route evaluates the integral representation
+The network solver's ``propagate.sweep(V, 0, tau, k, 1, h)`` gives it over
+an array of k, ``fundamental_at`` makes the same call on its RK45 twin
+``jost.rk45_sweep``, and an independent route evaluates the integral
+representation
 
     omega(x,k) = cos(kx) + h sin(kx)/k
                  + int_{-x}^{x} K(x,t) {cos(kt) + h sin(kt)/k} dt,
@@ -11,13 +12,10 @@ route evaluates the integral representation
 where the transformation kernel K solves a Goursat-type integral equation.
 These two are references only: ``validate`` compares them on every finite
 branch, and the tests check the solver and the high-frequency asymptotics
-against them.  Like the sweep, each takes a scalar or a 1-D array of k and
-returns arrays with one entry per k.
-
-On a branch with V = 0 (support_end <= 0, as on every uniform line) omega
-is cos(kx) + h sin(kx)/k exactly and K = 0, so ``fundamental_at`` returns
-the closed form, ``solve_kernel`` the zero table and
-``fundamental_via_kernel`` the closed form again, with no integration.
+against them.  Each takes a scalar or a 1-D array of k and returns arrays
+with one entry per k.  On V = 0 (support_end <= 0, every uniform line)
+K = 0: ``solve_kernel`` returns the zero table and
+``fundamental_via_kernel`` the closed form, with no integration.
 """
 from __future__ import annotations
 
@@ -29,7 +27,7 @@ from scipy.integrate import cumulative_trapezoid, simpson
 from scipy.interpolate import CubicSpline
 
 from .errors import DivergenceError
-from .jost import _rk45
+from .jost import rk45_sweep
 from .line_model import PotentialFn
 
 
@@ -49,21 +47,12 @@ class KernelTable:
 
 
 def fundamental_at(V: PotentialFn, tau: float, h: float, k):
-    """(omega(tau), omega'(tau)) from omega(0) = 1, omega'(0) = h, two
-    complex arrays over ``np.atleast_1d(k)`` as ``propagate.sweep`` returns
-    them.
-
-    All k are integrated by RK45 as one system (``_rk45``); for V = 0 the
-    free solution is returned exactly."""
+    """(omega(tau), omega'(tau)) from omega(0) = 1, omega'(0) = h by RK45,
+    two complex arrays over ``np.atleast_1d(k)``: exactly
+    ``rk45_sweep(V, 0, tau, k, 1, h)``, the twin of ``propagate.sweep``."""
     if tau <= 0:
         raise ValueError("tau must be positive")
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    if V.support_end <= 0.0:
-        return (_cos_term(k, tau, h).astype(complex),
-                (h * np.cos(k * tau) - k * np.sin(k * tau)).astype(complex))
-    u0 = np.r_[np.ones(k.size), np.full(k.size, h)].astype(complex)
-    return tuple(_rk45(V, k, (0.0, tau), u0,
-                       max_step=tau)[:, -1].reshape(2, -1))
+    return rk45_sweep(V, 0.0, tau, k, 1.0, h)
 
 
 def solve_kernel(V: PotentialFn, tau: float) -> KernelTable:

@@ -102,8 +102,7 @@ def oracle_solve(net: StarNetwork, k: float, dx: float,
         row += n - 1
 
     # node: value continuity against branch 1, then the derivative balance
-    A = [b.geometry.A0 for b in net.branches]
-    saap = sum(b.geometry.A0 * b.geometry.A0prime for b in net.branches)
+    A, saap = net.A, net.saap
     for bi in range(1, len(net.branches)):
         add(row, [offsets[bi], offsets[0]], [1.0 / A[bi], -1.0 / A[0]])
         row += 1

@@ -17,8 +17,10 @@ Adjacent cells with the same midpoint V are merged into one cell of the
 summed length.  The midpoint scheme already treats V as constant there, so
 merging changes the product only by rounding: uniform lines, exponential
 tapers and the V = 0 stretch past a potential's support each cost a single
-cell.  The scheme is second order in dx for smooth V.  Signed dx gives
-backward propagation (cos is even, sin(q dx)/q is odd).
+cell.  A V = 0 potential is not sampled at all, so it costs one cell at any
+k; any other partition too large for an array raises DomainError.  The
+scheme is second order in dx for smooth V.  Signed dx gives backward
+propagation (cos is even, sin(q dx)/q is odd).
 
 On a fixed partition the product is an entire function of k of exponential
 type |x_to - x_from|, so n + 1 Chebyshev points of [k_min, k_max], with
@@ -48,6 +50,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .errors import DomainError
 
 STEPS_PER_WAVELENGTH = 20
 DX_MAX = 2e-3
@@ -188,11 +192,19 @@ def transfer_matrix(potential, x_from: float, x_to: float, k: np.ndarray):
                 np.zeros_like(k), np.ones_like(k))
     n_steps = step_count(abs(length), float(np.max(np.abs(k))))
     dx = length / n_steps
-    mids = x_from + (np.arange(n_steps) + 0.5) * dx
-    v_mid = np.asarray(potential(mids), dtype=float)
-    starts = np.flatnonzero(np.r_[True, v_mid[1:] != v_mid[:-1]])
-    v_runs = v_mid[starts]
-    widths = np.diff(np.r_[starts, n_steps]) * dx
+    if getattr(potential, "support_end", 1.0) <= 0.0:
+        # V = 0 (a PotentialFn without support): one run, not sampled
+        v_runs, widths = np.zeros(1), np.array([n_steps * dx])
+    elif n_steps > np.iinfo(np.intp).max // 8:
+        raise DomainError(f"k = {np.max(np.abs(k)):.6g} needs {n_steps:.3g} "
+                          f"cells over length {abs(length):.6g}, more than "
+                          f"an array can hold")
+    else:
+        mids = x_from + (np.arange(n_steps) + 0.5) * dx
+        v_mid = np.asarray(potential(mids), dtype=float)
+        starts = np.flatnonzero(np.r_[True, v_mid[1:] != v_mid[:-1]])
+        v_runs = v_mid[starts]
+        widths = np.diff(np.r_[starts, n_steps]) * dx
     k_min, k_max = float(np.min(k)), float(np.max(k))
     n = math.ceil(abs(length) * (k_max - k_min) / 2) + NODE_MARGIN
     if k.size <= n + 1 or v_runs.size <= n + 1:

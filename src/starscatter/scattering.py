@@ -32,16 +32,15 @@ which the condition proxy flags.
 u_j is the solution with u_j(tau_j) = 1, u_j'(tau_j) = h_j, which satisfies
 the terminal condition y'(tau) = h y(tau).  It is propagated from the
 terminal end back to the node in the branch's own coordinate, so its node
-data (u_j(0), u_j'(0)) enter the equation with no sign change.  In the
-reversed coordinate s = tau_j - x, u_j is the fundamental solution omega_j
-with omega_j(0) = 1, omega_j'(0) = -h_j, and u_j'(0) = -omega_j'(tau_j).
-This convention is checked against the uniform closed form and the
-finite-difference oracle.
+data (u_j(0), u_j'(0)) enter the equation with no sign change.  The tests
+check it against the same call on ``jost.rk45_sweep``, the uniform closed
+form and the finite-difference oracle.
 
 A StarNetwork holds LineProfiles in a tuple ordered infinite first, so the
-columns 0..m-1 of every per-branch array are the infinite branches.  Every
-solve returns one ScatteringSweep, arrays with one row per k;
-``solve_scattering`` is the one-row case.
+columns 0..m-1 of every per-branch array are the infinite branches, and
+builds the node geometry once in that order: ``A`` (A_j(0)) and ``saap``
+(sum_j A_j A_j').  Every solve returns one ScatteringSweep, arrays with
+one row per k; ``solve_scattering`` is the one-row case.
 """
 from __future__ import annotations
 
@@ -70,6 +69,8 @@ class StarNetwork:
     a profile by its position in the list given."""
 
     branches: tuple[LineProfile, ...]
+    A: np.ndarray = field(init=False, repr=False)  # A_j(0), branch order
+    saap: float = field(init=False, repr=False)  # sum_j A_j(0) A_j'(0)
 
     def __post_init__(self):
         given = tuple(self.branches)
@@ -83,8 +84,12 @@ class StarNetwork:
                     f"A(0)={b.geometry.A0} of branches[{i}] breaks the "
                     f"matched-node assumption (ref {a0_ref} of "
                     f"branches[{ref}], rel tol {A5_TOLERANCE})")
-        object.__setattr__(self, "branches",
-                           tuple(sorted(given, key=lambda b: b.is_finite)))
+        branches = tuple(sorted(given, key=lambda b: b.is_finite))
+        A = np.array([b.geometry.A0 for b in branches])
+        A.flags.writeable = False  # the star is frozen, and so is A
+        saap = sum(b.geometry.A0 * b.geometry.A0prime for b in branches)
+        for name, value in (("branches", branches), ("A", A), ("saap", saap)):
+            object.__setattr__(self, name, value)
 
     @property
     def m(self) -> int:
@@ -138,7 +143,7 @@ def _branch_data(net: StarNetwork, k: np.ndarray):
     val, der = zip(*(propagate.sweep(b.potential, b.geometry.tau, 0.0, k,
                                      1.0, b.geometry.h)
                      if b.is_finite else
-                     jost.jost_batch(b.potential, k)[:2]
+                     jost.jost_batch(b.potential, k)
                      for b in net.branches))
     return np.stack(val, axis=1), np.stack(der, axis=1)
 
@@ -162,8 +167,7 @@ def solve_scattering_batch(net: StarNetwork, k) -> ScatteringSweep:
     val, der = _branch_data(net, k)
     m = net.m
     f0_1 = val[:, 0]
-    A = np.array([b.geometry.A0 for b in net.branches])
-    saap = sum(b.geometry.A0 * b.geometry.A0prime for b in net.branches)
+    A, saap = net.A, net.saap
     # branch 1's incoming wave conj(f_1), whose Wronskian with f_1 is 2ik
     w = 2j * k * A[0] / f0_1
 

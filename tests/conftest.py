@@ -3,12 +3,14 @@
 Networks are mostly assembled from DirectPotential profiles so that tests
 control V, tau and h exactly, without table-differentiation noise.
 """
+import json
 import math
 
 import numpy as np
 import pytest
 
 from starscatter import propagate
+from starscatter.config import load_network
 from starscatter.line_model import LineProfile
 from starscatter.scattering import StarNetwork
 
@@ -96,20 +98,39 @@ class CountingNumpy:
         return getattr(np, name)
 
 
-def jost_ab(V, k):
-    """Half-line transfer data a(k), b(k) over an array k, from the same
-    transfer matrix M over [0, X] that ``jost.jost_batch`` takes f from:
-    ftilde(X) = M (1, -ik), matched to a e^{-ikX} + b e^{ikX}."""
+def jost_ab(V, k, engine=propagate.sweep):
+    """Half-line transfer data a(k), b(k) over an array k: ftilde, with
+    ftilde(0) = 1 and ftilde'(0) = -ik, propagated to X = V.truncation by
+    ``engine`` and matched to a e^{-ikX} + b e^{ikX}.  The engine is
+    ``propagate.sweep``, the transfer matrix that ``jost.jost_batch`` takes
+    f from, or its RK45 twin ``jost.rk45_sweep``."""
     k = np.atleast_1d(np.asarray(k, dtype=float))
     X = V.truncation
-    m11, m12, m21, m22 = propagate.transfer_matrix(V, 0.0, X, k)
     ik = 1j * k
+    ft, dft = engine(V, 0.0, X, k, 1.0, -ik)
     eikX = np.exp(ik * X)
-    ft = m11 - m12 * ik
-    dft = m21 - m22 * ik
     a = eikX * (ik * ft - dft) / (2j * k)
     b = (ik * ft + dft) / (2j * k * eikX)
     return a, b
+
+
+def smooth_demo_star(workdir):
+    """The demo star from 161-row sin^2 tables: two infinite branches and
+    stubs of tau 1 and 1.7, as in the benchmark's smooth-sweep."""
+    branches = []
+    for i, (amp, width) in enumerate(((0.5, 0.8), (-0.35, 0.7))):
+        write_sin2_table(workdir / f"inf{i}.csv", amp, width)
+        branches.append({"kind": "infinite",
+                         "direct": {"potential_table_path": f"inf{i}.csv"}})
+    for i, (amp, width, tau, h) in enumerate(((0.4, 0.6, 1.0, 0.12),
+                                              (-0.3, 0.9, 1.7, -0.1))):
+        write_sin2_table(workdir / f"fin{i}.csv", amp, width)
+        branches.append({"kind": "finite",
+                         "direct": {"potential_table_path": f"fin{i}.csv",
+                                    "tau": tau, "h": h}})
+    path = workdir / "net.json"
+    path.write_text(json.dumps({"schema_version": 1, "branches": branches}))
+    return load_network(path)[0]
 
 
 def closed_form_r1(m, taus, k):

@@ -2,7 +2,7 @@
 
 Each is a slow or independent route to a quantity the package computes
 another way: a Volterra successive-approximation Jost solution, omega
-sampled along a finite branch by adaptive RK45, the Goursat kernel
+sampled along a finite branch by ``jost.rk45_sweep``, the Goursat kernel
 interpolated off its characteristic grid, and the field on a branch
 propagated out from a sweep's node values.
 """
@@ -13,7 +13,7 @@ from scipy.interpolate import RegularGridInterpolator
 from starscatter import propagate
 from starscatter.errors import DomainError, SingularFrequencyError
 from starscatter.fundamental import KernelTable
-from starscatter.jost import _rk45
+from starscatter.jost import rk45_sweep
 from starscatter.line_model import PotentialFn
 from starscatter.scattering import ScatteringSweep, StarNetwork
 
@@ -62,12 +62,10 @@ def jost_via_volterra(V: PotentialFn, k: float, n_grid: int = 4000):
     return x, f, ftilde
 
 
-def fundamental_profile(V: PotentialFn, tau: float, h: float, k: float, xs):
-    """omega and omega' sampled on xs in [0, tau]."""
-    xs = np.asarray(xs, dtype=float)
-    om, dom = _rk45(V, k, (0.0, tau), [1.0 + 0.0j, complex(h)], t_eval=xs,
-                    max_step=tau)
-    return om, dom
+def fundamental_profile(V: PotentialFn, tau: float, h: float, k, xs):
+    """omega and omega' sampled on ascending xs in [0, tau], two
+    [len(xs), nk] arrays."""
+    return rk45_sweep(V, 0.0, tau, k, 1.0, h, xs)
 
 
 def kernel_at(K: KernelTable, x, t):

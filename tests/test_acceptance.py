@@ -126,7 +126,7 @@ def test_criterion_4_jost_asymptotics():
     b_scaled, ld_max = [], []
     for kc in ladder:
         ks = np.linspace(kc - 1.0, kc + 1.0, 81)
-        f0, df0, _ = jost_batch(V, ks)
+        f0, df0 = jost_batch(V, ks)
         a, b = jost_ab(V, ks)
         bound = l1 / (2.0 * ks) * np.exp(l1 / ks)
         ok = ok and bool(np.all(np.abs(a - 1.0) <= bound + 1e-10))

@@ -341,6 +341,18 @@ class TestForward:
             assert sweep.resonant.sum() == len(singular)
             assert out.read_bytes() == self.per_row_csv(sweep)
 
+    def test_free_star_at_huge_k(self, tmp_path, capsys):
+        # every branch has V = 0, one cell at any k, so even k = 1e25 sweeps
+        cfg = write_config(tmp_path, uniform_config(3, [1.0, 1.7]))
+        out = tmp_path / "o.csv"
+        assert cli.main(["forward", "--config", cfg, "--kmin", "1e25",
+                         "--kmax", "1e25", "--dk", "1", "--out",
+                         str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        row = np.loadtxt(out, delimiter=",", skiprows=1)
+        flux = row[1] ** 2 + row[2] ** 2 + np.sum(row[4:] ** 2)
+        assert abs(flux - 1.0) <= 1e-8
+
     def test_ill_conditioned_node_warning(self, tmp_path, capsys):
         # two equal unit stubs carry an embedded eigenvalue at k = 3 pi / 2
         cfg = write_config(tmp_path, uniform_config(2, [1.0, 1.0]))
@@ -579,9 +591,10 @@ class TestValidate:
 
     def test_free_stubs_cost_no_integration(self, tmp_path, monkeypatch,
                                             capsys):
-        # on V = 0 branches the Jost profiles and fundamental_at are closed
-        # forms, and the kernel is the zero table, read without a spline or
-        # a quadrature: no RK45 run and no V evaluation behind any of them
+        # on V = 0 branches rk45_sweep, behind the Jost profiles and
+        # fundamental_at, answers in closed form, and the kernel is the zero
+        # table, read without a spline or a quadrature: no RK45 run and no V
+        # evaluation behind any of them
         cfg = write_config(tmp_path, uniform_config(2, [1.0, 1.7]))
         calls, v_calls, in_kernel = [], [], []
         real_call = PotentialFn.__call__
@@ -605,7 +618,7 @@ class TestValidate:
             finally:
                 in_kernel.pop()
 
-        for mod, name in ((fundamental, "_rk45"), (cli.jost, "_rk45"),
+        for mod, name in ((cli.jost, "solve_ivp"),
                           (fundamental, "CubicSpline"),
                           (fundamental, "simpson")):
             monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
@@ -691,6 +704,19 @@ def grid_argv(kmin, kmax, dk):
         "--dk", dk, "--out", str(tmp_path / "o.csv")]
 
 
+def table_star_argv(kmin, kmax, dk):
+    """forward on a uniform line and a line whose V is a sin^2 table."""
+    def argv(tmp_path):
+        write_sin2_table(tmp_path / "V.csv", 0.5, 0.8)
+        doc = uniform_config(1)
+        doc["branches"].append({"kind": "infinite", "direct": {
+            "potential_table_path": "V.csv"}})
+        return ["forward", "--config", write_config(tmp_path, doc),
+                "--kmin", kmin, "--kmax", kmax, "--dk", dk,
+                "--out", str(tmp_path / "o.csv")]
+    return argv
+
+
 def validate_argv(*branches):
     return lambda tmp_path: ["validate", "--config", write_config(
         tmp_path, {"schema_version": 1, "branches": list(branches)})]
@@ -704,7 +730,7 @@ def out_of_memory(message):
 
 # (argv builder, stand-in for scattering.reflectogram or None, exit code,
 # text the stderr line holds); no case allocates for real: a k of 1e15 on
-# a unit stub asks numpy for petabytes, and 1e7-1e9 for gigabytes
+# a table branch asks numpy for petabytes, and 1e7-1e9 for gigabytes
 EXTREME_INPUTS = {
     "dk-past-array-size": (grid_argv("60", "61", "1e-300"), None, 2,
                            "frequency grid too large"),
@@ -724,6 +750,8 @@ EXTREME_INPUTS = {
     "a0-mismatch-listed-first": (validate_argv(
         uniform_branch("finite", 1.0, capacitance=4.0), uniform_branch(),
         uniform_branch()), None, 2, "of branches[0] breaks"),
+    "table-star-k-1e25": (table_star_argv("1e25", "1e25", "1"), None, 3,
+                          "more than an array can hold"),
     "memory-error": (grid_argv("60", "61", "0.5"), out_of_memory(
         "Unable to allocate 22.6 PiB"), 3, "solver error: Unable to"),
     "bare-memory-error": (grid_argv("60", "61", "0.5"), out_of_memory(""),

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
-from starscatter import fundamental, propagate
+from starscatter import fundamental, jost, propagate
 from starscatter.fundamental import fundamental_at, \
     fundamental_via_kernel, solve_kernel
-from starscatter.jost import _rk45
+from starscatter.jost import rk45_sweep
 from starscatter.line_model import LineProfile, TablePotential
 
 from conftest import CountingNumpy, sin2_bump, square_well
@@ -24,6 +24,9 @@ def make_potential(fn, support_end):
 
 
 ZERO = make_potential(lambda x: np.zeros_like(np.asarray(x, float)), 0.0)
+# V = 0 given a support, so that RK45 integrates it
+ZERO_SUPPORTED = make_potential(
+    lambda x: np.zeros_like(np.asarray(x, float)), math.pi)
 WELL = make_potential(square_well(1.0, 1.0), 1.0)
 BUMP = make_potential(sin2_bump(1.2, 1.4), 1.4)  # ||V||_L1 = 0.84
 # the benchmark's tau = 1.7 stub: a 161-row x,V table of -0.3 sin^2 on
@@ -31,6 +34,18 @@ BUMP = make_potential(sin2_bump(1.2, 1.4), 1.4)  # ||V||_L1 = 0.84
 _X = np.linspace(0.0, 0.9, 161)
 TABLE = make_potential(
     TablePotential(_X, -0.3 * np.sin(np.pi * _X / 0.9) ** 2), 0.9)
+
+
+def count_solve_ivp(monkeypatch):
+    """Record the span of each RK45 run behind ``rk45_sweep``."""
+    calls, real = [], jost.solve_ivp
+
+    def counted(fun, t_span, *args, **kwargs):
+        calls.append(tuple(t_span))
+        return real(fun, t_span, *args, **kwargs)
+
+    monkeypatch.setattr(jost, "solve_ivp", counted)
+    return calls
 
 
 class TestFundamentalAt:
@@ -44,24 +59,28 @@ class TestFundamentalAt:
         expect = math.cos(2.0) + 0.25 * math.sin(2.0)
         assert abs(om - expect) < 1e-9
 
-    # fundamental_at answers V = 0 in closed form, so these two twins keep
-    # the RK45 wrapper's accuracy on the free equation covered
-    def test_rk45_free_full_period(self):
-        om, dom = _rk45(ZERO, 2.0, (0.0, math.pi), [1.0 + 0.0j, 0.0j],
-                        max_step=math.pi)[:, -1]
+    # rk45_sweep answers support_end <= 0 in closed form, so these two
+    # twins give the free equation a support and keep RK45's accuracy on it
+    # covered
+    def test_integrated_free_full_period(self, monkeypatch):
+        calls = count_solve_ivp(monkeypatch)
+        (om,), (dom,) = rk45_sweep(ZERO_SUPPORTED, 0.0, math.pi, 2.0, 1.0,
+                                   0.0)
+        assert calls == [(0.0, math.pi)]
         assert abs(om - 1.0) < 1e-9
         assert abs(dom) < 1e-8
 
-    def test_rk45_free_with_slope(self):
-        om, _ = _rk45(ZERO, 2.0, (0.0, 1.0), [1.0 + 0.0j, 0.5 + 0.0j],
-                      max_step=1.0)[:, -1]
+    def test_integrated_free_with_slope(self, monkeypatch):
+        calls = count_solve_ivp(monkeypatch)
+        (om,), _ = rk45_sweep(ZERO_SUPPORTED, 0.0, 1.0, 2.0, 1.0, 0.5)
+        assert calls == [(0.0, 1.0)]
         assert abs(om - (math.cos(2.0) + 0.25 * math.sin(2.0))) < 1e-9
 
     def test_free_stub_is_closed_form(self, monkeypatch):
-        def no_rk45(*args, **kwargs):
+        def no_solve_ivp(*args, **kwargs):
             raise AssertionError("RK45 called on V = 0")
 
-        monkeypatch.setattr(fundamental, "_rk45", no_rk45)
+        monkeypatch.setattr(jost, "solve_ivp", no_solve_ivp)
         for tau, h, k in ((1.3, 0.0, 6.0), (0.7, -0.4, 14.0),
                           (2.1, 0.25, 0.0)):
             (om,), (dom,) = fundamental_at(ZERO, tau, h, k)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from starscatter import config, jost, propagate, scattering
+from starscatter.errors import DomainError
 from starscatter.line_model import LineProfile
 
 from conftest import direct_network, jost_ab, sin2_bump, write_sin2_table
@@ -147,6 +148,23 @@ def test_uniform_stub_is_one_cell(monkeypatch):
         monkeypatch.undo()
 
 
+def test_free_line_is_one_cell_at_any_k(monkeypatch):
+    # V = 0 is not sampled, so a partition of 3e25 cells costs one
+    V = LineProfile.uniform(1.0, 1.0, length=1.7).potential
+    k = np.array([1e25])
+    calls = count_step_factors(monkeypatch)
+    m11, m12, m21, m22 = propagate.transfer_matrix(V, 0.0, 1.7, k)
+    assert calls == [1]
+    assert abs(m11[0] * m22[0] - m12[0] * m21[0] - 1.0) < 1e-12
+
+
+def test_partition_past_array_size_raises():
+    # raised before any array of the partition is allocated
+    V = LineProfile.direct(sin2_bump(0.5, 0.8), 0.8).potential
+    with pytest.raises(DomainError, match="more than an array can hold"):
+        propagate.transfer_matrix(V, 0.0, 0.8, np.array([1e25]))
+
+
 @pytest.fixture
 def table_stub(tmp_path):
     """The smooth-sweep stub: a 161-row x,V table of 0.4 sin^2(pi x / 0.6),
@@ -176,7 +194,8 @@ def test_smooth_stub_costs_its_support_cells_plus_one(table_stub,
 
 def test_jost_batch_matches_two_sweeps():
     V = LineProfile.direct(sin2_bump(0.5, 0.8), 0.8).potential
-    f0, df0, X = jost.jost_batch(V, KS)
+    f0, df0 = jost.jost_batch(V, KS)
+    X = V.truncation
     a, b = jost_ab(V, KS)
     eikX = np.exp(1j * KS * X)
     g0, dg0 = propagate.sweep(V, X, 0.0, KS, eikX, 1j * KS * eikX)

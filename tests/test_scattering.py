@@ -1,6 +1,5 @@
 """Node system assembly and the constructed scattering solution."""
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -8,38 +7,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from starscatter import jost, propagate, scattering
-from starscatter.config import load_network
 from starscatter.errors import DomainError, ProfileValidityError, \
     ResonanceError
-from starscatter.fundamental import fundamental_at
 from starscatter.line_model import LineProfile
 from starscatter.scattering import ScatteringSweep, StarNetwork, \
     reflectogram, solve_scattering, solve_scattering_batch
 
 from conftest import closed_form_r1, direct_network, fake_singular_stub, \
-    jost_ab, random_smooth_network, sin2_bump, uniform_network, \
-    write_sin2_table
+    jost_ab, random_smooth_network, sin2_bump, smooth_demo_star, \
+    uniform_network
 from references import assemble_field, fundamental_profile
 
 
 def adaptive_branch_data(net, k):
-    """Reference node data from adaptive RK45, one call per branch over all
-    k, in the (val, der) layout of ``scattering._branch_data``."""
-    val, der = [], []
-    for b in net.branches:
-        if not b.is_finite:
-            f0, df0, _, _ = jost.jost_at_origin(b.potential, k)
-            val.append(f0)
-            der.append(df0)
-        else:
-            # u(x) = omega(tau - x) for omega on the reversed potential with
-            # omega(0) = 1, omega'(0) = -h, so (u(0), u'(0)) = (omega, -omega')
-            tau, V = b.geometry.tau, b.potential
-            reversed_v = LineProfile.direct(lambda s: V(tau - s), tau)
-            om, dom = fundamental_at(reversed_v.potential, tau,
-                                     -b.geometry.h, k)
-            val.append(om)
-            der.append(-dom)
+    """``scattering._branch_data`` on the RK45 references: the same node
+    pairs (val, der) over k, one call per branch, with ``jost.rk45_sweep``
+    in place of ``propagate.sweep`` and ``jost_at_origin`` in place of
+    ``jost_batch``."""
+    val, der = zip(*(jost.rk45_sweep(b.potential, b.geometry.tau, 0.0, k,
+                                     1.0, b.geometry.h)
+                     if b.is_finite else
+                     jost.jost_at_origin(b.potential, k)
+                     for b in net.branches))
     return np.stack(val, axis=1), np.stack(der, axis=1)
 
 
@@ -216,6 +205,19 @@ class TestBranchTag:
         with pytest.raises(dataclasses.FrozenInstanceError):
             net.branches = [LineProfile.uniform(1.0, 4.0)]
         assert net.m == 1 and net.n == 1
+
+    def test_node_geometry_follows_branch_order(self):
+        # A and sum A A' are built once, in the sorted order every per-branch
+        # array uses
+        given = [LineProfile.direct(sin2_bump(0.2, 0.5), 0.5, A0=2.0000001,
+                                    A0prime=-0.3, tau=1.1, h=0.1),
+                 LineProfile.direct(sin2_bump(0.3, 0.4), 0.4, A0=2.0,
+                                    A0prime=0.7)]
+        net = StarNetwork(given)
+        np.testing.assert_array_equal(net.A, [2.0, 2.0000001])
+        assert net.saap == 2.0 * 0.7 + 2.0000001 * -0.3
+        with pytest.raises(ValueError, match="read-only"):
+            net.A[0] = 1.0
 
     def test_all_finite_star_rejected(self):
         stubs = [LineProfile.uniform(1.0, 1.0, length=t) for t in (1.0, 1.7)]
@@ -435,25 +437,6 @@ def test_node_equation_matches_matrix_solve(seed, k):
     for a, b in ((got.R1, R1), (got.T, T), (got.alpha, alpha),
                  (got.ybar, ybar), (got.node_values, node_values)):
         np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-10)
-
-
-def smooth_demo_star(workdir):
-    """The demo star from 161-row sin^2 tables: two infinite branches and
-    stubs of tau 1 and 1.7, as in the benchmark's smooth-sweep."""
-    branches = []
-    for i, (amp, width) in enumerate(((0.5, 0.8), (-0.35, 0.7))):
-        write_sin2_table(workdir / f"inf{i}.csv", amp, width)
-        branches.append({"kind": "infinite",
-                         "direct": {"potential_table_path": f"inf{i}.csv"}})
-    for i, (amp, width, tau, h) in enumerate(((0.4, 0.6, 1.0, 0.12),
-                                              (-0.3, 0.9, 1.7, -0.1))):
-        write_sin2_table(workdir / f"fin{i}.csv", amp, width)
-        branches.append({"kind": "finite",
-                         "direct": {"potential_table_path": f"fin{i}.csv",
-                                    "tau": tau, "h": h}})
-    path = workdir / "net.json"
-    path.write_text(json.dumps({"schema_version": 1, "branches": branches}))
-    return load_network(path)[0]
 
 
 def test_interpolant_check_holds_the_csv_gate(tmp_path, monkeypatch):
