@@ -9,8 +9,8 @@ from .fundamental import KernelTable, fundamental_at, \
 from .inversion import InversionReport, ReflectogramSample, estimate_m, \
     estimate_taus, high_freq_reflection
 from .jost import jost_at_origin
-from .line_model import BranchGeometry, LineProfile, PotentialFn, \
-    liouville_coordinate, travel_time
+from .line_model import LineProfile, PotentialFn, liouville_coordinate, \
+    travel_time
 from .oracle import DiscreteGraphField, oracle_solve
 from .scattering import ScatteringSweep, StarNetwork, reflectogram, \
     solve_scattering
@@ -18,11 +18,10 @@ from .scattering import ScatteringSweep, StarNetwork, reflectogram, \
 __version__ = "0.1.0"
 
 __all__ = [
-    "BranchGeometry", "DiscreteGraphField", "InversionReport",
-    "KernelTable", "LineProfile", "PotentialFn", "ReflectogramSample",
-    "ScatteringSweep", "StarNetwork", "StarScatterError", "estimate_m",
-    "estimate_taus", "fundamental_at", "fundamental_via_kernel",
-    "high_freq_reflection", "jost_at_origin", "liouville_coordinate",
-    "oracle_solve", "reflectogram", "solve_kernel", "solve_scattering",
-    "travel_time",
+    "DiscreteGraphField", "InversionReport", "KernelTable", "LineProfile",
+    "PotentialFn", "ReflectogramSample", "ScatteringSweep", "StarNetwork",
+    "StarScatterError", "estimate_m", "estimate_taus", "fundamental_at",
+    "fundamental_via_kernel", "high_freq_reflection", "jost_at_origin",
+    "liouville_coordinate", "oracle_solve", "reflectogram", "solve_kernel",
+    "solve_scattering", "travel_time",
 ]

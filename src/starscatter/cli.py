@@ -191,10 +191,9 @@ def _run_checks(net):
     if net.finite_branches:
         ks, gaps = (6.0, 14.0), {}
         for j, b in enumerate(net.finite_branches, start=net.m + 1):
-            tau, h = b.geometry.tau, b.geometry.h
-            omega, _ = fundamental.fundamental_at(b.potential, tau, h, ks)
+            omega, _ = fundamental.fundamental_at(b.potential, b.tau, b.h, ks)
             ker = fundamental.fundamental_via_kernel(
-                fundamental.solve_kernel(b.potential, tau), h, ks)
+                fundamental.solve_kernel(b.potential, b.tau), b.h, ks)
             gaps.update((f"b{j},k={k}", gap) for k, gap
                         in zip(ks, np.abs(omega - ker).tolist()))
         yield ("kernel_vs_ivp", all(g <= 1e-6 for g in gaps.values()),

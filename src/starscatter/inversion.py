@@ -110,17 +110,11 @@ def detect_poles(samples):
 
 def _fit_family(poles, spacing, tol):
     """Least-squares spacing fit over poles near the (p + 1/2) * s ladder."""
-    poles = np.asarray(poles)
-    members, ps = [], []
-    for kp in poles:
-        p = round(kp / spacing - 0.5)
-        if p >= 0 and abs(kp - (p + 0.5) * spacing) < tol:
-            members.append(kp)
-            ps.append(p + 0.5)
-    if len(members) < 2:
+    p = np.round(poles / spacing - 0.5)
+    near = (p >= 0) & (np.abs(poles - (p + 0.5) * spacing) < tol)
+    if np.count_nonzero(near) < 2:
         return None
-    members = np.array(members)
-    ps = np.array(ps)
+    members, ps = poles[near], p[near] + 0.5
     s_fit = float(np.dot(members, ps) / np.dot(ps, ps))
     rms = float(np.sqrt(np.mean((members - ps * s_fit) ** 2)))
     return s_fit, rms, members
@@ -132,7 +126,8 @@ def estimate_taus(samples) -> InversionReport:
     Pole positions are clustered into arithmetic progressions by
     histogramming pairwise differences at resolution 2*dk and greedily
     extracting up to MAX_SPACINGS fundamental spacings; tau_j = pi /
-    spacing_j for every spacing whose ladder the poles confirm.
+    spacing_j for every spacing whose ladder the poles confirm.  With no
+    pole, or with poles that no ladder confirms, ``warnings`` says so.
     """
     rows = _rows(samples)
     ks = rows[:, 0].real
@@ -151,7 +146,7 @@ def estimate_taus(samples) -> InversionReport:
         return InversionReport(m_hat, [], poles, m_diag["retained"], [],
                                m_diag["abs_deviation"], warnings)
 
-    poles_arr = np.array(sorted(poles))
+    poles_arr = np.array(poles)  # ascending, as the grid is
     diffs = (poles_arr[None, :] - poles_arr[:, None])[
         np.triu_indices(poles_arr.size, 1)]
     span = ks[-1] - ks[0]
@@ -212,6 +207,9 @@ def estimate_taus(samples) -> InversionReport:
         taus.append(math.pi / s_fit)
         diags.append(rms)
         claimed = np.concatenate([claimed, members])
+    if not taus:
+        warnings.append(f"{poles_arr.size} poles detected but no travel-time "
+                        f"ladder explains them")
     order = np.argsort(taus)
     taus = [taus[i] for i in order]
     diags = [diags[i] for i in order]

@@ -1,14 +1,15 @@
 """Jost solutions f at the node, by transfer matrix and by adaptive RK45.
 
 f solves y'' = (V - k^2) y and equals e^{ikx} past X = ``V.truncation``,
-where V is taken as 0.  ``jost_batch``, the route the network solver uses,
-takes (f0, df0) from one transfer matrix over [0, X].  ``rk45_sweep`` is
-the RK45 twin of ``propagate.sweep``, with its arguments and its (y, y')
-arrays over k, and each RK45 reference is one call of it: ``jost_at_origin``
-gives the same (f0, df0) as ``jost_batch``, and ``jost_profile`` and
-``jost_tilde_profile`` sample f and ftilde (ftilde(0) = 1, ftilde'(0) =
--ik) for ``validate`` and the tests.  On V = 0 ``rk45_sweep`` returns the
-free solution in closed form.
+where V is taken as 0, so its node pair (f0, df0) is the plane wave's
+(e^{ikX}, ik e^{ikX}) propagated back from X to 0, with no inverse
+matrix.  ``jost_batch``, the route the network solver uses, makes that one
+call on ``propagate.sweep``, and ``jost_at_origin`` makes the same call on
+``rk45_sweep``, the RK45 twin of ``propagate.sweep`` with its arguments
+and its (y, y') arrays over k.  The other RK45 references are one call of
+``rk45_sweep`` each: ``jost_profile`` and ``jost_tilde_profile`` sample f
+and ftilde (ftilde(0) = 1, ftilde'(0) = -ik) for ``validate`` and the
+tests.  On V = 0 ``rk45_sweep`` returns the free solution in closed form.
 """
 from __future__ import annotations
 
@@ -109,18 +110,10 @@ def jost_tilde_profile(V: PotentialFn, k: float, xs):
 
 
 def jost_batch(V: PotentialFn, k):
-    """(f0, df0) over an array of frequencies, from one real transfer
-    matrix over [0, X]; cross-validated against ``jost_at_origin`` in the
-    test suite.
-    """
+    """(f0, df0) over an array of frequencies: the plane wave at X =
+    ``V.truncation`` propagated back to 0 by ``propagate.sweep``, the call
+    ``jost_at_origin`` makes on ``rk45_sweep``."""
     k = _check_k(k)
     X = V.truncation
-    # f(0) = M^-1 f(X) with M the transfer matrix over [0, X] and
-    # M^-1 = [[m22, -m12], [-m21, m11]] because det M = 1; on V = 0, X = 0
-    # and M is the identity
-    m11, m12, m21, m22 = propagate.transfer_matrix(V, 0.0, X, k)
-    ik = 1j * k
-    eikX = np.exp(ik * X)
-    f0 = (m22 - m12 * ik) * eikX
-    df0 = (m11 * ik - m21) * eikX
-    return f0, df0
+    eikX = np.exp(1j * k * X)
+    return propagate.sweep(V, X, 0.0, k, eikX, 1j * k * eikX)

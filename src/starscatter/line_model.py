@@ -5,12 +5,13 @@ C(z) in the physical coordinate z (meters).  Everything downstream works in
 the travel-time coordinate x(z) = int_0^z sqrt(L C) du (seconds), where the
 frequency-domain voltage equation becomes y'' + (k^2 - V(x)) y = 0 with
 V = A''/A and A = (C/L)^(1/4).  This module owns that conversion; all other
-modules consume PotentialFn / BranchGeometry and never see z again.
+modules consume a LineProfile's PotentialFn and node data and never see z.
 
-Each ``LineProfile`` constructor builds its branch once: the potential V,
-the node geometry and the map x(z), fitting a sampled table's splines once
-for all three.  ||V||_L1, the truncation point and a sampled table's V
-spline are all taken on a uniform x-grid of spacing GRID_STEP.
+Each ``LineProfile`` constructor builds its branch once, as one record: the
+potential V, the node data and the map x(z), fitting a sampled table's
+splines once for all three.  ||V||_L1, the truncation point and a sampled
+table's V spline are all taken on a uniform x-grid of spacing GRID_STEP,
+which is refused before it is allocated if an array cannot hold it.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from scipy import integrate
 from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, ProfileValidityError, ResolutionError
+from .propagate import MAX_CELLS
 
 TAIL_TOL = 1e-10
 GRID_STEP = 1e-3  # x spacing of the grid behind ||V||_L1, truncation and V
@@ -32,23 +34,38 @@ GRID_STEP = 1e-3  # x spacing of the grid behind ||V||_L1, truncation and V
 
 @dataclass(frozen=True, eq=False)
 class LineProfile:
-    """One branch: its potential V(x), node geometry, the map x(z) and its
-    length in meters (``math.inf`` on an infinite branch).
+    """One branch: its potential V(x), the map x(z), its length in meters
+    (``math.inf`` on an infinite branch) and its node data: A(0), A'(0)
+    and, exactly on a finite branch, tau and h = A'(tau)/A(tau).
 
-    A branch is finite exactly when its geometry carries tau.  Parametric
-    families use analytic second derivatives of A; a sampled table fits one
-    natural cubic spline of A, takes V as its second derivative over A and
-    reads A and A' off the same spline.
+    Parametric families use analytic second derivatives of A; a sampled
+    table fits one natural cubic spline of A, takes V as its second
+    derivative over A and reads A and A' off the same spline.
     """
 
     potential: PotentialFn
-    geometry: BranchGeometry
     x_of_z: Callable[[np.ndarray], np.ndarray]
     length: float
+    A0: float
+    A0prime: float
+    tau: Optional[float] = None
+    h: Optional[float] = None
+
+    def __post_init__(self):
+        if not (math.isfinite(self.A0) and math.isfinite(self.A0prime)):
+            raise ProfileValidityError(
+                f"A(0)={self.A0} and A'(0)={self.A0prime} must be finite")
+        if self.A0 <= 0:
+            raise ProfileValidityError("A0 must be strictly positive")
+        if (self.tau is None) != (self.h is None):
+            raise ProfileValidityError(
+                "tau and h come together (finite branch) or not at all")
+        if self.tau is not None and self.tau <= 0:
+            raise ProfileValidityError("tau must be positive")
 
     @property
     def is_finite(self) -> bool:
-        return self.geometry.tau is not None
+        return self.tau is not None
 
     # -- constructors -------------------------------------------------------
 
@@ -65,9 +82,8 @@ class LineProfile:
         L, C, length = float(inductance), float(capacitance), float(length)
         slowness = math.sqrt(L * C)
         ends = (slowness * length, 0.0) if math.isfinite(length) else ()
-        return cls(_build_potential(None, 0.0),
-                   BranchGeometry((C / L) ** 0.25, 0.0, *ends),
-                   lambda z: slowness * z, length)
+        return cls(_build_potential(None, 0.0), lambda z: slowness * z,
+                   length, (C / L) ** 0.25, 0.0, *ends)
 
     @classmethod
     def exponential_taper(cls, gamma: float, length: float,
@@ -92,8 +108,8 @@ class LineProfile:
         potential = _build_potential(
             _clipped(lambda x: np.full_like(np.asarray(x, float), g2),
                      0.0, tau), tau)
-        return cls(potential, BranchGeometry(a0, g * a0, tau, g),
-                   lambda z: s * z, float(length))
+        return cls(potential, lambda z: s * z, float(length), a0, g * a0,
+                   tau, g)
 
     @classmethod
     def sampled_table(cls, z: np.ndarray, inductance: np.ndarray,
@@ -129,8 +145,7 @@ class LineProfile:
         x_samples = x_of_z(z)
         spline = CubicSpline(x_samples, (C / L) ** 0.25, bc_type="natural")
         x_end = float(x_samples[-1])
-        n = max(int(math.ceil(x_end / GRID_STEP)), 16)
-        xg = np.linspace(0.0, x_end, n + 1)
+        xg = _grid(x_end)
         a_vals = spline(xg)
         if np.any(a_vals <= 0):
             raise ProfileValidityError(
@@ -139,10 +154,8 @@ class LineProfile:
         potential = _build_potential(_clipped(v_spline, 0.0, x_end), x_end)
         ends = () if infinite else (
             x_end, float(spline(x_end, 1) / spline(x_end)))
-        geometry = BranchGeometry(float(spline(0.0)), float(spline(0.0, 1)),
-                                  *ends)
-        return cls(potential, geometry, x_of_z,
-                   math.inf if infinite else float(z[-1]))
+        return cls(potential, x_of_z, math.inf if infinite else float(z[-1]),
+                   float(spline(0.0)), float(spline(0.0, 1)), *ends)
 
     @classmethod
     def sampled_table_from_csv(cls, inductance_path, capacitance_path,
@@ -165,22 +178,18 @@ class LineProfile:
         Finite branches must give ``tau`` and ``h``; infinite ones must not.
         """
         _require_finite(support_end=support_end, A0=A0, A0prime=A0prime)
-        if tau is None:
-            if h is not None:
-                raise ProfileValidityError("h is only defined on finite branches")
-            ends = ()
-        else:
-            h = 0.0 if h is None else h
+        if tau is None and h is not None:
+            raise ProfileValidityError("h is only defined on finite branches")
+        if tau is not None:
+            tau, h = float(tau), 0.0 if h is None else float(h)
             _require_finite(tau=tau, h=h)
-            ends = (float(tau), float(h))
-        geometry = BranchGeometry(float(A0), float(A0prime), *ends)
         support_end = float(support_end)
         fn, lo, hi = potential, 0.0, support_end
         if isinstance(fn, TablePotential):
             fn, lo, hi = fn.spline, max(lo, fn.x0), min(hi, fn.x_end)
         return cls(_build_potential(_clipped(fn, lo, hi), support_end),
-                   geometry, lambda z: z,
-                   ends[0] if ends else math.inf)
+                   lambda z: z, math.inf if tau is None else tau, float(A0),
+                   float(A0prime), tau, h)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,29 +208,6 @@ class PotentialFn:
 
     def __call__(self, x):
         return self.evaluator(x)
-
-
-@dataclass(frozen=True)
-class BranchGeometry:
-    """Node-side data of one branch: A(0), A'(0), and for finite branches the
-    travel time tau and the terminal log-derivative h = A'(tau)/A(tau)."""
-
-    A0: float
-    A0prime: float
-    tau: Optional[float] = None
-    h: Optional[float] = None
-
-    def __post_init__(self):
-        if not (math.isfinite(self.A0) and math.isfinite(self.A0prime)):
-            raise ProfileValidityError(
-                f"A(0)={self.A0} and A'(0)={self.A0prime} must be finite")
-        if self.A0 <= 0:
-            raise ProfileValidityError("A0 must be strictly positive")
-        if (self.tau is None) != (self.h is None):
-            raise ProfileValidityError(
-                "tau and h come together (finite branch) or not at all")
-        if self.tau is not None and self.tau <= 0:
-            raise ProfileValidityError("tau must be positive")
 
 
 def read_table_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -277,7 +263,7 @@ def travel_time(profile: LineProfile) -> float:
     """tau = x(length).  Only defined for finite branches."""
     if not profile.is_finite:
         raise DomainError("travel time of an infinite branch is undefined")
-    return profile.geometry.tau
+    return profile.tau
 
 
 def _spline_at(spline: CubicSpline) -> Callable[[float], float]:
@@ -338,14 +324,25 @@ class TablePotential:
         return self._evaluator(x)
 
 
+def _grid(x_end: float) -> np.ndarray:
+    """The uniform grid on [0, x_end] of step at most GRID_STEP, at least
+    16 cells; ProfileValidityError, before allocating, when it has more
+    cells than an array can hold."""
+    cells = x_end / GRID_STEP
+    if cells > MAX_CELLS:
+        raise ProfileValidityError(
+            f"a grid of step {GRID_STEP} on [0, {x_end:.6g}] needs "
+            f"{cells:.3g} cells, more than an array can hold")
+    return np.linspace(0.0, x_end, max(math.ceil(cells), 16) + 1)
+
+
 def _build_potential(evaluator, support_end) -> PotentialFn:
     """PotentialFn of an arbitrary evaluator, its L1 norm and truncation
     point taken on a uniform grid of step GRID_STEP."""
     if support_end <= 0.0:
         zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
         return PotentialFn(zero, 0.0, 0.0, 0.0)
-    n = max(int(math.ceil(support_end / GRID_STEP)), 16)
-    xg = np.linspace(0.0, support_end, n + 1)
+    xg = _grid(support_end)
     absv = np.abs(np.asarray(evaluator(xg), dtype=float))
     cum = integrate.cumulative_trapezoid(absv, xg, initial=0.0)
     l1 = float(integrate.simpson(absv, x=xg))

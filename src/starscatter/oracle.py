@@ -69,7 +69,7 @@ def oracle_solve(net: StarNetwork, k: float, dx: float,
     grids, dxs, offsets = [], [], []
     total = 0
     for j, b in enumerate(net.branches, start=1):
-        L = b.geometry.tau if b.is_finite else X_trunc
+        L = b.tau if b.is_finite else X_trunc
         n = max(int(round(L / dx)), 8)
         if (L / n) ** 2 < sys.float_info.min:  # the stencil divides by it
             raise DomainError(f"branch {j}: grid step {L / n:.3g} is too "
@@ -118,7 +118,7 @@ def oracle_solve(net: StarNetwork, k: float, dx: float,
             continue
         nN = offsets[bi] + grids[bi].size - 1
         idx, w = _one_sided_end(nN, dxs[bi])
-        add(row, np.append(idx, nN), np.append(w, -b.geometry.h))
+        add(row, np.append(idx, nN), np.append(w, -b.h))
         row += 1
 
     # radiation closures at infinite-branch truncations (exact lattice rows)

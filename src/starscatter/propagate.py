@@ -62,6 +62,7 @@ N_CHECKS = 5  # off-node grid k where the interpolant is checked
 # product
 CHECK_TOL = 2e-13
 BLOCK = 1 << 16  # elements per block of the blocked array operations
+MAX_CELLS = np.iinfo(np.intp).max // 8  # most cells of a partition or grid
 
 
 def step_count(length: float, k_max: float) -> int:
@@ -195,7 +196,7 @@ def transfer_matrix(potential, x_from: float, x_to: float, k: np.ndarray):
     if getattr(potential, "support_end", 1.0) <= 0.0:
         # V = 0 (a PotentialFn without support): one run, not sampled
         v_runs, widths = np.zeros(1), np.array([n_steps * dx])
-    elif n_steps > np.iinfo(np.intp).max // 8:
+    elif n_steps > MAX_CELLS:
         raise DomainError(f"k = {np.max(np.abs(k)):.6g} needs {n_steps:.3g} "
                           f"cells over length {abs(length):.6g}, more than "
                           f"an array can hold")

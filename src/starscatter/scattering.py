@@ -38,7 +38,7 @@ form and the finite-difference oracle.
 
 A StarNetwork holds LineProfiles in a tuple ordered infinite first, so the
 columns 0..m-1 of every per-branch array are the infinite branches, and
-builds the node geometry once in that order: ``A`` (A_j(0)) and ``saap``
+builds the node data once in that order: ``A`` (A_j(0)) and ``saap``
 (sum_j A_j A_j').  Every solve returns one ScatteringSweep, arrays with
 one row per k; ``solve_scattering`` is the one-row case.
 """
@@ -77,17 +77,17 @@ class StarNetwork:
         ref = next((i for i, b in enumerate(given) if not b.is_finite), None)
         if ref is None:  # also an empty list
             raise ProfileValidityError("branch 1 must be infinite")
-        a0_ref = given[ref].geometry.A0
+        a0_ref = given[ref].A0
         for i, b in enumerate(given):
-            if abs(b.geometry.A0 - a0_ref) > A5_TOLERANCE * a0_ref:
+            if abs(b.A0 - a0_ref) > A5_TOLERANCE * a0_ref:
                 raise ProfileValidityError(
-                    f"A(0)={b.geometry.A0} of branches[{i}] breaks the "
+                    f"A(0)={b.A0} of branches[{i}] breaks the "
                     f"matched-node assumption (ref {a0_ref} of "
                     f"branches[{ref}], rel tol {A5_TOLERANCE})")
         branches = tuple(sorted(given, key=lambda b: b.is_finite))
-        A = np.array([b.geometry.A0 for b in branches])
+        A = np.array([b.A0 for b in branches])
         A.flags.writeable = False  # the star is frozen, and so is A
-        saap = sum(b.geometry.A0 * b.geometry.A0prime for b in branches)
+        saap = sum(b.A0 * b.A0prime for b in branches)
         for name, value in (("branches", branches), ("A", A), ("saap", saap)):
             object.__setattr__(self, name, value)
 
@@ -140,8 +140,7 @@ def _branch_data(net: StarNetwork, k: np.ndarray):
     """Node pairs (val, der) = (y(0), y'(0)) over k, two [nk, N] arrays with
     one column per branch: f_j on infinite branches, and on finite ones the
     solution u_j with u_j(tau) = 1, u_j'(tau) = h."""
-    val, der = zip(*(propagate.sweep(b.potential, b.geometry.tau, 0.0, k,
-                                     1.0, b.geometry.h)
+    val, der = zip(*(propagate.sweep(b.potential, b.tau, 0.0, k, 1.0, b.h)
                      if b.is_finite else
                      jost.jost_batch(b.potential, k)
                      for b in net.branches))

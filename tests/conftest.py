@@ -102,8 +102,8 @@ def jost_ab(V, k, engine=propagate.sweep):
     """Half-line transfer data a(k), b(k) over an array k: ftilde, with
     ftilde(0) = 1 and ftilde'(0) = -ik, propagated to X = V.truncation by
     ``engine`` and matched to a e^{-ikX} + b e^{ikX}.  The engine is
-    ``propagate.sweep``, the transfer matrix that ``jost.jost_batch`` takes
-    f from, or its RK45 twin ``jost.rk45_sweep``."""
+    ``propagate.sweep``, the kernel ``jost.jost_batch`` propagates f with,
+    or its RK45 twin ``jost.rk45_sweep``."""
     k = np.atleast_1d(np.asarray(k, dtype=float))
     X = V.truncation
     ik = 1j * k
@@ -145,12 +145,15 @@ def fake_singular_stub(monkeypatch, hit):
 
     The stub's node data become (1, -2ik), whose log-derivative cancels the
     lines' ik + ik.  Im D > 0 for real potentials, so only faked data give
-    D = 0.
+    D = 0.  Only the stub's call, from its tau, is faked: the lines' Jost
+    calls go through ``propagate.sweep`` too, from X = 0.
     """
     real_sweep = propagate.sweep
 
     def sweep(V, x_from, x_to, k, y, dy):
         u, du = real_sweep(V, x_from, x_to, k, y, dy)
+        if x_from == 0.0:
+            return u, du
         k = np.asarray(k, dtype=float)
         fake = hit(k)
         return np.where(fake, 1.0, u), np.where(fake, -2j * k, du)

@@ -92,8 +92,8 @@ def assemble_field(net: StarNetwork, sweep: ScatteringSweep,
     b = net.branches[branch_id - 1]
     if x < 0:
         raise DomainError("x must be nonnegative")
-    if b.is_finite and x > b.geometry.tau + 1e-12:
-        raise DomainError(f"x={x} beyond tau={b.geometry.tau}")
+    if b.is_finite and x > b.tau + 1e-12:
+        raise DomainError(f"x={x} beyond tau={b.tau}")
     y0, dy0 = sweep.node_values[0, branch_id - 1]
     y, dy = propagate.sweep(b.potential, 0.0, float(x), sweep.k[:1],
                             np.array([y0]), np.array([dy0]))

@@ -8,7 +8,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from starscatter import cli, propagate
 from starscatter.fundamental import fundamental_at, fundamental_via_kernel, \

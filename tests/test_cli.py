@@ -722,6 +722,22 @@ def validate_argv(*branches):
         tmp_path, {"schema_version": 1, "branches": list(branches)})]
 
 
+def huge_grid_argv(key, spec):
+    """validate on a uniform line and a finite branch {key: spec} whose
+    x-grid would span 1e20: L.csv and C.csv have z up to 1e20, and V.csv
+    is a sin^2 table."""
+    def argv(tmp_path):
+        z = np.array([0.0, 1.0, 2.0, 3.0, 1e20])
+        for name in ("L", "C"):
+            np.savetxt(tmp_path / f"{name}.csv", np.column_stack(
+                [z, np.ones(5)]), delimiter=",", header="z,value",
+                comments="", fmt="%.17g")
+        write_sin2_table(tmp_path / "V.csv", 0.5, 0.8)
+        return validate_argv(uniform_branch(),
+                             {"kind": "finite", key: spec})(tmp_path)
+    return argv
+
+
 def out_of_memory(message):
     def raise_it(*args, **kwargs):
         raise MemoryError(message)
@@ -752,6 +768,16 @@ EXTREME_INPUTS = {
         uniform_branch()), None, 2, "of branches[0] breaks"),
     "table-star-k-1e25": (table_star_argv("1e25", "1e25", "1"), None, 3,
                           "more than an array can hold"),
+    "taper-length-1e20": (huge_grid_argv("profile", {
+        "family": "exponential_taper", "gamma": 0.1, "length": 1e20}), None,
+        2, "'branches[1]': a grid of step 0.001 on [0, 1e+20] needs 1e+23"),
+    "direct-support-end-1e20": (huge_grid_argv("direct", {
+        "potential_table_path": "V.csv", "support_end": 1e20, "tau": 1.0}),
+        None, 2, "'branches[1]': a grid of step"),
+    "table-z-1e20": (huge_grid_argv("profile", {
+        "family": "sampled_table", "inductance_table_path": "L.csv",
+        "capacitance_table_path": "C.csv"}), None, 2,
+        "'branches[1]': a grid of step"),
     "memory-error": (grid_argv("60", "61", "0.5"), out_of_memory(
         "Unable to allocate 22.6 PiB"), 3, "solver error: Unable to"),
     "bare-memory-error": (grid_argv("60", "61", "0.5"), out_of_memory(""),

@@ -1,5 +1,4 @@
 """Fundamental solution omega, transformation kernel, and asymptotics."""
-import cmath
 import dataclasses
 import math
 import tracemalloc

@@ -236,7 +236,7 @@ class TestRK45Sweep:
         for b in smooth_demo_star(tmp_path).branches:
             V = b.potential
             if b.is_finite:
-                end, y, dy = b.geometry.tau, 1.0, b.geometry.h
+                end, y, dy = b.tau, 1.0, b.h
             else:
                 end = V.truncation
                 eikX = np.exp(1j * ks * end)

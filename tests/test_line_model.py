@@ -2,6 +2,7 @@
 import math
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from scipy import integrate
 from starscatter import config, line_model
 from starscatter.errors import DomainError, ProfileValidityError, \
     ResolutionError
-from starscatter.line_model import BranchGeometry, LineProfile, \
-    liouville_coordinate, read_table_csv, travel_time
+from starscatter.line_model import LineProfile, liouville_coordinate, \
+    read_table_csv, travel_time
 from starscatter.scattering import StarNetwork
 
 from conftest import CountingNumpy
@@ -149,7 +150,7 @@ class TestTravelTime:
     def test_table_on_negative_z(self):
         z = np.linspace(-2.0, -1.0, 11)
         p = LineProfile.sampled_table(z, np.ones(11), np.ones(11))
-        assert p.length == p.geometry.tau == travel_time(p) == 1.0
+        assert p.length == p.tau == travel_time(p) == 1.0
         assert liouville_coordinate(p, 1.0) == 1.0
 
 
@@ -202,38 +203,39 @@ class TestPotentialFromProfile:
 
 class TestTerminalH:
     def test_uniform(self):
-        assert LineProfile.uniform(1.0, 3.0, 1.0).geometry.h == 0.0
+        assert LineProfile.uniform(1.0, 3.0, 1.0).h == 0.0
 
     def test_exponential(self):
-        assert LineProfile.exponential_taper(0.3, 2.0).geometry.h \
+        assert LineProfile.exponential_taper(0.3, 2.0).h \
             == pytest.approx(0.3, abs=1e-12)
 
     def test_linear_A(self):
         # A(x) = 1 + 0.1 x on [0,2]: h = 0.1/1.2
         p = table_profile_for_A(lambda x: 1.0 + 0.1 * x, 2.0, 2001)
-        assert p.geometry.h == pytest.approx(0.1 / 1.2, abs=1e-6)
+        assert p.h == pytest.approx(0.1 / 1.2, abs=1e-6)
 
 
 class TestBranchGeometry:
+    """The node data a LineProfile carries: A(0), A'(0), tau and h."""
+
     def test_uniform_a0(self):
-        g = LineProfile.uniform(1.0, 16.0).geometry
-        assert g.A0 == pytest.approx(2.0)
-        assert g.A0prime == 0.0
-        assert g.tau is None
+        p = LineProfile.uniform(1.0, 16.0)
+        assert p.A0 == pytest.approx(2.0)
+        assert p.A0prime == 0.0
+        assert p.tau is None
 
     def test_taper_geometry(self):
         p = LineProfile.exponential_taper(0.3, 2.0, scale=1.5)
-        g = p.geometry
-        assert g.A0 == pytest.approx(1.5)
-        assert g.A0prime == pytest.approx(0.45)
-        assert g.tau == pytest.approx(2.0)
-        assert g.h == pytest.approx(0.3)
+        assert p.A0 == pytest.approx(1.5)
+        assert p.A0prime == pytest.approx(0.45)
+        assert p.tau == pytest.approx(2.0)
+        assert p.h == pytest.approx(0.3)
 
     def test_table_tau_equals_travel_time(self):
         # one x(z) serves both: a coarse table must not give two taus
         z = np.linspace(0.0, 1.0, 11)
         p = LineProfile.sampled_table(z, 1.0 + z, np.ones_like(z))
-        assert p.geometry.tau == travel_time(p)
+        assert p.tau == travel_time(p)
         assert liouville_coordinate(p, 1.0) == travel_time(p)
 
     def test_table_with_negative_interpolated_slowness_rejected(self):
@@ -248,13 +250,13 @@ class TestBranchGeometry:
         # cubic coefficients near 1e-231 that must not read as sign changes
         p = table_profile_for_A(
             lambda z: 1.0 + 0.05 * np.exp(-((z - 1.0) / 0.15) ** 2), 3.0, 3001)
-        assert p.geometry.tau == pytest.approx(3.0, rel=1e-12)
+        assert p.tau == pytest.approx(3.0, rel=1e-12)
         assert p.potential.truncation == pytest.approx(3.0)
 
     @pytest.mark.parametrize("ends", [{"tau": 1.0}, {"h": 0.1}])
     def test_tau_and_h_come_together(self, ends):
         with pytest.raises(ProfileValidityError, match="tau and h"):
-            BranchGeometry(1.0, 0.0, **ends)
+            replace(LineProfile.uniform(1.0, 1.0), **ends)
 
 
 def sampled_line(infinite=False):
@@ -289,18 +291,16 @@ FAMILY_PROFILES = {
 
 @pytest.mark.parametrize("family", sorted(FAMILY_PROFILES))
 def test_branch_model_is_both_halves(family):
-    # V is zero off [0, support_end]; the geometry carries (tau, h) exactly
-    # when the profile is finite, which is how the kinds are told apart
+    # V is zero off [0, support_end]; the profile carries (tau, h) exactly
+    # when it is finite, which is how the kinds are told apart
     p = FAMILY_PROFILES[family]()
-    V, geometry = p.potential, p.geometry
+    V = p.potential
     xs = np.linspace(-0.5, 4.0, 901)
     assert not V(xs)[(xs < 0.0) | (xs > V.support_end)].any()
     assert 0.0 <= V.truncation <= V.support_end
-    assert (geometry.tau is not None) == (geometry.h is not None) \
-        == p.is_finite
+    assert (p.tau is not None) == (p.h is not None) == p.is_finite
     if p.is_finite:
-        assert geometry.tau == travel_time(p) == \
-            liouville_coordinate(p, p.length)
+        assert p.tau == travel_time(p) == liouville_coordinate(p, p.length)
 
 
 def test_network_build_fits_each_table_spline_once(monkeypatch):

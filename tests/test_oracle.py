@@ -70,7 +70,7 @@ class TestOracleSolve:
     def test_node_continuity_of_discrete_field(self):
         field = oracle_solve(SMOOTH_NET, 14.0, 1e-3, 1.4)
         nodes = field.node_values()
-        A = [b.geometry.A0 for b in SMOOTH_NET.branches]
+        A = [b.A0 for b in SMOOTH_NET.branches]
         ref = nodes[0] / A[0]
         for v, a in zip(nodes[1:], A[1:]):
             assert abs(v / a - ref) < 1e-10 * (abs(ref) + 1.0)
@@ -88,7 +88,7 @@ def list_built_matrix(net, k, dx, X_trunc):
     entry per COO triplet, in the oracle's row order."""
     grids, dxs, offsets, total = [], [], [], 0
     for b in net.branches:
-        L = b.geometry.tau if b.is_finite else X_trunc
+        L = b.tau if b.is_finite else X_trunc
         n = max(int(round(L / dx)), 8)
         grids.append(np.linspace(0.0, L, n + 1))
         dxs.append(L / n)
@@ -115,8 +115,8 @@ def list_built_matrix(net, k, dx, X_trunc):
             cols.extend(col)
             vals.extend(val)
         row += n - 1
-    A = [b.geometry.A0 for b in net.branches]
-    saap = sum(b.geometry.A0 * b.geometry.A0prime for b in net.branches)
+    A = [b.A0 for b in net.branches]
+    saap = sum(b.A0 * b.A0prime for b in net.branches)
     for bi in range(1, len(net.branches)):
         add(row, offsets[bi], 1.0 / A[bi])
         add(row, offsets[0], -1.0 / A[0])
@@ -133,7 +133,7 @@ def list_built_matrix(net, k, dx, X_trunc):
             idx, w = oracle._one_sided_end(nN, dxs[bi])
             for i, wi in zip(idx, w):
                 add(row, i, wi)
-            add(row, nN, -b.geometry.h)
+            add(row, nN, -b.h)
             row += 1
     for bi, b in enumerate(net.branches):
         if not b.is_finite:

@@ -24,8 +24,7 @@ def adaptive_branch_data(net, k):
     pairs (val, der) over k, one call per branch, with ``jost.rk45_sweep``
     in place of ``propagate.sweep`` and ``jost_at_origin`` in place of
     ``jost_batch``."""
-    val, der = zip(*(jost.rk45_sweep(b.potential, b.geometry.tau, 0.0, k,
-                                     1.0, b.geometry.h)
+    val, der = zip(*(jost.rk45_sweep(b.potential, b.tau, 0.0, k, 1.0, b.h)
                      if b.is_finite else
                      jost.jost_at_origin(b.potential, k)
                      for b in net.branches))
@@ -85,13 +84,13 @@ class TestInvariants:
     def test_node_residuals(self, rng):
         net = random_smooth_network(rng)
         c = solve_scattering(net, 23.0)
-        vals = [y / b.geometry.A0
+        vals = [y / b.A0
                 for (y, _), b in zip(c.node_values[0], net.branches)]
         scale = max(abs(v) for v in vals)
         assert max(abs(v - vals[0]) for v in vals) / scale < 1e-10
-        lhs = sum(b.geometry.A0 * dy
+        lhs = sum(b.A0 * dy
                   for (_, dy), b in zip(c.node_values[0], net.branches))
-        saap = sum(b.geometry.A0 * b.geometry.A0prime for b in net.branches)
+        saap = sum(b.A0 * b.A0prime for b in net.branches)
         assert abs(lhs - saap * c.ybar[0]) / (abs(lhs) + c.k[0]) < 1e-10
 
     def test_uniqueness_under_branch_reordering(self):
@@ -159,7 +158,7 @@ class TestInvariants:
 
 
 class TestBranchTag:
-    """A branch is finite exactly when its geometry carries tau."""
+    """A branch is finite exactly when its profile carries tau."""
 
     def test_infinite_profiles_numbered_first(self):
         infinite = [LineProfile.direct(sin2_bump(0.3, w), w)
@@ -171,7 +170,7 @@ class TestBranchTag:
                                 finite[1])
         assert [b.potential.support_end for b in net.branches[:2]] == \
             [0.4, 0.6]
-        assert [b.geometry.tau for b in net.branches[2:]] == [1.3, 0.8]
+        assert [b.tau for b in net.branches[2:]] == [1.3, 0.8]
 
     def test_counts_follow_geometry(self):
         given = [LineProfile.uniform(1.0, 1.0),
@@ -239,7 +238,7 @@ class TestAssembleField:
         c = solve_scattering(net, 15.0)
         for j, b in enumerate(net.branches, start=1):
             y = assemble_field(net, c, j, 0.0)
-            assert abs(y - b.geometry.A0 * c.ybar[0]) < 1e-9
+            assert abs(y - b.A0 * c.ybar[0]) < 1e-9
 
     def test_bad_branch_id(self):
         net = uniform_network(2)
@@ -252,7 +251,7 @@ class TestAssembleField:
                              [(sin2_bump(0.5, 0.8), 0.8, 1.1, 0.25)])
         c = solve_scattering(net, 12.0)
         fin = net.finite_branches[0]
-        y, dy = assemble_field(net, c, net.m + 1, fin.geometry.tau,
+        y, dy = assemble_field(net, c, net.m + 1, fin.tau,
                                derivative=True)
         assert abs(dy - 0.25 * y) < 1e-7 * max(abs(y), 1.0)
 
@@ -338,18 +337,18 @@ def matrix_node_solve(net, k):
     b1 = net.branches[0]
     f0_1, df0_1 = val_coeff[:, 0], der_coeff[:, 0]
     a1, bb1 = jost_ab(b1.potential, k)
-    A1 = b1.geometry.A0
-    saap = sum(b.geometry.A0 * b.geometry.A0prime for b in net.branches)
+    A1 = b1.A0
+    saap = sum(b.A0 * b.A0prime for b in net.branches)
     c0 = 1.0 / a1 - (bb1 / a1) * f0_1
     d0 = -1j * k / a1 - (bb1 / a1) * df0_1
 
     M = np.zeros((nk, N, N), dtype=complex)
     rhs = np.zeros((nk, N), dtype=complex)
     for idx, b in enumerate(net.branches[1:], start=1):
-        M[:, idx - 1, idx] = val_coeff[:, idx] / b.geometry.A0
+        M[:, idx - 1, idx] = val_coeff[:, idx] / b.A0
         M[:, idx - 1, 0] = -f0_1 / A1
         rhs[:, idx - 1] = c0 / A1
-    Acol = np.array([b.geometry.A0 for b in net.branches])
+    Acol = np.array([b.A0 for b in net.branches])
     M[:, N - 1, :] = der_coeff * Acol[None, :]
     M[:, N - 1, 0] += -saap * f0_1 / A1
     rhs[:, N - 1] = -A1 * d0 + saap * c0 / A1
@@ -373,8 +372,8 @@ def test_smooth_stub_at_its_eigenvalue():
     stub = net.finite_branches[0]
 
     def u0(k):
-        return propagate.sweep(stub.potential, stub.geometry.tau, 0.0, k,
-                               1.0, stub.geometry.h)[0][0].real
+        return propagate.sweep(stub.potential, stub.tau, 0.0, k, 1.0,
+                               stub.h)[0][0].real
 
     lo, hi = 12.5, 13.0
     assert u0(lo) > 0 > u0(hi)
