@@ -1,4 +1,4 @@
-"""Fundamental solution on finite branches, with a kernel-based cross-check.
+"""Fundamental solution on finite branches, by RK45 and by its kernel.
 
 omega(x,k;h,V) solves y'' = (V - k^2) y with omega(0) = 1, omega'(0) = h.
 The network solver's ``propagate.sweep(V, 0, tau, k, 1, h)`` gives it over
@@ -10,12 +10,14 @@ representation
                  + int_{-x}^{x} K(x,t) {cos(kt) + h sin(kt)/k} dt,
 
 where the transformation kernel K solves a Goursat-type integral equation.
-These two are references only: ``validate`` compares them on every finite
-branch, and the tests check the solver and the high-frequency asymptotics
-against them.  Each takes a scalar or a 1-D array of k and returns arrays
-with one entry per k.  On V = 0 (support_end <= 0, every uniform line)
-K = 0: ``solve_kernel`` returns the zero table and
-``fundamental_via_kernel`` the closed form, with no integration.
+These two are references for the tests, which check the solver and the
+high-frequency asymptotics against them; ``validate`` calls neither (it
+compares the solver's node pairs with ``jost.rk45_sweep`` directly).  The
+kernel route is second order on a grid that ignores V's kinks and jumps.
+Each takes a scalar or a 1-D array of k and returns arrays with one entry
+per k.  On V = 0 (support_end <= 0, every uniform line) K = 0:
+``solve_kernel`` returns the zero table and ``fundamental_via_kernel``
+the closed form, with no integration.
 """
 from __future__ import annotations
 

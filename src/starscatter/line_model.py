@@ -141,8 +141,17 @@ class LineProfile:
         if np.any(L <= 0) or np.any(C <= 0):
             raise ProfileValidityError("encountered non-positive L or C sample")
         z = z - z[0]
-        x_of_z = _x_of_z(z, L, C)
-        x_samples = x_of_z(z)
+        try:
+            # near the float limit the spline fit of sqrt(L C) (scipy's
+            # ValueError on non-finite slopes) or x itself overflows
+            with np.errstate(over="ignore", invalid="ignore"):
+                x_of_z = _x_of_z(z, L, C)
+                x_samples = x_of_z(z)
+            if not np.all(np.isfinite(x_samples)):
+                raise ValueError
+        except ValueError as exc:
+            raise ProfileValidityError(
+                f"travel time x(z) on [0, {z[-1]:.6g}] is not finite") from exc
         spline = CubicSpline(x_samples, (C / L) ** 0.25, bc_type="natural")
         x_end = float(x_samples[-1])
         xg = _grid(x_end)

@@ -4,6 +4,10 @@ Deliberately independent of the scattering module: each branch carries a
 uniform grid, the Helmholtz-with-potential equation is discretized with a
 second-order central stencil, node and terminal conditions become discrete
 constraint rows, and infinite branches are closed with radiation rows.
+The branches meet only at the node, so the system is solved as one banded
+system per branch (``scipy.linalg.solve_banded``) for the branch's own
+source and its coupling to the node value y_0, after which value
+continuity and the node's derivative balance leave one scalar unknown.
 
 Two accuracy choices keep the comparison against the constructed solution
 honest at high k: the stencil uses the dispersion-corrected coefficient
@@ -20,8 +24,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import LinAlgError, solve_banded
 
 from .errors import DomainError, ResonanceError
 from .scattering import StarNetwork
@@ -66,8 +69,7 @@ def oracle_solve(net: StarNetwork, k: float, dx: float,
         if X_trunc < b.potential.support_end:
             raise DomainError("X_trunc inside a potential support")
 
-    grids, dxs, offsets = [], [], []
-    total = 0
+    grids = []
     for j, b in enumerate(net.branches, start=1):
         L = b.tau if b.is_finite else X_trunc
         n = max(int(round(L / dx)), 8)
@@ -75,76 +77,52 @@ def oracle_solve(net: StarNetwork, k: float, dx: float,
             raise DomainError(f"branch {j}: grid step {L / n:.3g} is too "
                               f"small for the stencil")
         grids.append(np.linspace(0.0, L, n + 1))
-        dxs.append(L / n)
-        offsets.append(total)
-        total += n + 1
 
-    # COO triplets as one (rows, cols, vals) array triple per block, joined
-    # once; repeated (row, col) pairs are summed in this order by csr_matrix
+    # Per branch the unknowns y_1..y_n meet n rows: the interior stencils
+    # at x_1..x_{n-1} and the far-end row (terminal or radiation), a banded
+    # system with 3 sub- and 1 super-diagonal.  y_0 enters only the first
+    # stencil, so the branch solves for two right-hand sides, its source
+    # and that coupling, and y = z_a + y_0 z_c.
+    A, saap = net.A, net.saap
     parts = []
-    rhs = np.zeros(total, dtype=complex)
-    row = 0
-
-    def add(r, c, v):
-        parts.append((np.broadcast_to(r, np.shape(c)), c, v))
-
-    # interior stencils, vectorized per branch
-    for bi, b in enumerate(net.branches):
-        g, d, off = grids[bi], dxs[bi], offsets[bi]
+    for bi, (b, g) in enumerate(zip(net.branches, grids)):
         n = g.size - 1
+        d = g[-1] / n
         K2 = 2.0 * (1.0 - math.cos(k * d)) / (d * d)
         v_in = np.asarray(b.potential(g[1:n]), dtype=float)
-        i = np.arange(1, n)
-        r = row + i - 1
-        add(r, off + i - 1, np.full(n - 1, 1.0 / d ** 2))
-        add(r, off + i + 1, np.full(n - 1, 1.0 / d ** 2))
-        add(r, off + i, -2.0 / d ** 2 + (K2 - v_in))
-        row += n - 1
+        ab = np.zeros((5, n), dtype=complex)  # ab[1 + i - j, j] = a[i, j]
+        ab[0, 1:] = ab[2, :n - 2] = 1.0 / d ** 2
+        ab[1, :n - 1] = -2.0 / d ** 2 + (K2 - v_in)
+        rhs = np.zeros((n, 2), dtype=complex)
+        rhs[0, 1] = -1.0 / d ** 2
+        if b.is_finite:  # y' = h y at the terminal, one-sided
+            _, w = _one_sided_end(n, d)
+            ab[1, n - 1], ab[2, n - 2] = w[0] - b.h, w[1]
+            ab[3, n - 3], ab[4, n - 4] = w[2], w[3]
+        else:  # radiation closure, an exact lattice row
+            ab[1, n - 1], ab[2, n - 2] = 1.0, -np.exp(1j * k * d)
+            if bi == 0:  # the incoming wave e^{-ikx} on branch 1
+                rhs[n - 1, 0] = (np.exp(-1j * k * g[-1])
+                                 * (1.0 - np.exp(2j * k * d)))
+        try:
+            z = solve_banded((3, 1), ab, rhs, overwrite_ab=True,
+                             overwrite_b=True)
+        except LinAlgError as exc:
+            raise ResonanceError(
+                f"discrete system singular at k={k}") from exc
+        parts.append((z[:, 0], z[:, 1], _one_sided_start(0, d)[1]))
 
-    # node: value continuity against branch 1, then the derivative balance
-    A, saap = net.A, net.saap
-    for bi in range(1, len(net.branches)):
-        add(row, [offsets[bi], offsets[0]], [1.0 / A[bi], -1.0 / A[0]])
-        row += 1
-    for bi, b in enumerate(net.branches):
-        idx, w = _one_sided_start(offsets[bi], dxs[bi])
-        add(row, idx, A[bi] * w)
-    add(row, [offsets[0]], [-saap / A[0]])
-    row += 1
-
-    # terminal condition on finite branches: y' = h y
-    for bi, b in enumerate(net.branches):
-        if not b.is_finite:
-            continue
-        nN = offsets[bi] + grids[bi].size - 1
-        idx, w = _one_sided_end(nN, dxs[bi])
-        add(row, np.append(idx, nN), np.append(w, -b.h))
-        row += 1
-
-    # radiation closures at infinite-branch truncations (exact lattice rows)
-    for bi, b in enumerate(net.branches):
-        if b.is_finite:
-            continue
-        d = dxs[bi]
-        nN = offsets[bi] + grids[bi].size - 1
-        add(row, [nN, nN - 1], [1.0, -np.exp(1j * k * d)])
-        if bi == 0:
-            X = grids[bi][-1]
-            rhs[row] = np.exp(-1j * k * X) * (1.0 - np.exp(2j * k * d))
-        row += 1
-
-    assert row == total, (row, total)
-    rows, cols, vals = (np.concatenate(c) for c in zip(*parts))
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(total, total),
-                        dtype=complex)
-    sol = spla.spsolve(mat, rhs)
-    if not np.all(np.isfinite(sol)):
+    # continuity gives y_0 = A_j ybar on every branch, and the derivative
+    # balance sum_j A_j y_j'(0) = saap ybar is then one scalar equation
+    coef, const = -saap, 0.0
+    for a, (za, zc, w) in zip(A.tolist(), parts):
+        coef += a * a * (w[0] + w[1:] @ zc[:3])
+        const += a * (w[1:] @ za[:3])
+    ybar = -const / coef
+    values = [np.concatenate([[a * ybar], za + (a * ybar) * zc])
+              for a, (za, zc, _) in zip(A.tolist(), parts)]
+    if not all(np.all(np.isfinite(v)) for v in values):
         raise ResonanceError(f"discrete system singular at k={k}")
-
-    values = []
-    for bi in range(len(net.branches)):
-        off = offsets[bi]
-        values.append(sol[off:off + grids[bi].size])
     X = grids[0][-1]
     yN = values[0][-1]
     R1_est = complex((yN - np.exp(-1j * k * X)) * np.exp(-1j * k * X))

@@ -126,11 +126,23 @@ class ScatteringSweep:
     # two; unbounded where two branches decouple from the node at once
     # (amplitudes not unique), ill-conditioned above COND_WARN
     cond: np.ndarray
-    node_values: np.ndarray = field(repr=False)  # [nk, N, 2]: y(0), y'(0)
+    # [nk, N]: each branch's own node pair (y(0), y'(0)), f_j or u_j
+    val: np.ndarray = field(repr=False)
+    der: np.ndarray = field(repr=False)
 
     @property
     def resonant(self) -> np.ndarray:
         return ~np.isfinite(self.R1)
+
+    @property
+    def node_values(self) -> np.ndarray:
+        """[nk, N, 2]: the solution's (y(0), y'(0)) per branch, the branch's
+        own pair times its amplitude, plus the incoming wave on branch 1."""
+        amps = np.column_stack([self.R1, self.T, self.alpha])
+        node_values = np.stack([amps * self.val, amps * self.der], axis=-1)
+        node_values[:, 0] += np.column_stack(
+            [self.val[:, 0], self.der[:, 0]]).conj()
+        return node_values
 
     def __len__(self) -> int:
         return self.k.size
@@ -189,18 +201,13 @@ def solve_scattering_batch(net: StarNetwork, k) -> ScatteringSweep:
             amps[rows, j] = w[rows] / (A[j] * der[rows, j])
     bad = ~np.isfinite(ybar)
     amps[bad] = ybar[bad] = np.nan
-
-    # (y(0), y'(0)) per branch: the branch's own solution times its
-    # amplitude, plus the incoming wave on branch 1
-    node_values = np.stack([amps * val, amps * der], axis=-1)
-    node_values[:, 0] += np.column_stack([f0_1, der[:, 0]]).conj()
     # two branches decoupling at once leave the amplitudes non-unique
     ratio = np.abs(ell[:, 1:]) / k[:, None]
     cond = (np.partition(ratio, -2, axis=1)[:, -2] if ratio.shape[1] > 1
             else np.zeros_like(k))
     return ScatteringSweep(k=k, R1=amps[:, 0], T=amps[:, 1:m],
                            alpha=amps[:, m:], ybar=ybar, cond=cond,
-                           node_values=node_values)
+                           val=val, der=der)
 
 
 def solve_scattering(net: StarNetwork, k: float) -> ScatteringSweep:

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from starscatter import cli, fundamental, inversion, scattering
-from starscatter.line_model import PotentialFn
 from starscatter.errors import ResonanceError
 
 from conftest import fake_singular_stub, write_sin2_table
@@ -517,6 +516,13 @@ class TestInvert:
         assert cli.main(["invert", "--csv", str(csv)]) == 2
 
 
+def failed_line(out, name):
+    """The one `FAIL name` line of a validate run's stdout."""
+    (line,) = [ln for ln in out.splitlines()
+               if ln.startswith(f"FAIL {name}: ")]
+    return line
+
+
 class TestValidate:
     def test_uniform_three_way(self, tmp_path, capsys):
         cfg = write_config(tmp_path, uniform_config(3))
@@ -541,7 +547,7 @@ class TestValidate:
         cfg = write_config(tmp_path, doc)
         assert cli.main(["validate", "--config", cfg]) == 0
         out = capsys.readouterr().out
-        assert "PASS kernel_vs_ivp" in out
+        assert "PASS solver_vs_rk45" in out
         assert "FAIL" not in out
 
     def test_a5_violation_rejected_at_load(self, tmp_path, capsys):
@@ -591,49 +597,21 @@ class TestValidate:
 
     def test_free_stubs_cost_no_integration(self, tmp_path, monkeypatch,
                                             capsys):
-        # on V = 0 branches rk45_sweep, behind the Jost profiles and
-        # fundamental_at, answers in closed form, and the kernel is the zero
-        # table, read without a spline or a quadrature: no RK45 run and no V
-        # evaluation behind any of them
+        # on V = 0 branches rk45_sweep, behind the Jost profiles and the
+        # node pairs' RK45 twins, answers in closed form: no RK45 run
         cfg = write_config(tmp_path, uniform_config(2, [1.0, 1.7]))
-        calls, v_calls, in_kernel = [], [], []
-        real_call = PotentialFn.__call__
-        real_kernel = fundamental.solve_kernel
+        calls = []
+        real_ivp = cli.jost.solve_ivp
 
-        def counted(fn):
-            def wrapper(*args, **kwargs):
-                calls.append(fn.__name__)
-                return fn(*args, **kwargs)
-            return wrapper
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real_ivp(*args, **kwargs)
 
-        def counted_call(self, x):
-            if in_kernel:
-                v_calls.append(np.size(x))
-            return real_call(self, x)
-
-        def kernel(V, tau):
-            in_kernel.append(tau)
-            try:
-                return real_kernel(V, tau)
-            finally:
-                in_kernel.pop()
-
-        for mod, name in ((cli.jost, "solve_ivp"),
-                          (fundamental, "CubicSpline"),
-                          (fundamental, "simpson")):
-            monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
-        monkeypatch.setattr(PotentialFn, "__call__", counted_call)
-        monkeypatch.setattr(fundamental, "solve_kernel", kernel)
+        monkeypatch.setattr(cli.jost, "solve_ivp", counted)
         assert cli.main(["validate", "--config", cfg]) == 0
-        assert "PASS kernel_vs_ivp" in capsys.readouterr().out
-        assert calls == [] and v_calls == []
+        assert "PASS solver_vs_rk45" in capsys.readouterr().out
+        assert calls == []
 
-    # the kernel route is second order on a grid that ignores V's kinks and
-    # jumps, so these valid stubs read as FAIL kernel_vs_ivp (bound 1e-6)
-    # while RK45 and the transfer matrix agree; a kernel that follows them
-    # makes these pass, and then strict xfail turns them red
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="kernel 1.1e-5 off the IVP at k = 6")
     def test_sampled_table_stub(self, tmp_path, capsys):
         z = np.linspace(0.0, 1.3, 201)
         for name, column in (("L", 1.0 + 0.3 * np.sin(2.0 * z) ** 2),
@@ -649,8 +627,6 @@ class TestValidate:
         out = capsys.readouterr().out
         assert rc == 0 and "FAIL" not in out, out
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="kernel 3.5e-5 off the IVP at k = 6")
     def test_direct_stub_cut_inside_its_table(self, tmp_path, capsys):
         # support_end 0.5 cuts the table where V is about 0.38
         xs = np.linspace(0.2, 0.9, 161)
@@ -664,6 +640,75 @@ class TestValidate:
         rc = cli.main(["validate", "--config", write_config(tmp_path, doc)])
         out = capsys.readouterr().out
         assert rc == 0 and "FAIL" not in out, out
+
+    def test_steep_taper_stub(self, tmp_path, capsys):
+        # omega(tau) is about e^50 here, so only a relative bound can hold
+        doc = uniform_config(1)
+        doc["branches"].append({"kind": "finite", "profile": {
+            "family": "exponential_taper", "gamma": 50.0, "length": 1.0}})
+        rc = cli.main(["validate", "--config", write_config(tmp_path, doc)])
+        out = capsys.readouterr().out
+        assert rc == 0 and "FAIL" not in out, out
+
+    def test_makes_no_kernel_call(self, tmp_path, monkeypatch, capsys):
+        write_sin2_table(tmp_path / "V.csv", 0.4, 0.6)
+        doc = uniform_config(1)
+        doc["branches"].append({"kind": "finite", "direct": {
+            "potential_table_path": "V.csv", "tau": 1.0, "h": 0.1}})
+        calls = []
+        for name in ("solve_kernel", "fundamental_via_kernel"):
+            monkeypatch.setattr(fundamental, name,
+                                lambda *args, name=name: calls.append(name))
+        rc = cli.main(["validate", "--config", write_config(tmp_path, doc)])
+        assert rc == 0 and "FAIL" not in capsys.readouterr().out
+        assert calls == []
+
+    def test_solver_vs_rk45_fails_on_a_scaled_jost_pair(self, tmp_path,
+                                                        monkeypatch, capsys):
+        cfg = write_config(tmp_path, uniform_config(3, [1.0]))
+        real = scattering.jost.jost_batch
+        calls = []
+
+        def scaled(V, k):
+            calls.append(V)
+            f0, df0 = real(V, k)
+            return ((1.0 + 1e-4) * f0, (1.0 + 1e-4) * df0) \
+                if len(calls) == 2 else (f0, df0)
+
+        monkeypatch.setattr(scattering.jost, "jost_batch", scaled)
+        assert cli.main(["validate", "--config", cfg]) == 5
+        line = failed_line(capsys.readouterr().out, "solver_vs_rk45")
+        assert "b2: 1.00e-04" in line and "b1: 0.00e+00" in line
+
+    def test_solver_vs_rk45_fails_on_a_stub_swept_from_the_node(
+            self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path, uniform_config(2, [1.0, 1.7]))
+        real = scattering.propagate.sweep
+
+        def sweep(V, x_from, x_to, k, y, dy):
+            if (x_from, x_to) == (1.7, 0.0):  # the 1.7 stub, from its node
+                x_from, x_to = x_to, x_from
+            return real(V, x_from, x_to, k, y, dy)
+
+        monkeypatch.setattr(scattering.propagate, "sweep", sweep)
+        assert cli.main(["validate", "--config", cfg]) == 5
+        line = failed_line(capsys.readouterr().out, "solver_vs_rk45")
+        gaps = dict(part.split(": ") for part in
+                    line.split(": ", 1)[1].split("; "))
+        assert float(gaps["b4"]) > 1e-2
+        assert max(float(gaps[f"b{j}"]) for j in (1, 2, 3)) < 1e-12
+
+    def test_singular_oracle_system_exit_code(self, tmp_path, monkeypatch,
+                                              capsys):
+        cfg = write_config(tmp_path, uniform_config(2, [1.0]))
+
+        def singular(*args, **kwargs):
+            raise cli.oracle.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(cli.oracle, "solve_banded", singular)
+        assert cli.main(["validate", "--config", cfg]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["solver error: discrete system singular at k=10.0"]
 
     def test_resonant_check_frequency_exit_code(self, tmp_path, monkeypatch,
                                                 capsys):
@@ -722,15 +767,15 @@ def validate_argv(*branches):
         tmp_path, {"schema_version": 1, "branches": list(branches)})]
 
 
-def huge_grid_argv(key, spec):
-    """validate on a uniform line and a finite branch {key: spec} whose
-    x-grid would span 1e20: L.csv and C.csv have z up to 1e20, and V.csv
-    is a sin^2 table."""
+def huge_grid_argv(key, spec, z_end=1e20, lc=1.0):
+    """validate on a uniform line and a finite branch {key: spec}: L.csv
+    and C.csv hold lc on z = 0, 1, 2, 3, z_end, so x(z) spans z_end lc
+    (1e20 by default), and V.csv is a sin^2 table."""
     def argv(tmp_path):
-        z = np.array([0.0, 1.0, 2.0, 3.0, 1e20])
+        z = np.array([0.0, 1.0, 2.0, 3.0, z_end])
         for name in ("L", "C"):
             np.savetxt(tmp_path / f"{name}.csv", np.column_stack(
-                [z, np.ones(5)]), delimiter=",", header="z,value",
+                [z, np.full(5, lc)]), delimiter=",", header="z,value",
                 comments="", fmt="%.17g")
         write_sin2_table(tmp_path / "V.csv", 0.5, 0.8)
         return validate_argv(uniform_branch(),
@@ -778,6 +823,10 @@ EXTREME_INPUTS = {
         "family": "sampled_table", "inductance_table_path": "L.csv",
         "capacitance_table_path": "C.csv"}), None, 2,
         "'branches[1]': a grid of step"),
+    "table-travel-time-overflows": (huge_grid_argv("profile", {
+        "family": "sampled_table", "inductance_table_path": "L.csv",
+        "capacitance_table_path": "C.csv"}, z_end=1e308, lc=100.0), None, 2,
+        "'branches[1]': travel time x(z) on [0, 1e+308] is not finite"),
     "memory-error": (grid_argv("60", "61", "0.5"), out_of_memory(
         "Unable to allocate 22.6 PiB"), 3, "solver error: Unable to"),
     "bare-memory-error": (grid_argv("60", "61", "0.5"), out_of_memory(""),

@@ -253,6 +253,20 @@ class TestBranchGeometry:
         assert p.tau == pytest.approx(3.0, rel=1e-12)
         assert p.potential.truncation == pytest.approx(3.0)
 
+    # z to 1e308: the spline fit of sqrt(LC) overflows; L C = 1e600
+    # overflows before it; on z to 4e154 with slowness 1e154 the fit holds
+    # and x(z[-1]) = 4e308 overflows
+    @pytest.mark.parametrize("z, lc", [
+        ([0.0, 1.0, 2.0, 3.0, 1e308], 100.0),
+        ([0.0, 1.0, 2.0, 3.0, 1e100], 1e300),
+        ([0.0, 1e154, 2e154, 3e154, 4e154], 1e154)])
+    def test_table_whose_travel_time_overflows_rejected(self, z, lc):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ProfileValidityError,
+                               match=r"x\(z\) .* is not finite"):
+                LineProfile.sampled_table(z, np.full(5, lc), np.full(5, lc))
+
     @pytest.mark.parametrize("ends", [{"tau": 1.0}, {"h": 0.1}])
     def test_tau_and_h_come_together(self, ends):
         with pytest.raises(ProfileValidityError, match="tau and h"):

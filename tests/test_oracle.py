@@ -4,13 +4,16 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from starscatter import oracle
 from starscatter.errors import DomainError
+from starscatter.line_model import LineProfile
 from starscatter.oracle import oracle_solve
-from starscatter.scattering import solve_scattering
+from starscatter.scattering import StarNetwork, solve_scattering
 
-from conftest import direct_network, sin2_bump, uniform_network
+from conftest import direct_network, sin2_bump, uniform_network, \
+    zero_potential
 from references import assemble_field
 
 
@@ -84,8 +87,9 @@ class TestOracleSolve:
 
 
 def list_built_matrix(net, k, dx, X_trunc):
-    """The oracle's CSR matrix built the way it once was: one Python list
-    entry per COO triplet, in the oracle's row order."""
+    """The oracle's discrete system as one sparse matrix over every branch's
+    y_0..y_n, built one Python list entry per COO triplet, and its
+    right-hand side: (CSR matrix, rhs)."""
     grids, dxs, offsets, total = [], [], [], 0
     for b in net.branches:
         L = b.tau if b.is_finite else X_trunc
@@ -135,32 +139,49 @@ def list_built_matrix(net, k, dx, X_trunc):
                 add(row, i, wi)
             add(row, nN, -b.h)
             row += 1
+    rhs = np.zeros(total, dtype=complex)
     for bi, b in enumerate(net.branches):
         if not b.is_finite:
             nN = offsets[bi] + grids[bi].size - 1
             add(row, nN, 1.0)
             add(row, nN - 1, -np.exp(1j * k * dxs[bi]))
+            if bi == 0:
+                X = grids[0][-1]
+                rhs[row] = (np.exp(-1j * k * X)
+                            * (1.0 - np.exp(2j * k * dxs[bi])))
             row += 1
     return sp.csr_matrix((vals, (rows, cols)), shape=(total, total),
-                         dtype=complex)
+                         dtype=complex), rhs
+
+
+# h != 0 stubs listed before the infinite lines, which the star sorts
+# first, and A'(0) != 0, so the node row carries a sum_j A_j A_j' term
+STUBS_FIRST_NET = StarNetwork([
+    LineProfile.direct(sin2_bump(0.4, 0.7), 0.7, A0prime=-0.2, tau=1.2,
+                       h=0.3),
+    LineProfile.direct(zero_potential, 0.0, tau=0.8, h=-0.25),
+    LineProfile.direct(sin2_bump(0.6, 0.9), 0.9, A0prime=0.5),
+    LineProfile.direct(sin2_bump(-0.3, 0.8), 0.8)])
 
 
 @pytest.mark.parametrize("net, k, X_trunc", [
     (SMOOTH_NET, 14.0, 1.4),
     (uniform_network(2, taus=[0.6, 1.3]), 29.0, 1.0),
+    (STUBS_FIRST_NET, 17.3, 1.4),
 ])
-def test_array_built_matrix_matches_list_built(monkeypatch, net, k, X_trunc):
-    seen = []
-    real = oracle.spla.spsolve
-
-    def spsolve(mat, rhs):
-        seen.append(mat)
-        return real(mat, rhs)
-
-    monkeypatch.setattr(oracle.spla, "spsolve", spsolve)
-    oracle_solve(net, k, 1e-3, X_trunc)
-    (got,) = seen
-    want = list_built_matrix(net, k, 1e-3, X_trunc)
-    for name in ("data", "indices", "indptr"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+def test_banded_field_solves_the_list_built_system(net, k, X_trunc):
+    """The per-branch banded solve answers the whole sparse system: its
+    field's normwise backward error there is at rounding level, and its
+    R1_est is the sparse LU's."""
+    field = oracle_solve(net, k, 1e-3, X_trunc)
+    mat, rhs = list_built_matrix(net, k, 1e-3, X_trunc)
+    y = np.concatenate(field.values)
+    residual = np.max(np.abs(mat @ y - rhs))
+    scale = (spla.norm(mat, np.inf) * np.max(np.abs(y))
+             + np.max(np.abs(rhs)))
+    assert residual <= 1e-10 * scale
+    sol = spla.spsolve(mat, rhs)
+    X = field.grids[0][-1]
+    yN = sol[field.grids[0].size - 1]
+    r1 = (yN - np.exp(-1j * k * X)) * np.exp(-1j * k * X)
+    assert abs(field.R1_est - r1) <= 1e-10
