@@ -5,9 +5,10 @@
     starscatter validate --config net.json
 
 `validate` checks the solver at k = 10, 17.3 and 29: flux conservation,
-the node conditions, the Wronskian of branch 1's RK45 Jost solution, R1
-against the finite-difference oracle, and each branch's node pair
-against its RK45 twin (`solver_vs_rk45`, at k = 10).
+the node conditions, the Wronskian W(conj f_j, f_j) = 2ik of each
+infinite branch's Jost pair, R1 against the finite-difference oracle, and
+each branch's node pair against its RK45 twin (`solver_vs_rk45`, at
+k = 10).
 
 Exit codes: 0 ok; 2 bad input: a config or table that fails to parse or
 validate, a bad argument (a grid too large for an array, a k whose square
@@ -173,16 +174,13 @@ def _run_checks(net):
     res = float(max(continuity.max(), current.max()))
     yield ("node_residuals", res <= 1e-10, f"max rel residual {res:.3e}")
 
-    b1 = net.branches[0]
-    k = ks[1]
-    X = max(b1.potential.truncation, 0.5)
-    xs = np.linspace(0.0, X, 10)
-    f, df = jost.jost_profile(b1.potential, k, xs)
-    ft, dft = jost.jost_tilde_profile(b1.potential, k, xs)
-    w_vals = f * dft - df * ft
-    w_var = float(np.max(np.abs(w_vals - w_vals[0])) /
-                  (abs(w_vals[0]) + 1e-30))
-    yield ("wronskian_constancy", w_var <= 1e-8, f"rel variation {w_var:.3e}")
+    # W(conj f_j, f_j) = 2ik on the solver's own Jost pairs
+    f, df = sweep.val[:, :net.m], sweep.der[:, :net.m]
+    two_ik = 2j * sweep.k[:, None]
+    w_gap = float(np.max(np.abs(f.conj() * df - df.conj() * f - two_ik)
+                         / np.abs(two_ik)))
+    yield ("wronskian_constancy", w_gap <= 1e-8,
+           f"max |W - 2ik| / 2k {w_gap:.3e}")
 
     X_tr = max([b.potential.support_end
                 for b in net.infinite_branches] + [1.0]) + 0.5

@@ -3,10 +3,12 @@
 f solves y'' = (V - k^2) y and equals e^{ikx} past X = ``V.truncation``,
 where V is taken as 0, so its node pair (f0, df0) is the plane wave's
 (e^{ikX}, ik e^{ikX}) propagated back from X to 0, with no inverse
-matrix.  ``jost_batch``, the route the network solver uses, makes that one
-call on ``propagate.sweep``, and ``jost_at_origin`` makes the same call on
-``rk45_sweep``, the RK45 twin of ``propagate.sweep`` with its arguments
-and its (y, y') arrays over k.  The other RK45 references are one call of
+matrix.  The network solver sweeps it as one leg of its star's
+``propagate.sweep_legs`` call (``scattering._branch_data``);
+``jost_batch`` makes the same sweep on its own, as the one-leg
+``propagate.sweep``, and ``jost_at_origin`` makes it on ``rk45_sweep``,
+the RK45 twin of ``propagate.sweep`` with its arguments and its (y, y')
+arrays over k.  The other RK45 references are one call of
 ``rk45_sweep`` each: ``jost_profile`` and ``jost_tilde_profile`` sample f
 and ftilde (ftilde(0) = 1, ftilde'(0) = -ik) for ``validate`` and the
 tests.  On V = 0 ``rk45_sweep`` returns the free solution in closed form.
@@ -111,8 +113,9 @@ def jost_tilde_profile(V: PotentialFn, k: float, xs):
 
 def jost_batch(V: PotentialFn, k):
     """(f0, df0) over an array of frequencies: the plane wave at X =
-    ``V.truncation`` propagated back to 0 by ``propagate.sweep``, the call
-    ``jost_at_origin`` makes on ``rk45_sweep``."""
+    ``V.truncation`` propagated back to 0 by ``propagate.sweep``, the
+    network solver's Jost leg on its own and the call ``jost_at_origin``
+    makes on ``rk45_sweep``."""
     k = _check_k(k)
     X = V.truncation
     eikX = np.exp(1j * k * X)

@@ -10,8 +10,9 @@ transfer matrix is
 which continues analytically to k^2 < V (cosh/sinh).  Since V and k are
 real, the product of these cells is one real 2x2 matrix per frequency,
 with unit determinant, so Wronskians and flux balances are preserved to
-rounding regardless of step size.  ``transfer_matrix`` builds it and
-``sweep`` applies it to (y, y').
+rounding regardless of step size.  ``sweep_legs`` applies it to the start
+pair (y, y') of every leg of a star in one call, ``sweep`` is its one-leg
+call, and ``transfer_matrix`` returns one path's matrix.
 
 Adjacent cells with the same midpoint V are merged into one cell of the
 summed length.  The midpoint scheme already treats V as constant there, so
@@ -25,15 +26,21 @@ propagation (cos is even, sin(q dx)/q is odd).
 On a fixed partition the product is an entire function of k of exponential
 type |x_to - x_from|, so n + 1 Chebyshev points of [k_min, k_max], with
 n = ceil(|x_to - x_from| (k_max - k_min) / 2) + NODE_MARGIN, determine it to
-rounding.  When both the grid and the merged cell count exceed n + 1, the
-cell product is taken on those nodes and its four entries are carried to
-the grid by barycentric interpolation (Berrut & Trefethen, SIAM Review 46,
-2004), at a cost of about cells x nodes + nodes x (number of frequencies).
-The partition is the one the grid's k_max gives, and k_max is a node.  The
-interpolant is checked against the direct product at a few off-node grid
-k; an error above CHECK_TOL of an entry's largest value sends the whole
-grid to the direct product.  A short grid or a branch of few cells takes
-the direct product, at (cells) x (number of frequencies).
+rounding.  The legs of one call share one node set, with n the largest
+over the legs, so it determines every leg's product.  When both the grid
+and a leg's merged cell count exceed n + 1, that leg's cell product is
+taken on the nodes and its four entries are carried to the grid by
+barycentric interpolation (Berrut & Trefethen, SIAM Review 46, 2004).
+The barycentric weights serve every function sampled on the same nodes,
+so all interpolated legs share one pass over the grid: a call costs about
+sum(cells) x nodes + nodes x (number of frequencies), not one such pass
+per leg.  The partition is the one the grid's k_max gives, and k_max is a
+node.  Each leg's interpolant is checked against its direct product at
+the same few off-node grid k; an error above CHECK_TOL of an entry's
+largest value sends that leg alone, over the whole grid, to the direct
+product.  A short grid or a leg of few cells takes the direct product, at
+(cells) x (number of frequencies).  A one-leg call (``sweep``,
+``transfer_matrix``) thus takes the nodes of that leg alone.
 
 Both loops are blocked array operations of at most BLOCK elements a block,
 so memory stays O(BLOCK + number of frequencies).  The cell product takes
@@ -42,8 +49,11 @@ size: one vectorized call gives a block's cell matrices, a pairwise (tree)
 product of log2(cells) levels reduces them, and the result is folded into
 the running product.  A long grid thus takes a block of one or two cells,
 and the nodes a few hundred.  The interpolant is one matrix product per
-block of grid points: the node values times the block's [nodes, points]
-barycentric weights.
+block of grid points: the node values of every interpolated leg's four
+entries, stacked, times the block's [nodes, points] barycentric weights,
+which are computed once.  ``sweep_legs`` applies each block of entries to
+its leg's start pair as it comes and writes the result into its [nk, legs]
+outputs, so no [4 legs, nk] array of entries is held.
 """
 from __future__ import annotations
 
@@ -153,29 +163,99 @@ def _chebyshev_nodes(k_min: float, k_max: float, n: int):
 
 
 def _barycentric(k: np.ndarray, nodes: np.ndarray, weights: np.ndarray,
-                 values):
-    """Evaluate the interpolants through (nodes, values[e]) at k, for
-    ascending nodes.
+                 F: np.ndarray):
+    """Yield (s, e) over blocks s of k, e[i] the interpolant through
+    (nodes, F[i]) at k[s], for ascending nodes and F's last row all ones.
 
     Takes k in blocks of BLOCK // len(nodes) points.  With a block's
     [nodes, points] matrix d = weights / (k - nodes), one product F @ d
-    gives every numerator and, from F's last row of ones, the denominator,
-    where F stacks the values.  Memory stays O(BLOCK + len(k)); a k equal
-    to a node gets that node's value.
+    gives every numerator and, from F's last row of ones, the denominator.
+    A block's memory is O(BLOCK); a k equal to a node gets that node's
+    value.
     """
-    F = np.vstack([*values, np.ones_like(nodes)])
-    out = np.empty((len(values), k.size))
     step = max(1, BLOCK // nodes.size)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for lo in range(0, k.size, step):
-            d = k[lo:lo + step] - nodes[:, None]
+    for lo in range(0, k.size, step):
+        s = slice(lo, lo + step)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = k[s] - nodes[:, None]
             np.divide(weights[:, None], d, out=d)
             num = F @ d
-            out[:, lo:lo + step] = num[:-1] / num[-1]
-    pos = np.minimum(np.searchsorted(nodes, k), nodes.size - 1)
-    hit = nodes[pos] == k
-    out[:, hit] = F[:-1, pos[hit]]
-    return list(out)
+            e = num[:-1] / num[-1]
+        pos = np.minimum(np.searchsorted(nodes, k[s]), nodes.size - 1)
+        hit = nodes[pos] == k[s]
+        e[:, hit] = F[:-1, pos[hit]]
+        yield s, e
+
+
+def _runs(potential, x_from: float, x_to: float, k_top: float):
+    """The merged partition (v_runs, widths) of [x_from, x_to] that the
+    grid's largest |k| gives, or None for an empty span."""
+    length = x_to - x_from
+    if length == 0.0:
+        return None
+    n_steps = step_count(abs(length), k_top)
+    dx = length / n_steps
+    if getattr(potential, "support_end", 1.0) <= 0.0:
+        # V = 0 (a PotentialFn without support): one run, not sampled
+        return np.zeros(1), np.array([n_steps * dx])
+    if n_steps > MAX_CELLS:
+        raise DomainError(f"k = {k_top:.6g} needs {n_steps:.3g} cells over "
+                          f"length {abs(length):.6g}, more than an array "
+                          f"can hold")
+    mids = x_from + (np.arange(n_steps) + 0.5) * dx
+    v_mid = np.asarray(potential(mids), dtype=float)
+    starts = np.flatnonzero(np.r_[True, v_mid[1:] != v_mid[:-1]])
+    return v_mid[starts], np.diff(np.r_[starts, n_steps]) * dx
+
+
+def _matrices(paths, k: np.ndarray):
+    """An iterator of (j, s, m): the real transfer matrix
+    m = (m11, m12, m21, m22) of path j = (potential, x_from, x_to) on the
+    grid slice s.
+
+    Each path comes once over the whole grid: as one block of the direct
+    product, or in the blocks of the one barycentric pass that every
+    interpolated path shares (module docstring).  The partitions, node
+    products and checks are taken before this returns, so their cell
+    blocks are freed before a caller allocates its outputs.
+    """
+    k_top = float(np.max(np.abs(k)))
+    runs = [_runs(p, x_from, x_to, k_top) for p, x_from, x_to in paths]
+    k_min, k_max = float(np.min(k)), float(np.max(k))
+    n = max(math.ceil(abs(x_to - x_from) * (k_max - k_min) / 2)
+            for _, x_from, x_to in paths) + NODE_MARGIN
+    interp = [j for j, r in enumerate(runs)
+              if k.size > n + 1 and r is not None and r[0].size > n + 1]
+    if interp:
+        nodes, weights = _chebyshev_nodes(k_min, k_max, n)
+        off = k[~np.isin(k, nodes)]
+        checks = off[np.linspace(0, off.size - 1, N_CHECKS + 2)[1:-1]
+                     .round().astype(int)] if off.size else off
+        exact = np.vstack([np.vstack(_cell_product(np.r_[nodes, checks],
+                                                   *runs[j]))
+                           for j in interp])
+        F = np.vstack([exact[:, :n + 1], np.ones_like(nodes)])
+        at_checks = exact[:, n + 1:]
+        err = np.zeros(len(F) - 1)  # np.maximum keeps a NaN, which fails
+        for s, e in _barycentric(checks, nodes, weights, F):
+            err = np.maximum(err, np.max(np.abs(e - at_checks[:, s]), axis=1))
+        passed = (err <= CHECK_TOL * np.max(np.abs(F[:-1]), axis=1)
+                  ).reshape(-1, 4).all(axis=1)
+        F = F[np.r_[np.repeat(passed, 4), True]]
+        interp = [j for j, ok in zip(interp, passed) if ok]
+
+    def blocks():
+        for j, r in enumerate(runs):
+            if j not in interp:
+                yield j, slice(None), (
+                    _cell_product(k, *r) if r is not None else
+                    (np.ones_like(k), np.zeros_like(k),
+                     np.zeros_like(k), np.ones_like(k)))
+        if interp:
+            for s, e in _barycentric(k, nodes, weights, F):
+                for i, j in enumerate(interp):
+                    yield j, s, e[4 * i:4 * i + 4]
+    return blocks()
 
 
 def transfer_matrix(potential, x_from: float, x_to: float, k: np.ndarray):
@@ -187,51 +267,44 @@ def transfer_matrix(potential, x_from: float, x_to: float, k: np.ndarray):
     docstring).
     """
     k = np.atleast_1d(np.asarray(k, dtype=float))
-    length = x_to - x_from
-    if length == 0.0:
-        return (np.ones_like(k), np.zeros_like(k),
-                np.zeros_like(k), np.ones_like(k))
-    n_steps = step_count(abs(length), float(np.max(np.abs(k))))
-    dx = length / n_steps
-    if getattr(potential, "support_end", 1.0) <= 0.0:
-        # V = 0 (a PotentialFn without support): one run, not sampled
-        v_runs, widths = np.zeros(1), np.array([n_steps * dx])
-    elif n_steps > MAX_CELLS:
-        raise DomainError(f"k = {np.max(np.abs(k)):.6g} needs {n_steps:.3g} "
-                          f"cells over length {abs(length):.6g}, more than "
-                          f"an array can hold")
-    else:
-        mids = x_from + (np.arange(n_steps) + 0.5) * dx
-        v_mid = np.asarray(potential(mids), dtype=float)
-        starts = np.flatnonzero(np.r_[True, v_mid[1:] != v_mid[:-1]])
-        v_runs = v_mid[starts]
-        widths = np.diff(np.r_[starts, n_steps]) * dx
-    k_min, k_max = float(np.min(k)), float(np.max(k))
-    n = math.ceil(abs(length) * (k_max - k_min) / 2) + NODE_MARGIN
-    if k.size <= n + 1 or v_runs.size <= n + 1:
-        return _cell_product(k, v_runs, widths)
-    nodes, weights = _chebyshev_nodes(k_min, k_max, n)
-    off = k[~np.isin(k, nodes)]
-    checks = off[np.linspace(0, off.size - 1, N_CHECKS + 2)[1:-1]
-                 .round().astype(int)] if off.size else off
-    direct = _cell_product(np.r_[nodes, checks], v_runs, widths)
-    at_nodes = [e[:n + 1] for e in direct]
-    at_checks = _barycentric(checks, nodes, weights, at_nodes)
-    for e, p in zip(direct, at_checks):
-        err = np.max(np.abs(p - e[n + 1:]), initial=0.0)
-        if not err <= CHECK_TOL * np.max(np.abs(e[:n + 1])):
-            return _cell_product(k, v_runs, widths)
-    return tuple(_barycentric(k, nodes, weights, at_nodes))
+    out = None
+    for _, s, m in _matrices([(potential, x_from, x_to)], k):
+        if s == slice(None):  # the direct product, whole
+            return tuple(m)
+        if out is None:
+            out = np.empty((4, k.size))
+        out[:, s] = m
+    return tuple(out)
+
+
+def sweep_legs(legs, k: np.ndarray):
+    """Propagate each leg (potential, x_from, x_to, y, dy) from x_from to
+    x_to on the grid k, where y and dy broadcast against k.
+
+    Returns the endpoint pairs as two complex [nk, legs] arrays (val, der),
+    one column per leg.  Every leg's matrix takes the call's one node set
+    (module docstring), and each block of it is applied to the leg's start
+    pair as it comes, so no [4 legs, nk] array is held.
+    """
+    k = np.atleast_1d(np.asarray(k, dtype=float))
+    starts = [tuple(np.broadcast_to(np.asarray(a, dtype=complex), k.shape)
+                    for a in leg[3:]) for leg in legs]
+    blocks = _matrices([leg[:3] for leg in legs], k)
+    val = np.empty((k.size, len(legs)), dtype=complex)
+    der = np.empty_like(val)
+    for j, s, (m11, m12, m21, m22) in blocks:
+        y, dy = (a[s] for a in starts[j])
+        val[s, j] = m11 * y + m12 * dy
+        der[s, j] = m21 * y + m22 * dy
+    return val, der
 
 
 def sweep(potential, x_from: float, x_to: float, k: np.ndarray,
           y: np.ndarray, dy: np.ndarray):
     """Propagate (y, y') from x_from to x_to; k, y, dy broadcast together.
 
-    Returns the endpoint pair (y, y') as new complex arrays.
+    Returns the endpoint pair (y, y') as new complex arrays: the one-leg
+    ``sweep_legs``.
     """
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    y = np.broadcast_to(np.asarray(y, dtype=complex), k.shape)
-    dy = np.broadcast_to(np.asarray(dy, dtype=complex), k.shape)
-    m11, m12, m21, m22 = transfer_matrix(potential, x_from, x_to, k)
-    return m11 * y + m12 * dy, m21 * y + m22 * dy
+    val, der = sweep_legs([(potential, x_from, x_to, y, dy)], k)
+    return val[:, 0], der[:, 0]

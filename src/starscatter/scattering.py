@@ -36,6 +36,12 @@ data (u_j(0), u_j'(0)) enter the equation with no sign change.  The tests
 check it against the same call on ``jost.rk45_sweep``, the uniform closed
 form and the finite-difference oracle.
 
+Every branch's node pair comes from one ``propagate.sweep_legs`` call per
+solve, one leg per branch: f_j as the plane wave (e^{ikX}, ik e^{ikX})
+at X = ``V.truncation`` swept back to 0, as ``jost.jost_batch`` sweeps it,
+and u_j from its terminal end.  The legs share one Chebyshev node set and
+one barycentric pass over the grid (``propagate`` module docstring).
+
 A StarNetwork holds LineProfiles in a tuple ordered infinite first, so the
 columns 0..m-1 of every per-branch array are the infinite branches, and
 builds the node data once in that order: ``A`` (A_j(0)) and ``saap``
@@ -50,7 +56,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import jost, propagate
+from . import propagate
 from .errors import DomainError, ProfileValidityError, ResonanceError
 from .line_model import LineProfile
 
@@ -150,13 +156,20 @@ class ScatteringSweep:
 
 def _branch_data(net: StarNetwork, k: np.ndarray):
     """Node pairs (val, der) = (y(0), y'(0)) over k, two [nk, N] arrays with
-    one column per branch: f_j on infinite branches, and on finite ones the
-    solution u_j with u_j(tau) = 1, u_j'(tau) = h."""
-    val, der = zip(*(propagate.sweep(b.potential, b.tau, 0.0, k, 1.0, b.h)
-                     if b.is_finite else
-                     jost.jost_batch(b.potential, k)
-                     for b in net.branches))
-    return np.stack(val, axis=1), np.stack(der, axis=1)
+    one column per branch, from one ``propagate.sweep_legs`` call: f_j on
+    infinite branches, the plane wave at X = ``V.truncation`` swept back to
+    0 as ``jost.jost_batch`` sweeps it, and on finite ones the solution u_j
+    with u_j(tau) = 1, u_j'(tau) = h."""
+    legs = []
+    ik = 1j * k
+    for b in net.branches:
+        if b.is_finite:
+            legs.append((b.potential, b.tau, 0.0, 1.0, b.h))
+        else:
+            X = b.potential.truncation
+            eikX = np.exp(ik * X)
+            legs.append((b.potential, X, 0.0, eikX, ik * eikX))
+    return propagate.sweep_legs(legs, k)
 
 
 def solve_scattering_batch(net: StarNetwork, k) -> ScatteringSweep:

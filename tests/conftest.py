@@ -145,20 +145,22 @@ def fake_singular_stub(monkeypatch, hit):
 
     The stub's node data become (1, -2ik), whose log-derivative cancels the
     lines' ik + ik.  Im D > 0 for real potentials, so only faked data give
-    D = 0.  Only the stub's call, from its tau, is faked: the lines' Jost
-    calls go through ``propagate.sweep`` too, from X = 0.
+    D = 0.  Only the stub's leg of ``propagate.sweep_legs``, from its tau,
+    is faked: the lines' Jost legs start from X = 0.
     """
-    real_sweep = propagate.sweep
+    real_sweep_legs = propagate.sweep_legs
 
-    def sweep(V, x_from, x_to, k, y, dy):
-        u, du = real_sweep(V, x_from, x_to, k, y, dy)
-        if x_from == 0.0:
-            return u, du
+    def sweep_legs(legs, k):
+        val, der = real_sweep_legs(legs, k)
         k = np.asarray(k, dtype=float)
         fake = hit(k)
-        return np.where(fake, 1.0, u), np.where(fake, -2j * k, du)
+        for j, (_, x_from, *_) in enumerate(legs):
+            if x_from != 0.0:
+                val[:, j] = np.where(fake, 1.0, val[:, j])
+                der[:, j] = np.where(fake, -2j * k, der[:, j])
+        return val, der
 
-    monkeypatch.setattr(propagate, "sweep", sweep)
+    monkeypatch.setattr(propagate, "sweep_legs", sweep_legs)
 
 
 @pytest.fixture

@@ -666,16 +666,15 @@ class TestValidate:
     def test_solver_vs_rk45_fails_on_a_scaled_jost_pair(self, tmp_path,
                                                         monkeypatch, capsys):
         cfg = write_config(tmp_path, uniform_config(3, [1.0]))
-        real = scattering.jost.jost_batch
-        calls = []
+        real = scattering.propagate.sweep_legs
 
-        def scaled(V, k):
-            calls.append(V)
-            f0, df0 = real(V, k)
-            return ((1.0 + 1e-4) * f0, (1.0 + 1e-4) * df0) \
-                if len(calls) == 2 else (f0, df0)
+        def scaled(legs, k):
+            val, der = real(legs, k)
+            val[:, 1] *= 1.0 + 1e-4  # branch 2's Jost pair
+            der[:, 1] *= 1.0 + 1e-4
+            return val, der
 
-        monkeypatch.setattr(scattering.jost, "jost_batch", scaled)
+        monkeypatch.setattr(scattering.propagate, "sweep_legs", scaled)
         assert cli.main(["validate", "--config", cfg]) == 5
         line = failed_line(capsys.readouterr().out, "solver_vs_rk45")
         assert "b2: 1.00e-04" in line and "b1: 0.00e+00" in line
@@ -683,20 +682,37 @@ class TestValidate:
     def test_solver_vs_rk45_fails_on_a_stub_swept_from_the_node(
             self, tmp_path, monkeypatch, capsys):
         cfg = write_config(tmp_path, uniform_config(2, [1.0, 1.7]))
-        real = scattering.propagate.sweep
+        real = scattering.propagate.sweep_legs
 
-        def sweep(V, x_from, x_to, k, y, dy):
-            if (x_from, x_to) == (1.7, 0.0):  # the 1.7 stub, from its node
-                x_from, x_to = x_to, x_from
-            return real(V, x_from, x_to, k, y, dy)
+        def sweep_legs(legs, k):
+            # the 1.7 stub's leg, swept from its node
+            return real([(V, 0.0, 1.7, y, dy)
+                         if (x_from, x_to) == (1.7, 0.0) else
+                         (V, x_from, x_to, y, dy)
+                         for V, x_from, x_to, y, dy in legs], k)
 
-        monkeypatch.setattr(scattering.propagate, "sweep", sweep)
+        monkeypatch.setattr(scattering.propagate, "sweep_legs", sweep_legs)
         assert cli.main(["validate", "--config", cfg]) == 5
         line = failed_line(capsys.readouterr().out, "solver_vs_rk45")
         gaps = dict(part.split(": ") for part in
                     line.split(": ", 1)[1].split("; "))
         assert float(gaps["b4"]) > 1e-2
         assert max(float(gaps[f"b{j}"]) for j in (1, 2, 3)) < 1e-12
+
+    def test_wronskian_fails_on_a_scaled_derivative(self, tmp_path,
+                                                    monkeypatch, capsys):
+        cfg = write_config(tmp_path, uniform_config(2, [1.0]))
+        real = scattering.propagate.sweep_legs
+
+        def scaled(legs, k):
+            val, der = real(legs, k)
+            der[:, 0] *= 1.0 + 1e-6  # branch 1's f'(0)
+            return val, der
+
+        monkeypatch.setattr(scattering.propagate, "sweep_legs", scaled)
+        assert cli.main(["validate", "--config", cfg]) == 5
+        line = failed_line(capsys.readouterr().out, "wronskian_constancy")
+        assert abs(float(line.rsplit(" ", 1)[1]) - 1e-6) < 1e-9
 
     def test_singular_oracle_system_exit_code(self, tmp_path, monkeypatch,
                                               capsys):

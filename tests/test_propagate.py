@@ -16,7 +16,8 @@ from starscatter import config, jost, propagate, scattering
 from starscatter.errors import DomainError
 from starscatter.line_model import LineProfile
 
-from conftest import direct_network, jost_ab, sin2_bump, write_sin2_table
+from conftest import direct_network, jost_ab, sin2_bump, smooth_demo_star, \
+    write_sin2_table
 
 KS = np.linspace(60.0, 160.0, 11)
 FINE = 60.0 + 0.005 * np.arange(20001)  # the benchmark's grid
@@ -291,3 +292,91 @@ def test_few_frequencies_cost_a_call_per_branch(table_stub, monkeypatch):
     assert not sweep.resonant.any()
     assert 0 < len(calls) <= len(net.branches)
     assert sum(calls) > 3 * 250 * len(net.branches)
+
+
+# One node set and one barycentric pass per star: the columns of
+# sweep_legs against one-leg calls, and the pass's cost.
+
+def count_full_grid(monkeypatch, name, k):
+    """Record the calls of propagate's ``name`` whose first argument is the
+    grid k."""
+    calls = []
+    real = getattr(propagate, name)
+
+    def spy(grid, *args):
+        if grid.size == k.size:
+            calls.append(name)
+        return real(grid, *args)
+
+    monkeypatch.setattr(propagate, name, spy)
+    return calls
+
+
+def test_star_columns_match_the_per_leg_direct_product(tmp_path,
+                                                       monkeypatch):
+    net = smooth_demo_star(tmp_path)
+    bary = count_full_grid(monkeypatch, "_barycentric", FINE)
+    cells = count_full_grid(monkeypatch, "_cell_product", FINE)
+    val, der = scattering._branch_data(net, FINE)
+    assert (bary, cells) == (["_barycentric"], [])  # every branch shares it
+    monkeypatch.undo()
+    with monkeypatch.context() as mp:
+        mp.setattr(propagate, "NODE_MARGIN", 10 ** 9)
+        for j, b in enumerate(net.branches):
+            want_val, want_der = (
+                propagate.sweep(b.potential, b.tau, 0.0, FINE, 1.0, b.h)
+                if b.is_finite else jost.jost_batch(b.potential, FINE))
+            assert rel_err(val[:, j], want_val) <= 1e-12
+            assert rel_err(der[:, j], want_der) <= 1e-12
+    # det M = 1 on every path, from the unit start pairs in one pass
+    paths = [(b.potential, b.tau if b.is_finite else b.potential.truncation,
+              0.0) for b in net.branches]
+    (m11, m21), (m12, m22) = (
+        propagate.sweep_legs([p + starts for p in paths], FINE)
+        for starts in ((1.0, 0.0), (0.0, 1.0)))
+    assert np.max(np.abs(m11 * m22 - m12 * m21 - 1.0)) <= 1e-12
+
+
+def test_mixed_star_columns_match_one_leg_calls(table_stub, monkeypatch):
+    free = LineProfile.uniform(1.0, 1.0, length=1.5).potential
+    legs = [(free, 1.5, 0.0, 1.0, 0.3),  # V = 0: one run, direct
+            (plateau_bump, 0.0, 2.0, 0.5 - 0.2j, 40.0),
+            (table_stub, 1.0, 0.0, 1.0, -0.12),
+            (barrier_bump, 2.0, 0.0, 1.0, 60j)]  # its check is made to fail
+    real_cells = propagate._cell_product
+
+    def spoilt(k, v_runs, widths):
+        m11, m12, m21, m22 = real_cells(k, v_runs, widths)
+        if k.size != FINE.size and v_runs.max() > 1000.0:  # the barrier
+            m11 = m11.copy()
+            m11[-propagate.N_CHECKS:] *= 1.0 + 1e-9
+        return m11, m12, m21, m22
+
+    monkeypatch.setattr(propagate, "_cell_product", spoilt)
+    cells = count_full_grid(monkeypatch, "_cell_product", FINE)
+    val, der = propagate.sweep_legs(legs, FINE)
+    assert cells == ["_cell_product"] * 2  # the free and the barrier leg
+    for j, (potential, x_from, x_to, y, dy) in enumerate(legs):
+        m11, m12, m21, m22 = propagate.transfer_matrix(potential, x_from,
+                                                       x_to, FINE)
+        want_val, want_der = m11 * y + m12 * dy, m21 * y + m22 * dy
+        if j in (0, 3):  # the direct product, on its own
+            assert np.array_equal(val[:, j], want_val)
+            assert np.array_equal(der[:, j], want_der)
+        else:
+            assert rel_err(val[:, j], want_val) <= 1e-12
+            assert rel_err(der[:, j], want_der) <= 1e-12
+
+
+def test_star_memory_holds_no_array_per_entry(tmp_path):
+    # val and der are 4N doubles a frequency; a [4N, nk] array of the
+    # matrix entries would add 4N more
+    net = smooth_demo_star(tmp_path)
+    scattering._branch_data(net, FINE)
+    tracemalloc.start()
+    try:
+        scattering._branch_data(net, FINE)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (4 * len(net.branches) + 20) * FINE.size * 8
