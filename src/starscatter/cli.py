@@ -30,7 +30,7 @@ import warnings
 
 import numpy as np
 
-from . import inversion, jost, oracle, scattering
+from . import inversion, jost, oracle, propagate, scattering
 from .config import load_network
 from .errors import ConfigError, InsufficientDataError, ResonanceError, \
     StarScatterError
@@ -79,11 +79,17 @@ def cmd_forward(args) -> int:
             table[:, 3] = np.hypot(sweep.R1.real, sweep.R1.imag)
             table[:, 4::2], table[:, 5::2] = sweep.T.real, sweep.T.imag
             fh.write(",".join(header) + "\n")
-            # one %-format per stretch of rows between two resonant rows
+            # one %-format per block of the rows between two resonant rows,
+            # its repeated row format at most propagate.BLOCK characters,
+            # so the Python floats and text of the whole table are never
+            # held at once
+            step = max(1, propagate.BLOCK // len(row_fmt))
             lo = 0
             for hi in [*np.flatnonzero(resonant).tolist(), len(sweep)]:
-                fh.write((row_fmt * (hi - lo))
-                         % tuple(table[lo:hi].ravel().tolist()))
+                for a in range(lo, hi, step):
+                    block = table[a:min(a + step, hi)]
+                    fh.write((row_fmt * len(block))
+                             % tuple(block.ravel().tolist()))
                 if hi < len(sweep):
                     fh.write(nan_fmt % sweep.k[hi])
                 lo = hi + 1

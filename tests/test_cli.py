@@ -323,6 +323,17 @@ class TestForward:
         return ("\n".join(lines) + "\n").encode()
 
     def test_csv_matches_the_per_row_writer(self, tmp_path, monkeypatch):
+        self.assert_forward_matches_per_row_writer(tmp_path, monkeypatch)
+
+    def test_csv_blocks_match_the_per_row_writer(self, tmp_path,
+                                                 monkeypatch):
+        # blocks of 200 // len(row format) rows: 4 rows of 8 columns, 5 of
+        # 6, so the 13 rows and the stretches between resonant rows span
+        # several blocks each
+        monkeypatch.setattr(cli.propagate, "BLOCK", 200)
+        self.assert_forward_matches_per_row_writer(tmp_path, monkeypatch)
+
+    def assert_forward_matches_per_row_writer(self, tmp_path, monkeypatch):
         grid = 5.0 + 0.25 * np.arange(13)
         argv = ["--kmin", "5", "--kmax", "8", "--dk", "0.25"]
         # fake_singular_stub needs two V = 0 lines and one stub
@@ -597,17 +608,17 @@ class TestValidate:
 
     def test_free_stubs_cost_no_integration(self, tmp_path, monkeypatch,
                                             capsys):
-        # on V = 0 branches rk45_sweep, behind the Jost profiles and the
-        # node pairs' RK45 twins, answers in closed form: no RK45 run
+        # on V = 0 branches rk45_sweep, behind the node pairs' RK45 twins,
+        # answers in closed form: no RK45 run
         cfg = write_config(tmp_path, uniform_config(2, [1.0, 1.7]))
         calls = []
-        real_ivp = cli.jost.solve_ivp
+        real_dp45 = cli.jost._dp45
 
-        def counted(*args, **kwargs):
+        def counted(*args):
             calls.append(args)
-            return real_ivp(*args, **kwargs)
+            return real_dp45(*args)
 
-        monkeypatch.setattr(cli.jost, "solve_ivp", counted)
+        monkeypatch.setattr(cli.jost, "_dp45", counted)
         assert cli.main(["validate", "--config", cfg]) == 0
         assert "PASS solver_vs_rk45" in capsys.readouterr().out
         assert calls == []
@@ -649,6 +660,27 @@ class TestValidate:
         rc = cli.main(["validate", "--config", write_config(tmp_path, doc)])
         out = capsys.readouterr().out
         assert rc == 0 and "FAIL" not in out, out
+
+    def test_failed_rk45_twin_exit_code(self, tmp_path, monkeypatch, capsys):
+        # the RK45 loop's rhs turns NaN halfway along the stub, so its step
+        # shrinks below 10 spacings of x and it raises AccuracyError
+        write_sin2_table(tmp_path / "V.csv", 0.4, 0.6)
+        doc = uniform_config(1)
+        doc["branches"].append({"kind": "finite", "direct": {
+            "potential_table_path": "V.csv", "tau": 1.0, "h": 0.1}})
+        real = cli.jost._dp45
+
+        def nan_past_middle(f, x0, x1, u, max_step):
+            mid = 0.5 * (x0 + x1)
+            return real(lambda x, v: f(x, v) if (x - mid) * (x1 - x0) < 0
+                        else [math.nan] * len(v), x0, x1, u, max_step)
+
+        monkeypatch.setattr(cli.jost, "_dp45", nan_past_middle)
+        rc = cli.main(["validate", "--config", write_config(tmp_path, doc)])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 3
+        assert len(err) == 1 and err[0].startswith(
+            "solver error: RK45 failed on [1.0, 0.0]")
 
     def test_makes_no_kernel_call(self, tmp_path, monkeypatch, capsys):
         write_sin2_table(tmp_path / "V.csv", 0.4, 0.6)

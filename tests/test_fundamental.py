@@ -35,15 +35,15 @@ TABLE = make_potential(
     TablePotential(_X, -0.3 * np.sin(np.pi * _X / 0.9) ** 2), 0.9)
 
 
-def count_solve_ivp(monkeypatch):
-    """Record the span of each RK45 run behind ``rk45_sweep``."""
-    calls, real = [], jost.solve_ivp
+def count_dp45(monkeypatch):
+    """Record the span (x0, x1) of each RK45 run behind ``rk45_sweep``."""
+    calls, real = [], jost._dp45
 
-    def counted(fun, t_span, *args, **kwargs):
-        calls.append(tuple(t_span))
-        return real(fun, t_span, *args, **kwargs)
+    def counted(f, x0, x1, u, max_step):
+        calls.append((x0, x1))
+        return real(f, x0, x1, u, max_step)
 
-    monkeypatch.setattr(jost, "solve_ivp", counted)
+    monkeypatch.setattr(jost, "_dp45", counted)
     return calls
 
 
@@ -62,7 +62,7 @@ class TestFundamentalAt:
     # twins give the free equation a support and keep RK45's accuracy on it
     # covered
     def test_integrated_free_full_period(self, monkeypatch):
-        calls = count_solve_ivp(monkeypatch)
+        calls = count_dp45(monkeypatch)
         (om,), (dom,) = rk45_sweep(ZERO_SUPPORTED, 0.0, math.pi, 2.0, 1.0,
                                    0.0)
         assert calls == [(0.0, math.pi)]
@@ -70,16 +70,16 @@ class TestFundamentalAt:
         assert abs(dom) < 1e-8
 
     def test_integrated_free_with_slope(self, monkeypatch):
-        calls = count_solve_ivp(monkeypatch)
+        calls = count_dp45(monkeypatch)
         (om,), _ = rk45_sweep(ZERO_SUPPORTED, 0.0, 1.0, 2.0, 1.0, 0.5)
         assert calls == [(0.0, 1.0)]
         assert abs(om - (math.cos(2.0) + 0.25 * math.sin(2.0))) < 1e-9
 
     def test_free_stub_is_closed_form(self, monkeypatch):
-        def no_solve_ivp(*args, **kwargs):
+        def no_dp45(*args):
             raise AssertionError("RK45 called on V = 0")
 
-        monkeypatch.setattr(jost, "solve_ivp", no_solve_ivp)
+        monkeypatch.setattr(jost, "_dp45", no_dp45)
         for tau, h, k in ((1.3, 0.0, 6.0), (0.7, -0.4, 14.0),
                           (2.1, 0.25, 0.0)):
             (om,), (dom,) = fundamental_at(ZERO, tau, h, k)

@@ -14,10 +14,10 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from starscatter import jost, propagate
-from starscatter.errors import SingularFrequencyError
+from starscatter.errors import AccuracyError, SingularFrequencyError
 from starscatter.jost import jost_at_origin, jost_batch, jost_profile, \
     jost_tilde_profile, rk45_sweep
-from starscatter.line_model import LineProfile
+from starscatter.line_model import LineProfile, PotentialFn
 
 from conftest import jost_ab, sin2_bump, smooth_demo_star, square_well
 from references import jost_via_volterra
@@ -52,7 +52,7 @@ def rk45_data(V, k):
     return (*jost_at_origin(V, k), *jost_ab(V, k, rk45_sweep))
 
 
-def no_solve_ivp(*args, **kwargs):
+def no_dp45(*args):
     raise AssertionError("RK45 called on V = 0")
 
 
@@ -60,7 +60,7 @@ class TestJostAtOrigin:
     def test_free_potential(self, monkeypatch):
         # V = 0 without support, and with a support but X = 0: no span to
         # integrate either way
-        monkeypatch.setattr(jost, "solve_ivp", no_solve_ivp)
+        monkeypatch.setattr(jost, "_dp45", no_dp45)
         for support_end in (0.0, 1.0):
             V = make_potential(lambda x: np.zeros_like(np.asarray(x, float)),
                                support_end)
@@ -136,7 +136,7 @@ class TestJostProfileBounds:
                 k * bound + 1e-9
 
     def test_free_profiles_in_closed_form(self, monkeypatch):
-        monkeypatch.setattr(jost, "solve_ivp", no_solve_ivp)
+        monkeypatch.setattr(jost, "_dp45", no_dp45)
         V = make_potential(lambda x: np.zeros_like(np.asarray(x, float)), 0.0)
         k, xs = 17.3, np.linspace(0.0, 0.5, 10)
         f, df = jost_profile(V, k, xs)
@@ -224,6 +224,51 @@ def assert_free_pair(got, want, ks, length):
     assert np.all(np.abs(got[1] - want[1]) <= tol * ks)
 
 
+def scipy_twin(V, x_from, x_to, ks, y, dy, method="RK45", **tol):
+    """``rk45_sweep``'s system solved by scipy's ``solve_ivp``: the same
+    rhs and, unless ``tol`` overrides them, the same RTOL, ATOL and
+    max_step."""
+    n, k2 = ks.size, (ks * ks).tolist()
+
+    def rhs(x, u):
+        v = V(x)
+        u = u.tolist()
+        return u[n:] + [(v - q2) * uj for q2, uj in zip(k2, u)]
+
+    opts = {"rtol": jost.RTOL, "atol": jost.ATOL, "max_step": min(
+        abs(x_to - x_from),
+        2.0 * np.pi / np.max(ks) / propagate.STEPS_PER_WAVELENGTH), **tol}
+    u0 = np.r_[np.broadcast_to(y, ks.shape), np.broadcast_to(dy, ks.shape)]
+    sol = integrate.solve_ivp(rhs, (x_from, x_to), u0.astype(complex),
+                              method=method, **opts)
+    assert sol.success, sol.message
+    return sol.y[:n, -1], sol.y[n:, -1]
+
+
+def pair_gap(got, want, ks):
+    """max(|dy|, |dy'|/k) / max(|y|, |y'|/k), the worst over k."""
+    gap = np.maximum(np.abs(got[0] - want[0]), np.abs(got[1] - want[1]) / ks)
+    size = np.maximum(np.abs(want[0]), np.abs(want[1]) / ks)
+    return float(np.max(gap / size))
+
+
+def both_ways(prof, ks):
+    """The arguments (V, x_from, x_to, k, y, dy) of a branch swept out and
+    back: a stub from (1, h) either way, an infinite line from (1, -ik) at
+    0 and from the plane wave at X = ``V.truncation``."""
+    V = prof.potential
+    if prof.is_finite:
+        return [(V, 0.0, prof.tau, ks, 1.0, prof.h),
+                (V, prof.tau, 0.0, ks, 1.0, prof.h)]
+    X = V.truncation
+    eikX = np.exp(1j * ks * X)
+    return [(V, 0.0, X, ks, 1.0, -1j * ks),
+            (V, X, 0.0, ks, eikX, 1j * ks * eikX)]
+
+
+CHECK_KS = [0.5, 10.0, 29.0, (0.5, 10.0, 29.0)]
+
+
 class TestRK45Sweep:
     """``rk45_sweep`` takes ``propagate.sweep``'s arguments and returns its
     arrays, so each reference computes what the solver computes."""
@@ -234,24 +279,15 @@ class TestRK45Sweep:
                                                     backward):
         ks = np.array([7.0, 29.0])
         for b in smooth_demo_star(tmp_path).branches:
-            V = b.potential
-            if b.is_finite:
-                end, y, dy = b.tau, 1.0, b.h
-            else:
-                end = V.truncation
-                eikX = np.exp(1j * ks * end)
-                y, dy = (eikX, 1j * ks * eikX) if backward else (1.0,
-                                                                 -1j * ks)
-            span = (end, 0.0) if backward else (0.0, end)
-            got = rk45_sweep(V, *span, ks, y, dy)
-            want = propagate.sweep(V, *span, ks, y, dy)
+            leg = both_ways(b, ks)[backward]
+            got, want = rk45_sweep(*leg), propagate.sweep(*leg)
             assert [(e.shape, e.dtype) for e in got] == \
                 [((2,), np.dtype(complex))] * 2
             assert np.all(np.abs(got[0] - want[0]) < 1e-6)
             assert np.all(np.abs(got[1] - want[1]) < 1e-6 * ks)
 
     def test_free_line_is_the_sweep_without_integration(self, monkeypatch):
-        monkeypatch.setattr(jost, "solve_ivp", no_solve_ivp)
+        monkeypatch.setattr(jost, "_dp45", no_dp45)
         V = LineProfile.uniform(1.0, 1.0, length=1.7).potential
         ks = np.array([0.5, 7.0, 29.0, 160.0])
         y, dy = 0.3 - 0.2j, 4.0 + 7.0j
@@ -280,3 +316,40 @@ class TestRK45Sweep:
             j = 0 if x_to else -1
             np.testing.assert_array_equal(y[j], 1.0)
             np.testing.assert_array_equal(dy[j], 0.5)
+
+
+class TestDormandPrince:
+    """``rk45_sweep``'s own Dormand-Prince loop takes scipy RK45's steps."""
+
+    @pytest.mark.parametrize("k", CHECK_KS, ids=["0.5", "10", "29", "three"])
+    def test_matches_scipy_rk45(self, tmp_path, k):
+        ks = np.atleast_1d(np.asarray(k, dtype=float))
+        profiles = [*smooth_demo_star(tmp_path).branches,
+                    LineProfile.exponential_taper(0.2, 1.3),
+                    LineProfile.exponential_taper(50.0, 1.0),
+                    LineProfile.direct(square_well(1.0, 1.0), 1.0)]
+        for prof in profiles:
+            for leg in both_ways(prof, ks):
+                gap = pair_gap(rk45_sweep(*leg), scipy_twin(*leg), ks)
+                assert gap <= 1e-12
+
+    @pytest.mark.parametrize("k", CHECK_KS, ids=["0.5", "10", "29", "three"])
+    def test_sampled_table_stub_as_accurate_as_scipy_rk45(self, k):
+        # the spline V of a sampled table is kinked, so a rounding-level
+        # flip of one step's acceptance moves either engine by about 1e-7;
+        # both are held to a tight DOP853 solution instead of each other
+        ks = np.atleast_1d(np.asarray(k, dtype=float))
+        z = np.linspace(0.0, 1.3, 201)
+        prof = LineProfile.sampled_table(z, 1.0 + 0.3 * np.sin(2.0 * z) ** 2,
+                                         1.0 + 0.2 * z * (1.3 - z))
+        for leg in both_ways(prof, ks):
+            exact = scipy_twin(*leg, method="DOP853", rtol=1e-13, atol=1e-16)
+            assert pair_gap(rk45_sweep(*leg), exact, ks) <= \
+                3.0 * pair_gap(scipy_twin(*leg), exact, ks)
+
+    def test_step_below_ten_spacings_raises(self):
+        # V is NaN past 0.5: every step across it fails its error test, so
+        # the step shrinks onto x = 0.5 until it is below 10 spacings of x
+        V = PotentialFn(lambda x: 0.3 if x < 0.5 else math.nan, 1.0, 0.3, 1.0)
+        with pytest.raises(AccuracyError, match="RK45 failed on"):
+            rk45_sweep(V, 0.0, 1.0, 10.0, 1.0, 0.0)
