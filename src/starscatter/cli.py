@@ -8,7 +8,11 @@
 the node conditions, the Wronskian W(conj f_j, f_j) = 2ik of each
 infinite branch's Jost pair, R1 against the finite-difference oracle, and
 each branch's node pair against its RK45 twin (`solver_vs_rk45`, at
-k = 10).
+k = 10).  The twin runs the branch's own leg (`scattering.branch_leg`)
+on `jost.rk45_sweep`, so it compares the two engines, not the leg.
+Whether the leg itself is right is for `oracle_comparison`, whose
+finite-difference solver shares no code with the legs, and for
+`wronskian_constancy`, which holds each Jost pair to W = 2ik.
 
 Exit codes: 0 ok; 2 bad input: a config or table that fails to parse or
 validate, a bad argument (a grid too large for an array, a k whose square
@@ -198,15 +202,15 @@ def _run_checks(net):
     yield ("oracle_comparison", all(g <= 1e-3 for g in gaps.values()),
            "; ".join(f"{name}: {g:.2e}" for name, g in gaps.items()))
 
-    # the solver's own node pairs against their RK45 twins, which take the
-    # same arguments; the gap is relative to the pair's size, since a pair
-    # grows exponentially where V > k^2 (about e^50 on a gamma = 50 taper)
+    # the solver's own node pairs against their RK45 twins: each branch's
+    # leg, over the solve's own k array, on rk45_sweep; the gap is relative
+    # to the pair's size, since a pair grows exponentially where V > k^2
+    # (about e^50 on a gamma = 50 taper)
     k, gaps = ks[0], {}
     for j, (b, y, dy) in enumerate(zip(net.branches, sweep.val[0].tolist(),
                                        sweep.der[0].tolist()), start=1):
-        ref_y, ref_dy = (jost.rk45_sweep(b.potential, b.tau, 0.0, k, 1.0, b.h)
-                         if b.is_finite else
-                         jost.jost_at_origin(b.potential, k))
+        V, x_from, x_to, y0, dy0 = scattering.branch_leg(b, sweep.k[:1])
+        ref_y, ref_dy = jost.rk45_sweep(V, x_from, x_to, k, y0, dy0)
         ref_y, ref_dy = complex(ref_y[0]), complex(ref_dy[0])
         gaps[f"b{j}"] = (max(abs(y - ref_y), abs(dy - ref_dy) / k)
                          / max(abs(ref_y), abs(ref_dy) / k))

@@ -3,16 +3,15 @@
 f solves y'' = (V - k^2) y and equals e^{ikx} past X = ``V.truncation``,
 where V is taken as 0, so its node pair (f0, df0) is the plane wave's
 (e^{ikX}, ik e^{ikX}) propagated back from X to 0, with no inverse
-matrix.  The network solver sweeps it as one leg of its star's
-``propagate.sweep_legs`` call (``scattering._branch_data``);
-``jost_batch`` makes the same sweep on its own, as the one-leg
-``propagate.sweep``, and ``jost_at_origin`` makes it on ``rk45_sweep``,
-the RK45 twin of ``propagate.sweep`` with its arguments and its (y, y')
-arrays over k.  The other RK45 references are one call of
-``rk45_sweep`` each: ``jost_profile`` and ``jost_tilde_profile`` sample f
-and ftilde (ftilde(0) = 1, ftilde'(0) = -ik) for the tests, each sample
-its own integration from the start.  On V = 0 ``rk45_sweep`` returns the
-free solution in closed form.
+matrix.  ``jost_leg`` gives that leg, (V, X, 0, e^{ikX}, ik e^{ikX}),
+and every Jost route runs it: the network solver as one leg of its
+star's ``propagate.sweep_legs`` call (``scattering.branch_leg``),
+``jost_batch`` on its own as the one-leg ``propagate.sweep``, and
+``jost_at_origin`` on ``rk45_sweep``, the RK45 twin of
+``propagate.sweep`` with its arguments and its (y, y') arrays over k.
+``jost_profile`` samples f for the tests, one ``rk45_sweep`` call from X
+to each x.  On V = 0 ``rk45_sweep`` returns the free solution in closed
+form.
 
 The RK45 engine is ``_dp45``, the Dormand-Prince 5(4) pair (J. Comput.
 Appl. Math. 6, 19-26, 1980) with the step control of Hairer, Norsett and
@@ -145,14 +144,11 @@ def _dp45(f, x0: float, x1: float, u: list, max_step: float) -> list:
     return u
 
 
-def rk45_sweep(V: PotentialFn, x_from: float, x_to: float, k, y, dy,
-               xs=None):
+def rk45_sweep(V: PotentialFn, x_from: float, x_to: float, k, y, dy):
     """Propagate (y, y') of y'' = (V(x) - k^2) y from x_from to x_to by
     adaptive RK45; k, y, dy broadcast together as in ``propagate.sweep``.
 
-    Returns the endpoint pair (y, y') as complex arrays over k, or, given
-    ascending xs between x_from and x_to, the pair at each x in xs, each
-    row its own call from x_from to x, as two [len(xs), nk] arrays.  All k
+    Returns the endpoint pair (y, y') as complex arrays over k.  All k
     form one system of 2 nk components, integrated by ``_dp45`` in steps
     of at most the span and 1/STEPS_PER_WAVELENGTH of the shortest
     wavelength.  On V = 0 (``support_end <= 0``), or on an empty span, the
@@ -161,11 +157,6 @@ def rk45_sweep(V: PotentialFn, x_from: float, x_to: float, k, y, dy,
     k = np.atleast_1d(np.asarray(k, dtype=float))
     y = np.broadcast_to(np.asarray(y, dtype=complex), k.shape)
     dy = np.broadcast_to(np.asarray(dy, dtype=complex), k.shape)
-    if xs is not None:
-        pairs = [rk45_sweep(V, x_from, x, k, y, dy)
-                 for x in np.asarray(xs, dtype=float).tolist()]
-        return tuple(np.array([p[i] for p in pairs], dtype=complex)
-                     .reshape(len(pairs), k.size) for i in (0, 1))
     if V.support_end <= 0.0 or x_from == x_to:
         d = x_to - x_from
         kd = k * d
@@ -196,40 +187,39 @@ def _check_k(k) -> np.ndarray:
     return k
 
 
+def jost_leg(V: PotentialFn, k):
+    """The Jost leg (V, X, 0, e^{ikX}, ik e^{ikX}) over k, X =
+    ``V.truncation``: the plane wave that f is past X, to be propagated
+    back to the node."""
+    X = V.truncation
+    ik = 1j * k
+    eikX = np.exp(ik * X)
+    return V, X, 0.0, eikX, ik * eikX
+
+
 def jost_at_origin(V: PotentialFn, k):
     """(f0, df0) = (f(0,k), f'(0,k)) by RK45, two complex arrays over
-    ``np.atleast_1d(k)``, as ``jost_batch`` returns them: the plane wave at
-    X = ``V.truncation`` propagated back to 0 as one system for all k."""
+    ``np.atleast_1d(k)``, as ``jost_batch`` returns them: ``jost_leg`` on
+    ``rk45_sweep``, one system for all k."""
     k = _check_k(k)
-    X = V.truncation
-    eikX = np.exp(1j * k * X)
-    return rk45_sweep(V, X, 0.0, k, eikX, 1j * k * eikX)
+    V, X, x_to, y, dy = jost_leg(V, k)
+    return rk45_sweep(V, X, x_to, k, y, dy)
 
 
 def jost_profile(V: PotentialFn, k: float, xs):
-    """f and f' sampled on xs (ascending, from 0), by RK45 from
-    max(X, xs[-1]) back to 0."""
+    """f and f' sampled on xs, each by one ``rk45_sweep`` call from
+    ``jost_leg``'s start at X to its x."""
     k = _check_k(k)
-    X = max(V.truncation, float(xs[-1]))
-    eikX = np.exp(1j * k * X)
-    f, df = rk45_sweep(V, X, 0.0, k, eikX, 1j * k * eikX, xs)
-    return f[:, 0], df[:, 0]
-
-
-def jost_tilde_profile(V: PotentialFn, k: float, xs):
-    """ftilde and ftilde' sampled on xs (ascending, from 0), by RK45 from
-    (1, -ik) at 0."""
-    k = _check_k(k)
-    ft, dft = rk45_sweep(V, 0.0, float(xs[-1]), k, 1.0, -1j * k, xs)
-    return ft[:, 0], dft[:, 0]
+    V, X, _, y, dy = jost_leg(V, k)
+    f, df = zip(*(rk45_sweep(V, X, x, k, y, dy)
+                  for x in np.asarray(xs, dtype=float).tolist()))
+    return np.concatenate(f), np.concatenate(df)
 
 
 def jost_batch(V: PotentialFn, k):
-    """(f0, df0) over an array of frequencies: the plane wave at X =
-    ``V.truncation`` propagated back to 0 by ``propagate.sweep``, the
-    network solver's Jost leg on its own and the call ``jost_at_origin``
-    makes on ``rk45_sweep``."""
+    """(f0, df0) over an array of frequencies: ``jost_leg`` on the one-leg
+    ``propagate.sweep``, the network solver's Jost leg on its own and the
+    call ``jost_at_origin`` makes on ``rk45_sweep``."""
     k = _check_k(k)
-    X = V.truncation
-    eikX = np.exp(1j * k * X)
-    return propagate.sweep(V, X, 0.0, k, eikX, 1j * k * eikX)
+    V, X, x_to, y, dy = jost_leg(V, k)
+    return propagate.sweep(V, X, x_to, k, y, dy)

@@ -185,8 +185,13 @@ class LineProfile:
 
         The profile lives in the Liouville coordinate already (z == x).
         Finite branches must give ``tau`` and ``h``; infinite ones must not.
+        V is 0 past ``support_end``, so ``support_end = 0`` states V = 0,
+        and a negative one, which would drop V without a word, is refused.
         """
         _require_finite(support_end=support_end, A0=A0, A0prime=A0prime)
+        if support_end < 0:
+            raise ProfileValidityError(
+                f"support_end must be >= 0, got {support_end}")
         if tau is None and h is not None:
             raise ProfileValidityError("h is only defined on finite branches")
         if tau is not None:

@@ -10,9 +10,9 @@ transfer matrix is
 which continues analytically to k^2 < V (cosh/sinh).  Since V and k are
 real, the product of these cells is one real 2x2 matrix per frequency,
 with unit determinant, so Wronskians and flux balances are preserved to
-rounding regardless of step size.  ``sweep_legs`` applies it to the start
-pair (y, y') of every leg of a star in one call, ``sweep`` is its one-leg
-call, and ``transfer_matrix`` returns one path's matrix.
+rounding regardless of step size.  ``sweep_legs``, the kernel's one
+entry, applies it to the start pair (y, y') of every leg (potential,
+x_from, x_to, y, dy) of a star in one call; ``sweep`` is its one-leg call.
 
 Adjacent cells with the same midpoint V are merged into one cell of the
 summed length.  The midpoint scheme already treats V as constant there, so
@@ -39,8 +39,8 @@ node.  Each leg's interpolant is checked against its direct product at
 the same few off-node grid k; an error above CHECK_TOL of an entry's
 largest value sends that leg alone, over the whole grid, to the direct
 product.  A short grid or a leg of few cells takes the direct product, at
-(cells) x (number of frequencies).  A one-leg call (``sweep``,
-``transfer_matrix``) thus takes the nodes of that leg alone.
+(cells) x (number of frequencies).  A one-leg call (``sweep``) thus takes
+the nodes of that leg alone.
 
 Both loops are blocked array operations of at most BLOCK elements a block,
 so memory stays O(BLOCK + number of frequencies).  The cell product takes
@@ -208,22 +208,25 @@ def _runs(potential, x_from: float, x_to: float, k_top: float):
     return v_mid[starts], np.diff(np.r_[starts, n_steps]) * dx
 
 
-def _matrices(paths, k: np.ndarray):
-    """An iterator of (j, s, m): the real transfer matrix
-    m = (m11, m12, m21, m22) of path j = (potential, x_from, x_to) on the
-    grid slice s.
+def sweep_legs(legs, k: np.ndarray):
+    """Propagate each leg (potential, x_from, x_to, y, dy) from x_from to
+    x_to on the grid k, where y and dy broadcast against k.
 
-    Each path comes once over the whole grid: as one block of the direct
-    product, or in the blocks of the one barycentric pass that every
-    interpolated path shares (module docstring).  The partitions, node
-    products and checks are taken before this returns, so their cell
-    blocks are freed before a caller allocates its outputs.
+    Returns the endpoint pairs as two complex [nk, legs] arrays (val, der),
+    one column per leg.  Every leg takes the call's one node set (module
+    docstring).  The partitions, node products and checks come first, so
+    their cell blocks are freed before the outputs are allocated; then
+    each direct leg's product is applied to its start pair over the whole
+    grid, and the one barycentric pass applies each block of every
+    interpolated leg's entries as it comes, so no [4 legs, nk] array is
+    held.
     """
+    k = np.atleast_1d(np.asarray(k, dtype=float))
     k_top = float(np.max(np.abs(k)))
-    runs = [_runs(p, x_from, x_to, k_top) for p, x_from, x_to in paths]
+    runs = [_runs(p, x_from, x_to, k_top) for p, x_from, x_to, _, _ in legs]
     k_min, k_max = float(np.min(k)), float(np.max(k))
     n = max(math.ceil(abs(x_to - x_from) * (k_max - k_min) / 2)
-            for _, x_from, x_to in paths) + NODE_MARGIN
+            for _, x_from, x_to, _, _ in legs) + NODE_MARGIN
     interp = [j for j, r in enumerate(runs)
               if k.size > n + 1 and r is not None and r[0].size > n + 1]
     if interp:
@@ -244,58 +247,22 @@ def _matrices(paths, k: np.ndarray):
         F = F[np.r_[np.repeat(passed, 4), True]]
         interp = [j for j, ok in zip(interp, passed) if ok]
 
-    def blocks():
-        for j, r in enumerate(runs):
-            if j not in interp:
-                yield j, slice(None), (
-                    _cell_product(k, *r) if r is not None else
-                    (np.ones_like(k), np.zeros_like(k),
-                     np.zeros_like(k), np.ones_like(k)))
-        if interp:
-            for s, e in _barycentric(k, nodes, weights, F):
-                for i, j in enumerate(interp):
-                    yield j, s, e[4 * i:4 * i + 4]
-    return blocks()
-
-
-def transfer_matrix(potential, x_from: float, x_to: float, k: np.ndarray):
-    """Real transfer matrix (m11, m12, m21, m22) from x_from to x_to.
-
-    ``potential`` is a vectorized map x -> V(x).  Each entry is an array
-    over k; (y, y')(x_to) = M (y, y')(x_from) and det M = 1.  On a long
-    grid the entries are interpolated from Chebyshev nodes (module
-    docstring).
-    """
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    out = None
-    for _, s, m in _matrices([(potential, x_from, x_to)], k):
-        if s == slice(None):  # the direct product, whole
-            return tuple(m)
-        if out is None:
-            out = np.empty((4, k.size))
-        out[:, s] = m
-    return tuple(out)
-
-
-def sweep_legs(legs, k: np.ndarray):
-    """Propagate each leg (potential, x_from, x_to, y, dy) from x_from to
-    x_to on the grid k, where y and dy broadcast against k.
-
-    Returns the endpoint pairs as two complex [nk, legs] arrays (val, der),
-    one column per leg.  Every leg's matrix takes the call's one node set
-    (module docstring), and each block of it is applied to the leg's start
-    pair as it comes, so no [4 legs, nk] array is held.
-    """
-    k = np.atleast_1d(np.asarray(k, dtype=float))
     starts = [tuple(np.broadcast_to(np.asarray(a, dtype=complex), k.shape)
                     for a in leg[3:]) for leg in legs]
-    blocks = _matrices([leg[:3] for leg in legs], k)
     val = np.empty((k.size, len(legs)), dtype=complex)
     der = np.empty_like(val)
-    for j, s, (m11, m12, m21, m22) in blocks:
-        y, dy = (a[s] for a in starts[j])
-        val[s, j] = m11 * y + m12 * dy
-        der[s, j] = m21 * y + m22 * dy
+    for j, (r, (y, dy)) in enumerate(zip(runs, starts)):
+        if j not in interp:  # an empty span is the identity
+            m11, m12, m21, m22 = _EYE if r is None else _cell_product(k, *r)
+            val[:, j] = m11 * y + m12 * dy
+            der[:, j] = m21 * y + m22 * dy
+    if interp:
+        for s, e in _barycentric(k, nodes, weights, F):
+            for i, j in enumerate(interp):
+                m11, m12, m21, m22 = e[4 * i:4 * i + 4]
+                y, dy = (a[s] for a in starts[j])
+                val[s, j] = m11 * y + m12 * dy
+                der[s, j] = m21 * y + m22 * dy
     return val, der
 
 

@@ -33,14 +33,16 @@ u_j is the solution with u_j(tau_j) = 1, u_j'(tau_j) = h_j, which satisfies
 the terminal condition y'(tau) = h y(tau).  It is propagated from the
 terminal end back to the node in the branch's own coordinate, so its node
 data (u_j(0), u_j'(0)) enter the equation with no sign change.  The tests
-check it against the same call on ``jost.rk45_sweep``, the uniform closed
+check it against the same leg on ``jost.rk45_sweep``, the uniform closed
 form and the finite-difference oracle.
 
-Every branch's node pair comes from one ``propagate.sweep_legs`` call per
-solve, one leg per branch: f_j as the plane wave (e^{ikX}, ik e^{ikX})
-at X = ``V.truncation`` swept back to 0, as ``jost.jost_batch`` sweeps it,
-and u_j from its terminal end.  The legs share one Chebyshev node set and
-one barycentric pass over the grid (``propagate`` module docstring).
+``branch_leg`` gives each branch's leg, the start pair at its far end and
+the span back to the node: (V, tau, 0, 1, h) on a finite branch, and on
+an infinite one ``jost.jost_leg``, the plane wave (e^{ikX}, ik e^{ikX})
+at X = ``V.truncation``.  Every branch's node pair comes from one
+``propagate.sweep_legs`` call per solve, one leg per branch, so the legs
+share one Chebyshev node set and one barycentric pass over the grid
+(``propagate`` module docstring).
 
 A StarNetwork holds LineProfiles in a tuple ordered infinite first, so the
 columns 0..m-1 of every per-branch array are the infinite branches, and
@@ -56,7 +58,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import propagate
+from . import jost, propagate
 from .errors import DomainError, ProfileValidityError, ResonanceError
 from .line_model import LineProfile
 
@@ -154,22 +156,21 @@ class ScatteringSweep:
         return self.k.size
 
 
+def branch_leg(b: LineProfile, k: np.ndarray):
+    """Branch b's leg (potential, x_from, x_to, y, dy) over k, which
+    ``propagate.sweep_legs`` and ``jost.rk45_sweep`` carry to the node
+    pair (y(0), y'(0)): on a finite branch u_j with u_j(tau) = 1 and
+    u_j'(tau) = h, on an infinite one f_j from ``jost.jost_leg``."""
+    if b.is_finite:
+        return b.potential, b.tau, 0.0, 1.0, b.h
+    return jost.jost_leg(b.potential, k)
+
+
 def _branch_data(net: StarNetwork, k: np.ndarray):
     """Node pairs (val, der) = (y(0), y'(0)) over k, two [nk, N] arrays with
-    one column per branch, from one ``propagate.sweep_legs`` call: f_j on
-    infinite branches, the plane wave at X = ``V.truncation`` swept back to
-    0 as ``jost.jost_batch`` sweeps it, and on finite ones the solution u_j
-    with u_j(tau) = 1, u_j'(tau) = h."""
-    legs = []
-    ik = 1j * k
-    for b in net.branches:
-        if b.is_finite:
-            legs.append((b.potential, b.tau, 0.0, 1.0, b.h))
-        else:
-            X = b.potential.truncation
-            eikX = np.exp(ik * X)
-            legs.append((b.potential, X, 0.0, eikX, ik * eikX))
-    return propagate.sweep_legs(legs, k)
+    one column per branch: every ``branch_leg`` in one
+    ``propagate.sweep_legs`` call."""
+    return propagate.sweep_legs([branch_leg(b, k) for b in net.branches], k)
 
 
 def solve_scattering_batch(net: StarNetwork, k) -> ScatteringSweep:

@@ -114,6 +114,14 @@ def jost_ab(V, k, engine=propagate.sweep):
     return a, b
 
 
+def run_leg(engine, leg, k):
+    """A leg (potential, x_from, x_to, y, dy), as ``scattering.branch_leg``
+    gives it, on ``propagate.sweep`` or its RK45 twin ``jost.rk45_sweep``,
+    which take k fourth."""
+    potential, x_from, x_to, y, dy = leg
+    return engine(potential, x_from, x_to, k, y, dy)
+
+
 def smooth_demo_star(workdir):
     """The demo star from 161-row sin^2 tables: two infinite branches and
     stubs of tau 1 and 1.7, as in the benchmark's smooth-sweep."""

@@ -62,10 +62,13 @@ def jost_via_volterra(V: PotentialFn, k: float, n_grid: int = 4000):
     return x, f, ftilde
 
 
-def fundamental_profile(V: PotentialFn, tau: float, h: float, k, xs):
-    """omega and omega' sampled on ascending xs in [0, tau], two
-    [len(xs), nk] arrays."""
-    return rk45_sweep(V, 0.0, tau, k, 1.0, h, xs)
+def fundamental_profile(V: PotentialFn, h: float, k, xs):
+    """omega and omega' (omega(0) = 1, omega'(0) = h) sampled on xs, two
+    [len(xs), nk] arrays, each row one ``rk45_sweep`` call from 0 to its
+    x."""
+    rows = [rk45_sweep(V, 0.0, x, k, 1.0, h)
+            for x in np.asarray(xs, dtype=float).tolist()]
+    return tuple(np.array([r[i] for r in rows]) for i in (0, 1))
 
 
 def kernel_at(K: KernelTable, x, t):

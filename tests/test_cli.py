@@ -831,6 +831,19 @@ def huge_grid_argv(key, spec, z_end=1e20, lc=1.0):
     return argv
 
 
+def direct_line_argv(x0, x1, **direct):
+    """validate on a uniform line and an infinite ``direct`` line whose
+    V.csv is a sin^2 table on [x0, x1]."""
+    def argv(tmp_path):
+        x = np.linspace(x0, x1, 41)
+        np.savetxt(tmp_path / "V.csv", np.column_stack(
+            [x, 0.5 * np.sin(np.pi * (x - x0) / (x1 - x0)) ** 2]),
+            delimiter=",", header="x,V", comments="", fmt="%.17g")
+        return validate_argv(uniform_branch(), {"kind": "infinite", "direct": {
+            "potential_table_path": "V.csv", **direct}})(tmp_path)
+    return argv
+
+
 def out_of_memory(message):
     def raise_it(*args, **kwargs):
         raise MemoryError(message)
@@ -875,6 +888,11 @@ EXTREME_INPUTS = {
         "family": "sampled_table", "inductance_table_path": "L.csv",
         "capacitance_table_path": "C.csv"}, z_end=1e308, lc=100.0), None, 2,
         "'branches[1]': travel time x(z) on [0, 1e+308] is not finite"),
+    "direct-support-end-negative": (direct_line_argv(
+        0.0, 0.8, support_end=-1.0), None, 2,
+        "'branches[1]': support_end must be >= 0, got -1.0"),
+    "direct-table-wholly-below-0": (direct_line_argv(-1.0, -0.2), None, 2,
+                                    "'branches[1]': support_end must be >= 0"),
     "memory-error": (grid_argv("60", "61", "0.5"), out_of_memory(
         "Unable to allocate 22.6 PiB"), 3, "solver error: Unable to"),
     "bare-memory-error": (grid_argv("60", "61", "0.5"), out_of_memory(""),

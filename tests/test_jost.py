@@ -15,8 +15,8 @@ from scipy import integrate
 
 from starscatter import jost, propagate
 from starscatter.errors import AccuracyError, SingularFrequencyError
-from starscatter.jost import jost_at_origin, jost_batch, jost_profile, \
-    jost_tilde_profile, rk45_sweep
+from starscatter.jost import jost_at_origin, jost_batch, jost_leg, \
+    jost_profile, rk45_sweep
 from starscatter.line_model import LineProfile, PotentialFn
 
 from conftest import jost_ab, sin2_bump, smooth_demo_star, square_well
@@ -45,6 +45,13 @@ def well_oracle(v0, w, k):
 
 
 WELL = make_potential(square_well(1.0, 1.0), 1.0)
+
+
+def tilde_profile(V, k, xs):
+    """ftilde and ftilde' (ftilde(0) = 1, ftilde'(0) = -ik) sampled on xs,
+    each by one ``rk45_sweep`` call from 0 to its x."""
+    ft, dft = zip(*(rk45_sweep(V, 0.0, x, k, 1.0, -1j * k) for x in xs))
+    return np.concatenate(ft), np.concatenate(dft)
 
 
 def rk45_data(V, k):
@@ -140,7 +147,7 @@ class TestJostProfileBounds:
         V = make_potential(lambda x: np.zeros_like(np.asarray(x, float)), 0.0)
         k, xs = 17.3, np.linspace(0.0, 0.5, 10)
         f, df = jost_profile(V, k, xs)
-        ft, dft = jost_tilde_profile(V, k, xs)
+        ft, dft = tilde_profile(V, k, xs)
         e = np.exp(1j * k * xs)
         np.testing.assert_allclose(f, e, rtol=1e-15)
         np.testing.assert_allclose(df, 1j * k * e, rtol=1e-15)
@@ -151,7 +158,7 @@ class TestJostProfileBounds:
         k = 17.3
         xs = np.linspace(0.0, 1.0, 10)
         f, df = jost_profile(WELL, k, xs)
-        ft, dft = jost_tilde_profile(WELL, k, xs)
+        ft, dft = tilde_profile(WELL, k, xs)
         w = f * dft - df * ft
         assert np.max(np.abs(w - w[0])) / abs(w[0]) < 1e-8
 
@@ -209,7 +216,6 @@ class TestVolterraReference:
         x, f, ftilde = jost_via_volterra(WELL, k, n_grid=6000)
         (f0,), _ = jost_at_origin(WELL, k)
         assert abs(f[0] - f0) < 1e-5
-        ft, _ = jost_tilde_profile(WELL, k, x[[0, -1]])
         assert abs(ftilde[0] - 1.0) < 1e-12
         f0o, _, _, _ = well_oracle(1.0, 1.0, k)
         assert abs(f[0] - f0o) < 1e-5
@@ -297,25 +303,24 @@ class TestRK45Sweep:
                              propagate.sweep(V, *span, ks, y, dy), ks,
                              span[1] - span[0])
         for x_from in (0.0, 1.7):
-            rows = rk45_sweep(V, x_from, 1.7 - x_from, ks, y, dy, xs)
-            for i, x in enumerate(xs):
-                assert_free_pair([r[i] for r in rows],
+            for x in xs:
+                assert_free_pair(rk45_sweep(V, x_from, x, ks, y, dy),
                                  propagate.sweep(V, x_from, x, ks, y, dy),
                                  ks, x - x_from)
 
     def test_profile_rows_match_endpoint_calls(self):
-        ks = np.array([3.0, 11.0])
-        xs = np.linspace(0.0, 1.0, 5)
-        for x_from, x_to in ((0.0, 1.0), (1.0, 0.0)):
-            y, dy = rk45_sweep(WELL, x_from, x_to, ks, 1.0, 0.5, xs)
-            assert y.shape == dy.shape == (xs.size, ks.size)
-            (y_end, dy_end) = rk45_sweep(WELL, x_from, x_to, ks, 1.0, 0.5)
-            i = -1 if x_to else 0
-            assert np.all(np.abs(y[i] - y_end) < 1e-12)
-            assert np.all(np.abs(dy[i] - dy_end) < 1e-12 * ks)
-            j = 0 if x_to else -1
-            np.testing.assert_array_equal(y[j], 1.0)
-            np.testing.assert_array_equal(dy[j], 0.5)
+        # jost_profile's row at x is rk45_sweep on jost_leg's start, to x;
+        # at X it is the start itself
+        k = 11.0
+        X = WELL.truncation
+        xs = np.r_[np.linspace(0.0, 1.0, 5), X]
+        f, df = jost_profile(WELL, k, xs)
+        assert f.shape == df.shape == (xs.size,)
+        V, x_from, _, y, dy = jost_leg(WELL, np.array([k]))
+        for i, x in enumerate(xs):
+            (y_x,), (dy_x,) = rk45_sweep(V, x_from, x, k, y, dy)
+            assert (f[i], df[i]) == (y_x, dy_x)
+        assert (f[-1], df[-1]) == (y[0], dy[0])
 
 
 class TestDormandPrince:

@@ -119,6 +119,18 @@ def test_non_positive_length_rejected(length):
         LineProfile.exponential_taper(0.3, length)
 
 
+@pytest.mark.parametrize("support_end", [-1.0, -1e-300])
+@pytest.mark.parametrize("tau", [None, 1.0])
+def test_negative_support_end_rejected(support_end, tau):
+    # V is 0 past support_end, so a negative one would drop V silently
+    message = re.escape(f"support_end must be >= 0, got {support_end}")
+    with pytest.raises(ProfileValidityError, match=message):
+        LineProfile.direct(sin2_table_potential(), support_end, tau=tau)
+    # support_end = 0 states V = 0 on purpose
+    V = LineProfile.direct(sin2_table_potential(), 0.0, tau=tau).potential
+    assert (V.support_end, V.l1_norm) == (0.0, 0.0)
+
+
 class TestTravelTime:
     def test_uniform(self):
         assert travel_time(LineProfile.uniform(1.0, 1.0, 1.5)) == \

@@ -34,6 +34,9 @@ def test_no_unused_imports():
     modules = [p for p in sorted((ROOT / "src" / "starscatter").glob("*.py"))
                if p.name != "__init__.py"]
     modules += sorted((ROOT / "tests").glob("*.py"))
+    # perfbench/ is left out: its setup probe imports scipy unread on
+    # purpose
+    modules += sorted((ROOT / "scripts").glob("*.py"))
     unused = {p.relative_to(ROOT).as_posix(): names for p in modules
               if (names := unused_imports(p))}
     assert not unused

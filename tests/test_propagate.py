@@ -4,7 +4,8 @@ cell product, Chebyshev-node interpolation, closed forms, cost.
 The reference for the merged kernel is a plain per-cell product written
 here with complex square roots, so it shares no code with the kernel.  The
 reference for the Chebyshev-node interpolant is the kernel's own direct
-product on the full grid.
+product on the full grid.  The kernel's one entry is
+``propagate.sweep_legs``; ``matrix`` reads the full matrix off it.
 """
 import math
 import tracemalloc
@@ -16,8 +17,8 @@ from starscatter import config, jost, propagate, scattering
 from starscatter.errors import DomainError
 from starscatter.line_model import LineProfile
 
-from conftest import direct_network, jost_ab, sin2_bump, smooth_demo_star, \
-    write_sin2_table
+from conftest import direct_network, jost_ab, run_leg, sin2_bump, \
+    smooth_demo_star, write_sin2_table
 
 KS = np.linspace(60.0, 160.0, 11)
 FINE = 60.0 + 0.005 * np.arange(20001)  # the benchmark's grid
@@ -40,8 +41,19 @@ def barrier_bump(x):
         inside, 4000.0 * np.sin(np.pi * (x - 1.6) / 0.07) ** 2, 0.0)
 
 
+def matrix(potential, x_from, x_to, k):
+    """The transfer matrix (m11, m12, m21, m22) from x_from to x_to: one
+    ``sweep_legs`` call on the unit starts (1, 0) and (0, 1), whose
+    endpoint pairs are the matrix's columns.  It runs two legs, so
+    call-count and memory tests use the one-leg ``sweep`` instead."""
+    (m11, m12), (m21, m22) = (a.T.real for a in propagate.sweep_legs(
+        [(potential, x_from, x_to, 1.0, 0.0),
+         (potential, x_from, x_to, 0.0, 1.0)], k))
+    return m11, m12, m21, m22
+
+
 def run_count(potential, x_from, x_to, k):
-    """Merged constant-V runs of transfer_matrix's partition."""
+    """Merged constant-V runs of the kernel's partition."""
     n = propagate.step_count(abs(x_to - x_from), float(np.max(k)))
     dx = (x_to - x_from) / n
     v = potential(x_from + (np.arange(n) + 0.5) * dx)
@@ -77,7 +89,7 @@ def rel_err(got, want):
 
 @pytest.mark.parametrize("x_from, x_to", [(0.0, 2.0), (2.0, 0.0)])
 def test_merged_kernel_matches_per_cell_product(x_from, x_to):
-    got = as_array(propagate.transfer_matrix(plateau_bump, x_from, x_to, KS))
+    got = as_array(matrix(plateau_bump, x_from, x_to, KS))
     want = naive_matrix(plateau_bump, x_from, x_to, KS)
     for i in range(2):
         for j in range(2):
@@ -91,7 +103,7 @@ def test_pairwise_product_through_a_barrier(x_from, x_to, block,
     # 295 runs: every block size leaves a last block with odd levels
     if block is not None:
         monkeypatch.setattr(propagate, "BLOCK", block)
-    got = as_array(propagate.transfer_matrix(barrier_bump, x_from, x_to, KS))
+    got = as_array(matrix(barrier_bump, x_from, x_to, KS))
     want = naive_matrix(barrier_bump, x_from, x_to, KS)
     for i in range(2):
         for j in range(2):
@@ -101,8 +113,8 @@ def test_pairwise_product_through_a_barrier(x_from, x_to, block,
 
 
 def test_backward_matrix_inverts_forward():
-    fwd = as_array(propagate.transfer_matrix(plateau_bump, 0.0, 2.0, KS))
-    bwd = as_array(propagate.transfer_matrix(plateau_bump, 2.0, 0.0, KS))
+    fwd = as_array(matrix(plateau_bump, 0.0, 2.0, KS))
+    bwd = as_array(matrix(plateau_bump, 2.0, 0.0, KS))
     prod = bwd @ fwd
     scale = np.max(np.abs(fwd), axis=(-2, -1)) ** 2
     assert np.max(np.abs(prod - np.eye(2)) / scale[:, None, None]) < 1e-12
@@ -154,8 +166,9 @@ def test_free_line_is_one_cell_at_any_k(monkeypatch):
     V = LineProfile.uniform(1.0, 1.0, length=1.7).potential
     k = np.array([1e25])
     calls = count_step_factors(monkeypatch)
-    m11, m12, m21, m22 = propagate.transfer_matrix(V, 0.0, 1.7, k)
+    propagate.sweep(V, 0.0, 1.7, k, 1.0, 0.0)
     assert calls == [1]
+    m11, m12, m21, m22 = matrix(V, 0.0, 1.7, k)
     assert abs(m11[0] * m22[0] - m12[0] * m21[0] - 1.0) < 1e-12
 
 
@@ -163,7 +176,7 @@ def test_partition_past_array_size_raises():
     # raised before any array of the partition is allocated
     V = LineProfile.direct(sin2_bump(0.5, 0.8), 0.8).potential
     with pytest.raises(DomainError, match="more than an array can hold"):
-        propagate.transfer_matrix(V, 0.0, 0.8, np.array([1e25]))
+        propagate.sweep(V, 0.0, 0.8, np.array([1e25]), 1.0, 0.0)
 
 
 @pytest.fixture
@@ -210,11 +223,11 @@ def test_jost_batch_matches_two_sweeps():
 
 
 def direct_matrix(monkeypatch, potential, x_from, x_to, k):
-    """transfer_matrix with more Chebyshev nodes than any grid has points,
-    so it takes the direct cell product at every k."""
+    """``matrix`` with more Chebyshev nodes than any grid has points, so it
+    takes the direct cell product at every k."""
     with monkeypatch.context() as mp:
         mp.setattr(propagate, "NODE_MARGIN", 10 ** 9)
-        return propagate.transfer_matrix(potential, x_from, x_to, k)
+        return matrix(potential, x_from, x_to, k)
 
 
 def test_interpolated_matches_direct(table_stub, monkeypatch):
@@ -222,8 +235,9 @@ def test_interpolated_matches_direct(table_stub, monkeypatch):
             (plateau_bump, 0.0, 2.0), (plateau_bump, 2.0, 0.0),
             (table_stub, 0.0, 1.0), (table_stub, 1.0, 0.0)]:
         want = direct_matrix(monkeypatch, potential, x_from, x_to, FINE)
+        got = matrix(potential, x_from, x_to, FINE)
         calls = count_step_factors(monkeypatch)
-        got = propagate.transfer_matrix(potential, x_from, x_to, FINE)
+        propagate.sweep(potential, x_from, x_to, FINE, 1.0, 0.0)
         monkeypatch.undo()
         # the cells were multiplied out on the nodes and the checks only
         n = (math.ceil(abs(x_to - x_from) * (FINE[-1] - FINE[0]) / 2)
@@ -241,7 +255,7 @@ def test_grid_containing_the_nodes(monkeypatch):
     n = math.ceil(length * (k_max - k_min) / 2) + propagate.NODE_MARGIN
     nodes, _ = propagate._chebyshev_nodes(k_min, k_max, n)
     k = np.union1d(FINE, nodes)
-    got = propagate.transfer_matrix(plateau_bump, 0.0, length, k)
+    got = matrix(plateau_bump, 0.0, length, k)
     want = direct_matrix(monkeypatch, plateau_bump, 0.0, length, k)
     for g, w in zip(got, want):
         assert np.all(np.isfinite(g))
@@ -251,7 +265,7 @@ def test_grid_containing_the_nodes(monkeypatch):
 def test_short_grid_takes_the_direct_product(monkeypatch):
     # n + 1 = 161 nodes on [60, 160] for length 2: 161 points stay direct
     k = np.linspace(60.0, 160.0, 161)
-    got = propagate.transfer_matrix(plateau_bump, 0.0, 2.0, k)
+    got = matrix(plateau_bump, 0.0, 2.0, k)
     want = direct_matrix(monkeypatch, plateau_bump, 0.0, 2.0, k)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
@@ -259,23 +273,24 @@ def test_short_grid_takes_the_direct_product(monkeypatch):
 
 def test_interpolation_memory_is_linear_in_the_grid():
     # any n_k x nodes array (3.2e6 doubles here) would blow this bound
-    propagate.transfer_matrix(plateau_bump, 0.0, 2.0, FINE)
+    propagate.sweep(plateau_bump, 0.0, 2.0, FINE, 1.0, 0.0)
     tracemalloc.start()
     try:
-        propagate.transfer_matrix(plateau_bump, 0.0, 2.0, FINE)
+        propagate.sweep(plateau_bump, 0.0, 2.0, FINE, 1.0, 0.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 20 * FINE.size * 8
 
 
-def test_direct_product_memory_is_linear_in_the_grid(monkeypatch):
+def test_direct_product_memory_is_linear_in_the_grid():
     # 258 runs on 20 001 k: blocks of cells, never all the cells at once
-    assert run_count(plateau_bump, 0.0, 2.0, FINE) > 200
-    direct_matrix(monkeypatch, plateau_bump, 0.0, 2.0, FINE)
+    runs = propagate._runs(plateau_bump, 0.0, 2.0, float(FINE[-1]))
+    assert runs[0].size == run_count(plateau_bump, 0.0, 2.0, FINE) > 200
+    propagate._cell_product(FINE, *runs)
     tracemalloc.start()
     try:
-        direct_matrix(monkeypatch, plateau_bump, 0.0, 2.0, FINE)
+        propagate._cell_product(FINE, *runs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -323,14 +338,12 @@ def test_star_columns_match_the_per_leg_direct_product(tmp_path,
     with monkeypatch.context() as mp:
         mp.setattr(propagate, "NODE_MARGIN", 10 ** 9)
         for j, b in enumerate(net.branches):
-            want_val, want_der = (
-                propagate.sweep(b.potential, b.tau, 0.0, FINE, 1.0, b.h)
-                if b.is_finite else jost.jost_batch(b.potential, FINE))
+            want_val, want_der = run_leg(propagate.sweep,
+                                         scattering.branch_leg(b, FINE), FINE)
             assert rel_err(val[:, j], want_val) <= 1e-12
             assert rel_err(der[:, j], want_der) <= 1e-12
     # det M = 1 on every path, from the unit start pairs in one pass
-    paths = [(b.potential, b.tau if b.is_finite else b.potential.truncation,
-              0.0) for b in net.branches]
+    paths = [scattering.branch_leg(b, FINE)[:3] for b in net.branches]
     (m11, m21), (m12, m22) = (
         propagate.sweep_legs([p + starts for p in paths], FINE)
         for starts in ((1.0, 0.0), (0.0, 1.0)))
@@ -356,10 +369,8 @@ def test_mixed_star_columns_match_one_leg_calls(table_stub, monkeypatch):
     cells = count_full_grid(monkeypatch, "_cell_product", FINE)
     val, der = propagate.sweep_legs(legs, FINE)
     assert cells == ["_cell_product"] * 2  # the free and the barrier leg
-    for j, (potential, x_from, x_to, y, dy) in enumerate(legs):
-        m11, m12, m21, m22 = propagate.transfer_matrix(potential, x_from,
-                                                       x_to, FINE)
-        want_val, want_der = m11 * y + m12 * dy, m21 * y + m22 * dy
+    for j, leg in enumerate(legs):
+        want_val, want_der = run_leg(propagate.sweep, leg, FINE)
         if j in (0, 3):  # the direct product, on its own
             assert np.array_equal(val[:, j], want_val)
             assert np.array_equal(der[:, j], want_der)

@@ -14,19 +14,15 @@ from starscatter.scattering import ScatteringSweep, StarNetwork, \
     reflectogram, solve_scattering, solve_scattering_batch
 
 from conftest import closed_form_r1, direct_network, fake_singular_stub, \
-    jost_ab, random_smooth_network, sin2_bump, smooth_demo_star, \
+    jost_ab, random_smooth_network, run_leg, sin2_bump, smooth_demo_star, \
     uniform_network
 from references import assemble_field, fundamental_profile
 
 
 def adaptive_branch_data(net, k):
     """``scattering._branch_data`` on the RK45 references: the same node
-    pairs (val, der) over k, one call per branch, with ``jost.rk45_sweep``
-    in place of ``propagate.sweep`` and ``jost_at_origin`` in place of
-    ``jost_batch``."""
-    val, der = zip(*(jost.rk45_sweep(b.potential, b.tau, 0.0, k, 1.0, b.h)
-                     if b.is_finite else
-                     jost.jost_at_origin(b.potential, k)
+    pairs (val, der) over k, each ``branch_leg`` on ``jost.rk45_sweep``."""
+    val, der = zip(*(run_leg(jost.rk45_sweep, scattering.branch_leg(b, k), k)
                      for b in net.branches))
     return np.stack(val, axis=1), np.stack(der, axis=1)
 
@@ -123,8 +119,8 @@ class TestInvariants:
         V = LineProfile.direct(sin2_bump(0.8, 1.0), 1.0, tau=1.3,
                                h=0.2).potential
         xs = np.linspace(0.0, 1.3, 10)
-        y1, dy1 = fundamental_profile(V, 1.3, 0.2, 11.0, xs)
-        y2, dy2 = fundamental_profile(V, 1.3, 1.7, 11.0, xs)
+        y1, dy1 = fundamental_profile(V, 0.2, 11.0, xs)
+        y2, dy2 = fundamental_profile(V, 1.7, 11.0, xs)
         w = y1 * dy2 - dy1 * y2
         assert np.max(np.abs(w - w[0])) / abs(w[0]) < 1e-8
 
@@ -460,3 +456,60 @@ def test_interpolated_sweep_matches_direct(tmp_path, monkeypatch):
     assert np.max(np.abs(got.R1 - want.R1)) <= 1e-11
     flux = np.abs(got.R1) ** 2 + np.sum(np.abs(got.T) ** 2, axis=1)
     assert np.max(np.abs(flux - 1.0)) <= 1e-8
+
+
+# One leg per branch: every route to a branch's node pair runs the leg
+# that ``branch_leg`` gives.
+
+CHECK_KS = np.array([10.0, 17.3, 29.0])  # validate's check frequencies
+
+
+def star_with_free_line(tmp_path):
+    """The smooth demo star and one V = 0 infinite line."""
+    branches = smooth_demo_star(tmp_path).branches
+    return StarNetwork([*branches, LineProfile.uniform(1.0, 1.0)])
+
+
+def test_branch_leg_starts(tmp_path):
+    net = star_with_free_line(tmp_path)
+    for b in net.branches:
+        V, x_from, x_to, y, dy = scattering.branch_leg(b, CHECK_KS)
+        assert (V, x_to) == (b.potential, 0.0)
+        if b.is_finite:
+            assert (x_from, y, dy) == (b.tau, 1.0, b.h)
+        else:
+            # the plane wave f is past X = V.truncation; X = 0 on V = 0
+            assert x_from == V.truncation
+            np.testing.assert_allclose(y, np.exp(1j * CHECK_KS * x_from),
+                                       rtol=1e-15)
+            np.testing.assert_allclose(dy, 1j * CHECK_KS * y, rtol=1e-15)
+    assert net.branches[net.m - 1].potential.truncation == 0.0
+
+
+@pytest.mark.parametrize("k", [CHECK_KS, 60.0 + 0.005 * np.arange(20001)],
+                         ids=["check", "benchmark"])
+def test_jost_batch_is_the_branch_leg_on_sweep(tmp_path, k):
+    for b in star_with_free_line(tmp_path).infinite_branches:
+        got = jost.jost_batch(b.potential, k)
+        want = run_leg(propagate.sweep, scattering.branch_leg(b, k), k)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_jost_at_origin_is_the_branch_leg_on_rk45(tmp_path):
+    for b in star_with_free_line(tmp_path).infinite_branches:
+        got = jost.jost_at_origin(b.potential, CHECK_KS)
+        want = run_leg(jost.rk45_sweep, scattering.branch_leg(b, CHECK_KS),
+                       CHECK_KS)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_branch_data_columns_are_one_leg_sweeps(tmp_path):
+    # on a short grid every leg takes the direct product, alone or in the
+    # star's call, so the columns agree bit for bit
+    net = star_with_free_line(tmp_path)
+    val, der = scattering._branch_data(net, CHECK_KS)
+    for j, b in enumerate(net.branches):
+        y, dy = run_leg(propagate.sweep, scattering.branch_leg(b, CHECK_KS),
+                        CHECK_KS)
+        assert np.array_equal(val[:, j], y)
+        assert np.array_equal(der[:, j], dy)
