@@ -25,12 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.integrate import cumulative_trapezoid, simpson
-from scipy.interpolate import CubicSpline
 
 from .errors import DivergenceError
 from .jost import rk45_sweep
-from .line_model import PotentialFn
+from .line_model import CubicSpline, PotentialFn, cumulative_trapezoid, \
+    simpson
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +82,7 @@ def solve_kernel(V: PotentialFn, tau: float) -> KernelTable:
                            np.zeros((n + 1, n + 1)))
     hstep = tau / n
     v_line = np.asarray(V(xi), dtype=float)
-    source = 0.5 * cumulative_trapezoid(v_line, xi, initial=0.0)
+    source = 0.5 * cumulative_trapezoid(v_line, xi)
     # sample V at beta-cell midpoints: the zero extension of V jumps exactly
     # on grid nodes, and midpoint sampling keeps the quadrature second order
     # across that jump instead of degrading to first order.  V(xi_i + mid_j)
@@ -150,5 +149,5 @@ def fundamental_via_kernel(K: KernelTable, h: float, k) -> np.ndarray:
     for i, q in enumerate(k.tolist()):
         # an odd point count, as Simpson's rule wants
         t = np.linspace(-tau, tau, max(4001, int(40.0 * abs(q) * tau) + 1) | 1)
-        out[i] += simpson(spline(t) * _cos_term(q, t, h), x=t)
+        out[i] += simpson(spline(t) * _cos_term(q, t, h), t)
     return out

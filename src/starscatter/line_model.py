@@ -11,7 +11,10 @@ Each ``LineProfile`` constructor builds its branch once, as one record: the
 potential V, the node data and the map x(z), fitting a sampled table's
 splines once for all three.  ||V||_L1, the truncation point and a sampled
 table's V spline are all taken on a uniform x-grid of spacing GRID_STEP,
-which is refused before it is allocated if an array cannot hold it.
+which is refused before it is allocated if an array cannot hold it.  The
+cubic spline and the two quadratures (``CubicSpline``,
+``cumulative_trapezoid``, ``simpson``) are numpy ports of scipy's, which
+the package does not import.
 """
 from __future__ import annotations
 
@@ -22,8 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, ProfileValidityError, ResolutionError
 from .propagate import MAX_CELLS
@@ -142,8 +143,9 @@ class LineProfile:
             raise ProfileValidityError("encountered non-positive L or C sample")
         z = z - z[0]
         try:
-            # near the float limit the spline fit of sqrt(L C) (scipy's
-            # ValueError on non-finite slopes) or x itself overflows
+            # near the float limit the spline fit of sqrt(L C) (a
+            # ValueError on non-finite values or slopes) or x itself
+            # overflows
             with np.errstate(over="ignore", invalid="ignore"):
                 x_of_z = _x_of_z(z, L, C)
                 x_samples = x_of_z(z)
@@ -186,7 +188,9 @@ class LineProfile:
         The profile lives in the Liouville coordinate already (z == x).
         Finite branches must give ``tau`` and ``h``; infinite ones must not.
         V is 0 past ``support_end``, so ``support_end = 0`` states V = 0,
-        and a negative one, which would drop V without a word, is refused.
+        and a negative one, which would drop V without a word, is refused,
+        as is a table that meets [0, support_end > 0] in at most a point or
+        lies wholly at x <= 0.
         """
         _require_finite(support_end=support_end, A0=A0, A0prime=A0prime)
         if support_end < 0:
@@ -201,6 +205,13 @@ class LineProfile:
         fn, lo, hi = potential, 0.0, support_end
         if isinstance(fn, TablePotential):
             fn, lo, hi = fn.spline, max(lo, fn.x0), min(hi, fn.x_end)
+            # V would be 0; support_end = 0 says so on purpose only of a
+            # table that reaches past the node
+            if hi <= lo and (support_end > 0 or potential.x_end <= 0):
+                raise ProfileValidityError(
+                    f"potential table on [{potential.x0:.6g}, "
+                    f"{potential.x_end:.6g}] meets [0, {support_end:.6g}] "
+                    f"in at most one point, so V would be 0")
         return cls(_build_potential(_clipped(fn, lo, hi), support_end),
                    lambda z: z, math.inf if tau is None else tau, float(A0),
                    float(A0prime), tau, h)
@@ -254,14 +265,25 @@ def _x_of_z(z, L, C) -> Callable[[np.ndarray], np.ndarray]:
     """x(z) of a sampled table whose z starts at 0: the antiderivative of a
     cubic spline of sqrt(L C), continued uniformly past the last row."""
     slowness = CubicSpline(z, np.sqrt(L * C))
-    # each cubic piece is smallest at a (positive) knot or where its slope is 0
-    crit = slowness.derivative().roots(extrapolate=False)
-    if np.any(slowness(crit[np.isfinite(crit)]) <= 0):
+    # each cubic piece is smallest at a (positive) knot or where its slope
+    # 3 c0 s^2 + 2 c1 s + c2 is 0: both zeros by the stable quadratic
+    # formula (NaN where there is none, c2 / q alone on a linear slope)
+    c0, c1, c2, _ = slowness.c
+    a, b = 3.0 * c0, 2.0 * c1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c2), b))
+        s = np.stack([q / a, c2 / q])
+    s = np.where((s >= 0.0) & (s <= np.diff(z)), s, 0.0)
+    if np.any(_poly_at(slowness.c[:, None], s) <= 0):
         raise ProfileValidityError(
             "interpolated slowness sqrt(L*C) became non-positive")
-    x_spline = slowness.antiderivative()
+    # the antiderivative's pieces, scipy's layout: c / (4, 3, 2, 1) above
+    # the value at each knot, each piece's integral summed from z = 0
+    prim = slowness.c / np.array([[4.0], [3.0], [2.0], [1.0]])
+    width = _poly_at(np.vstack([prim, np.zeros(z.size - 1)]), np.diff(z))
+    prim = np.vstack([prim, np.concatenate([[0.0], np.cumsum(width[:-1])])])
     z_end, s_end = z[-1], math.sqrt(L[-1] * C[-1])
-    return lambda zq: (x_spline(np.minimum(zq, z_end))
+    return lambda zq: (_ppoly_at(z, prim, np.minimum(zq, z_end))
                        + s_end * np.maximum(zq - z_end, 0.0))
 
 
@@ -280,11 +302,149 @@ def travel_time(profile: LineProfile) -> float:
     return profile.tau
 
 
+class CubicSpline:
+    """A cubic spline through (x, y), a float table on strictly increasing
+    x, with 'not-a-knot' (the default) or 'natural' ends and at least 4
+    rows: scipy's ``CubicSpline`` in numpy.
+
+    The knot slopes solve scipy's tridiagonal equations in Python floats,
+    by the elimination LAPACK's ``gtsv`` runs there, and ``c[:, i]`` holds
+    piece i's power coefficients in s = x - x[i], highest first, as scipy
+    lays them out; the spline is scipy's to the bit.  Non-finite rows or
+    slopes raise ValueError, as there.
+    """
+
+    def __init__(self, x, y, bc_type: str = "not-a-knot"):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if x.ndim != 1 or x.shape != y.shape or x.size < 4:
+            raise ValueError("a spline needs two 1-D tables of >= 4 rows")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise ValueError("spline rows must be finite")
+        dx = np.diff(x)
+        if np.any(dx <= 0):
+            raise ValueError("spline knots must be strictly increasing")
+        slope = np.diff(y) / dx
+        s = _knot_slopes(x, dx, y, slope, bc_type)
+        if not np.all(np.isfinite(s)):
+            raise ValueError("spline slopes must be finite")
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self.x = x
+        self.c = np.stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1],
+                           y[:-1]])
+
+    def __call__(self, x, nu: int = 0) -> np.ndarray:
+        """The spline's nu-th derivative (nu = 0, 1, 2) at x, past the
+        knots the end piece's polynomial."""
+        return _ppoly_at(self.x, self.c, x, nu)
+
+
+def _knot_slopes(x, dx, y, slope, bc_type) -> np.ndarray:
+    """The knot slopes of scipy's ``CubicSpline``: its tridiagonal rows,
+    sub-, main and super-diagonal dl, d, du and right side b, in Python
+    floats, solved as ``gtsv`` solves them."""
+    dl = dx[1:].tolist() + [0.0]
+    d = [0.0] + (2 * (dx[:-1] + dx[1:])).tolist() + [0.0]
+    du = [0.0] + dx[:-1].tolist()
+    b = [0.0] + (3 * (dx[1:] * slope[:-1]
+                      + dx[:-1] * slope[1:])).tolist() + [0.0]
+    x, dx, y, slope = x.tolist(), dx.tolist(), y.tolist(), slope.tolist()
+    if bc_type == "not-a-knot":
+        d[0], du[0] = dx[1], x[2] - x[0]
+        b[0] = ((dx[0] + 2 * du[0]) * dx[1] * slope[0]
+                + dx[0] * dx[0] * slope[1]) / du[0]
+        d[-1], dl[-1] = dx[-2], x[-1] - x[-3]
+        b[-1] = (dx[-1] * dx[-1] * slope[-2]
+                 + (2 * dl[-1] + dx[-1]) * dx[-2] * slope[-1]) / dl[-1]
+    elif bc_type == "natural":
+        d[0], du[0], b[0] = 2 * dx[0], dx[0], 3 * (y[1] - y[0])
+        d[-1], dl[-1], b[-1] = 2 * dx[-1], dx[-1], 3 * (y[-1] - y[-2])
+    else:
+        raise ValueError(f"bc_type={bc_type!r} is not supported")
+    # LAPACK gtsv's elimination with partial pivoting: a swap of rows i and
+    # i + 1 leaves a second super-diagonal entry in dl[i]
+    for i in range(len(d) - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            if d[i] == 0.0:
+                raise ValueError("singular spline system")
+            fact = dl[i] / d[i]
+            d[i + 1] -= fact * du[i]
+            b[i + 1] -= fact * b[i]
+            dl[i] = 0.0
+        else:
+            fact = d[i] / dl[i]
+            d[i], d[i + 1], du[i] = dl[i], du[i] - fact * d[i + 1], d[i + 1]
+            if i < len(d) - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    if d[-1] == 0.0:
+        raise ValueError("singular spline system")
+    b[-1] /= d[-1]
+    b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
+    for i in range(len(d) - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return np.array(b)
+
+
+def _poly_at(c, s, nu: int = 0):
+    """The nu-th derivative of the power sum with coefficients c (highest
+    first) at s, summed term by term from 0.0 and the lowest power up, in
+    the order of scipy's ``evaluate_poly1``."""
+    out = z = None
+    for p in range(nu, len(c)):  # the term of s^(p - nu)
+        term = c[-1 - p] if z is None else c[-1 - p] * z
+        if math.perm(p, nu) > 1:
+            term = term * float(math.perm(p, nu))
+        out = 0.0 + term if out is None else out + term
+        if p < len(c) - 1:
+            z = s if z is None else z * s
+    return out
+
+
+def _ppoly_at(knots, c, x, nu: int = 0) -> np.ndarray:
+    """The piecewise polynomial with pieces c[:, i] on [knots[i],
+    knots[i+1]) at x: the piece chosen as scipy's ``find_interval`` chooses
+    it (the last piece closed, the end pieces continued past the knots)."""
+    x = np.asarray(x, dtype=float)
+    i = np.clip(np.searchsorted(knots, x, side="right") - 1, 0,
+                knots.size - 2)
+    return _poly_at(c[:, i], x - knots[i], nu)
+
+
+def cumulative_trapezoid(y, x) -> np.ndarray:
+    """scipy's ``cumulative_trapezoid(y, x, initial=0)`` for 1-D y and x,
+    in its operation order."""
+    steps = np.diff(x) * (y[1:] + y[:-1]) / 2.0
+    return np.concatenate([[0.0], np.cumsum(steps)])
+
+
+def simpson(y, x) -> float:
+    """scipy's ``simpson(y, x=x)`` for 1-D y on strictly increasing x, in
+    its operation order: composite Simpson on pairs of intervals and, when
+    N is even, Cartwright's correction for the last interval."""
+    n = y.size
+    end = n - 2 if n % 2 else n - 3
+    h = np.diff(x)
+    h0, h1 = h[0:end:2], h[1:end + 1:2]
+    hsum, hprod, ratio = h0 + h1, h0 * h1, h0 / h1
+    result = np.sum(hsum / 6.0 * (y[0:end:2] * (2.0 - 1.0 / ratio)
+                                  + y[1:end + 1:2] * (hsum * (hsum / hprod))
+                                  + y[2:end + 2:2] * (2.0 - ratio)))
+    if n % 2 == 0:
+        h0, h1 = h[-2], h[-1]
+        alpha = (2 * h1 ** 2 + 3 * h0 * h1) / (6 * (h1 + h0))
+        beta = (h1 ** 2 + 3.0 * h0 * h1) / (6 * h0)
+        eta = (1 * h1 ** 3) / (6 * h0 * (h0 + h1))
+        result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return result
+
+
 def _spline_at(spline: CubicSpline) -> Callable[[float], float]:
     """spline(x) for a float x on its knots, in Python floats: the piece is
-    chosen as scipy's ``find_interval`` chooses it (x_i <= x < x_{i+1}, the
-    last piece closed) and its power sum runs in ``evaluate_poly1``'s order,
-    so the value is the array path's to the bit."""
+    chosen as ``_ppoly_at`` chooses it (x_i <= x < x_{i+1}, the last piece
+    closed) and its power sum runs in ``_poly_at``'s order, so the value is
+    the array path's to the bit."""
     knots = spline.x.tolist()
     last = len(knots) - 2
     # per piece (c0, c1, c2, 0 + c3): the sum starts from 0.0 + c3, as there
@@ -358,8 +518,8 @@ def _build_potential(evaluator, support_end) -> PotentialFn:
         return PotentialFn(zero, 0.0, 0.0, 0.0)
     xg = _grid(support_end)
     absv = np.abs(np.asarray(evaluator(xg), dtype=float))
-    cum = integrate.cumulative_trapezoid(absv, xg, initial=0.0)
-    l1 = float(integrate.simpson(absv, x=xg))
+    cum = cumulative_trapezoid(absv, xg)
+    l1 = float(simpson(absv, xg))
     # on compact support a finite L1 norm is a finite first moment too
     if not math.isfinite(l1):
         raise ProfileValidityError("L1 norm of |V| is not finite")

@@ -4,10 +4,13 @@ Deliberately independent of the scattering module: each branch carries a
 uniform grid, the Helmholtz-with-potential equation is discretized with a
 second-order central stencil, node and terminal conditions become discrete
 constraint rows, and infinite branches are closed with radiation rows.
-The branches meet only at the node, so the system is solved as one banded
-system per branch (``scipy.linalg.solve_banded``) for the branch's own
-source and its coupling to the node value y_0, after which value
-continuity and the node's derivative balance leave one scalar unknown.
+The branches meet only at the node.  On each branch the stencil rows are a
+three-term recurrence with real coefficients, so one solution that meets
+the far-end row (terminal or radiation) is swept back from the far end to
+the node, and scaled to y_0 = 1 it is the branch's coupling to the node
+value.  Branch 1's incoming wave is its conjugate, scaled, so it costs no
+second sweep.  Value continuity and the node's derivative balance then
+leave one scalar unknown.
 
 Two accuracy choices keep the comparison against the constructed solution
 honest at high k: the stencil uses the dispersion-corrected coefficient
@@ -24,7 +27,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_banded
 
 from .errors import DomainError, ResonanceError
 from .scattering import StarNetwork
@@ -56,6 +58,17 @@ def _one_sided_end(nN, dx):
     return idx, w
 
 
+def _sweep_back(c, y_prev, y_last) -> np.ndarray:
+    """y_0..y_n of the lattice recurrence y_{i-1} = -c_i y_i - y_{i+1}
+    (c = c_1..c_{n-1}), swept back from (y_{n-1}, y_n)."""
+    ys = [y_last, y_prev]
+    a, b = y_last, y_prev
+    for ci in reversed(c.tolist()):
+        a, b = b, -ci * b - a
+        ys.append(b)
+    return np.array(ys[::-1])
+
+
 def oracle_solve(net: StarNetwork, k: float, dx: float,
                  X_trunc: float) -> DiscreteGraphField:
     """Solve the truncated discrete graph problem at one frequency.
@@ -78,39 +91,41 @@ def oracle_solve(net: StarNetwork, k: float, dx: float,
                               f"small for the stencil")
         grids.append(np.linspace(0.0, L, n + 1))
 
-    # Per branch the unknowns y_1..y_n meet n rows: the interior stencils
-    # at x_1..x_{n-1} and the far-end row (terminal or radiation), a banded
-    # system with 3 sub- and 1 super-diagonal.  y_0 enters only the first
-    # stencil, so the branch solves for two right-hand sides, its source
-    # and that coupling, and y = z_a + y_0 z_c.
+    # Per branch the unknowns y_1..y_n meet n rows: the stencils at
+    # x_1..x_{n-1}, y_{i-1} + c_i y_i + y_{i+1} = 0, and the far-end row.
+    # u, swept back from a start that meets the far-end row, solves them
+    # with y_0 = u_0; zc = u / u_0 is the branch's coupling to y_0, and
+    # branch 1's incoming wave (its radiation row's source) enters as
+    # za = wave - wave_0 zc, so that the branch's field is y = za + y_0 zc.
     A, saap = net.A, net.saap
     parts = []
     for bi, (b, g) in enumerate(zip(net.branches, grids)):
         n = g.size - 1
         d = g[-1] / n
         K2 = 2.0 * (1.0 - math.cos(k * d)) / (d * d)
-        v_in = np.asarray(b.potential(g[1:n]), dtype=float)
-        ab = np.zeros((5, n), dtype=complex)  # ab[1 + i - j, j] = a[i, j]
-        ab[0, 1:] = ab[2, :n - 2] = 1.0 / d ** 2
-        ab[1, :n - 1] = -2.0 / d ** 2 + (K2 - v_in)
-        rhs = np.zeros((n, 2), dtype=complex)
-        rhs[0, 1] = -1.0 / d ** 2
-        if b.is_finite:  # y' = h y at the terminal, one-sided
-            _, w = _one_sided_end(n, d)
-            ab[1, n - 1], ab[2, n - 2] = w[0] - b.h, w[1]
-            ab[3, n - 3], ab[4, n - 4] = w[2], w[3]
+        c = -2.0 + d * d * (K2 - np.asarray(b.potential(g[1:n]),
+                                            dtype=float))
+        if b.is_finite:
+            # y' = h y at the terminal, one-sided on y_n..y_{n-3}: the
+            # stencils at x_{n-1} and x_{n-2} write y_{n-2} and y_{n-3} in
+            # y_{n-1} and y_n, and the row then fixes y_{n-1} : y_n
+            w0, w1, w2, w3 = _one_sided_end(n, d)[1].tolist()
+            c1, c2 = float(c[-1]), float(c[-2])
+            start = (b.h - w0 + w2 - w3 * c2,
+                     w1 - w2 * c1 + w3 * (c2 * c1 - 1.0))
         else:  # radiation closure, an exact lattice row
-            ab[1, n - 1], ab[2, n - 2] = 1.0, -np.exp(1j * k * d)
-            if bi == 0:  # the incoming wave e^{-ikx} on branch 1
-                rhs[n - 1, 0] = (np.exp(-1j * k * g[-1])
-                                 * (1.0 - np.exp(2j * k * d)))
-        try:
-            z = solve_banded((3, 1), ab, rhs, overwrite_ab=True,
-                             overwrite_b=True)
-        except LinAlgError as exc:
-            raise ResonanceError(
-                f"discrete system singular at k={k}") from exc
-        parts.append((z[:, 0], z[:, 1], _one_sided_start(0, d)[1]))
+            start = (1.0, complex(np.exp(1j * k * d)))
+        u = _sweep_back(c, *start)
+        if not (u[0] != 0 and np.isfinite(u[0])):
+            raise ResonanceError(f"discrete system singular at k={k}")
+        zc = u[1:] / u[0]
+        za = np.zeros(n)
+        if bi == 0:
+            # conj(u) meets the stencils (c is real); scaled to
+            # e^{-ik x_{n-1}} at x_{n-1} it is the incoming wave
+            wave = u.conj() * np.exp(-1j * k * g[-2])
+            za = wave[1:] - wave[0] * zc
+        parts.append((za, zc, _one_sided_start(0, d)[1]))
 
     # continuity gives y_0 = A_j ybar on every branch, and the derivative
     # balance sum_j A_j y_j'(0) = saap ybar is then one scalar equation

@@ -3,14 +3,18 @@
 Each is a slow or independent route to a quantity the package computes
 another way: a Volterra successive-approximation Jost solution, omega
 sampled along a finite branch by ``jost.rk45_sweep``, the Goursat kernel
-interpolated off its characteristic grid, and the field on a branch
-propagated out from a sweep's node values.
+interpolated off its characteristic grid, the field on a branch
+propagated out from a sweep's node values, and the finite-difference
+oracle's system solved by banded LU.
 """
+import math
+
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import RegularGridInterpolator
+from scipy.linalg import solve_banded
 
-from starscatter import propagate
+from starscatter import oracle, propagate
 from starscatter.errors import DomainError, SingularFrequencyError
 from starscatter.fundamental import KernelTable
 from starscatter.jost import rk45_sweep
@@ -103,3 +107,47 @@ def assemble_field(net: StarNetwork, sweep: ScatteringSweep,
     if derivative:
         return complex(y[0]), complex(dy[0])
     return complex(y[0])
+
+
+def banded_oracle_field(net: StarNetwork, k: float, dx: float,
+                        X_trunc: float):
+    """The finite-difference oracle's field on each branch's grid and its
+    R1_est, from one banded LU solve per branch (``solve_banded``, 3 sub-
+    and 1 super-diagonal) for the branch's source and its coupling to y_0,
+    in place of ``oracle_solve``'s recurrence: (values, R1_est)."""
+    A, saap = net.A, net.saap
+    grids, parts = [], []
+    for bi, b in enumerate(net.branches):
+        L = b.tau if b.is_finite else X_trunc
+        n = max(int(round(L / dx)), 8)
+        g = np.linspace(0.0, L, n + 1)
+        grids.append(g)
+        d = g[-1] / n
+        K2 = 2.0 * (1.0 - math.cos(k * d)) / (d * d)
+        v_in = np.asarray(b.potential(g[1:n]), dtype=float)
+        ab = np.zeros((5, n), dtype=complex)  # ab[1 + i - j, j] = a[i, j]
+        ab[0, 1:] = ab[2, :n - 2] = 1.0 / d ** 2
+        ab[1, :n - 1] = -2.0 / d ** 2 + (K2 - v_in)
+        rhs = np.zeros((n, 2), dtype=complex)
+        rhs[0, 1] = -1.0 / d ** 2
+        if b.is_finite:  # y' = h y at the terminal, one-sided
+            _, w = oracle._one_sided_end(n, d)
+            ab[1, n - 1], ab[2, n - 2] = w[0] - b.h, w[1]
+            ab[3, n - 3], ab[4, n - 4] = w[2], w[3]
+        else:  # radiation closure
+            ab[1, n - 1], ab[2, n - 2] = 1.0, -np.exp(1j * k * d)
+            if bi == 0:  # the incoming wave e^{-ikx} on branch 1
+                rhs[n - 1, 0] = (np.exp(-1j * k * g[-1])
+                                 * (1.0 - np.exp(2j * k * d)))
+        z = solve_banded((3, 1), ab, rhs)
+        parts.append((z[:, 0], z[:, 1], oracle._one_sided_start(0, d)[1]))
+    coef, const = -saap, 0.0
+    for a, (za, zc, w) in zip(A.tolist(), parts):
+        coef += a * a * (w[0] + w[1:] @ zc[:3])
+        const += a * (w[1:] @ za[:3])
+    ybar = -const / coef
+    values = [np.concatenate([[a * ybar], za + (a * ybar) * zc])
+              for a, (za, zc, _) in zip(A.tolist(), parts)]
+    X = grids[0][-1]
+    return values, complex((values[0][-1] - np.exp(-1j * k * X))
+                           * np.exp(-1j * k * X))

@@ -543,6 +543,16 @@ class TestValidate:
         assert "PASS oracle_comparison" in out
         assert "FAIL" not in out
 
+    def test_matched_lines_pass_the_oracle(self, tmp_path, capsys):
+        # R1 = 0, so R1_est is the oracle's own error, (k dx)^3 / 4 from
+        # its one-sided node derivative; the gap's floor puts it at 2.5e-4
+        cfg = write_config(tmp_path, uniform_config(2))
+        assert cli.main(["validate", "--config", cfg]) == 0
+        (line,) = [ln for ln in capsys.readouterr().out.splitlines()
+                   if "oracle_comparison" in ln]
+        assert line == ("PASS oracle_comparison: k=10.0: 2.50e-04; "
+                        "k=17.3: 2.50e-04; k=29.0: 2.50e-04")
+
     def test_direct_potential_network(self, tmp_path, capsys):
         xs = np.linspace(0.0, 0.6, 121)
         vs = 0.5 * np.sin(np.pi * xs / 0.6) ** 2
@@ -749,11 +759,15 @@ class TestValidate:
     def test_singular_oracle_system_exit_code(self, tmp_path, monkeypatch,
                                               capsys):
         cfg = write_config(tmp_path, uniform_config(2, [1.0]))
+        real = cli.oracle._sweep_back
 
-        def singular(*args, **kwargs):
-            raise cli.oracle.LinAlgError("singular matrix")
+        def node_value_zero(*args):
+            # the branch's swept solution vanishes at the node: u_0 = 0
+            u = real(*args)
+            u[0] = 0.0
+            return u
 
-        monkeypatch.setattr(cli.oracle, "solve_banded", singular)
+        monkeypatch.setattr(cli.oracle, "_sweep_back", node_value_zero)
         assert cli.main(["validate", "--config", cfg]) == 3
         err = capsys.readouterr().err.splitlines()
         assert err == ["solver error: discrete system singular at k=10.0"]
@@ -893,6 +907,12 @@ EXTREME_INPUTS = {
         "'branches[1]': support_end must be >= 0, got -1.0"),
     "direct-table-wholly-below-0": (direct_line_argv(-1.0, -0.2), None, 2,
                                     "'branches[1]': support_end must be >= 0"),
+    "direct-table-outside-support": (direct_line_argv(
+        1.0, 2.0, support_end=0.5), None, 2,
+        "'branches[1]': potential table on [1, 2] meets [0, 0.5] in at most "
+        "one point"),
+    "direct-table-ends-at-0": (direct_line_argv(-1.0, 0.0), None, 2,
+                               "'branches[1]': potential table on [-1, 0]"),
     "memory-error": (grid_argv("60", "61", "0.5"), out_of_memory(
         "Unable to allocate 22.6 PiB"), 3, "solver error: Unable to"),
     "bare-memory-error": (grid_argv("60", "61", "0.5"), out_of_memory(""),

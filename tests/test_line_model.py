@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
+from scipy import integrate, interpolate
 
 from starscatter import config, line_model
 from starscatter.errors import DomainError, ProfileValidityError, \
@@ -66,6 +66,93 @@ class TestLiouvilleCoordinate:
         with pytest.raises(ProfileValidityError):
             LineProfile.sampled_table(z, np.linspace(1.0, -0.1, 11),
                                       np.ones_like(z))
+
+    @pytest.mark.parametrize("n", [5, 40, 201, 2001])
+    def test_matches_scipy_antiderivative(self, n):
+        # x(z) sums each piece's integral by cumsum, where scipy adds the
+        # piece's terms to the running value one by one
+        rng = np.random.default_rng(n)
+        z = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, n - 1))])
+        L, C = 1.0 + 0.3 * np.sin(z) ** 2, 1.0 + 0.2 * np.cos(3.0 * z) ** 2
+        p = LineProfile.sampled_table(z, L, C)
+        zq = np.concatenate([z, rng.uniform(0.0, 1.1 * z[-1], 300)])
+        s_end = math.sqrt(L[-1] * C[-1])
+        ref = (interpolate.CubicSpline(z, np.sqrt(L * C)).antiderivative()(
+            np.minimum(zq, z[-1])) + s_end * np.maximum(zq - z[-1], 0.0))
+        assert np.max(np.abs(p.x_of_z(zq) - ref)) <= 64 * np.spacing(ref[-1])
+
+    @pytest.mark.parametrize("dip", [0.02, 0.05])
+    def test_rejects_slowness_spline_below_zero_between_rows(self, dip):
+        # every row is positive, but the slowness spline dips below 0
+        # between them, where its slope is 0
+        s = np.array([1.0, dip, 1.0, dip, 1.0, 1.0])
+        assert interpolate.CubicSpline(np.arange(6.0), s)(
+            np.linspace(0.0, 5.0, 501)).min() < 0
+        with pytest.raises(ProfileValidityError, match="non-positive"):
+            LineProfile.sampled_table(np.arange(6.0), s, s)
+        # lifted, the same shape passes
+        LineProfile.sampled_table(np.arange(6.0), s + 0.2, s + 0.2)
+
+
+def spline_tables():
+    """(x, y) tables: a uniform grid as the configs' tables have, an
+    irregular one on which LAPACK's gtsv swaps rows, and four rows."""
+    rng = np.random.default_rng(26)
+    x = np.linspace(-0.4, 2.9, 161)
+    irregular = np.cumsum(rng.uniform(0.05, 1.0, 60))
+    return {"uniform": (x, np.sin(3.0 * x)),
+            "irregular": (irregular, rng.normal(size=60)),
+            "four-rows": (np.array([0.0, 0.3, 1.1, 1.5]),
+                          np.array([1.0, -0.5, 2.0, 0.25]))}
+
+
+class TestScipyReference:
+    """The numpy spline and quadratures against scipy's, their reference."""
+
+    @pytest.mark.parametrize("table", sorted(spline_tables()))
+    @pytest.mark.parametrize("bc_type", ["not-a-knot", "natural"])
+    @pytest.mark.parametrize("nu", [0, 1, 2])
+    def test_spline_matches_scipy(self, table, bc_type, nu):
+        x, y = spline_tables()[table]
+        rng = np.random.default_rng(nu)
+        xq = np.concatenate([x, rng.uniform(x[0] - 0.5, x[-1] + 0.5, 400)])
+        got = line_model.CubicSpline(x, y, bc_type=bc_type)(xq, nu)
+        ref = interpolate.CubicSpline(x, y, bc_type=bc_type)(xq, nu)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 4 * np.spacing(np.abs(ref).max())
+
+    def test_spline_of_a_scalar_is_a_0d_array(self):
+        x, y = spline_tables()["uniform"]
+        got = line_model.CubicSpline(x, y)(0.7)
+        assert got.shape == () and got == line_model.CubicSpline(x, y)(
+            np.array([0.7]))[0]
+
+    @pytest.mark.parametrize("x, y, bc_type, message", [
+        ([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], "natural", ">= 4 rows"),
+        ([0.0, 1.0, 2.0, math.nan], [1.0] * 4, "natural", "finite"),
+        ([0.0, 1.0, 2.0, 3.0], [1.0, math.inf, 0.0, 1.0], "natural",
+         "finite"),
+        ([0.0, 1.0, 1.0, 3.0], [1.0] * 4, "natural", "increasing"),
+        ([0.0, 1.0, 2.0, 3.0], [1.0] * 4, "clamped", "not supported"),
+        ([0.0, 1.0, 2.0, 1e308], [1.0, 2.0, 3.0, 4.0], "not-a-knot",
+         "slopes must be finite")])
+    def test_spline_refusals_are_value_errors(self, x, y, bc_type, message):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=message):
+                line_model.CubicSpline(x, y, bc_type=bc_type)
+
+    @pytest.mark.parametrize("n", [17, 18, 161, 1300, 1301])
+    @pytest.mark.parametrize("spacing", ["uniform", "irregular"])
+    def test_quadratures_are_scipy_to_the_bit(self, n, spacing):
+        rng = np.random.default_rng(n)
+        x = (np.linspace(0.0, 1.3, n) if spacing == "uniform"
+             else np.cumsum(rng.uniform(0.1, 1.0, n)))
+        y = np.abs(rng.normal(size=n))
+        np.testing.assert_array_equal(
+            line_model.cumulative_trapezoid(y, x),
+            integrate.cumulative_trapezoid(y, x, initial=0.0))
+        assert (np.float64(line_model.simpson(y, x)).tobytes()
+                == np.float64(integrate.simpson(y, x=x)).tobytes())
 
 
 BAD = (math.nan, math.inf, -math.inf)
@@ -129,6 +216,18 @@ def test_negative_support_end_rejected(support_end, tau):
     # support_end = 0 states V = 0 on purpose
     V = LineProfile.direct(sin2_table_potential(), 0.0, tau=tau).potential
     assert (V.support_end, V.l1_norm) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("x0, x_end, support_end", [
+    (1.0, 2.0, 0.5), (0.5, 1.0, 0.5), (-1.0, 0.0, 0.7), (-1.0, 0.0, 0.0)])
+def test_table_outside_its_window_rejected(x0, x_end, support_end):
+    # the table and [0, support_end] share at most a point, so V would be
+    # 0; support_end = 0 says so on purpose only of a table past the node
+    x = np.linspace(x0, x_end, 41)
+    table = line_model.TablePotential(x, 0.4 * np.sin(np.pi * (x - x0)) ** 2)
+    message = re.escape(f"potential table on [{x0:.6g}, {x_end:.6g}]")
+    with pytest.raises(ProfileValidityError, match=message):
+        LineProfile.direct(table, support_end)
 
 
 class TestTravelTime:
@@ -424,6 +523,11 @@ def assert_float_path_is_array_path(V, points):
 def test_single_mask_matches_double_clip(table_potentials, sampled_v, which,
                                          support_end, xs):
     table = table_potentials[which]
+    if min(support_end, table.x_end) <= max(0.0, table.x0):
+        # the table's window and [0, support_end] share at most a point
+        with pytest.raises(ProfileValidityError, match="at most one point"):
+            LineProfile.direct(table, support_end)
+        return
     V = LineProfile.direct(table, support_end).potential
     want = double_clip(table.spline, table.x0, table.x_end, support_end)
     edges = [table.x0, table.x_end, 0.0, -0.0, support_end,

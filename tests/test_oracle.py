@@ -14,7 +14,7 @@ from starscatter.scattering import StarNetwork, solve_scattering
 
 from conftest import direct_network, sin2_bump, uniform_network, \
     zero_potential
-from references import assemble_field
+from references import assemble_field, banded_oracle_field
 
 
 SMOOTH_NET = direct_network(
@@ -170,7 +170,7 @@ STUBS_FIRST_NET = StarNetwork([
     (STUBS_FIRST_NET, 17.3, 1.4),
 ])
 def test_banded_field_solves_the_list_built_system(net, k, X_trunc):
-    """The per-branch banded solve answers the whole sparse system: its
+    """The per-branch recurrence answers the whole sparse system: its
     field's normwise backward error there is at rounding level, and its
     R1_est is the sparse LU's."""
     field = oracle_solve(net, k, 1e-3, X_trunc)
@@ -185,3 +185,25 @@ def test_banded_field_solves_the_list_built_system(net, k, X_trunc):
     yN = sol[field.grids[0].size - 1]
     r1 = (yN - np.exp(-1j * k * X)) * np.exp(-1j * k * X)
     assert abs(field.R1_est - r1) <= 1e-10
+
+
+# one h = gamma = 50 taper stub: omega grows like e^49 along it, so the
+# recurrence swept back from its terminal meets a mode that decays there
+TAPER_NET = StarNetwork([LineProfile.uniform(1.0, 1.0),
+                         LineProfile.exponential_taper(50.0, 1.0)])
+
+
+@pytest.mark.parametrize("net, k, X_trunc", [
+    (SMOOTH_NET, 10.0, 1.4), (SMOOTH_NET, 14.0, 1.4), (SMOOTH_NET, 20.0, 1.4),
+    (uniform_network(2), 10.0, 1.0), (uniform_network(3), 29.0, 1.0),
+    (uniform_network(2, taus=[0.6, 1.3]), 29.0, 1.0),
+    (STUBS_FIRST_NET, 17.3, 1.4), (TAPER_NET, 10.0, 1.5),
+    (TAPER_NET, 29.0, 1.5),
+], ids=["smooth-10", "smooth-14", "smooth-20", "matched-10", "three-29",
+        "stubs-29", "stubs-first-17.3", "taper-10", "taper-29"])
+def test_recurrence_matches_banded_lu(net, k, X_trunc):
+    field = oracle_solve(net, k, 1e-3, X_trunc)
+    values, r1 = banded_oracle_field(net, k, 1e-3, X_trunc)
+    assert abs(field.R1_est - r1) <= 1e-9
+    for got, ref in zip(field.values, values):
+        assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
