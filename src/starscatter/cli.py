@@ -14,6 +14,14 @@ Whether the leg itself is right is for `oracle_comparison`, whose
 finite-difference solver shares no code with the legs, and for
 `wronskian_constancy`, which holds each Jost pair to W = 2ik.
 
+`forward` streams its sweep: each block of frequencies from
+`scattering.reflectogram_blocks` is written to the CSV before the next is
+computed, so memory holds one block and the grid, not arrays of every
+branch over every frequency.  The resonant count and the worst condition
+number are kept across blocks.  A failure part-way leaves no partial CSV:
+a file it created is removed, and a regular file that was there is
+emptied, as opening it did.
+
 Exit codes: 0 ok; 2 bad input: a config or table that fails to parse or
 validate, a bad argument (a grid too large for an array, a k whose square
 overflows), or a path that cannot be read or written; 3 solver failure:
@@ -60,57 +68,79 @@ def cmd_forward(args) -> int:
         grid = args.kmin + args.dk * np.arange(n_pts)
     except (OverflowError, ValueError) as exc:  # numpy: too many points
         raise ConfigError(f"frequency grid too large: {exc}") from exc
+    m = net.m
+    header = ["k", "re_R1", "im_R1", "abs_R1"]
+    for j in range(2, m + 1):
+        header += [f"re_T{j}", f"im_T{j}"]
+    row_fmt = ",".join(["%.12g"] * len(header)) + "\n"
+    nan_fmt = "%.12g" + ",NaN" * (len(header) - 1) + "\n"
+    # counts over the blocks, and the worst ill-conditioned row (cond, k)
+    rows = resonant = ill = 0
+    worst = None
     # open --out first, so an unwritable path fails before the sweep
     created = not os.path.lexists(args.out)
     fh = open(args.out, "w")
     try:
         with fh:
-            sweep = scattering.reflectogram(net, grid)
-            resonant = sweep.resonant
-            if resonant.all():
-                raise ResonanceError(
-                    f"all {len(sweep)} frequencies are singular")
-            m = net.m
-            header = ["k", "re_R1", "im_R1", "abs_R1"]
-            for j in range(2, m + 1):
-                header += [f"re_T{j}", f"im_T{j}"]
-            row_fmt = ",".join(["%.12g"] * len(header)) + "\n"
-            nan_fmt = "%.12g" + ",NaN" * (len(header) - 1) + "\n"
-            table = np.empty((len(sweep), len(header)))
-            table[:, 0], table[:, 1], table[:, 2] = (sweep.k, sweep.R1.real,
-                                                     sweep.R1.imag)
-            # np.hypot is Python's abs(complex) to the bit; np.abs is not
-            table[:, 3] = np.hypot(sweep.R1.real, sweep.R1.imag)
-            table[:, 4::2], table[:, 5::2] = sweep.T.real, sweep.T.imag
             fh.write(",".join(header) + "\n")
-            # one %-format per block of the rows between two resonant rows,
-            # its repeated row format at most propagate.BLOCK characters,
-            # so the Python floats and text of the whole table are never
-            # held at once
-            step = max(1, propagate.BLOCK // len(row_fmt))
-            lo = 0
-            for hi in [*np.flatnonzero(resonant).tolist(), len(sweep)]:
-                for a in range(lo, hi, step):
-                    block = table[a:min(a + step, hi)]
-                    fh.write((row_fmt * len(block))
-                             % tuple(block.ravel().tolist()))
-                if hi < len(sweep):
-                    fh.write(nan_fmt % sweep.k[hi])
-                lo = hi + 1
+            for sweep in scattering.reflectogram_blocks(net, grid):
+                _write_rows(fh, sweep, row_fmt, nan_fmt)
+                bad = sweep.resonant
+                rows += len(sweep)
+                resonant += int(bad.sum())
+                high = ~bad & (sweep.cond > scattering.COND_WARN)
+                if high.any():
+                    ill += int(high.sum())
+                    i = np.flatnonzero(high)[np.argmax(sweep.cond[high])]
+                    if worst is None or sweep.cond[i] > worst[0]:
+                        worst = float(sweep.cond[i]), float(sweep.k[i])
+            if resonant == rows:
+                raise ResonanceError(f"all {rows} frequencies are singular")
     except BaseException:
-        # leave no partial CSV; a path that existed may be a device: keep it
+        # leave no partial CSV; a path that existed may be a device: keep
+        # it, but empty a regular file, as opening it did
         if created:
             os.remove(args.out)
+        elif os.path.isfile(args.out):
+            os.truncate(args.out, 0)
         raise
-    print(f"wrote {len(sweep)} rows to {args.out}")
-    ill = ~resonant & (sweep.cond > scattering.COND_WARN)
-    if ill.any():
-        worst = np.flatnonzero(ill)[np.argmax(sweep.cond[ill])]
-        print(f"warning: node system ill-conditioned at {int(ill.sum())} of "
-              f"{len(sweep)} frequencies (worst cond "
-              f"{float(sweep.cond[worst]):.3e} at "
-              f"k={_fmt(float(sweep.k[worst]))})", file=sys.stderr)
+    print(f"wrote {rows} rows to {args.out}")
+    if ill:
+        print(f"warning: node system ill-conditioned at {ill} of {rows} "
+              f"frequencies (worst cond {worst[0]:.3e} at "
+              f"k={_fmt(worst[1])})", file=sys.stderr)
     return 0
+
+
+def _rows_text(row_fmt: str, rows: np.ndarray) -> str:
+    """The CSV text of a block of table rows, in one %-format.
+
+    A function of its own: tracemalloc finds the line of each of the
+    format's many allocations by scanning the calling code, which is
+    several times slower deep in a long function (CPython 3.11)."""
+    return (row_fmt * len(rows)) % tuple(rows.ravel().tolist())
+
+
+def _write_rows(fh, sweep, row_fmt: str, nan_fmt: str):
+    """Write one block of a sweep as CSV rows, a resonant row as NaN.
+
+    One %-format per run of at most propagate.BLOCK characters of repeated
+    row format between two resonant rows, so the Python floats and text of
+    the whole block are never held at once."""
+    table = np.empty((len(sweep), row_fmt.count("%")))
+    table[:, 0], table[:, 1], table[:, 2] = (sweep.k, sweep.R1.real,
+                                             sweep.R1.imag)
+    # np.hypot is Python's abs(complex) to the bit; np.abs is not
+    table[:, 3] = np.hypot(sweep.R1.real, sweep.R1.imag)
+    table[:, 4::2], table[:, 5::2] = sweep.T.real, sweep.T.imag
+    step = max(1, propagate.BLOCK // len(row_fmt))
+    lo = 0
+    for hi in [*np.flatnonzero(sweep.resonant).tolist(), len(sweep)]:
+        for a in range(lo, hi, step):
+            fh.write(_rows_text(row_fmt, table[a:min(a + step, hi)]))
+        if hi < len(sweep):
+            fh.write(nan_fmt % sweep.k[hi])
+        lo = hi + 1
 
 
 def read_reflectogram_csv(path):

@@ -5,7 +5,7 @@ where V is taken as 0, so its node pair (f0, df0) is the plane wave's
 (e^{ikX}, ik e^{ikX}) propagated back from X to 0, with no inverse
 matrix.  ``jost_leg`` gives that leg, (V, X, 0, e^{ikX}, ik e^{ikX}),
 and every Jost route runs it: the network solver as one leg of its
-star's ``propagate.sweep_legs`` call (``scattering.branch_leg``),
+star's sweep, block by block (``scattering.branch_leg``),
 ``jost_batch`` on its own as the one-leg ``propagate.sweep``, and
 ``jost_at_origin`` on ``rk45_sweep``, the RK45 twin of
 ``propagate.sweep`` with its arguments and its (y, y') arrays over k.

@@ -10,9 +10,10 @@ transfer matrix is
 which continues analytically to k^2 < V (cosh/sinh).  Since V and k are
 real, the product of these cells is one real 2x2 matrix per frequency,
 with unit determinant, so Wronskians and flux balances are preserved to
-rounding regardless of step size.  ``sweep_legs``, the kernel's one
-entry, applies it to the start pair (y, y') of every leg (potential,
-x_from, x_to, y, dy) of a star in one call; ``sweep`` is its one-leg call.
+rounding regardless of step size.  The kernel's one entry, the pair
+``plan_sweep`` and ``sweep_block`` (below), applies it to the start pair
+(y, y') of every leg of a star, one block of frequencies at a time;
+``sweep_legs`` is the whole grid in one call and ``sweep`` its one-leg call.
 
 Adjacent cells with the same midpoint V are merged into one cell of the
 summed length.  The midpoint scheme already treats V as constant there, so
@@ -51,13 +52,26 @@ the running product.  A long grid thus takes a block of one or two cells,
 and the nodes a few hundred.  The interpolant is one matrix product per
 block of grid points: the node values of every interpolated leg's four
 entries, stacked, times the block's [nodes, points] barycentric weights,
-which are computed once.  ``sweep_legs`` applies each block of entries to
-its leg's start pair as it comes and writes the result into its [nk, legs]
-outputs, so no [4 legs, nk] array of entries is held.
+which are computed once.
+
+A sweep is streamed one block of rows at a time.  ``plan_sweep`` does the
+once-per-grid work, all from the whole grid: each leg's partition at the
+grid's largest |k|, the shared nodes, node products and off-node checks,
+each leg's direct-or-interpolated choice, and the direct product's cells
+per block.  ``sweep_block`` then carries one block of rows from the legs'
+start pairs to their end pairs, [rows, legs] arrays; the direct legs of
+one run (uniform lines and stubs) take one cell product together.  A block
+has about ROW_BLOCK // legs rows, rounded down to a whole number of
+barycentric blocks (at least one), so its arrays stay O(BLOCK), and each
+row is computed as a one-block sweep of the whole grid computes it: the
+results do not depend on the block length.  ``sweep_legs`` writes the
+blocks in turn into whole-grid outputs, from start pairs (y, dy) that
+broadcast against the whole grid.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,6 +86,7 @@ N_CHECKS = 5  # off-node grid k where the interpolant is checked
 # product
 CHECK_TOL = 2e-13
 BLOCK = 1 << 16  # elements per block of the blocked array operations
+ROW_BLOCK = BLOCK // 4  # (row, leg) pairs per block of a streamed sweep
 MAX_CELLS = np.iinfo(np.intp).max // 8  # most cells of a partition or grid
 
 
@@ -134,20 +149,33 @@ def _block_product(s: np.ndarray, dx: np.ndarray):
     return tuple(e[0] for e in m)
 
 
-def _cell_product(k: np.ndarray, v_runs: np.ndarray, widths: np.ndarray):
+def _cells_per_block(nk: int) -> int:
+    """Cells per block of the cell product on a grid of nk points: the
+    largest power of two whose block holds at most BLOCK (cell, k)
+    elements, and at least one cell."""
+    return 1 << max(1, BLOCK // nk).bit_length() - 1
+
+
+def _cell_product(k: np.ndarray, v_runs: np.ndarray, widths: np.ndarray,
+                  step: int | None = None):
     """Product of the constant-V cell matrices (one per run) at each k.
 
-    The runs are taken in blocks of at most BLOCK (run, k) elements, a power
-    of two runs each so that only the last block pads.  A block's cells cost
-    one _step_factors call and are reduced by pairs, and the block's product
-    is folded into the running one.  Memory stays O(BLOCK + len(k)).
+    The runs are taken in blocks of ``step`` runs (``_cells_per_block`` of
+    len(k) by default), a power of two each so that only the last block
+    pads.  A block's cells cost one _step_factors call and are reduced by
+    pairs, and the block's product is folded into the running one.  Memory
+    stays O(step x len(k) + len(k)).  The grouping sets the rounding, so a
+    block of a grid's rows takes the whole grid's step.  [runs, legs]
+    arrays of runs give every leg's product at once, [legs, nk] entries,
+    each the one-leg product to the bit.
     """
     k2 = k * k
     total = _EYE
-    step = 1 << max(1, BLOCK // k.size).bit_length() - 1
-    for lo in range(0, v_runs.size, step):
-        total = _times(_block_product(k2 - v_runs[lo:lo + step, None],
-                                      widths[lo:lo + step, None]), total)
+    step = step or _cells_per_block(k.size)
+    for lo in range(0, len(v_runs), step):
+        total = _times(_block_product(k2 - v_runs[lo:lo + step, ..., None],
+                                      widths[lo:lo + step, ..., None]),
+                       total)
     return total
 
 
@@ -170,14 +198,16 @@ def _barycentric(k: np.ndarray, nodes: np.ndarray, weights: np.ndarray,
     Takes k in blocks of BLOCK // len(nodes) points.  With a block's
     [nodes, points] matrix d = weights / (k - nodes), one product F @ d
     gives every numerator and, from F's last row of ones, the denominator.
-    A block's memory is O(BLOCK); a k equal to a node gets that node's
-    value.
+    Every block's d fills one buffer of O(BLOCK) elements, so a pass makes
+    one such allocation; a k equal to a node gets that node's value.
     """
     step = max(1, BLOCK // nodes.size)
+    buf = np.empty(nodes.size * min(step, k.size))
     for lo in range(0, k.size, step):
         s = slice(lo, lo + step)
         with np.errstate(divide="ignore", invalid="ignore"):
-            d = k[s] - nodes[:, None]
+            d = buf[:nodes.size * k[s].size].reshape(nodes.size, -1)
+            np.subtract(k[s], nodes[:, None], out=d)
             np.divide(weights[:, None], d, out=d)
             num = F @ d
             e = num[:-1] / num[-1]
@@ -208,27 +238,44 @@ def _runs(potential, x_from: float, x_to: float, k_top: float):
     return v_mid[starts], np.diff(np.r_[starts, n_steps]) * dx
 
 
-def sweep_legs(legs, k: np.ndarray):
-    """Propagate each leg (potential, x_from, x_to, y, dy) from x_from to
-    x_to on the grid k, where y and dy broadcast against k.
+@dataclass(frozen=True, eq=False)
+class SweepPlan:
+    """The once-per-grid part of a sweep of legs over the grid k (module
+    docstring); ``sweep_block`` carries one block of its rows."""
 
-    Returns the endpoint pairs as two complex [nk, legs] arrays (val, der),
-    one column per leg.  Every leg takes the call's one node set (module
-    docstring).  The partitions, node products and checks come first, so
-    their cell blocks are freed before the outputs are allocated; then
-    each direct leg's product is applied to its start pair over the whole
-    grid, and the one barycentric pass applies each block of every
-    interpolated leg's entries as it comes, so no [4 legs, nk] array is
-    held.
-    """
+    k: np.ndarray
+    legs: int
+    empty: tuple  # the legs of an empty span, whose product is the identity
+    # the other direct legs, in groups that share one cell product: (legs,
+    # v_runs, widths), with [runs, legs] arrays
+    direct: tuple
+    interp: tuple  # the legs the barycentric pass carries
+    nodes: np.ndarray | None  # the shared Chebyshev nodes, if any leg is
+    weights: np.ndarray | None  # interpolated, and their weights
+    F: np.ndarray | None  # the interp legs' entries at the nodes, then ones
+    cells: int  # cells per block of the direct product, from len(k)
+    rows: int  # rows per block of the grid
+
+    @property
+    def blocks(self) -> list[slice]:
+        return [slice(lo, lo + self.rows)
+                for lo in range(0, self.k.size, self.rows)]
+
+
+def plan_sweep(paths, k: np.ndarray) -> SweepPlan:
+    """The plan of a sweep of each leg path (potential, x_from, x_to) over
+    the grid k: the partitions at the grid's largest |k|, the one node set
+    with each interpolated leg's node products and off-node check, and the
+    block sizes.  Only the node products and checks take cell blocks."""
     k = np.atleast_1d(np.asarray(k, dtype=float))
     k_top = float(np.max(np.abs(k)))
-    runs = [_runs(p, x_from, x_to, k_top) for p, x_from, x_to, _, _ in legs]
+    runs = [_runs(p, x_from, x_to, k_top) for p, x_from, x_to in paths]
     k_min, k_max = float(np.min(k)), float(np.max(k))
     n = max(math.ceil(abs(x_to - x_from) * (k_max - k_min) / 2)
-            for _, x_from, x_to, _, _ in legs) + NODE_MARGIN
+            for _, x_from, x_to in paths) + NODE_MARGIN
     interp = [j for j, r in enumerate(runs)
               if k.size > n + 1 and r is not None and r[0].size > n + 1]
+    nodes = weights = F = None
     if interp:
         nodes, weights = _chebyshev_nodes(k_min, k_max, n)
         off = k[~np.isin(k, nodes)]
@@ -246,23 +293,80 @@ def sweep_legs(legs, k: np.ndarray):
                   ).reshape(-1, 4).all(axis=1)
         F = F[np.r_[np.repeat(passed, 4), True]]
         interp = [j for j, ok in zip(interp, passed) if ok]
+    # the direct legs of one run (a uniform line or stub) share one cell
+    # product, [1, legs] elements a row; the others take one each
+    direct = [j for j, r in enumerate(runs)
+              if r is not None and j not in interp]
+    single = [j for j in direct if runs[j][0].size == 1]
+    groups = [[j] for j in direct if j not in single]
+    if single:
+        groups.append(single)
+    # whole barycentric blocks, so that a block's pass is the grid's
+    step = BLOCK // nodes.size if interp else 1
+    rows = max(1, ROW_BLOCK // len(runs) // step) * step
+    return SweepPlan(
+        k, len(runs), tuple(j for j, r in enumerate(runs) if r is None),
+        tuple((tuple(g), np.column_stack([runs[j][0] for j in g]),
+               np.column_stack([runs[j][1] for j in g])) for g in groups),
+        tuple(interp), nodes, weights, F if interp else None,
+        _cells_per_block(k.size), rows)
 
+
+def _ends(m, y, dy):
+    """The end pair (val, der) of the start pair (y, dy) under the
+    matrix m = (m11, m12, m21, m22)."""
+    m11, m12, m21, m22 = m
+    return m11 * y + m12 * dy, m21 * y + m22 * dy
+
+
+def sweep_block(plan: SweepPlan, s: slice, starts):
+    """Carry the block k[s] of the plan's grid: starts holds each leg's
+    start pair (y, dy), each a scalar or an array over k[s].
+
+    Returns the end pairs as two complex [rows, legs] arrays (val, der),
+    one column per leg: an empty span is the identity, each group of
+    direct legs takes its cell product over the block, and the barycentric
+    pass applies each of its blocks of every interpolated leg's entries as
+    it comes, so no [4 legs, rows] array is held.
+    """
+    k = plan.k[s]
+    starts = [tuple(np.asarray(a, dtype=complex) for a in start)
+              for start in starts]
+    val = np.empty((k.size, plan.legs), dtype=complex)
+    der = np.empty_like(val)
+    for j in plan.empty:
+        val[:, j], der[:, j] = _ends(_EYE, *starts[j])
+    for legs, v_runs, widths in plan.direct:
+        m = _cell_product(k, v_runs, widths, plan.cells)
+        for i, j in enumerate(legs):
+            val[:, j], der[:, j] = _ends([e[i] for e in m], *starts[j])
+    if plan.interp:
+        for t, e in _barycentric(k, plan.nodes, plan.weights, plan.F):
+            for i, j in enumerate(plan.interp):
+                val[t, j], der[t, j] = _ends(
+                    e[4 * i:4 * i + 4],
+                    *(a[t] if a.ndim else a for a in starts[j]))
+    return val, der
+
+
+def sweep_legs(legs, k: np.ndarray):
+    """Propagate each leg (potential, x_from, x_to, y, dy) from x_from to
+    x_to on the grid k, where y and dy broadcast against k.
+
+    Returns the endpoint pairs as two complex [nk, legs] arrays (val, der),
+    one column per leg: the plan's blocks, written into the outputs in
+    turn.  The plan comes first, so its cell blocks are freed before the
+    outputs are allocated.
+    """
+    k = np.atleast_1d(np.asarray(k, dtype=float))
+    plan = plan_sweep([leg[:3] for leg in legs], k)
     starts = [tuple(np.broadcast_to(np.asarray(a, dtype=complex), k.shape)
                     for a in leg[3:]) for leg in legs]
     val = np.empty((k.size, len(legs)), dtype=complex)
     der = np.empty_like(val)
-    for j, (r, (y, dy)) in enumerate(zip(runs, starts)):
-        if j not in interp:  # an empty span is the identity
-            m11, m12, m21, m22 = _EYE if r is None else _cell_product(k, *r)
-            val[:, j] = m11 * y + m12 * dy
-            der[:, j] = m21 * y + m22 * dy
-    if interp:
-        for s, e in _barycentric(k, nodes, weights, F):
-            for i, j in enumerate(interp):
-                m11, m12, m21, m22 = e[4 * i:4 * i + 4]
-                y, dy = (a[s] for a in starts[j])
-                val[s, j] = m11 * y + m12 * dy
-                der[s, j] = m21 * y + m22 * dy
+    for s in plan.blocks:
+        val[s], der[s] = sweep_block(plan, s, [(y[s], dy[s])
+                                                for y, dy in starts])
     return val, der
 
 

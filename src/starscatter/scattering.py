@@ -39,16 +39,21 @@ form and the finite-difference oracle.
 ``branch_leg`` gives each branch's leg, the start pair at its far end and
 the span back to the node: (V, tau, 0, 1, h) on a finite branch, and on
 an infinite one ``jost.jost_leg``, the plane wave (e^{ikX}, ik e^{ikX})
-at X = ``V.truncation``.  Every branch's node pair comes from one
-``propagate.sweep_legs`` call per solve, one leg per branch, so the legs
-share one Chebyshev node set and one barycentric pass over the grid
-(``propagate`` module docstring).
+at X = ``V.truncation``.  A solve is streamed one block of frequencies at
+a time (``propagate`` module docstring).  One ``propagate.plan_sweep`` per
+solve, one leg path per branch, gives the legs one Chebyshev node set;
+then each block's node pairs come from one ``propagate.sweep_block`` call,
+from the legs' start pairs over that block, and the node equation is
+solved on the block alone.  ``reflectogram_blocks`` yields the blocks'
+ScatteringSweeps in order, for a caller that writes each one as it comes;
+``reflectogram`` and ``solve_scattering_batch`` join them, and a thread
+pool solves the same blocks, so every path gives the same rows to the bit.
 
 A StarNetwork holds LineProfiles in a tuple ordered infinite first, so the
 columns 0..m-1 of every per-branch array are the infinite branches, and
 builds the node data once in that order: ``A`` (A_j(0)) and ``saap``
-(sum_j A_j A_j').  Every solve returns one ScatteringSweep, arrays with
-one row per k; ``solve_scattering`` is the one-row case.
+(sum_j A_j A_j').  Every solve returns ScatteringSweeps, arrays with one
+row per k; ``solve_scattering`` is the one-row case.
 """
 from __future__ import annotations
 
@@ -157,29 +162,18 @@ class ScatteringSweep:
 
 
 def branch_leg(b: LineProfile, k: np.ndarray):
-    """Branch b's leg (potential, x_from, x_to, y, dy) over k, which
-    ``propagate.sweep_legs`` and ``jost.rk45_sweep`` carry to the node
-    pair (y(0), y'(0)): on a finite branch u_j with u_j(tau) = 1 and
+    """Branch b's leg (potential, x_from, x_to, y, dy) over k, which the
+    ``propagate`` kernel and ``jost.rk45_sweep`` carry to the node pair
+    (y(0), y'(0)): on a finite branch u_j with u_j(tau) = 1 and
     u_j'(tau) = h, on an infinite one f_j from ``jost.jost_leg``."""
     if b.is_finite:
         return b.potential, b.tau, 0.0, 1.0, b.h
     return jost.jost_leg(b.potential, k)
 
 
-def _branch_data(net: StarNetwork, k: np.ndarray):
-    """Node pairs (val, der) = (y(0), y'(0)) over k, two [nk, N] arrays with
-    one column per branch: every ``branch_leg`` in one
-    ``propagate.sweep_legs`` call."""
-    return propagate.sweep_legs([branch_leg(b, k) for b in net.branches], k)
-
-
-def solve_scattering_batch(net: StarNetwork, k) -> ScatteringSweep:
-    """Solve the node conditions for every k in an array (all k in
-    [K_FLOOR, K_CEIL]).
-
-    A k where the node equation is singular comes back as a NaN row flagged
-    by ``resonant``; the other rows are unaffected.
-    """
+def _plan(net: StarNetwork, k) -> propagate.SweepPlan:
+    """The plan of the star's sweep over k (all k in [K_FLOOR, K_CEIL]):
+    one ``propagate.plan_sweep`` over every branch's leg."""
     k = np.atleast_1d(np.asarray(k, dtype=float))
     if k.ndim > 1:
         raise DomainError("frequency grid must be one-dimensional")
@@ -189,7 +183,25 @@ def solve_scattering_batch(net: StarNetwork, k) -> ScatteringSweep:
     if not np.all((k >= K_FLOOR) & (k <= K_CEIL)):
         raise DomainError(f"k must be finite and in [{K_FLOOR}, {K_CEIL:.6g}]"
                           f", where its square is finite")
-    val, der = _branch_data(net, k)
+    # a leg's path (potential, x_from, x_to) does not depend on k
+    return propagate.plan_sweep([branch_leg(b, k[:1])[:3]
+                                 for b in net.branches], k)
+
+
+def _branch_data(net: StarNetwork, plan: propagate.SweepPlan, s: slice):
+    """Node pairs (val, der) = (y(0), y'(0)) over the block k[s] of the
+    plan's grid, two [rows, N] arrays with one column per branch: every
+    ``branch_leg``'s start over the block in one ``propagate.sweep_block``
+    call."""
+    k = plan.k[s]
+    return propagate.sweep_block(plan, s, [branch_leg(b, k)[3:]
+                                           for b in net.branches])
+
+
+def _node_solve(net: StarNetwork, k: np.ndarray, val: np.ndarray,
+                der: np.ndarray) -> ScatteringSweep:
+    """The node equation on one block: frequencies k and the branches'
+    node pairs (val, der) there, [rows, N] each."""
     m = net.m
     f0_1 = val[:, 0]
     A, saap = net.A, net.saap
@@ -224,6 +236,39 @@ def solve_scattering_batch(net: StarNetwork, k) -> ScatteringSweep:
                            val=val, der=der)
 
 
+def _solve_blocks(net: StarNetwork, k, threads: int = 1):
+    """One ScatteringSweep per block of the star's plan over k, in order;
+    with threads > 1 the blocks are solved in a pool of that many."""
+    plan = _plan(net, k)
+
+    def solve(s):
+        return _node_solve(net, plan.k[s], *_branch_data(net, plan, s))
+
+    if threads > 1 and len(plan.blocks) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            yield from pool.map(solve, plan.blocks)
+    else:
+        yield from map(solve, plan.blocks)
+
+
+def _join(parts) -> ScatteringSweep:
+    """The blocks of a sweep, joined field by field."""
+    return ScatteringSweep(*(np.concatenate([getattr(p, f.name)
+                                             for p in parts])
+                             for f in fields(ScatteringSweep)))
+
+
+def solve_scattering_batch(net: StarNetwork, k) -> ScatteringSweep:
+    """Solve the node conditions for every k in an array (all k in
+    [K_FLOOR, K_CEIL]): the star's blocks, joined.
+
+    A k where the node equation is singular comes back as a NaN row flagged
+    by ``resonant``; the other rows are unaffected.
+    """
+    return _join(list(_solve_blocks(net, k)))
+
+
 def solve_scattering(net: StarNetwork, k: float) -> ScatteringSweep:
     """The one-row sweep at a single frequency (k >= K_FLOOR).
 
@@ -235,24 +280,23 @@ def solve_scattering(net: StarNetwork, k: float) -> ScatteringSweep:
     return sweep
 
 
-def reflectogram(net: StarNetwork, k_grid,
-                 threads: int = 1) -> ScatteringSweep:
-    """``solve_scattering_batch`` over a strictly increasing frequency grid
-    (a scalar is a one-row grid).
+def reflectogram_blocks(net: StarNetwork, k_grid, threads: int = 1):
+    """Yield the sweep over a strictly increasing frequency grid (a scalar
+    is a one-row grid) one block of rows at a time, each a ScatteringSweep.
 
-    Singular frequencies are NaN rows flagged by ``resonant`` instead of
-    aborting the sweep.  With threads > 1 the grid is split into that many
-    chunks, solved in a thread pool and joined field by field.
+    The once-per-grid work comes first (``propagate.plan_sweep``); then
+    each block is propagated and solved at the node.  Singular frequencies
+    are NaN rows flagged by ``resonant`` instead of aborting the sweep.
+    With threads > 1 the blocks are solved in a thread pool; every row is
+    the serial one to the bit.
     """
     k_grid = np.atleast_1d(np.asarray(k_grid, dtype=float))
     if np.any(np.diff(k_grid) <= 0):
         raise DomainError("frequency grid must be strictly increasing")
-    if threads > 1 and k_grid.size > 2 * threads:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda chunk: solve_scattering_batch(
-                net, chunk), np.array_split(k_grid, threads)))
-        return ScatteringSweep(*(
-            np.concatenate([getattr(p, f.name) for p in parts])
-            for f in fields(ScatteringSweep)))
-    return solve_scattering_batch(net, k_grid)
+    yield from _solve_blocks(net, k_grid, threads)
+
+
+def reflectogram(net: StarNetwork, k_grid,
+                 threads: int = 1) -> ScatteringSweep:
+    """``reflectogram_blocks`` joined into one sweep."""
+    return _join(list(reflectogram_blocks(net, k_grid, threads)))

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from starscatter import propagate
+from starscatter import propagate, scattering
 from starscatter.config import load_network
 from starscatter.line_model import LineProfile
 from starscatter.scattering import StarNetwork
@@ -122,6 +122,14 @@ def run_leg(engine, leg, k):
     return engine(potential, x_from, x_to, k, y, dy)
 
 
+def branch_data(net, k):
+    """The star's node pairs (val, der) over the whole grid k, two [nk, N]
+    arrays: every ``scattering.branch_leg`` in one ``propagate.sweep_legs``
+    call, which runs the blocks the solver runs."""
+    return propagate.sweep_legs([scattering.branch_leg(b, k)
+                                 for b in net.branches], k)
+
+
 def smooth_demo_star(workdir):
     """The demo star from 161-row sin^2 tables: two infinite branches and
     stubs of tau 1 and 1.7, as in the benchmark's smooth-sweep."""
@@ -149,26 +157,27 @@ def closed_form_r1(m, taus, k):
 
 def fake_singular_stub(monkeypatch, hit):
     """Make the node equation's denominator D vanish where hit(k) is true,
-    on a star of two V = 0 lines and one stub.
+    on a star whose branches have A(0) = 1 and A'(0) = 0 and whose last
+    branch is a stub.
 
-    The stub's node data become (1, -2ik), whose log-derivative cancels the
-    lines' ik + ik.  Im D > 0 for real potentials, so only faked data give
-    D = 0.  Only the stub's leg of ``propagate.sweep_legs``, from its tau,
-    is faked: the lines' Jost legs start from X = 0.
+    There the node pairs become (1, ik) on branch 1, (1, -ik) on the stub
+    and (1, 0) on the others, so D = sum_j l_j = ik - ik is exactly 0 in
+    any order of summation.  Im D > 0 for real potentials, so only faked
+    data give D = 0.  Each star's ``propagate.sweep_block`` call is faked;
+    a one-leg call is left alone.
     """
-    real_sweep_legs = propagate.sweep_legs
+    real_sweep_block = propagate.sweep_block
 
-    def sweep_legs(legs, k):
-        val, der = real_sweep_legs(legs, k)
-        k = np.asarray(k, dtype=float)
-        fake = hit(k)
-        for j, (_, x_from, *_) in enumerate(legs):
-            if x_from != 0.0:
-                val[:, j] = np.where(fake, 1.0, val[:, j])
-                der[:, j] = np.where(fake, -2j * k, der[:, j])
+    def sweep_block(plan, s, starts):
+        val, der = real_sweep_block(plan, s, starts)
+        if plan.legs > 1:
+            k = plan.k[s]
+            fake = hit(k)
+            val[fake], der[fake] = 1.0, 0.0
+            der[fake, 0], der[fake, -1] = 1j * k[fake], -1j * k[fake]
         return val, der
 
-    monkeypatch.setattr(propagate, "sweep_legs", sweep_legs)
+    monkeypatch.setattr(propagate, "sweep_block", sweep_block)
 
 
 @pytest.fixture

@@ -4,13 +4,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from starscatter import cli, fundamental, inversion, scattering
+from starscatter import cli, fundamental, inversion, propagate, scattering
 from starscatter.errors import ResonanceError
 
 from conftest import fake_singular_stub, write_sin2_table
@@ -267,7 +268,7 @@ class TestForward:
         def boom(*a, **kw):
             raise ResonanceError("synthetic failure")
 
-        monkeypatch.setattr(cli.scattering, "reflectogram", boom)
+        monkeypatch.setattr(cli.scattering, "reflectogram_blocks", boom)
         rc = cli.main(["forward", "--config", cfg, "--kmin", "5",
                        "--kmax", "6", "--dk", "1",
                        "--out", str(tmp_path / "o.csv")])
@@ -284,6 +285,18 @@ class TestForward:
         assert rc == 3
         assert "all 3 frequencies are singular" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
+
+    def test_failed_sweep_empties_an_existing_out(self, tmp_path,
+                                                  monkeypatch):
+        # a path that existed is kept, but holds no partial CSV
+        cfg = write_config(tmp_path, uniform_config(2, [1.0]))
+        out = tmp_path / "o.csv"
+        out.write_text("an older sweep\n")
+        fake_singular_stub(monkeypatch, lambda k: np.ones(k.shape, bool))
+        assert cli.main(["forward", "--config", cfg, "--kmin", "5",
+                         "--kmax", "6", "--dk", "0.5",
+                         "--out", str(out)]) == 3
+        assert out.read_text() == ""
 
     def test_singular_k_written_as_nan_row(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, uniform_config(2, [1.0]))
@@ -351,6 +364,69 @@ class TestForward:
             assert sweep.resonant.sum() == len(singular)
             assert out.read_bytes() == self.per_row_csv(sweep)
 
+    def test_memory_does_not_grow_with_branches_times_frequencies(
+            self, tmp_path, capsys):
+        # 3 + 7 uniform lines on 200 001 k: one [nk, N] complex array is
+        # 32 MB here, and forward held about eight; streamed, it holds
+        # O(BLOCK) and the grid with its few per-k temporaries
+        cfg = write_config(tmp_path, uniform_config(
+            3, [0.45, 0.7, 0.9, 1.15, 1.4, 1.6, 1.9]))
+        argv = ["forward", "--config", cfg, "--kmin", "60", "--kmax", "160",
+                "--dk", "0.0005", "--out", os.devnull]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n_k = 200001
+        assert f"wrote {n_k} rows" in capsys.readouterr().out
+        assert peak < (16 * propagate.BLOCK + 4 * n_k) * 8
+
+    def test_csv_independent_of_block_length(self, tmp_path, monkeypatch):
+        # a V = 0 line, a sin^2 line and a sin^2 stub, which interpolate,
+        # and a stub whose bump ends at x = 0.1, a direct product of about
+        # 50 cells; the fake resonances fall on and across block edges
+        write_sin2_table(tmp_path / "line.csv", 0.5, 0.8)
+        write_sin2_table(tmp_path / "narrow.csv", 0.4, 0.1)
+        write_sin2_table(tmp_path / "stub.csv", -0.3, 0.9)
+        doc = uniform_config(1)
+        doc["branches"] += [
+            {"kind": "infinite",
+             "direct": {"potential_table_path": "line.csv"}},
+            {"kind": "finite", "direct": {
+                "potential_table_path": "narrow.csv", "tau": 1.0,
+                "h": 0.12}},
+            {"kind": "finite", "direct": {
+                "potential_table_path": "stub.csv", "tau": 1.7,
+                "h": -0.1}}]
+        cfg = write_config(tmp_path, doc)
+        net, _ = cli.load_network(cfg)
+        grid = 20.0 + 0.005 * np.arange(4001)
+        monkeypatch.setattr(propagate, "ROW_BLOCK", 1)  # one pass a block
+        plan = scattering._plan(net, grid)
+        step = plan.rows
+        assert step == propagate.BLOCK // plan.nodes.size
+        assert plan.interp == (1, 3) and len(plan.blocks) == 5
+        # the narrow stub's cells span several of the grid's cell blocks
+        [(legs, v_runs, _)] = plan.direct
+        assert legs == (2,) and len(v_runs) > 2 * plan.cells
+        resonant = grid[[step - 1, step, 2 * step, 3 * step + 7, 4000]]
+        fake_singular_stub(monkeypatch, lambda k: np.isin(k, resonant))
+        csvs = []
+        for rows in (1, 10 ** 9):  # one pass a block, one block in all
+            monkeypatch.setattr(propagate, "ROW_BLOCK", rows)
+            out = tmp_path / f"rows{rows}.csv"
+            assert cli.main(["forward", "--config", cfg, "--kmin", "20",
+                             "--kmax", "40", "--dk", "0.005",
+                             "--out", str(out)]) == 0
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
+        lines = csvs[0].decode().splitlines()
+        assert len(lines) == 4002
+        assert [float(x.split(",")[0]) for x in lines if "NaN" in x] == \
+            resonant.tolist()
+
     def test_free_star_at_huge_k(self, tmp_path, capsys):
         # every branch has V = 0, one cell at any k, so even k = 1e25 sweeps
         cfg = write_config(tmp_path, uniform_config(3, [1.0, 1.7]))
@@ -390,8 +466,8 @@ class TestForward:
         # the output is opened first, so a bad path costs no sweep
         cfg = write_config(tmp_path, uniform_config(2))
         sweeps = []
-        real = cli.scattering.reflectogram
-        monkeypatch.setattr(cli.scattering, "reflectogram",
+        real = cli.scattering.reflectogram_blocks
+        monkeypatch.setattr(cli.scattering, "reflectogram_blocks",
                             lambda *a: sweeps.append(a) or real(*a))
         rc = cli.main(["forward", "--config", cfg, "--kmin", "5",
                        "--kmax", "6", "--dk", "1",
@@ -708,15 +784,15 @@ class TestValidate:
     def test_solver_vs_rk45_fails_on_a_scaled_jost_pair(self, tmp_path,
                                                         monkeypatch, capsys):
         cfg = write_config(tmp_path, uniform_config(3, [1.0]))
-        real = scattering.propagate.sweep_legs
+        real = scattering.propagate.sweep_block
 
-        def scaled(legs, k):
-            val, der = real(legs, k)
+        def scaled(plan, s, starts):
+            val, der = real(plan, s, starts)
             val[:, 1] *= 1.0 + 1e-4  # branch 2's Jost pair
             der[:, 1] *= 1.0 + 1e-4
             return val, der
 
-        monkeypatch.setattr(scattering.propagate, "sweep_legs", scaled)
+        monkeypatch.setattr(scattering.propagate, "sweep_block", scaled)
         assert cli.main(["validate", "--config", cfg]) == 5
         line = failed_line(capsys.readouterr().out, "solver_vs_rk45")
         assert "b2: 1.00e-04" in line and "b1: 0.00e+00" in line
@@ -724,16 +800,14 @@ class TestValidate:
     def test_solver_vs_rk45_fails_on_a_stub_swept_from_the_node(
             self, tmp_path, monkeypatch, capsys):
         cfg = write_config(tmp_path, uniform_config(2, [1.0, 1.7]))
-        real = scattering.propagate.sweep_legs
+        real = scattering.propagate.plan_sweep
 
-        def sweep_legs(legs, k):
+        def plan_sweep(paths, k):
             # the 1.7 stub's leg, swept from its node
-            return real([(V, 0.0, 1.7, y, dy)
-                         if (x_from, x_to) == (1.7, 0.0) else
-                         (V, x_from, x_to, y, dy)
-                         for V, x_from, x_to, y, dy in legs], k)
+            return real([(V, 0.0, 1.7) if (x_from, x_to) == (1.7, 0.0) else
+                         (V, x_from, x_to) for V, x_from, x_to in paths], k)
 
-        monkeypatch.setattr(scattering.propagate, "sweep_legs", sweep_legs)
+        monkeypatch.setattr(scattering.propagate, "plan_sweep", plan_sweep)
         assert cli.main(["validate", "--config", cfg]) == 5
         line = failed_line(capsys.readouterr().out, "solver_vs_rk45")
         gaps = dict(part.split(": ") for part in
@@ -744,14 +818,14 @@ class TestValidate:
     def test_wronskian_fails_on_a_scaled_derivative(self, tmp_path,
                                                     monkeypatch, capsys):
         cfg = write_config(tmp_path, uniform_config(2, [1.0]))
-        real = scattering.propagate.sweep_legs
+        real = scattering.propagate.sweep_block
 
-        def scaled(legs, k):
-            val, der = real(legs, k)
+        def scaled(plan, s, starts):
+            val, der = real(plan, s, starts)
             der[:, 0] *= 1.0 + 1e-6  # branch 1's f'(0)
             return val, der
 
-        monkeypatch.setattr(scattering.propagate, "sweep_legs", scaled)
+        monkeypatch.setattr(scattering.propagate, "sweep_block", scaled)
         assert cli.main(["validate", "--config", cfg]) == 5
         line = failed_line(capsys.readouterr().out, "wronskian_constancy")
         assert abs(float(line.rsplit(" ", 1)[1]) - 1e-6) < 1e-9
@@ -864,9 +938,20 @@ def out_of_memory(message):
     return raise_it
 
 
-# (argv builder, stand-in for scattering.reflectogram or None, exit code,
-# text the stderr line holds); no case allocates for real: a k of 1e15 on
-# a table branch asks numpy for petabytes, and 1e7-1e9 for gigabytes
+REAL_BLOCKS = scattering.reflectogram_blocks
+
+
+def out_of_memory_in_second_block(net, k_grid):
+    """The sweep's first block, then, once forward has written it and asks
+    for the next, a MemoryError."""
+    yield next(REAL_BLOCKS(net, k_grid))
+    raise MemoryError("Unable to allocate 1.2 GiB")
+
+
+# (argv builder, stand-in for scattering.reflectogram_blocks or None, exit
+# code, text the stderr line holds); no case allocates for real: a k of
+# 1e15 on a table branch asks numpy for petabytes, and 1e7-1e9 for
+# gigabytes
 EXTREME_INPUTS = {
     "dk-past-array-size": (grid_argv("60", "61", "1e-300"), None, 2,
                            "frequency grid too large"),
@@ -917,15 +1002,19 @@ EXTREME_INPUTS = {
         "Unable to allocate 22.6 PiB"), 3, "solver error: Unable to"),
     "bare-memory-error": (grid_argv("60", "61", "0.5"), out_of_memory(""),
                           3, "solver error: out of memory"),
+    "memory-error-in-second-block": (
+        grid_argv("60", "61", "0.5"), out_of_memory_in_second_block, 3,
+        "solver error: Unable to allocate 1.2 GiB"),
 }
 
 
 @pytest.mark.parametrize("case", EXTREME_INPUTS)
 def test_extreme_input_exit_code(tmp_path, monkeypatch, capsys, case):
-    argv, reflectogram, code, text = EXTREME_INPUTS[case]
-    if reflectogram is not None:
-        monkeypatch.setattr(cli.scattering, "reflectogram", reflectogram)
+    argv, blocks, code, text = EXTREME_INPUTS[case]
+    if blocks is not None:
+        monkeypatch.setattr(cli.scattering, "reflectogram_blocks", blocks)
     assert cli.main(argv(tmp_path)) == code
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err, err
     assert text in err, err
+    assert not (tmp_path / "o.csv").exists()  # no partial CSV

@@ -4,8 +4,10 @@ cell product, Chebyshev-node interpolation, closed forms, cost.
 The reference for the merged kernel is a plain per-cell product written
 here with complex square roots, so it shares no code with the kernel.  The
 reference for the Chebyshev-node interpolant is the kernel's own direct
-product on the full grid.  The kernel's one entry is
-``propagate.sweep_legs``; ``matrix`` reads the full matrix off it.
+product on the full grid.  The kernel's one entry is the pair
+``propagate.plan_sweep`` and ``propagate.sweep_block``, which
+``propagate.sweep_legs`` runs over a whole grid; ``matrix`` reads the full
+matrix off that.
 """
 import math
 import tracemalloc
@@ -17,8 +19,8 @@ from starscatter import config, jost, propagate, scattering
 from starscatter.errors import DomainError
 from starscatter.line_model import LineProfile
 
-from conftest import direct_network, jost_ab, run_leg, sin2_bump, \
-    smooth_demo_star, write_sin2_table
+from conftest import branch_data, direct_network, jost_ab, run_leg, \
+    sin2_bump, smooth_demo_star, write_sin2_table
 
 KS = np.linspace(60.0, 160.0, 11)
 FINE = 60.0 + 0.005 * np.arange(20001)  # the benchmark's grid
@@ -153,11 +155,13 @@ def count_step_factors(monkeypatch):
 
 
 def test_uniform_stub_is_one_cell(monkeypatch):
+    # one cell, so one evaluation per frequency, in one call per block
     V = LineProfile.uniform(1.0, 1.0, length=1.7).potential
     for k in (KS, FINE):
         calls = count_step_factors(monkeypatch)
         propagate.sweep(V, 0.0, 1.7, k, 1.0, 0.0)
-        assert calls == [k.size]
+        assert calls == [k[s].size for s in propagate.plan_sweep(
+            [(V, 0.0, 1.7)], k).blocks]
         monkeypatch.undo()
 
 
@@ -312,38 +316,47 @@ def test_few_frequencies_cost_a_call_per_branch(table_stub, monkeypatch):
 # One node set and one barycentric pass per star: the columns of
 # sweep_legs against one-leg calls, and the pass's cost.
 
-def count_full_grid(monkeypatch, name, k):
-    """Record the calls of propagate's ``name`` whose first argument is the
-    grid k."""
+def count_grid_rows(monkeypatch, name):
+    """Record the size of the grid rows each call of propagate's ``name``
+    takes: the first argument, when it is a run of the benchmark's grid
+    (a block), not the nodes."""
     calls = []
     real = getattr(propagate, name)
 
     def spy(grid, *args):
-        if grid.size == k.size:
-            calls.append(name)
+        if np.isin(grid, FINE).all():
+            calls.append(grid.size)
         return real(grid, *args)
 
     monkeypatch.setattr(propagate, name, spy)
     return calls
 
 
+def block_sizes(legs, k):
+    return [k[s].size for s in propagate.plan_sweep(
+        [leg[:3] for leg in legs], k).blocks]
+
+
 def test_star_columns_match_the_per_leg_direct_product(tmp_path,
                                                        monkeypatch):
     net = smooth_demo_star(tmp_path)
-    bary = count_full_grid(monkeypatch, "_barycentric", FINE)
-    cells = count_full_grid(monkeypatch, "_cell_product", FINE)
-    val, der = scattering._branch_data(net, FINE)
-    assert (bary, cells) == (["_barycentric"], [])  # every branch shares it
+    legs = [scattering.branch_leg(b, FINE) for b in net.branches]
+    blocks = block_sizes(legs, FINE)
+    bary = count_grid_rows(monkeypatch, "_barycentric")
+    cells = count_grid_rows(monkeypatch, "_cell_product")
+    val, der = branch_data(net, FINE)
+    # the off-node checks, then every branch shares each block's one pass,
+    # and none is direct
+    assert (bary, cells) == ([propagate.N_CHECKS, *blocks], [])
     monkeypatch.undo()
     with monkeypatch.context() as mp:
         mp.setattr(propagate, "NODE_MARGIN", 10 ** 9)
-        for j, b in enumerate(net.branches):
-            want_val, want_der = run_leg(propagate.sweep,
-                                         scattering.branch_leg(b, FINE), FINE)
+        for j, leg in enumerate(legs):
+            want_val, want_der = run_leg(propagate.sweep, leg, FINE)
             assert rel_err(val[:, j], want_val) <= 1e-12
             assert rel_err(der[:, j], want_der) <= 1e-12
     # det M = 1 on every path, from the unit start pairs in one pass
-    paths = [scattering.branch_leg(b, FINE)[:3] for b in net.branches]
+    paths = [leg[:3] for leg in legs]
     (m11, m21), (m12, m22) = (
         propagate.sweep_legs([p + starts for p in paths], FINE)
         for starts in ((1.0, 0.0), (0.0, 1.0)))
@@ -358,17 +371,20 @@ def test_mixed_star_columns_match_one_leg_calls(table_stub, monkeypatch):
             (barrier_bump, 2.0, 0.0, 1.0, 60j)]  # its check is made to fail
     real_cells = propagate._cell_product
 
-    def spoilt(k, v_runs, widths):
-        m11, m12, m21, m22 = real_cells(k, v_runs, widths)
-        if k.size != FINE.size and v_runs.max() > 1000.0:  # the barrier
+    def spoilt(k, v_runs, widths, *step):
+        m11, m12, m21, m22 = real_cells(k, v_runs, widths, *step)
+        # the barrier's products at the nodes and checks
+        if not np.isin(k, FINE).all() and v_runs.max() > 1000.0:
             m11 = m11.copy()
             m11[-propagate.N_CHECKS:] *= 1.0 + 1e-9
         return m11, m12, m21, m22
 
+    blocks = block_sizes(legs, FINE)
     monkeypatch.setattr(propagate, "_cell_product", spoilt)
-    cells = count_full_grid(monkeypatch, "_cell_product", FINE)
+    cells = count_grid_rows(monkeypatch, "_cell_product")
     val, der = propagate.sweep_legs(legs, FINE)
-    assert cells == ["_cell_product"] * 2  # the free and the barrier leg
+    # the barrier leg, then the free one, block by block
+    assert cells == [n for n in blocks for _ in range(2)]
     for j, leg in enumerate(legs):
         want_val, want_der = run_leg(propagate.sweep, leg, FINE)
         if j in (0, 3):  # the direct product, on its own
@@ -380,13 +396,14 @@ def test_mixed_star_columns_match_one_leg_calls(table_stub, monkeypatch):
 
 
 def test_star_memory_holds_no_array_per_entry(tmp_path):
-    # val and der are 4N doubles a frequency; a [4N, nk] array of the
-    # matrix entries would add 4N more
+    # val and der are 4N doubles a frequency, and the Jost starts 4 more
+    # per infinite branch; a [4N, nk] array of the matrix entries would
+    # add 4N more
     net = smooth_demo_star(tmp_path)
-    scattering._branch_data(net, FINE)
+    branch_data(net, FINE)
     tracemalloc.start()
     try:
-        scattering._branch_data(net, FINE)
+        branch_data(net, FINE)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

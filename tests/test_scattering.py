@@ -19,9 +19,11 @@ from conftest import closed_form_r1, direct_network, fake_singular_stub, \
 from references import assemble_field, fundamental_profile
 
 
-def adaptive_branch_data(net, k):
+def adaptive_branch_data(net, plan, s):
     """``scattering._branch_data`` on the RK45 references: the same node
-    pairs (val, der) over k, each ``branch_leg`` on ``jost.rk45_sweep``."""
+    pairs (val, der) over the block k[s] of the plan's grid, each
+    ``branch_leg`` on ``jost.rk45_sweep``."""
+    k = plan.k[s]
     val, der = zip(*(run_leg(jost.rk45_sweep, scattering.branch_leg(b, k), k)
                      for b in net.branches))
     return np.stack(val, axis=1), np.stack(der, axis=1)
@@ -295,13 +297,17 @@ class TestReflectogram:
         assert len(one) == 1
         assert one.R1.tolist() == solve_scattering(stub, 5.0).R1.tolist()
 
-    def test_threaded_matches_serial(self):
-        net = uniform_network(1, taus=[1.0])
-        grid = np.linspace(10.0, 12.0, 101)
+    def test_threaded_matches_serial(self, tmp_path):
+        # the pool solves the serial sweep's blocks, which share one plan,
+        # so every field is the serial one to the bit
+        net = smooth_demo_star(tmp_path)
+        grid = 60.0 + 0.005 * np.arange(20001)
         serial = reflectogram(net, grid, threads=1)
         threaded = reflectogram(net, grid, threads=4)
-        assert threaded.k.tolist() == serial.k.tolist()
-        assert np.max(np.abs(threaded.R1 - serial.R1)) < 1e-14
+        assert len(scattering._plan(net, grid).blocks) > 4
+        for f in dataclasses.fields(ScatteringSweep):
+            assert np.array_equal(getattr(threaded, f.name),
+                                  getattr(serial, f.name)), f.name
 
 
 def test_batch_solver_matches_scalar(rng):
@@ -327,7 +333,9 @@ def matrix_node_solve(net, k):
     node_values)."""
     k = np.atleast_1d(np.asarray(k, dtype=float))
     # unknown column per branch: R1 for branch 1, then T_j / alpha_j in order
-    val_coeff, der_coeff = scattering._branch_data(net, k)
+    # the solver's node pairs over the whole grid, as one block
+    val_coeff, der_coeff = scattering._branch_data(
+        net, scattering._plan(net, k), slice(None))
     N = len(net.branches)
     nk = k.size
     b1 = net.branches[0]
@@ -388,12 +396,13 @@ def zero_stub_value(monkeypatch, stubs, at_k):
     """Set u_j(0) to exactly 0 on the given stubs at the frequency at_k."""
     real = scattering._branch_data
 
-    def branch_data(net, k):
-        val, der = real(net, k)
-        val[np.ix_(k == at_k, [net.branches.index(b) for b in stubs])] = 0.0
+    def zeroed(net, plan, s):
+        val, der = real(net, plan, s)
+        val[np.ix_(plan.k[s] == at_k,
+                   [net.branches.index(b) for b in stubs])] = 0.0
         return val, der
 
-    monkeypatch.setattr(scattering, "_branch_data", branch_data)
+    monkeypatch.setattr(scattering, "_branch_data", zeroed)
 
 
 def test_exact_zero_stub_value_decouples(monkeypatch):
@@ -505,11 +514,12 @@ def test_jost_at_origin_is_the_branch_leg_on_rk45(tmp_path):
 
 def test_branch_data_columns_are_one_leg_sweeps(tmp_path):
     # on a short grid every leg takes the direct product, alone or in the
-    # star's call, so the columns agree bit for bit
+    # solver's call, so the solver's node pairs are the one-leg sweeps bit
+    # for bit
     net = star_with_free_line(tmp_path)
-    val, der = scattering._branch_data(net, CHECK_KS)
+    sweep = scattering.solve_scattering_batch(net, CHECK_KS)
     for j, b in enumerate(net.branches):
         y, dy = run_leg(propagate.sweep, scattering.branch_leg(b, CHECK_KS),
                         CHECK_KS)
-        assert np.array_equal(val[:, j], y)
-        assert np.array_equal(der[:, j], dy)
+        assert np.array_equal(sweep.val[:, j], y)
+        assert np.array_equal(sweep.der[:, j], dy)
