@@ -20,7 +20,11 @@ computed, so memory holds one block and the grid, not arrays of every
 branch over every frequency.  The resonant count and the worst condition
 number are kept across blocks.  A failure part-way leaves no partial CSV:
 a file it created is removed, and a regular file that was there is
-emptied, as opening it did.
+emptied, as opening it did.  The CSV's numbers are `%.12g` text made by
+`csvtext.rows_text` from array code, a chunk of about 2 000 values at a
+time: exactly `%`'s bytes, since a value whose 12 digits one correctly
+rounded scaling cannot fix (about 1% of rows hold one) has its row
+written by `%` itself.  The file is opened in binary and takes bytes.
 
 Exit codes: 0 ok; 2 bad input: a config or table that fails to parse or
 validate, a bad argument (a grid too large for an array, a k whose square
@@ -42,7 +46,7 @@ import warnings
 
 import numpy as np
 
-from . import inversion, jost, oracle, propagate, scattering
+from . import csvtext, inversion, jost, oracle, propagate, scattering
 from .config import load_network
 from .errors import ConfigError, InsufficientDataError, ResonanceError, \
     StarScatterError
@@ -72,19 +76,17 @@ def cmd_forward(args) -> int:
     header = ["k", "re_R1", "im_R1", "abs_R1"]
     for j in range(2, m + 1):
         header += [f"re_T{j}", f"im_T{j}"]
-    row_fmt = ",".join(["%.12g"] * len(header)) + "\n"
-    nan_fmt = "%.12g" + ",NaN" * (len(header) - 1) + "\n"
     # counts over the blocks, and the worst ill-conditioned row (cond, k)
     rows = resonant = ill = 0
     worst = None
     # open --out first, so an unwritable path fails before the sweep
     created = not os.path.lexists(args.out)
-    fh = open(args.out, "w")
+    fh = open(args.out, "wb")
     try:
         with fh:
-            fh.write(",".join(header) + "\n")
+            fh.write((",".join(header) + "\n").encode())
             for sweep in scattering.reflectogram_blocks(net, grid):
-                _write_rows(fh, sweep, row_fmt, nan_fmt)
+                _write_rows(fh, sweep)
                 bad = sweep.resonant
                 rows += len(sweep)
                 resonant += int(bad.sum())
@@ -112,35 +114,23 @@ def cmd_forward(args) -> int:
     return 0
 
 
-def _rows_text(row_fmt: str, rows: np.ndarray) -> str:
-    """The CSV text of a block of table rows, in one %-format.
-
-    A function of its own: tracemalloc finds the line of each of the
-    format's many allocations by scanning the calling code, which is
-    several times slower deep in a long function (CPython 3.11)."""
-    return (row_fmt * len(rows)) % tuple(rows.ravel().tolist())
-
-
-def _write_rows(fh, sweep, row_fmt: str, nan_fmt: str):
+def _write_rows(fh, sweep):
     """Write one block of a sweep as CSV rows, a resonant row as NaN.
 
-    One %-format per run of at most propagate.BLOCK characters of repeated
-    row format between two resonant rows, so the Python floats and text of
-    the whole block are never held at once."""
-    table = np.empty((len(sweep), row_fmt.count("%")))
+    One `csvtext.rows_text` per chunk of rows whose values' source rows
+    fill at most propagate.BLOCK bytes (2 048 values), so the writer holds
+    about 160 bytes a value of one chunk, never the whole block's text."""
+    columns = 4 + 2 * sweep.T.shape[1]
+    table = np.empty((len(sweep), columns))
     table[:, 0], table[:, 1], table[:, 2] = (sweep.k, sweep.R1.real,
                                              sweep.R1.imag)
     # np.hypot is Python's abs(complex) to the bit; np.abs is not
     table[:, 3] = np.hypot(sweep.R1.real, sweep.R1.imag)
     table[:, 4::2], table[:, 5::2] = sweep.T.real, sweep.T.imag
-    step = max(1, propagate.BLOCK // len(row_fmt))
-    lo = 0
-    for hi in [*np.flatnonzero(sweep.resonant).tolist(), len(sweep)]:
-        for a in range(lo, hi, step):
-            fh.write(_rows_text(row_fmt, table[a:min(a + step, hi)]))
-        if hi < len(sweep):
-            fh.write(nan_fmt % sweep.k[hi])
-        lo = hi + 1
+    step = max(1, propagate.BLOCK // (csvtext.ROW * columns))
+    for a in range(0, len(sweep), step):
+        fh.write(csvtext.rows_text(table[a:a + step],
+                                   sweep.resonant[a:a + step]))
 
 
 def read_reflectogram_csv(path):

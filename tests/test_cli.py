@@ -11,10 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from starscatter import cli, fundamental, inversion, propagate, scattering
+from starscatter import cli, csvtext, fundamental, inversion, propagate, \
+    scattering
 from starscatter.errors import ResonanceError
 
-from conftest import fake_singular_stub, write_sin2_table
+from conftest import fake_singular_stub, smooth_demo_star, write_sin2_table
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -340,24 +341,31 @@ class TestForward:
 
     def test_csv_blocks_match_the_per_row_writer(self, tmp_path,
                                                  monkeypatch):
-        # blocks of 200 // len(row format) rows: 4 rows of 8 columns, 5 of
-        # 6, so the 13 rows and the stretches between resonant rows span
-        # several blocks each
+        # sweep blocks of ROW_BLOCK // N = 50 // N rows and CSV chunks of
+        # one row (200 // (32 columns) is 0), so the 13 rows and the
+        # stretches between resonant rows span several blocks each; at the
+        # default BLOCK one chunk holds all 13 rows, fast, %-format and
+        # resonant alike
         monkeypatch.setattr(cli.propagate, "BLOCK", 200)
         self.assert_forward_matches_per_row_writer(tmp_path, monkeypatch)
 
     def assert_forward_matches_per_row_writer(self, tmp_path, monkeypatch):
-        grid = 5.0 + 0.25 * np.arange(13)
-        argv = ["--kmin", "5", "--kmax", "8", "--dk", "0.25"]
-        # fake_singular_stub needs two V = 0 lines and one stub
-        for m, stubs, singular in ((3, [1.0, 0.7], []),
-                                   (2, [1.0], [5.0, 6.5])):
+        # fake_singular_stub needs two V = 0 lines and one stub; on the
+        # last star every k is an exact 12-digit tie, which only the
+        # %-format fallback writes, and a free line is one cell at any k
+        ties = 100000000000.5 + np.arange(13)
+        for m, stubs, grid, singular in (
+                (3, [1.0, 0.7], 5.0 + 0.25 * np.arange(13), []),
+                (2, [1.0], 5.0 + 0.25 * np.arange(13), [5.0, 6.5]),
+                (2, [1.0], ties, ties[[3, 4, 12]].tolist())):
             cfg = write_config(tmp_path, uniform_config(m, stubs))
             net, _ = cli.load_network(cfg)
             if singular:
                 fake_singular_stub(
                     monkeypatch, lambda k: np.isin(np.round(k, 9), singular))
             out = tmp_path / "o.csv"
+            argv = ["--kmin", str(grid[0]), "--kmax", str(grid[-1]),
+                    "--dk", str(grid[1] - grid[0])]
             assert cli.main(["forward", "--config", cfg, *argv,
                              "--out", str(out)]) == 0
             sweep = scattering.reflectogram(net, grid)
@@ -382,6 +390,47 @@ class TestForward:
         n_k = 200001
         assert f"wrote {n_k} rows" in capsys.readouterr().out
         assert peak < (16 * propagate.BLOCK + 4 * n_k) * 8
+
+    def test_few_rows_leave_the_fast_path(self, tmp_path, monkeypatch,
+                                          capsys):
+        # the smooth demo star on the benchmark's grid; a trailing-zero
+        # count that reads only the last digit group sends every
+        # k = 60.005 row to the %-format: the same bytes, only slower
+        smooth_demo_star(tmp_path)
+        rows = []
+        real = csvtext._percent_row
+        monkeypatch.setattr(csvtext, "_percent_row",
+                            lambda row, nan: rows.append(1) or real(row, nan))
+        assert cli.main(["forward", "--config", str(tmp_path / "net.json"),
+                         "--kmin", "60", "--kmax", "160", "--dk", "0.005",
+                         "--out", os.devnull]) == 0
+        assert "wrote 20001 rows" in capsys.readouterr().out
+        # near-ties are about 0.2% of values, so about 1% of rows
+        assert 0 < len(rows) <= 0.02 * 20001
+
+    @pytest.mark.parametrize("star", ["smooth", "wide"])
+    def test_block_writes_stay_small(self, tmp_path, star):
+        # each block's CSV write, the first with the writer's tables built,
+        # under 12 BLOCK bytes; the %-format read 770 kB on the smooth
+        # star's 4 032 x 6 blocks and 680 kB on the 3 + 7 star's 1 638 x 8
+        if star == "smooth":
+            net = smooth_demo_star(tmp_path)
+        else:
+            net, _ = cli.load_network(write_config(tmp_path, uniform_config(
+                3, [0.45, 0.7, 0.9, 1.15, 1.4, 1.6, 1.9])))
+        grid = 60.0 + 0.005 * np.arange(20001)
+        csvtext._tables.cache_clear()
+        peaks = []
+        with open(os.devnull, "wb") as fh:
+            for sweep in scattering.reflectogram_blocks(net, grid):
+                tracemalloc.start()
+                try:
+                    cli._write_rows(fh, sweep)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert len(peaks) == (5 if star == "smooth" else 13)
+        assert max(peaks) < 12 * propagate.BLOCK
 
     def test_csv_independent_of_block_length(self, tmp_path, monkeypatch):
         # a V = 0 line, a sin^2 line and a sin^2 stub, which interpolate,
