@@ -21,7 +21,7 @@ branch over every frequency.  The resonant count and the worst condition
 number are kept across blocks.  A failure part-way leaves no partial CSV:
 a file it created is removed, and a regular file that was there is
 emptied, as opening it did.  The CSV's numbers are `%.12g` text made by
-`csvtext.rows_text` from array code, a chunk of about 2 000 values at a
+`csvtext.write_rows` from array code, a chunk of about 2 000 values at a
 time: exactly `%`'s bytes, since a value whose 12 digits one correctly
 rounded scaling cannot fix (about 1% of rows hold one) has its row
 written by `%` itself.  The file is opened in binary and takes bytes.
@@ -46,7 +46,7 @@ import warnings
 
 import numpy as np
 
-from . import csvtext, inversion, jost, oracle, propagate, scattering
+from . import csvtext, inversion, jost, oracle, scattering
 from .config import load_network
 from .errors import ConfigError, InsufficientDataError, ResonanceError, \
     StarScatterError
@@ -115,22 +115,15 @@ def cmd_forward(args) -> int:
 
 
 def _write_rows(fh, sweep):
-    """Write one block of a sweep as CSV rows, a resonant row as NaN.
-
-    One `csvtext.rows_text` per chunk of rows whose values' source rows
-    fill at most propagate.BLOCK bytes (2 048 values), so the writer holds
-    about 160 bytes a value of one chunk, never the whole block's text."""
-    columns = 4 + 2 * sweep.T.shape[1]
-    table = np.empty((len(sweep), columns))
+    """Write one block of a sweep as CSV rows, a resonant row as NaN, by
+    `csvtext.write_rows`."""
+    table = np.empty((len(sweep), 4 + 2 * sweep.T.shape[1]))
     table[:, 0], table[:, 1], table[:, 2] = (sweep.k, sweep.R1.real,
                                              sweep.R1.imag)
     # np.hypot is Python's abs(complex) to the bit; np.abs is not
     table[:, 3] = np.hypot(sweep.R1.real, sweep.R1.imag)
     table[:, 4::2], table[:, 5::2] = sweep.T.real, sweep.T.imag
-    step = max(1, propagate.BLOCK // (csvtext.ROW * columns))
-    for a in range(0, len(sweep), step):
-        fh.write(csvtext.rows_text(table[a:a + step],
-                                   sweep.resonant[a:a + step]))
+    csvtext.write_rows(fh, table, sweep.resonant)
 
 
 def read_reflectogram_csv(path):

@@ -20,10 +20,10 @@ Schema (version 1):
     }
 
 Table paths are resolved relative to the config file.  Potential tables are
-two-column (x, V) CSVs with a header and are interpolated with a cubic
-spline, zero outside the tabulated range.  Every number must be a finite
-JSON number: NaN, Infinity and the booleans are rejected, as is a missing
-required key or a value of the wrong type.
+two-column (x, V) CSVs with a header, whose cubic spline (at least 4 rows,
+x strictly increasing) is V, zero outside the tabulated range.  Every
+number must be a finite JSON number: NaN, Infinity and the booleans are
+rejected, as is a missing required key or a value of the wrong type.
 """
 from __future__ import annotations
 
@@ -34,7 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, StarScatterError
-from .line_model import LineProfile, TablePotential, read_table_csv
+from . import line_model
+from .line_model import LineProfile, read_table_csv
 from .scattering import StarNetwork
 
 SCHEMA_VERSION = 1
@@ -68,16 +69,16 @@ def _require(obj, key, typ, where, default=_NO_DEFAULT):
     return val
 
 
-def _spline_potential(path: Path, where: str):
+def _spline_potential(path: Path, where: str) -> line_model.CubicSpline:
     try:
         x, v = read_table_csv(path)
     except OSError as exc:
         raise ConfigError(f"'{where}': cannot read {path}: {exc}") from exc
-    if x.size < 4:
-        raise ConfigError(f"'{where}': potential table needs >= 4 rows")
-    if not np.all(np.diff(x) > 0):
-        raise ConfigError(f"'{where}': x column must be strictly increasing")
-    return TablePotential(x, v), float(x[-1])
+    try:  # slopes that overflow are refused, not warned of
+        with np.errstate(over="ignore", invalid="ignore"):
+            return line_model.CubicSpline(x, v)
+    except ValueError as exc:
+        raise ConfigError(f"'{where}': {path}: {exc}") from exc
 
 
 def _profile_from_spec(spec: dict, kind: str, base: Path,
@@ -111,19 +112,20 @@ def _profile_from_spec(spec: dict, kind: str, base: Path,
 def _direct_from_spec(spec: dict, kind: str, base: Path,
                       where: str) -> LineProfile:
     path = base / _require(spec, "potential_table_path", str, where)
-    evaluator, table_end = _spline_potential(path, f"{where}.potential_table_path")
-    support_end = _require(spec, "support_end", float, where, table_end)
+    spline = _spline_potential(path, f"{where}.potential_table_path")
+    support_end = _require(spec, "support_end", float, where,
+                           float(spline.x[-1]))
     A0 = _require(spec, "A0", float, where, 1.0)
     A0prime = _require(spec, "A0prime", float, where, 0.0)
     if kind == "finite":
         tau = _require(spec, "tau", float, where)
         h = _require(spec, "h", float, where, 0.0)
-        return LineProfile.direct(evaluator, support_end, A0, A0prime,
+        return LineProfile.direct(spline, support_end, A0, A0prime,
                                   tau=tau, h=h)
     if "tau" in spec or "h" in spec:
         raise ConfigError(
             f"'{where}': tau/h are not allowed on infinite branches")
-    return LineProfile.direct(evaluator, support_end, A0, A0prime)
+    return LineProfile.direct(spline, support_end, A0, A0prime)
 
 
 def load_network(path) -> tuple[StarNetwork, dict]:

@@ -2,7 +2,8 @@
 
 `rows_text(rows)` returns ``(row_fmt * n) % values`` encoded, with
 ``row_fmt`` the row of ``%.12g`` fields joined by ``,`` and ended by a
-newline, without formatting one Python float at a time.
+newline, without formatting one Python float at a time; `write_rows`
+writes a table's text to a file a chunk of rows at a time.
 
 Why it is exact (Clinger, PLDI 1990; Gay, "Correctly rounded binary-decimal
 and decimal-binary conversions", 1990, whose ``dtoa`` CPython's `%` runs):
@@ -52,6 +53,7 @@ CONSTANTS = b"\0.+-e0123456789"
 NUL, POINT, PLUS, MINUS, EXP, ZERO = range(16, 22)
 ROW = 32
 GATHER = 512  # values per gather of their text
+CHUNK = 1 << 16  # source-row bytes per chunk of ``write_rows``
 
 
 def _layout(e: int, sig: int) -> bytes:
@@ -145,8 +147,8 @@ def rows_text(rows: np.ndarray, nan_rows=None) -> bytes:
     values``, encoded.  A row where ``nan_rows`` is set is written as its
     first value and c - 1 ``NaN`` fields.
 
-    It holds about 160 bytes a value at once, so callers pass a few
-    thousand values at a time."""
+    It holds about 160 bytes a value at once; ``write_rows`` passes it
+    a chunk of 2 048 values or fewer at a time."""
     n, c = rows.shape
     x = np.ascontiguousarray(rows, dtype=float).ravel()
     *_, source, layouts = _tables()
@@ -179,6 +181,15 @@ def rows_text(rows: np.ndarray, nan_rows=None) -> bytes:
         lo = i + 1
     parts.append(text[lo:].tobytes().translate(None, b"\0"))
     return b"".join(parts)
+
+
+def write_rows(fh, rows: np.ndarray, nan_rows) -> None:
+    """Write ``rows_text(rows, nan_rows)`` to the binary file fh a chunk
+    of rows at a time, whose source rows fill at most CHUNK bytes (2 048
+    values), so it holds one chunk's text, never the whole table's."""
+    step = max(1, CHUNK // (ROW * rows.shape[1]))
+    for a in range(0, len(rows), step):
+        fh.write(rows_text(rows[a:a + step], nan_rows[a:a + step]))
 
 
 def _percent_row(row, nan) -> bytes:

@@ -9,12 +9,14 @@ modules consume a LineProfile's PotentialFn and node data and never see z.
 
 Each ``LineProfile`` constructor builds its branch once, as one record: the
 potential V, the node data and the map x(z), fitting a sampled table's
-splines once for all three.  ||V||_L1, the truncation point and a sampled
-table's V spline are all taken on a uniform x-grid of spacing GRID_STEP,
-which is refused before it is allocated if an array cannot hold it.  The
-cubic spline and the two quadratures (``CubicSpline``,
-``cumulative_trapezoid``, ``simpson``) are numpy ports of scipy's, which
-the package does not import.
+splines once for all three.  Each builds V by ``_build_potential``, as a
+function on a window [lo, hi] of [0, support_end] and 0 off it; an (x, V)
+table is its ``CubicSpline``, on its knots.  ||V||_L1, the truncation
+point and a sampled table's V spline are all taken on a uniform x-grid of
+spacing GRID_STEP, which is refused before it is allocated if an array
+cannot hold it.  The cubic spline and the two quadratures
+(``CubicSpline``, ``cumulative_trapezoid``, ``simpson``) are numpy ports
+of scipy's, which the package does not import.
 """
 from __future__ import annotations
 
@@ -61,8 +63,10 @@ class LineProfile:
         if (self.tau is None) != (self.h is None):
             raise ProfileValidityError(
                 "tau and h come together (finite branch) or not at all")
-        if self.tau is not None and self.tau <= 0:
-            raise ProfileValidityError("tau must be positive")
+        if self.tau is not None:
+            _require_finite(tau=self.tau, h=self.h)
+            if self.tau <= 0:
+                raise ProfileValidityError("tau must be positive")
 
     @property
     def is_finite(self) -> bool:
@@ -83,7 +87,7 @@ class LineProfile:
         L, C, length = float(inductance), float(capacitance), float(length)
         slowness = math.sqrt(L * C)
         ends = (slowness * length, 0.0) if math.isfinite(length) else ()
-        return cls(_build_potential(None, 0.0), lambda z: slowness * z,
+        return cls(_build_potential(None, 0, 0, 0), lambda z: slowness * z,
                    length, (C / L) ** 0.25, 0.0, *ends)
 
     @classmethod
@@ -105,10 +109,9 @@ class LineProfile:
         if slowness <= 0 or scale <= 0:
             raise ProfileValidityError("slowness and scale must be positive")
         g, s, a0 = float(gamma), float(slowness), float(scale)
-        tau, g2 = s * float(length), g ** 2
+        tau, g2 = s * float(length), g * g  # g ** 2 raises on overflow
         potential = _build_potential(
-            _clipped(lambda x: np.full_like(np.asarray(x, float), g2),
-                     0.0, tau), tau)
+            lambda x: np.full_like(np.asarray(x, float), g2), 0.0, tau, tau)
         return cls(potential, lambda z: s * z, float(length), a0, g * a0,
                    tau, g)
 
@@ -142,27 +145,31 @@ class LineProfile:
         if np.any(L <= 0) or np.any(C <= 0):
             raise ProfileValidityError("encountered non-positive L or C sample")
         z = z - z[0]
+        what = "travel time x(z)"
         try:
-            # near the float limit the spline fit of sqrt(L C) (a
-            # ValueError on non-finite values or slopes) or x itself
-            # overflows
+            # near the float limit the spline fits of sqrt(L C), A and V (a
+            # ValueError on non-finite values or slopes), x itself, C / L or
+            # A'' overflow
             with np.errstate(over="ignore", invalid="ignore"):
                 x_of_z = _x_of_z(z, L, C)
                 x_samples = x_of_z(z)
-            if not np.all(np.isfinite(x_samples)):
-                raise ValueError
+                if not np.all(np.isfinite(x_samples)):
+                    raise ValueError
+                what = "the spline of A = (C/L)^(1/4) or of V = A''/A"
+                spline = CubicSpline(x_samples, (C / L) ** 0.25,
+                                     bc_type="natural")
+                x_end = float(x_samples[-1])
+                xg = _grid(x_end)
+                a_vals = spline(xg)
+                if np.any(a_vals <= 0):
+                    raise ProfileValidityError(
+                        "A(x) interpolated to a non-positive value")
+                v_spline = CubicSpline(xg, spline(xg, 2) / a_vals,
+                                       bc_type="natural")
         except ValueError as exc:
             raise ProfileValidityError(
-                f"travel time x(z) on [0, {z[-1]:.6g}] is not finite") from exc
-        spline = CubicSpline(x_samples, (C / L) ** 0.25, bc_type="natural")
-        x_end = float(x_samples[-1])
-        xg = _grid(x_end)
-        a_vals = spline(xg)
-        if np.any(a_vals <= 0):
-            raise ProfileValidityError(
-                "A(x) interpolated to a non-positive value")
-        v_spline = CubicSpline(xg, spline(xg, 2) / a_vals, bc_type="natural")
-        potential = _build_potential(_clipped(v_spline, 0.0, x_end), x_end)
+                f"{what} on [0, {z[-1]:.6g}] is not finite") from exc
+        potential = _build_potential(v_spline, 0.0, x_end, x_end)
         ends = () if infinite else (
             x_end, float(spline(x_end, 1) / spline(x_end)))
         return cls(potential, x_of_z, math.inf if infinite else float(z[-1]),
@@ -187,6 +194,7 @@ class LineProfile:
 
         The profile lives in the Liouville coordinate already (z == x).
         Finite branches must give ``tau`` and ``h``; infinite ones must not.
+        A ``CubicSpline`` potential is an (x, V) table, 0 off its knots.
         V is 0 past ``support_end``, so ``support_end = 0`` states V = 0,
         and a negative one, which would drop V without a word, is refused,
         as is a table that meets [0, support_end > 0] in at most a point or
@@ -200,19 +208,18 @@ class LineProfile:
             raise ProfileValidityError("h is only defined on finite branches")
         if tau is not None:
             tau, h = float(tau), 0.0 if h is None else float(h)
-            _require_finite(tau=tau, h=h)
-        support_end = float(support_end)
-        fn, lo, hi = potential, 0.0, support_end
-        if isinstance(fn, TablePotential):
-            fn, lo, hi = fn.spline, max(lo, fn.x0), min(hi, fn.x_end)
+        lo, hi = 0.0, support_end
+        if isinstance(potential, CubicSpline):  # a table: V is 0 off it
+            x0, x_end = float(potential.x[0]), float(potential.x[-1])
+            lo, hi = max(lo, x0), min(hi, x_end)
             # V would be 0; support_end = 0 says so on purpose only of a
             # table that reaches past the node
-            if hi <= lo and (support_end > 0 or potential.x_end <= 0):
+            if hi <= lo and (support_end > 0 or x_end <= 0):
                 raise ProfileValidityError(
-                    f"potential table on [{potential.x0:.6g}, "
-                    f"{potential.x_end:.6g}] meets [0, {support_end:.6g}] "
-                    f"in at most one point, so V would be 0")
-        return cls(_build_potential(_clipped(fn, lo, hi), support_end),
+                    f"potential table on [{x0:.6g}, {x_end:.6g}] meets "
+                    f"[0, {support_end:.6g}] in at most one point, so V "
+                    f"would be 0")
+        return cls(_build_potential(potential, lo, hi, support_end),
                    lambda z: z, math.inf if tau is None else tau, float(A0),
                    float(A0prime), tau, h)
 
@@ -460,11 +467,28 @@ def _spline_at(spline: CubicSpline) -> Callable[[float], float]:
     return value
 
 
-def _clipped(fn, lo, hi):
-    """fn on [lo, hi] and 0 elsewhere.  A float x costs one comparison and
-    one call of fn, or, when fn is a CubicSpline whose knots span [lo, hi],
-    one numpy-free piece evaluation (``_spline_at``)."""
-    if isinstance(fn, CubicSpline) and fn.x[0] <= lo and hi <= fn.x[-1]:
+def _grid(x_end: float) -> np.ndarray:
+    """The uniform grid on [0, x_end] of step at most GRID_STEP, at least
+    16 cells; ProfileValidityError, before allocating, when it has more
+    cells than an array can hold."""
+    cells = x_end / GRID_STEP
+    if cells > MAX_CELLS:
+        raise ProfileValidityError(
+            f"a grid of step {GRID_STEP} on [0, {x_end:.6g}] needs "
+            f"{cells:.3g} cells, more than an array can hold")
+    return np.linspace(0.0, x_end, max(math.ceil(cells), 16) + 1)
+
+
+def _build_potential(fn, lo, hi, support_end) -> PotentialFn:
+    """PotentialFn of V = fn on [lo, hi], a part of [0, support_end], and
+    0 elsewhere, its L1 norm and truncation point taken on a uniform grid
+    of step GRID_STEP.  A float x costs one comparison and one call of fn,
+    or, when fn is a CubicSpline (its knots must span [lo, hi]), one
+    numpy-free piece evaluation (``_spline_at``)."""
+    if support_end <= 0.0:
+        zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+        return PotentialFn(zero, 0.0, 0.0, 0.0)
+    if isinstance(fn, CubicSpline):
         scalar = _spline_at(fn)
     else:
         scalar = lambda x: float(fn(x))
@@ -478,48 +502,11 @@ def _clipped(fn, lo, hi):
         out = np.where(inside, fn(np.clip(x, lo, hi)), 0.0)
         return out if out.ndim else float(out)
 
-    return evaluator
-
-
-class TablePotential:
-    """V from an (x, V) table: a not-a-knot cubic ``spline`` through the
-    rows on [x0, x_end], 0 elsewhere.
-
-    As the potential of a direct profile, its window is intersected with
-    the branch's [0, support_end], so V is masked once, not twice.
-    """
-
-    def __init__(self, x: np.ndarray, v: np.ndarray):
-        self.spline = CubicSpline(x, v)
-        self.x0, self.x_end = float(x[0]), float(x[-1])
-        self._evaluator = _clipped(self.spline, self.x0, self.x_end)
-
-    def __call__(self, x):
-        return self._evaluator(x)
-
-
-def _grid(x_end: float) -> np.ndarray:
-    """The uniform grid on [0, x_end] of step at most GRID_STEP, at least
-    16 cells; ProfileValidityError, before allocating, when it has more
-    cells than an array can hold."""
-    cells = x_end / GRID_STEP
-    if cells > MAX_CELLS:
-        raise ProfileValidityError(
-            f"a grid of step {GRID_STEP} on [0, {x_end:.6g}] needs "
-            f"{cells:.3g} cells, more than an array can hold")
-    return np.linspace(0.0, x_end, max(math.ceil(cells), 16) + 1)
-
-
-def _build_potential(evaluator, support_end) -> PotentialFn:
-    """PotentialFn of an arbitrary evaluator, its L1 norm and truncation
-    point taken on a uniform grid of step GRID_STEP."""
-    if support_end <= 0.0:
-        zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-        return PotentialFn(zero, 0.0, 0.0, 0.0)
     xg = _grid(support_end)
-    absv = np.abs(np.asarray(evaluator(xg), dtype=float))
-    cum = cumulative_trapezoid(absv, xg)
-    l1 = float(simpson(absv, xg))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        absv = np.abs(np.asarray(evaluator(xg), dtype=float))
+        cum = cumulative_trapezoid(absv, xg)
+        l1 = float(simpson(absv, xg))
     # on compact support a finite L1 norm is a finite first moment too
     if not math.isfinite(l1):
         raise ProfileValidityError("L1 norm of |V| is not finite")

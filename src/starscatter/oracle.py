@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResonanceError
+from .propagate import MAX_CELLS
 from .scattering import StarNetwork
 
 
@@ -85,6 +86,9 @@ def oracle_solve(net: StarNetwork, k: float, dx: float,
     grids = []
     for j, b in enumerate(net.branches, start=1):
         L = b.tau if b.is_finite else X_trunc
+        if L / dx > MAX_CELLS:  # refused before it is allocated
+            raise DomainError(f"branch {j}: {L / dx:.3g} grid cells on [0, "
+                              f"{L:.6g}], more than an array can hold")
         n = max(int(round(L / dx)), 8)
         if (L / n) ** 2 < sys.float_info.min:  # the stencil divides by it
             raise DomainError(f"branch {j}: grid step {L / n:.3g} is too "

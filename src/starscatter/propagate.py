@@ -20,9 +20,10 @@ summed length.  The midpoint scheme already treats V as constant there, so
 merging changes the product only by rounding: uniform lines, exponential
 tapers and the V = 0 stretch past a potential's support each cost a single
 cell.  A V = 0 potential is not sampled at all, so it costs one cell at any
-k; any other partition too large for an array raises DomainError.  The
-scheme is second order in dx for smooth V.  Signed dx gives backward
-propagation (cos is even, sin(q dx)/q is odd).
+k; any other partition too large for an array raises DomainError.  An
+empty span (x_from = x_to) is one cell of width 0, whose matrix is exactly
+the identity (1, 0, 0, 1).  The scheme is second order in dx for smooth V.
+Signed dx gives backward propagation (cos is even, sin(q dx)/q is odd).
 
 On a fixed partition the product is an entire function of k of exponential
 type |x_to - x_from|, so n + 1 Chebyshev points of [k_min, k_max], with
@@ -60,13 +61,13 @@ grid's largest |k|, the shared nodes, node products and off-node checks,
 each leg's direct-or-interpolated choice, and the direct product's cells
 per block.  ``sweep_block`` then carries one block of rows from the legs'
 start pairs to their end pairs, [rows, legs] arrays; the direct legs of
-one run (uniform lines and stubs) take one cell product together.  A block
-has about ROW_BLOCK // legs rows, rounded down to a whole number of
-barycentric blocks (at least one), so its arrays stay O(BLOCK), and each
-row is computed as a one-block sweep of the whole grid computes it: the
-results do not depend on the block length.  ``sweep_legs`` writes the
-blocks in turn into whole-grid outputs, from start pairs (y, dy) that
-broadcast against the whole grid.
+one run (uniform lines, stubs, empty spans) take one cell product
+together.  A block has about ROW_BLOCK // legs rows, rounded down to a
+whole number of barycentric blocks (at least one), so its arrays stay
+O(BLOCK), and each row is computed as a one-block sweep of the whole grid
+computes it: the results do not depend on the block length.
+``sweep_legs`` writes the blocks in turn into whole-grid outputs, from
+start pairs (y, dy) that broadcast against the whole grid.
 """
 from __future__ import annotations
 
@@ -107,14 +108,12 @@ def _step_factors(s: np.ndarray, dx):
         q = np.sqrt(s)
         arg = q * dx
         c = np.cos(arg)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            sl = np.sin(arg) / q
+        sl = np.sin(arg) / q
     else:
         q = np.sqrt(np.abs(s))
         arg = q * dx
-        with np.errstate(invalid="ignore", divide="ignore"):
-            c = np.where(s >= 0, np.cos(arg), np.cosh(arg))
-            sl = np.where(s >= 0, np.sin(arg), np.sinh(arg)) / q
+        c = np.where(s >= 0, np.cos(arg), np.cosh(arg))
+        sl = np.where(s >= 0, np.sin(arg), np.sinh(arg)) / q
     if np.any(small):
         c = np.where(small, 1.0 - 0.5 * s * dx * dx, c)
         sl = np.where(small, dx * (1.0 - s * dx * dx / 6.0), sl)
@@ -172,10 +171,14 @@ def _cell_product(k: np.ndarray, v_runs: np.ndarray, widths: np.ndarray,
     k2 = k * k
     total = _EYE
     step = step or _cells_per_block(k.size)
-    for lo in range(0, len(v_runs), step):
-        total = _times(_block_product(k2 - v_runs[lo:lo + step, ..., None],
-                                      widths[lo:lo + step, ..., None]),
-                       total)
+    # sin(q dx)/q divides by q = 0 where k^2 = V, s dx^2 overflows on a
+    # long cell (not small then), and cosh overflows where V >> k^2: an inf
+    # or NaN entry is for the node solve to flag, not a warning
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for lo in range(0, len(v_runs), step):
+            total = _times(_block_product(
+                k2 - v_runs[lo:lo + step, ..., None],
+                widths[lo:lo + step, ..., None]), total)
     return total
 
 
@@ -219,10 +222,11 @@ def _barycentric(k: np.ndarray, nodes: np.ndarray, weights: np.ndarray,
 
 def _runs(potential, x_from: float, x_to: float, k_top: float):
     """The merged partition (v_runs, widths) of [x_from, x_to] that the
-    grid's largest |k| gives, or None for an empty span."""
+    grid's largest |k| gives; an empty span is one run of width 0, whose
+    cell matrix is exactly the identity."""
     length = x_to - x_from
     if length == 0.0:
-        return None
+        return np.zeros(1), np.zeros(1)
     n_steps = step_count(abs(length), k_top)
     dx = length / n_steps
     if getattr(potential, "support_end", 1.0) <= 0.0:
@@ -245,8 +249,7 @@ class SweepPlan:
 
     k: np.ndarray
     legs: int
-    empty: tuple  # the legs of an empty span, whose product is the identity
-    # the other direct legs, in groups that share one cell product: (legs,
+    # the direct legs, in groups that share one cell product: (legs,
     # v_runs, widths), with [runs, legs] arrays
     direct: tuple
     interp: tuple  # the legs the barycentric pass carries
@@ -274,7 +277,7 @@ def plan_sweep(paths, k: np.ndarray) -> SweepPlan:
     n = max(math.ceil(abs(x_to - x_from) * (k_max - k_min) / 2)
             for _, x_from, x_to in paths) + NODE_MARGIN
     interp = [j for j, r in enumerate(runs)
-              if k.size > n + 1 and r is not None and r[0].size > n + 1]
+              if k.size > n + 1 and r[0].size > n + 1]
     nodes = weights = F = None
     if interp:
         nodes, weights = _chebyshev_nodes(k_min, k_max, n)
@@ -293,10 +296,10 @@ def plan_sweep(paths, k: np.ndarray) -> SweepPlan:
                   ).reshape(-1, 4).all(axis=1)
         F = F[np.r_[np.repeat(passed, 4), True]]
         interp = [j for j, ok in zip(interp, passed) if ok]
-    # the direct legs of one run (a uniform line or stub) share one cell
-    # product, [1, legs] elements a row; the others take one each
-    direct = [j for j, r in enumerate(runs)
-              if r is not None and j not in interp]
+    # the direct legs of one run (a uniform line or stub, an empty span)
+    # share one cell product, [1, legs] elements a row; the others take
+    # one each
+    direct = [j for j in range(len(runs)) if j not in interp]
     single = [j for j in direct if runs[j][0].size == 1]
     groups = [[j] for j in direct if j not in single]
     if single:
@@ -305,7 +308,7 @@ def plan_sweep(paths, k: np.ndarray) -> SweepPlan:
     step = BLOCK // nodes.size if interp else 1
     rows = max(1, ROW_BLOCK // len(runs) // step) * step
     return SweepPlan(
-        k, len(runs), tuple(j for j, r in enumerate(runs) if r is None),
+        k, len(runs),
         tuple((tuple(g), np.column_stack([runs[j][0] for j in g]),
                np.column_stack([runs[j][1] for j in g])) for g in groups),
         tuple(interp), nodes, weights, F if interp else None,
@@ -324,18 +327,16 @@ def sweep_block(plan: SweepPlan, s: slice, starts):
     start pair (y, dy), each a scalar or an array over k[s].
 
     Returns the end pairs as two complex [rows, legs] arrays (val, der),
-    one column per leg: an empty span is the identity, each group of
-    direct legs takes its cell product over the block, and the barycentric
-    pass applies each of its blocks of every interpolated leg's entries as
-    it comes, so no [4 legs, rows] array is held.
+    one column per leg: each group of direct legs takes its cell product
+    over the block, and the barycentric pass applies each of its blocks of
+    every interpolated leg's entries as it comes, so no [4 legs, rows]
+    array is held.
     """
     k = plan.k[s]
     starts = [tuple(np.asarray(a, dtype=complex) for a in start)
               for start in starts]
     val = np.empty((k.size, plan.legs), dtype=complex)
     der = np.empty_like(val)
-    for j in plan.empty:
-        val[:, j], der[:, j] = _ends(_EYE, *starts[j])
     for legs, v_runs, widths in plan.direct:
         m = _cell_product(k, v_runs, widths, plan.cells)
         for i, j in enumerate(legs):

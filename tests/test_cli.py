@@ -344,9 +344,11 @@ class TestForward:
         # sweep blocks of ROW_BLOCK // N = 50 // N rows and CSV chunks of
         # one row (200 // (32 columns) is 0), so the 13 rows and the
         # stretches between resonant rows span several blocks each; at the
-        # default BLOCK one chunk holds all 13 rows, fast, %-format and
+        # default CHUNK one chunk holds all 13 rows, fast, %-format and
         # resonant alike
-        monkeypatch.setattr(cli.propagate, "BLOCK", 200)
+        monkeypatch.setattr(propagate, "BLOCK", 200)
+        monkeypatch.setattr(propagate, "ROW_BLOCK", 50)
+        monkeypatch.setattr(csvtext, "CHUNK", 200)
         self.assert_forward_matches_per_row_writer(tmp_path, monkeypatch)
 
     def assert_forward_matches_per_row_writer(self, tmp_path, monkeypatch):
@@ -458,7 +460,7 @@ class TestForward:
         assert step == propagate.BLOCK // plan.nodes.size
         assert plan.interp == (1, 3) and len(plan.blocks) == 5
         # the narrow stub's cells span several of the grid's cell blocks
-        [(legs, v_runs, _)] = plan.direct
+        [(legs, v_runs, _)] = [g for g in plan.direct if 2 in g[0]]
         assert legs == (2,) and len(v_runs) > 2 * plan.cells
         resonant = grid[[step - 1, step, 2 * step, 3 * step + 7, 4000]]
         fake_singular_stub(monkeypatch, lambda k: np.isin(k, resonant))
@@ -981,6 +983,30 @@ def direct_line_argv(x0, x1, **direct):
     return argv
 
 
+def direct_rows_argv(v):
+    """validate on a uniform line and an infinite ``direct`` line whose
+    V.csv holds the values v at x = 0, 0.1, 0.2, ..."""
+    def argv(tmp_path):
+        (tmp_path / "V.csv").write_text("x,V\n" + "".join(
+            f"{0.1 * i!r},{value!r}\n" for i, value in enumerate(v)))
+        return validate_argv(uniform_branch(), {"kind": "infinite", "direct": {
+            "potential_table_path": "V.csv"}})(tmp_path)
+    return argv
+
+
+def sampled_rows_argv(L, C):
+    """validate on a uniform line and a finite ``sampled_table`` branch
+    whose L.csv and C.csv hold L and C at z = 0, 1, 2, ..."""
+    def argv(tmp_path):
+        for name, column in (("L", L), ("C", C)):
+            (tmp_path / f"{name}.csv").write_text("z,value\n" + "".join(
+                f"{i},{value!r}\n" for i, value in enumerate(column)))
+        return validate_argv(uniform_branch(), {"kind": "finite", "profile": {
+            "family": "sampled_table", "inductance_table_path": "L.csv",
+            "capacitance_table_path": "C.csv"}})(tmp_path)
+    return argv
+
+
 def out_of_memory(message):
     def raise_it(*args, **kwargs):
         raise MemoryError(message)
@@ -1047,6 +1073,36 @@ EXTREME_INPUTS = {
         "one point"),
     "direct-table-ends-at-0": (direct_line_argv(-1.0, 0.0), None, 2,
                                "'branches[1]': potential table on [-1, 0]"),
+    "direct-table-slopes-overflow": (direct_rows_argv(
+        [1e308, -1e308] * 3), None, 2,
+        "'branches[1].direct.potential_table_path': "),
+    "taper-gamma-squared-overflows": (validate_argv(uniform_branch(), {
+        "kind": "finite", "profile": {"family": "exponential_taper",
+                                      "gamma": 2e154, "length": 1.0}}),
+        None, 2, "'branches[1]': L1 norm of |V| is not finite"),
+    # V = 1e200 on a 1e-90 stub: cosh(q dx) overflows in the cell product,
+    # which the node solve flags, with no numpy warning on stderr
+    "taper-cosh-overflows": (validate_argv(uniform_branch(), {
+        "kind": "finite", "profile": {"family": "exponential_taper",
+                                      "gamma": 1e100, "length": 1e-90}}),
+        None, 3, "solver error: node equation singular at k=10.0"),
+    "uniform-tau-overflows": (validate_argv(uniform_branch(), uniform_branch(
+        "finite", 1.0, inductance=1e200, capacitance=1e200)), None, 2,
+        "'branches[1]': tau must be finite, got inf"),
+    "sampled-table-A-overflows": (sampled_rows_argv(
+        [1.0, 1.0, 1e-300, 1.0, 1.0], [1.0, 1.0, 1e300, 1.0, 1.0]), None, 2,
+        "'branches[1]': the spline of A = (C/L)^(1/4) or of V = A''/A on "
+        "[0, 4] is not finite"),
+    # A is finite, 1e77 at z = 2 and 1 elsewhere, sqrt(L C) = 1e-146: A''
+    # overflows
+    "sampled-table-V-overflows": (sampled_rows_argv(
+        [1e-146, 1e-146, 1e-300, 1e-146, 1e-146],
+        [1e-146, 1e-146, 1e8, 1e-146, 1e-146]), None, 2,
+        "'branches[1]': the spline of A = (C/L)^(1/4) or of V = A''/A on "
+        "[0, 4] is not finite"),
+    "oracle-grid-past-array-size": (validate_argv(
+        uniform_branch(), uniform_branch("finite", 1e300)), None, 3,
+        "solver error: branch 2: 1e+303 grid cells on [0, 1e+300]"),
     "memory-error": (grid_argv("60", "61", "0.5"), out_of_memory(
         "Unable to allocate 22.6 PiB"), 3, "solver error: Unable to"),
     "bare-memory-error": (grid_argv("60", "61", "0.5"), out_of_memory(""),

@@ -11,7 +11,7 @@ from starscatter import fundamental, jost, propagate
 from starscatter.fundamental import fundamental_at, \
     fundamental_via_kernel, solve_kernel
 from starscatter.jost import rk45_sweep
-from starscatter.line_model import LineProfile, TablePotential
+from starscatter.line_model import CubicSpline, LineProfile
 
 from conftest import CountingNumpy, sin2_bump, square_well
 from references import kernel_at
@@ -32,7 +32,7 @@ BUMP = make_potential(sin2_bump(1.2, 1.4), 1.4)  # ||V||_L1 = 0.84
 # [0, 0.9], the spline its config route builds
 _X = np.linspace(0.0, 0.9, 161)
 TABLE = make_potential(
-    TablePotential(_X, -0.3 * np.sin(np.pi * _X / 0.9) ** 2), 0.9)
+    CubicSpline(_X, -0.3 * np.sin(np.pi * _X / 0.9) ** 2), 0.9)
 
 
 def count_dp45(monkeypatch):

@@ -224,7 +224,7 @@ def test_table_outside_its_window_rejected(x0, x_end, support_end):
     # the table and [0, support_end] share at most a point, so V would be
     # 0; support_end = 0 says so on purpose only of a table past the node
     x = np.linspace(x0, x_end, 41)
-    table = line_model.TablePotential(x, 0.4 * np.sin(np.pi * (x - x0)) ** 2)
+    table = line_model.CubicSpline(x, 0.4 * np.sin(np.pi * (x - x0)) ** 2)
     message = re.escape(f"potential table on [{x0:.6g}, {x_end:.6g}]")
     with pytest.raises(ProfileValidityError, match=message):
         LineProfile.direct(table, support_end)
@@ -395,7 +395,7 @@ def sampled_line(infinite=False):
 
 def sin2_table_potential():
     x = np.linspace(0.0, 0.6, 161)
-    return line_model.TablePotential(x, 0.4 * np.sin(np.pi * x / 0.6) ** 2)
+    return line_model.CubicSpline(x, 0.4 * np.sin(np.pi * x / 0.6) ** 2)
 
 
 # one profile of each family, and both kinds where a family has both
@@ -466,7 +466,7 @@ TABLE_WINDOWS = ((0.0, 0.9), (0.25, 1.1), (-0.2, 0.7))
 
 @pytest.fixture(scope="module")
 def table_potentials(tmp_path_factory):
-    """config's table potential of 0.4 sin^2 over each window's rows."""
+    """config's table spline of 0.4 sin^2 over each window's rows."""
     out = []
     for i, (x0, x_end) in enumerate(TABLE_WINDOWS):
         x = np.linspace(x0, x_end, 61)
@@ -474,7 +474,7 @@ def table_potentials(tmp_path_factory):
         np.savetxt(path, np.column_stack(
             [x, 0.4 * np.sin(np.pi * (x - x0) / (x_end - x0)) ** 2 + 0.1]),
             delimiter=",", header="x,V", comments="", fmt="%.17g")
-        out.append(config._spline_potential(path, f"V{i}")[0])
+        out.append(config._spline_potential(path, f"V{i}"))
     return out
 
 
@@ -523,15 +523,16 @@ def assert_float_path_is_array_path(V, points):
 def test_single_mask_matches_double_clip(table_potentials, sampled_v, which,
                                          support_end, xs):
     table = table_potentials[which]
-    if min(support_end, table.x_end) <= max(0.0, table.x0):
+    x0, x_end = table.x[0], table.x[-1]
+    if min(support_end, x_end) <= max(0.0, x0):
         # the table's window and [0, support_end] share at most a point
         with pytest.raises(ProfileValidityError, match="at most one point"):
             LineProfile.direct(table, support_end)
         return
     V = LineProfile.direct(table, support_end).potential
-    want = double_clip(table.spline, table.x0, table.x_end, support_end)
-    edges = [table.x0, table.x_end, 0.0, -0.0, support_end,
-             np.nextafter(table.x_end, 2.0), np.nextafter(support_end, 2.0)]
+    want = double_clip(table, x0, x_end, support_end)
+    edges = [x0, x_end, 0.0, -0.0, support_end,
+             np.nextafter(x_end, 2.0), np.nextafter(support_end, 2.0)]
     for x in xs + edges:
         for arg in (float(x), np.float64(x)):
             got, ref = V(arg), want(arg)
@@ -545,21 +546,12 @@ def test_single_mask_matches_double_clip(table_potentials, sampled_v, which,
     # a float takes the numpy-free piece evaluation: the array path's value
     # to the bit on the table's knots and the cut, for the direct table and
     # for a sampled table's V spline
-    assert_float_path_is_array_path(V, xs + edges + table.spline.x.tolist())
+    assert_float_path_is_array_path(V, xs + edges + table.x.tolist())
     sampled, knots = sampled_v
     x_end = sampled.support_end
     assert_float_path_is_array_path(sampled, xs + knots + [
         -0.0, np.nextafter(0.0, -1.0), np.nextafter(x_end, 2.0),
         np.nextafter(x_end, 0.0)])
-
-
-def test_raw_spline_past_its_knots_keeps_scipy_extrapolation():
-    # a CubicSpline handed to ``direct`` as is may not span [0, support_end];
-    # a float x then goes through the spline itself, which extrapolates
-    x = np.linspace(0.2, 0.6, 9)
-    spline = line_model.CubicSpline(x, np.sin(4.0 * x))
-    V = LineProfile.direct(spline, 1.0).potential
-    assert_float_path_is_array_path(V, [0.0, 0.1, 0.2, 0.45, 0.6, 0.8, 1.0])
 
 
 def test_scalar_table_potential_makes_no_spline_or_numpy_call(tmp_path,
@@ -576,7 +568,7 @@ def test_scalar_table_potential_makes_no_spline_or_numpy_call(tmp_path,
     x = np.linspace(0.0, 0.6, 41)
     np.savetxt(path, np.column_stack([x, np.sin(5.0 * x) ** 2]),
                delimiter=",", header="x,V", comments="", fmt="%.17g")
-    table, _ = config._spline_potential(path, "V")
+    table = config._spline_potential(path, "V")
     potentials = (LineProfile.direct(table, 0.5).potential,
                   sampled_line().potential)
     calls.clear()

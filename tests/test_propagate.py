@@ -189,8 +189,8 @@ def table_stub(tmp_path):
     on a branch of tau = 1."""
     table = tmp_path / "fin1.csv"
     write_sin2_table(table, 0.4, 0.6)
-    bump, _ = config._spline_potential(table, "fin1")
-    return bump
+    return LineProfile.direct(config._spline_potential(table, "fin1"),
+                              0.6).potential
 
 
 def test_smooth_stub_costs_its_support_cells_plus_one(table_stub,
