@@ -102,8 +102,9 @@ def step_count(length: float, k_max: float) -> int:
 
 def _step_factors(s: np.ndarray, dx):
     """(c, sl) with c = cos(q dx), sl = sin(q dx)/q for s = q^2 of any sign;
-    dx broadcasts against s."""
-    small = np.abs(s) * dx * dx < 1e-14
+    dx broadcasts against s.  A cell of width 0 is (1, 0) on either
+    branch, except at s = 0, where q = 0 leaves only the Taylor one."""
+    small = (np.abs(s) * dx * dx < 1e-14) & ((dx != 0) | (s == 0))
     if np.all(s > 0):
         q = np.sqrt(s)
         arg = q * dx

@@ -1,4 +1,5 @@
 """Command-line front end: configs, sweeps, inversion, validation."""
+import dataclasses
 import json
 import math
 import os
@@ -799,7 +800,7 @@ class TestValidate:
         assert rc == 0 and "FAIL" not in out, out
 
     def test_failed_rk45_twin_exit_code(self, tmp_path, monkeypatch, capsys):
-        # the RK45 loop's rhs turns NaN halfway along the stub, so its step
+        # the RK45 loop's V turns NaN halfway along the stub, so its step
         # shrinks below 10 spacings of x and it raises AccuracyError
         write_sin2_table(tmp_path / "V.csv", 0.4, 0.6)
         doc = uniform_config(1)
@@ -807,10 +808,11 @@ class TestValidate:
             "potential_table_path": "V.csv", "tau": 1.0, "h": 0.1}})
         real = cli.jost._dp45
 
-        def nan_past_middle(f, x0, x1, u, max_step):
+        def nan_past_middle(V, k2, x0, x1, y, dy, max_step):
             mid = 0.5 * (x0 + x1)
-            return real(lambda x, v: f(x, v) if (x - mid) * (x1 - x0) < 0
-                        else [math.nan] * len(v), x0, x1, u, max_step)
+            nan_V = dataclasses.replace(V, evaluator=lambda x: V(x) if (
+                x - mid) * (x1 - x0) < 0 else math.nan)
+            return real(nan_V, k2, x0, x1, y, dy, max_step)
 
         monkeypatch.setattr(cli.jost, "_dp45", nan_past_middle)
         rc = cli.main(["validate", "--config", write_config(tmp_path, doc)])

@@ -39,9 +39,9 @@ def count_dp45(monkeypatch):
     """Record the span (x0, x1) of each RK45 run behind ``rk45_sweep``."""
     calls, real = [], jost._dp45
 
-    def counted(f, x0, x1, u, max_step):
+    def counted(V, k2, x0, x1, y, dy, max_step):
         calls.append((x0, x1))
-        return real(f, x0, x1, u, max_step)
+        return real(V, k2, x0, x1, y, dy, max_step)
 
     monkeypatch.setattr(jost, "_dp45", counted)
     return calls
@@ -105,10 +105,8 @@ class TestFundamentalAt:
                                           (TABLE, 1.7, -0.1)],
                              ids=["well", "bump", "table"])
     def test_joint_ivp_matches_per_k(self, V, tau, h):
-        # validate's two frequencies in one system, whose steps follow the
-        # larger k.  Each run is within about 1e-9 of a DOP853 reference at
-        # rtol 1e-13 (the k = 6 run alone is 1.2e-9 off on the table stub),
-        # so two runs may differ by twice that; omega' carries a factor k
+        # two frequencies in one call match their one-k calls; omega'
+        # carries a factor k
         om, dom = fundamental_at(V, tau, h, (6.0, 14.0))
         for i, k in enumerate((6.0, 14.0)):
             (om1,), (dom1,) = fundamental_at(V, tau, h, k)

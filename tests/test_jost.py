@@ -88,8 +88,7 @@ class TestJostAtOrigin:
         got = rk45_data(WELL, k)
         assert [(e.shape, e.dtype) for e in got] == \
             [((np.size(k),), np.dtype(complex))] * 4
-        # one system for all k takes its steps from the largest; f' carries
-        # a factor k
+        # f' carries a factor k
         for i, kk in enumerate(np.atleast_1d(k)):
             for d, want in zip(got, well_oracle(1.0, 1.0, kk)):
                 assert abs(d[i] - want) < 1e-8 * kk
@@ -231,24 +230,23 @@ def assert_free_pair(got, want, ks, length):
 
 
 def scipy_twin(V, x_from, x_to, ks, y, dy, method="RK45", **tol):
-    """``rk45_sweep``'s system solved by scipy's ``solve_ivp``: the same
-    rhs and, unless ``tol`` overrides them, the same RTOL, ATOL and
-    max_step."""
-    n, k2 = ks.size, (ks * ks).tolist()
+    """``rk45_sweep``'s one-k systems, one per k, solved by scipy's
+    ``solve_ivp``: the same rhs and, unless ``tol`` overrides them, the
+    same RTOL, ATOL and max_step."""
+    ends = []
+    for kk, y0, dy0 in zip(ks, *np.broadcast_arrays(y, dy, ks)[:2]):
+        def rhs(x, u, k2=kk * kk):
+            return [u[1], (V(x) - k2) * u[0]]
 
-    def rhs(x, u):
-        v = V(x)
-        u = u.tolist()
-        return u[n:] + [(v - q2) * uj for q2, uj in zip(k2, u)]
-
-    opts = {"rtol": jost.RTOL, "atol": jost.ATOL, "max_step": min(
-        abs(x_to - x_from),
-        2.0 * np.pi / np.max(ks) / propagate.STEPS_PER_WAVELENGTH), **tol}
-    u0 = np.r_[np.broadcast_to(y, ks.shape), np.broadcast_to(dy, ks.shape)]
-    sol = integrate.solve_ivp(rhs, (x_from, x_to), u0.astype(complex),
-                              method=method, **opts)
-    assert sol.success, sol.message
-    return sol.y[:n, -1], sol.y[n:, -1]
+        opts = {"rtol": jost.RTOL, "atol": jost.ATOL, "max_step": min(
+            abs(x_to - x_from),
+            2.0 * np.pi / kk / propagate.STEPS_PER_WAVELENGTH), **tol}
+        sol = integrate.solve_ivp(rhs, (x_from, x_to),
+                                  np.array([y0, dy0], dtype=complex),
+                                  method=method, **opts)
+        assert sol.success, sol.message
+        ends.append(sol.y[:, -1])
+    return tuple(np.array(ends).T)
 
 
 def pair_gap(got, want, ks):
@@ -307,6 +305,30 @@ class TestRK45Sweep:
                 assert_free_pair(rk45_sweep(V, x_from, x, ks, y, dy),
                                  propagate.sweep(V, x_from, x, ks, y, dy),
                                  ks, x - x_from)
+
+    def test_each_k_is_its_one_k_call(self, tmp_path):
+        # each k is its own RK45 run, so a k's pair does not depend on the
+        # other k of the call
+        ks = np.array([0.5, 10.0, 29.0])
+        for b in smooth_demo_star(tmp_path).branches:
+            for V, x_from, x_to, _, y, dy in both_ways(b, ks):
+                got = rk45_sweep(V, x_from, x_to, ks, y, dy)
+                for i, (k, yk, dyk) in enumerate(
+                        zip(ks, *np.broadcast_arrays(y, dy, ks)[:2])):
+                    (y_k,), (dy_k,) = rk45_sweep(V, x_from, x_to, k, yk, dyk)
+                    assert (got[0][i], got[1][i]) == (y_k, dy_k)
+
+    def test_real_start_gives_the_complex_start_bits(self, tmp_path):
+        # a stub's real start (1, h) runs in floats, to the same bits
+        ks = np.array([0.5, 10.0, 29.0])
+        for b in smooth_demo_star(tmp_path).finite_branches:
+            for V, x_from, x_to, _, y, dy in both_ways(b, ks):
+                got = rk45_sweep(V, x_from, x_to, ks, y, dy)
+                want = rk45_sweep(V, x_from, x_to, ks, complex(y),
+                                  complex(dy))
+                assert [(e.shape, e.dtype) for e in got] == \
+                    [((3,), np.dtype(complex))] * 2
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_profile_rows_match_endpoint_calls(self):
         # jost_profile's row at x is rk45_sweep on jost_leg's start, to x;

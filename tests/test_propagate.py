@@ -129,15 +129,22 @@ def test_backward_matrix_inverts_forward():
     (LineProfile.exponential_taper(0.7, 2.0), 0.49),
 ])
 def test_constant_stub_matches_closed_form(profile, v):
-    k, tau = 160.0, 2.0
+    # k^2 > V, and on the taper k^2 < V (s < 0) and k^2 = V (s = 0 at
+    # k = 0.7), in one cell product with an empty span at x = 1: one cell
+    # of width 0, at s = k^2 >= 0, which gives its start back bit for bit
+    k, tau = np.array([0.0, 0.3, 0.7, 160.0]), 2.0
     V = profile.potential
     y0, dy0 = 0.3 - 0.2j, 40.0 + 7.0j
-    y, dy = propagate.sweep(V, 0.0, tau, np.array([k]), y0, dy0)
-    q = np.sqrt(k * k - v)
-    want_y = np.cos(q * tau) * y0 + np.sin(q * tau) / q * dy0
-    want_dy = -q * np.sin(q * tau) * y0 + np.cos(q * tau) * dy0
-    assert abs(y[0] - want_y) < 1e-12 * abs(dy0) / k
-    assert abs(dy[0] - want_dy) < 1e-12 * abs(dy0)
+    (y, y1), (dy, dy1) = (a.T for a in propagate.sweep_legs(
+        [(V, 0.0, tau, y0, dy0), (V, 1.0, 1.0, y0, dy0)], k))
+    assert np.all(y1 == y0) and np.all(dy1 == dy0)
+    s = k * k - v
+    q = np.sqrt(s.astype(complex))
+    c = np.cos(q * tau).real
+    sl = np.where(s == 0, tau, (np.sin(q * tau) / np.where(s == 0, 1, q)).real)
+    want_y, want_dy = c * y0 + sl * dy0, -s * sl * y0 + c * dy0
+    assert np.all(np.abs(y - want_y) < 1e-12 * abs(dy0) / np.maximum(k, 1))
+    assert np.all(np.abs(dy - want_dy) < 1e-12 * abs(dy0))
 
 
 def count_step_factors(monkeypatch):
