@@ -4,8 +4,6 @@ branch, and recovery of the branch count and finite-branch travel times
 from high-frequency reflection data."""
 
 from .errors import StarScatterError
-from .fundamental import KernelTable, fundamental_at, \
-    fundamental_via_kernel, solve_kernel
 from .inversion import InversionReport, ReflectogramSample, estimate_m, \
     estimate_taus, high_freq_reflection
 from .jost import jost_at_origin
@@ -18,10 +16,9 @@ from .scattering import ScatteringSweep, StarNetwork, reflectogram, \
 __version__ = "0.1.0"
 
 __all__ = [
-    "DiscreteGraphField", "InversionReport", "KernelTable", "LineProfile",
-    "PotentialFn", "ReflectogramSample", "ScatteringSweep", "StarNetwork",
-    "StarScatterError", "estimate_m", "estimate_taus", "fundamental_at",
-    "fundamental_via_kernel", "high_freq_reflection", "jost_at_origin",
-    "liouville_coordinate", "oracle_solve", "reflectogram", "solve_kernel",
-    "solve_scattering", "travel_time",
+    "DiscreteGraphField", "InversionReport", "LineProfile", "PotentialFn",
+    "ReflectogramSample", "ScatteringSweep", "StarNetwork",
+    "StarScatterError", "estimate_m", "estimate_taus",
+    "high_freq_reflection", "jost_at_origin", "liouville_coordinate",
+    "oracle_solve", "reflectogram", "solve_scattering", "travel_time",
 ]

@@ -10,14 +10,14 @@ representation
                  + int_{-x}^{x} K(x,t) {cos(kt) + h sin(kt)/k} dt,
 
 where the transformation kernel K solves a Goursat-type integral equation.
-These two are references for the tests, which check the solver and the
-high-frequency asymptotics against them; ``validate`` calls neither (it
-compares the solver's node pairs with ``jost.rk45_sweep`` directly).  The
-kernel route is second order on a grid that ignores V's kinks and jumps.
-Each takes a scalar or a 1-D array of k and returns arrays with one entry
-per k.  On V = 0 (support_end <= 0, every uniform line) K = 0:
-``solve_kernel`` returns the zero table and ``fundamental_via_kernel``
-the closed form, with no integration.
+Both routes are test references, which check the solver and the
+high-frequency asymptotics; no command runs either (``validate`` compares
+the solver's node pairs with ``jost.rk45_sweep``), and ``import
+starscatter`` does not load this module.  ``fundamental_at`` and
+``solve_kernel`` stay in ``src`` because the benchmark's tracer resolves
+them, until ROADMAP items 8 and 10.  The kernel route is second order on a
+grid that ignores V's kinks and jumps.  Each takes a scalar or a 1-D array
+of k and returns arrays with one entry per k.
 """
 from __future__ import annotations
 
@@ -42,7 +42,6 @@ class KernelTable:
     """
 
     tau: float
-    grid_step: float
     xi: np.ndarray
     values: np.ndarray  # P[i, j] = K(xi_i + eta_j, xi_i - eta_j)
 
@@ -73,16 +72,10 @@ def solve_kernel(V: PotentialFn, tau: float) -> KernelTable:
     """
     # tau/400, capped absolutely so long branches do not lose the 1e-6
     # cross-representation agreement
-    grid_step = min(tau / 400.0, 2.5e-3)
-    n = max(int(np.ceil(tau / grid_step)), 8)
+    n = max(int(np.ceil(tau / min(tau / 400.0, 2.5e-3))), 8)
     xi = np.linspace(0.0, tau, n + 1)
-    if V.support_end <= 0.0:
-        # V = 0: the kernel is 0, which is what the first sweep would give
-        return KernelTable(float(tau), float(grid_step), xi,
-                           np.zeros((n + 1, n + 1)))
     hstep = tau / n
-    v_line = np.asarray(V(xi), dtype=float)
-    source = 0.5 * cumulative_trapezoid(v_line, xi)
+    source = 0.5 * cumulative_trapezoid(np.asarray(V(xi), dtype=float), xi)
     # sample V at beta-cell midpoints: the zero extension of V jumps exactly
     # on grid nodes, and midpoint sampling keeps the quadrature second order
     # across that jump instead of degrading to first order.  V(xi_i + mid_j)
@@ -91,33 +84,20 @@ def solve_kernel(V: PotentialFn, tau: float) -> KernelTable:
     v_diag = np.asarray(V((np.arange(2 * n) + 0.5) * hstep), dtype=float)
     half_v = sliding_window_view(0.5 * v_diag, n)
     dxi = np.diff(xi)[:, None]
-    # the sweep runs in four (n+1)^2 buffers: P, the next P, the inner
-    # integral (first column 0) and one scratch that holds the beta-cell
-    # weights, then the trapezoid terms, then |new - P|
     P = np.tile(source[:, None], (1, n + 1))
-    new = np.empty_like(P)
-    inner = np.zeros_like(P)
-    scratch = np.empty_like(P)
-    w_cell = scratch[:, :n]
-    trap = scratch.reshape(-1)[:n * (n + 1)].reshape(n, n + 1)
     for _ in range(200):
         # inner[:, j] = h * sum_{b < j} V(mid) (P_b + P_{b+1}) / 2
-        np.add(P[:, :-1], P[:, 1:], out=w_cell)
-        w_cell *= half_v
-        np.cumsum(w_cell, axis=1, out=inner[:, 1:])
-        inner[:, 1:] *= hstep
+        inner = np.zeros_like(P)
+        inner[:, 1:] = np.cumsum((P[:, :-1] + P[:, 1:]) * half_v,
+                                 axis=1) * hstep
         # new = source + the cumulative trapezoid of inner over xi
-        np.add(inner[1:], inner[:-1], out=trap)
-        trap *= dxi
-        trap /= 2.0
-        new[0] = 0.0
-        np.cumsum(trap, axis=0, out=new[1:])
+        new = np.zeros_like(P)
+        new[1:] = np.cumsum((inner[1:] + inner[:-1]) * dxi / 2.0, axis=0)
         new += source[:, None]
-        np.subtract(new, P, out=scratch)
-        change = np.max(np.abs(scratch, out=scratch))
-        P, new = new, P
+        change = np.max(np.abs(new - P))
+        P = new
         if change < 1e-10:
-            return KernelTable(float(tau), float(grid_step), xi, P)
+            return KernelTable(float(tau), xi, P)
     raise DivergenceError("kernel iteration did not reach 1e-10 in 200 sweeps")
 
 
@@ -143,8 +123,6 @@ def fundamental_via_kernel(K: KernelTable, h: float, k) -> np.ndarray:
     tau = K.tau
     k = np.atleast_1d(np.asarray(k, dtype=float))
     out = _cos_term(k, tau, h).astype(complex)
-    if not K.values.any():
-        return out
     spline = CubicSpline(2.0 * K.xi - tau, np.fliplr(K.values).diagonal())
     for i, q in enumerate(k.tolist()):
         # an odd point count, as Simpson's rule wants

@@ -60,10 +60,13 @@ class TestClosedForm:
            k=st.floats(5.0, 200.0))
     @settings(max_examples=200, deadline=None)
     def test_m_recovery_identity(self, m, taus, k):
-        # 1/(1+R1) = (m - iS)/2, so 2 Re recovers m exactly
+        # 1/(1+R1) = (m - iS)/2, so 2 Re recovers m exactly; near R1 = -1
+        # (the samples estimate_m drops) 1/(1+R1) loses digits
         if any(abs(math.cos(k * tau)) < 1e-2 for tau in taus):
             return
         r1 = high_freq_reflection(m, taus, k)
+        if abs(1.0 + r1) < inversion.M_GUARD:
+            return
         assert 2.0 * (1.0 / (1.0 + r1)).real == pytest.approx(m, abs=1e-12)
 
 

@@ -308,15 +308,21 @@ class TestRK45Sweep:
 
     def test_each_k_is_its_one_k_call(self, tmp_path):
         # each k is its own RK45 run, so a k's pair does not depend on the
-        # other k of the call
+        # other k of the call.  Omega's legs from (1, h) on a well and a
+        # bump stub join the demo star's, which hold the tau = 1.7 table
+        # stub's (h = -0.1)
         ks = np.array([0.5, 10.0, 29.0])
-        for b in smooth_demo_star(tmp_path).branches:
-            for V, x_from, x_to, _, y, dy in both_ways(b, ks):
-                got = rk45_sweep(V, x_from, x_to, ks, y, dy)
-                for i, (k, yk, dyk) in enumerate(
-                        zip(ks, *np.broadcast_arrays(y, dy, ks)[:2])):
-                    (y_k,), (dy_k,) = rk45_sweep(V, x_from, x_to, k, yk, dyk)
-                    assert (got[0][i], got[1][i]) == (y_k, dy_k)
+        legs = [leg for b in smooth_demo_star(tmp_path).branches
+                for leg in both_ways(b, ks)]
+        legs += [(WELL, 0.0, 1.0, ks, 1.0, 0.0),
+                 (make_potential(sin2_bump(1.2, 1.4), 1.4), 0.0, 1.4, ks,
+                  1.0, 0.3)]
+        for V, x_from, x_to, _, y, dy in legs:
+            got = rk45_sweep(V, x_from, x_to, ks, y, dy)
+            for i, (k, yk, dyk) in enumerate(
+                    zip(ks, *np.broadcast_arrays(y, dy, ks)[:2])):
+                (y_k,), (dy_k,) = rk45_sweep(V, x_from, x_to, k, yk, dyk)
+                assert (got[0][i], got[1][i]) == (y_k, dy_k)
 
     def test_real_start_gives_the_complex_start_bits(self, tmp_path):
         # a stub's real start (1, h) runs in floats, to the same bits

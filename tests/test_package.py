@@ -86,6 +86,7 @@ codes = [cli.main(["forward", "--config", d + "/net.json", "--kmin", "20",
          cli.main(["invert", "--csv", d + "/s.csv"]),
          cli.main(["validate", "--config", d + "/net.json"])]
 print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print("starscatter.fundamental" in sys.modules)
 """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
@@ -93,4 +94,6 @@ print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
                           capture_output=True, text=True, timeout=300,
                           check=False)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []", proc.stdout
+    assert proc.stdout.splitlines()[-2] == "[0, 0, 0] []", proc.stdout
+    # nor the kernel reference, which no command runs
+    assert proc.stdout.splitlines()[-1] == "False", proc.stdout
