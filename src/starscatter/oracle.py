@@ -12,6 +12,14 @@ value.  Branch 1's incoming wave is its conjugate, scaled, so it costs no
 second sweep.  Value continuity and the node's derivative balance then
 leave one scalar unknown.
 
+Where V = 0 every stencil row carries the same coefficient c_0 =
+-2 cos(theta), and the recurrence's solutions there are combinations of
+Chebyshev polynomials of the second kind, U_m = sin((m+1) theta) /
+sin(theta).  A branch's trailing run of V = 0 rows (an infinite branch
+past its potential's support, or all of a uniform line) is written in one
+vectorized pass from U_m, and the Python loop runs only through the rows
+up to the last one with V != 0.
+
 Two accuracy choices keep the comparison against the constructed solution
 honest at high k: the stencil uses the dispersion-corrected coefficient
 K^2 = 2(1 - cos(k dx))/dx^2, which makes e^{+-ikx} an exact lattice
@@ -59,15 +67,32 @@ def _one_sided_end(nN, dx):
     return idx, w
 
 
-def _sweep_back(c, y_prev, y_last) -> np.ndarray:
+def _sweep_back(c, y_prev, y_last, zeros) -> np.ndarray:
     """y_0..y_n of the lattice recurrence y_{i-1} = -c_i y_i - y_{i+1}
-    (c = c_1..c_{n-1}), swept back from (y_{n-1}, y_n)."""
-    ys = [y_last, y_prev]
+    (c = c_1..c_{n-1}), swept back from (y_{n-1}, y_n).
+
+    The last ``zeros`` rows share the coefficient c_0 = c[-1] = -2 cos(theta)
+    (V = 0 there), and m steps back through them y_{n-m} = y_{n-1} U_{m-1}
+    - y_n U_{m-2}, with U_{m-1} = sin(m theta) / sin(theta): one ``np.sin``
+    over the run, and the loop steps only rows 1..n-zeros-1.  theta comes
+    from c_0 itself, so that it is the loop's own recurrence; 2 + c_0 is
+    exact, as c_0 lies in [-2, -1] wherever dx resolves k.  At theta = 0
+    (k dx below about 1e-8, where 1 - cos(k dx) rounds to 0) U_{m-1} = m.
+    """
+    tail = np.array([y_last, y_prev])  # y_n, y_{n-1}, ... going back
     a, b = y_last, y_prev
-    for ci in reversed(c.tolist()):
+    if zeros:
+        theta = 2.0 * math.asin(math.sqrt((2.0 + float(c[-1])) / 4.0))
+        m = np.arange(1.0, zeros + 2.0)
+        u = np.sin(m * theta) / math.sin(theta) if theta > 0.0 else m
+        tail = np.concatenate((tail, y_prev * u[1:] - y_last * u[:-1]))
+        a, b = tail[-2].item(), tail[-1].item()
+    head = []
+    for ci in reversed(c[:c.size - zeros].tolist()):
         a, b = b, -ci * b - a
-        ys.append(b)
-    return np.array(ys[::-1])
+        head.append(b)
+    return np.concatenate((np.array(head[::-1], dtype=tail.dtype),
+                           tail[::-1]))
 
 
 def oracle_solve(net: StarNetwork, k: float, dx: float,
@@ -77,6 +102,10 @@ def oracle_solve(net: StarNetwork, k: float, dx: float,
     X_trunc must lie beyond every infinite-branch potential support; dx must
     resolve the oscillation (dx <= (2 pi / k)/20).
     """
+    for name, val in (("k", k), ("dx", dx), ("X_trunc", X_trunc)):
+        if not (math.isfinite(val) and val > 0.0):
+            raise DomainError(f"{name} must be finite and positive, "
+                              f"got {val!r}")
     if dx > (2.0 * math.pi / k) / 20.0:
         raise DomainError("dx too coarse for this k (need 20 pts/wavelength)")
     for b in net.infinite_branches:
@@ -107,8 +136,11 @@ def oracle_solve(net: StarNetwork, k: float, dx: float,
         n = g.size - 1
         d = g[-1] / n
         K2 = 2.0 * (1.0 - math.cos(k * d)) / (d * d)
-        c = -2.0 + d * d * (K2 - np.asarray(b.potential(g[1:n]),
-                                            dtype=float))
+        v = np.asarray(b.potential(g[1:n]), dtype=float)
+        c = -2.0 + d * d * (K2 - v)
+        # the trailing run of V = 0 rows, which share the coefficient c[-1]
+        nonzero = np.flatnonzero(v)
+        zeros = v.size - (int(nonzero[-1]) + 1 if nonzero.size else 0)
         if b.is_finite:
             # y' = h y at the terminal, one-sided on y_n..y_{n-3}: the
             # stencils at x_{n-1} and x_{n-2} write y_{n-2} and y_{n-3} in
@@ -119,7 +151,7 @@ def oracle_solve(net: StarNetwork, k: float, dx: float,
                      w1 - w2 * c1 + w3 * (c2 * c1 - 1.0))
         else:  # radiation closure, an exact lattice row
             start = (1.0, complex(np.exp(1j * k * d)))
-        u = _sweep_back(c, *start)
+        u = _sweep_back(c, *start, zeros)
         if not (u[0] != 0 and np.isfinite(u[0])):
             raise ResonanceError(f"discrete system singular at k={k}")
         zc = u[1:] / u[0]

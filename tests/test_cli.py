@@ -12,8 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from starscatter import cli, csvtext, fundamental, inversion, propagate, \
-    scattering
+from starscatter import cli, csvtext, inversion, propagate, scattering
 from starscatter.errors import ResonanceError
 
 from conftest import fake_singular_stub, smooth_demo_star, write_sin2_table
@@ -820,19 +819,6 @@ class TestValidate:
         assert rc == 3
         assert len(err) == 1 and err[0].startswith(
             "solver error: RK45 failed on [1.0, 0.0]")
-
-    def test_makes_no_kernel_call(self, tmp_path, monkeypatch, capsys):
-        write_sin2_table(tmp_path / "V.csv", 0.4, 0.6)
-        doc = uniform_config(1)
-        doc["branches"].append({"kind": "finite", "direct": {
-            "potential_table_path": "V.csv", "tau": 1.0, "h": 0.1}})
-        calls = []
-        for name in ("solve_kernel", "fundamental_via_kernel"):
-            monkeypatch.setattr(fundamental, name,
-                                lambda *args, name=name: calls.append(name))
-        rc = cli.main(["validate", "--config", write_config(tmp_path, doc)])
-        assert rc == 0 and "FAIL" not in capsys.readouterr().out
-        assert calls == []
 
     def test_solver_vs_rk45_fails_on_a_scaled_jost_pair(self, tmp_path,
                                                         monkeypatch, capsys):

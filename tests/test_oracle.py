@@ -85,6 +85,90 @@ class TestOracleSolve:
         with pytest.raises(DomainError):
             oracle_solve(SMOOTH_NET, 10.0, 1e-3, 0.5)  # inside support
 
+    @pytest.mark.parametrize("name, k, dx, X_trunc", [
+        ("dx", 10.0, -1e-3, 1.0), ("dx", 10.0, 0.0, 1.0),
+        ("dx", 10.0, math.nan, 1.0), ("dx", 10.0, math.inf, 1.0),
+        ("k", 0.0, 1e-3, 1.0), ("k", -10.0, 1e-3, 1.0),
+        ("k", math.nan, 1e-3, 1.0), ("k", math.inf, 1e-3, 1.0),
+        ("X_trunc", 10.0, 1e-3, math.nan), ("X_trunc", 10.0, 1e-3, -1.0),
+        ("X_trunc", 10.0, 1e-3, 0.0), ("X_trunc", 10.0, 1e-3, math.inf),
+    ])
+    def test_refuses_an_argument_not_finite_and_positive(self, monkeypatch,
+                                                         name, k, dx,
+                                                         X_trunc):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a grid was built")
+
+        net = uniform_network(2, taus=[1.0])
+        monkeypatch.setattr(oracle.np, "linspace", no_grid)
+        with pytest.raises(DomainError, match=f"^{name} must be finite and "
+                                              f"positive"):
+            oracle_solve(net, k, dx, X_trunc)
+
+    def test_v_zero_rows_take_no_loop_step(self, monkeypatch):
+        # every row of a uniform line, and every row past an infinite
+        # branch's support, goes to the closed form
+        calls = []
+        real = oracle._sweep_back
+
+        def spy(c, y_prev, y_last, zeros):
+            calls.append((c.size, zeros))
+            return real(c, y_prev, y_last, zeros)
+
+        monkeypatch.setattr(oracle, "_sweep_back", spy)
+        oracle_solve(uniform_network(2, taus=[1.0]), 10.0, 1e-3, 1.0)
+        assert calls == [(999, 999)] * 3
+        calls.clear()
+        oracle_solve(SMOOTH_NET, 10.0, 1e-3, 1.4)
+        # the rows past each bump's support, give or take its end point
+        for (size, zeros), b in zip(calls, SMOOTH_NET.branches):
+            past = size - round(b.potential.support_end / 1e-3)
+            assert abs(zeros - past) <= 1
+
+
+def chebyshev_case(kdx, n):
+    """The oracle's V = 0 stencil coefficient at k dx on a unit-free grid
+    (dx = 1e-3), repeated over the n - 1 rows of an n-cell branch."""
+    d = 1e-3
+    K2 = 2.0 * (1.0 - math.cos(kdx)) / (d * d)
+    return np.full(n - 1, -2.0 + d * d * K2)
+
+
+def sweep_start(kind, kdx):
+    """A terminal-like real start, or the radiation closure's complex one:
+    (y_{n-1}, y_n)."""
+    return (0.7, 1.0) if kind == "real" else (complex(np.exp(1j * kdx)), 1.0)
+
+
+# at k dx = 1e-9, 1 - cos(k dx) rounds to 0: c_0 = -2, theta = 0, and the
+# rows y_{i-1} = 2 y_i - y_{i+1} are solved by U_{m-1} = m
+@pytest.mark.parametrize("kdx", [1e-9, 5e-4, 0.01, 0.3])
+@pytest.mark.parametrize("n", [200, 2000, 20000])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_closed_form_sweep_matches_the_loop(kdx, n, kind):
+    c = chebyshev_case(kdx, n)
+    start = sweep_start(kind, kdx)
+    loop = oracle._sweep_back(c, *start, 0)
+    closed = oracle._sweep_back(c, *start, n - 1)
+    assert closed.dtype == loop.dtype and closed.shape == (n + 1,)
+    assert closed[-1] == start[1] and closed[-2] == start[0]
+    assert np.max(np.abs(closed - loop)) <= 1e-10 * np.max(np.abs(loop))
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_closed_form_tail_meets_a_looped_head(kind):
+    # V != 0 on the first 599 rows, 0 on the last 1 400
+    d, k = 1e-3, 10.0
+    x = np.arange(1, 2000) * d
+    v = np.where(x < 0.6, 40.0 * np.sin(math.pi * x / 0.6) ** 2, 0.0)
+    K2 = 2.0 * (1.0 - math.cos(k * d)) / (d * d)
+    c = -2.0 + d * d * (K2 - v)
+    start = sweep_start(kind, k * d)
+    loop = oracle._sweep_back(c, *start, 0)
+    mixed = oracle._sweep_back(c, *start, 1400)
+    assert mixed.dtype == loop.dtype
+    assert np.max(np.abs(mixed - loop)) <= 1e-10 * np.max(np.abs(loop))
+
 
 def list_built_matrix(net, k, dx, X_trunc):
     """The oracle's discrete system as one sparse matrix over every branch's
@@ -199,8 +283,12 @@ TAPER_NET = StarNetwork([LineProfile.uniform(1.0, 1.0),
     (uniform_network(2, taus=[0.6, 1.3]), 29.0, 1.0),
     (STUBS_FIRST_NET, 17.3, 1.4), (TAPER_NET, 10.0, 1.5),
     (TAPER_NET, 29.0, 1.5),
+    (uniform_network(3, taus=[0.37, 0.52, 0.61, 0.83, 0.97, 1.13, 1.41]),
+     17.3, 1.0),
+    (uniform_network(2, taus=[7.3]), 29.0, 1.0), (SMOOTH_NET, 0.5, 1.4),
 ], ids=["smooth-10", "smooth-14", "smooth-20", "matched-10", "three-29",
-        "stubs-29", "stubs-first-17.3", "taper-10", "taper-29"])
+        "stubs-29", "stubs-first-17.3", "taper-10", "taper-29",
+        "wide-17.3", "long-stub-29", "smooth-0.5"])
 def test_recurrence_matches_banded_lu(net, k, X_trunc):
     field = oracle_solve(net, k, 1e-3, X_trunc)
     values, r1 = banded_oracle_field(net, k, 1e-3, X_trunc)
