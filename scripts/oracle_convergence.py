@@ -14,8 +14,8 @@ import math
 
 import numpy as np
 
-from starscatter import LineProfile, StarNetwork, oracle_solve, \
-    solve_scattering
+from starscatter import LineProfile, StarNetwork, solve_scattering
+from starscatter.oracle import oracle_solve
 
 
 def bump(amplitude, width):

@@ -6,36 +6,23 @@ class StarScatterError(Exception):
 
 
 class ProfileValidityError(StarScatterError):
-    """A line profile violates positivity or limit assumptions."""
-
-
-class ResolutionError(StarScatterError):
-    """A sampled table is too coarse for the requested derivative order."""
+    """A line profile violates positivity or limit assumptions, or its
+    sampled table is too coarse (fewer than 5 rows) for d2A/dx2."""
 
 
 class DomainError(StarScatterError):
     """An operation was applied outside its domain (e.g. travel time of an
-    infinite branch)."""
-
-
-class SingularFrequencyError(StarScatterError):
-    """k = 0 requested where the formulation is singular."""
+    infinite branch, Jost data at k = 0, or closed-form R1 at a pole of
+    tan(k*tau))."""
 
 
 class AccuracyError(StarScatterError):
-    """An integrator failed to meet the requested tolerance."""
+    """An integrator failed to meet the requested tolerance, or the
+    transformation kernel's fixed-point iteration did not converge."""
 
 
 class ResonanceError(StarScatterError):
     """The node equation is singular at this frequency."""
-
-
-class DivergenceError(StarScatterError):
-    """Fixed-point iteration for the transformation kernel did not converge."""
-
-
-class PoleProximityError(StarScatterError):
-    """Requested k is too close to a pole of tan(k*tau)."""
 
 
 class InsufficientDataError(StarScatterError):

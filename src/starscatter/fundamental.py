@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DivergenceError
+from .errors import AccuracyError
 from .jost import rk45_sweep
 from .line_model import CubicSpline, PotentialFn, cumulative_trapezoid, \
     simpson
@@ -98,7 +98,7 @@ def solve_kernel(V: PotentialFn, tau: float) -> KernelTable:
         P = new
         if change < 1e-10:
             return KernelTable(float(tau), xi, P)
-    raise DivergenceError("kernel iteration did not reach 1e-10 in 200 sweeps")
+    raise AccuracyError("kernel iteration did not reach 1e-10 in 200 sweeps")
 
 
 def _cos_term(k, t, h: float) -> np.ndarray:

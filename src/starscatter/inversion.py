@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientDataError, PoleProximityError
+from .errors import DomainError, InsufficientDataError
 
 POLE_THRESHOLD = 10.0
 M_GUARD = 0.1  # drop samples with |1 + R1| below this (near the pole of 1/(1+R1))
@@ -52,8 +52,7 @@ def high_freq_reflection(m: int, taus, k: float) -> complex:
     S = 0.0
     for tau in taus:
         if abs(math.cos(k * tau)) <= 1e-9:
-            raise PoleProximityError(
-                f"k={k} is at a pole of tan(k*{tau})")
+            raise DomainError(f"k={k} is at a pole of tan(k*{tau})")
         S += math.tan(k * tau)
     return (-(m - 2) + 1j * S) / (m - 1j * S)
 

@@ -5,9 +5,9 @@ where V is taken as 0, so its node pair (f0, df0) is the plane wave's
 (e^{ikX}, ik e^{ikX}) propagated back from X to 0, with no inverse
 matrix.  ``jost_leg`` gives that leg, (V, X, 0, e^{ikX}, ik e^{ikX}),
 and every Jost route runs it: the network solver as one leg of its
-star's sweep, block by block (``scattering.branch_leg``),
-``jost_batch`` on its own as the one-leg ``propagate.sweep``, and
-``jost_at_origin`` on ``rk45_sweep``, the RK45 twin of
+star's sweep, block by block (``scattering.branch_leg``), and
+``jost_batch`` on its own as the one-leg ``propagate.sweep``.  Its RK45
+reference is the same leg on ``rk45_sweep``, the twin of
 ``propagate.sweep`` with its arguments and its (y, y') arrays over k.
 ``jost_profile`` samples f for the tests, one ``rk45_sweep`` call from X
 to each x.  On V = 0 ``rk45_sweep`` returns the free solution in closed
@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from . import propagate
-from .errors import AccuracyError, SingularFrequencyError
+from .errors import AccuracyError, DomainError
 from .line_model import PotentialFn
 
 RTOL = 1e-9
@@ -175,7 +175,7 @@ def rk45_sweep(V: PotentialFn, x_from: float, x_to: float, k, y, dy):
 def _check_k(k) -> np.ndarray:
     k = np.atleast_1d(np.asarray(k, dtype=float))
     if np.any(k == 0):
-        raise SingularFrequencyError("Jost data is singular at k = 0")
+        raise DomainError("Jost data is singular at k = 0")
     return k
 
 
@@ -187,15 +187,6 @@ def jost_leg(V: PotentialFn, k):
     ik = 1j * k
     eikX = np.exp(ik * X)
     return V, X, 0.0, eikX, ik * eikX
-
-
-def jost_at_origin(V: PotentialFn, k):
-    """(f0, df0) = (f(0,k), f'(0,k)) by RK45, two complex arrays over
-    ``np.atleast_1d(k)``, as ``jost_batch`` returns them: ``jost_leg`` on
-    ``rk45_sweep``, one run per k."""
-    k = _check_k(k)
-    V, X, x_to, y, dy = jost_leg(V, k)
-    return rk45_sweep(V, X, x_to, k, y, dy)
 
 
 def jost_profile(V: PotentialFn, k: float, xs):
@@ -210,8 +201,8 @@ def jost_profile(V: PotentialFn, k: float, xs):
 
 def jost_batch(V: PotentialFn, k):
     """(f0, df0) over an array of frequencies: ``jost_leg`` on the one-leg
-    ``propagate.sweep``, the network solver's Jost leg on its own and the
-    call ``jost_at_origin`` makes on ``rk45_sweep``."""
+    ``propagate.sweep``, the network solver's Jost leg on its own.  The
+    RK45 reference runs the same leg on ``rk45_sweep``."""
     k = _check_k(k)
     V, X, x_to, y, dy = jost_leg(V, k)
     return propagate.sweep(V, X, x_to, k, y, dy)

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, ProfileValidityError, ResolutionError
+from .errors import DomainError, ProfileValidityError
 from .propagate import MAX_CELLS
 
 TAIL_TOL = 1e-10
@@ -138,7 +138,7 @@ class LineProfile:
             raise ProfileValidityError(
                 "z, L, C tables must hold finite samples only")
         if z.size < 5:
-            raise ResolutionError(
+            raise ProfileValidityError(
                 "sampled tables need at least 5 points to estimate d2A/dx2")
         if np.any(np.diff(z) <= 0):
             raise ProfileValidityError("z samples must be strictly increasing")

@@ -50,9 +50,6 @@ class DiscreteGraphField:
     values: list  # per-branch complex field arrays
     R1_est: complex
 
-    def node_values(self):
-        return [v[0] for v in self.values]
-
 
 def _one_sided_start(n0, dx):
     """Third-order y'(x_0): indices n0..n0+3, weights /(6 dx)."""

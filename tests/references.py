@@ -15,7 +15,7 @@ from scipy.interpolate import RegularGridInterpolator
 from scipy.linalg import solve_banded
 
 from starscatter import oracle, propagate
-from starscatter.errors import DomainError, SingularFrequencyError
+from starscatter.errors import DomainError
 from starscatter.fundamental import KernelTable
 from starscatter.jost import rk45_sweep
 from starscatter.line_model import PotentialFn
@@ -31,7 +31,7 @@ def jost_via_volterra(V: PotentialFn, k: float, n_grid: int = 4000):
     k*X grows, so tests use it at moderate frequencies only.
     """
     if k == 0:
-        raise SingularFrequencyError("Jost data is singular at k = 0")
+        raise DomainError("Jost data is singular at k = 0")
     x = np.linspace(0.0, V.truncation, n_grid + 1)
     v = np.asarray(V(x), dtype=float)
     sin_kx, cos_kx = np.sin(k * x), np.cos(k * x)

@@ -14,12 +14,12 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from starscatter import jost, propagate
-from starscatter.errors import AccuracyError, SingularFrequencyError
-from starscatter.jost import jost_at_origin, jost_batch, jost_leg, \
-    jost_profile, rk45_sweep
+from starscatter.errors import AccuracyError, DomainError
+from starscatter.jost import jost_batch, jost_leg, jost_profile, rk45_sweep
 from starscatter.line_model import LineProfile, PotentialFn
 
-from conftest import jost_ab, sin2_bump, smooth_demo_star, square_well
+from conftest import jost_ab, run_leg, sin2_bump, smooth_demo_star, \
+    square_well
 from references import jost_via_volterra
 
 
@@ -55,8 +55,11 @@ def tilde_profile(V, k, xs):
 
 
 def rk45_data(V, k):
-    """(f0, df0, a, b) from the RK45 references alone."""
-    return (*jost_at_origin(V, k), *jost_ab(V, k, rk45_sweep))
+    """(f0, df0, a, b) from the RK45 references alone: the Jost leg and
+    ftilde's, each on ``rk45_sweep``."""
+    k = np.asarray(k, dtype=float)
+    return (*run_leg(rk45_sweep, jost_leg(V, k), k),
+            *jost_ab(V, k, rk45_sweep))
 
 
 def no_dp45(*args):
@@ -106,12 +109,12 @@ class TestJostAtOrigin:
         assert abs(abs(a - 1.0) - 0.0025) <= 5e-4
 
     def test_zero_frequency_rejected(self):
-        with pytest.raises(SingularFrequencyError):
-            jost_at_origin(WELL, 0.0)
+        with pytest.raises(DomainError, match="singular at k = 0"):
+            jost_batch(WELL, 0.0)
 
     def test_zero_among_frequencies_rejected(self):
-        with pytest.raises(SingularFrequencyError):
-            jost_at_origin(WELL, [4.0, 0.0])
+        with pytest.raises(DomainError, match="singular at k = 0"):
+            jost_batch(WELL, [4.0, 0.0])
 
     def test_truncation_point_compact_support(self):
         assert WELL.truncation == pytest.approx(1.0, abs=1e-6)
@@ -120,12 +123,12 @@ class TestJostAtOrigin:
 class TestLogDerivative:
     def test_free(self):
         V = make_potential(lambda x: np.zeros_like(np.asarray(x, float)), 0.0)
-        f0, df0 = jost_at_origin(V, 7.0)
+        f0, df0 = run_leg(rk45_sweep, jost_leg(V, 7.0), 7.0)
         assert df0 / f0 == 7.0j
 
     @pytest.mark.parametrize("k", [50.0, 200.0])
     def test_stays_near_ik(self, k):
-        f0, df0 = jost_at_origin(WELL, k)
+        f0, df0 = run_leg(rk45_sweep, jost_leg(WELL, k), k)
         assert abs(df0 / f0 - 1j * k) <= 2.0
 
 
@@ -213,7 +216,7 @@ class TestVolterraReference:
     def test_agrees_with_ode_path(self):
         k = 4.0
         x, f, ftilde = jost_via_volterra(WELL, k, n_grid=6000)
-        (f0,), _ = jost_at_origin(WELL, k)
+        (f0,), _ = run_leg(rk45_sweep, jost_leg(WELL, k), k)
         assert abs(f[0] - f0) < 1e-5
         assert abs(ftilde[0] - 1.0) < 1e-12
         f0o, _, _, _ = well_oracle(1.0, 1.0, k)

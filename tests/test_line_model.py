@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, interpolate
 
 from starscatter import config, line_model
-from starscatter.errors import DomainError, ProfileValidityError, \
-    ResolutionError
+from starscatter.errors import DomainError, ProfileValidityError
 from starscatter.line_model import LineProfile, liouville_coordinate, \
     read_table_csv, travel_time
 from starscatter.scattering import StarNetwork
@@ -287,7 +286,7 @@ class TestPotentialFromProfile:
 
     def test_table_too_coarse(self):
         z = np.linspace(0.0, 1.0, 4)
-        with pytest.raises(ResolutionError):
+        with pytest.raises(ProfileValidityError, match="at least 5 points"):
             LineProfile.sampled_table(z, np.ones(4), np.ones(4))
 
     def test_truncation_drops_at_most_tail_tol(self):

@@ -72,7 +72,7 @@ class TestOracleSolve:
 
     def test_node_continuity_of_discrete_field(self):
         field = oracle_solve(SMOOTH_NET, 14.0, 1e-3, 1.4)
-        nodes = field.node_values()
+        nodes = [v[0] for v in field.values]
         A = [b.A0 for b in SMOOTH_NET.branches]
         ref = nodes[0] / A[0]
         for v, a in zip(nodes[1:], A[1:]):

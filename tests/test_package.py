@@ -8,9 +8,24 @@ from pathlib import Path
 import numpy as np
 
 import starscatter
+from starscatter import errors
 from conftest import write_sin2_table
 
 ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "starscatter"
+# the paper's pipeline, then one error class per kind of failure
+EXPORTS = [
+    "LineProfile", "StarNetwork", "reflectogram", "solve_scattering",
+    "estimate_m", "estimate_taus", "InversionReport",
+    "StarScatterError", "ConfigError", "ProfileValidityError",
+    "DomainError", "ResonanceError", "AccuracyError",
+    "InsufficientDataError",
+]
+
+
+def package_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
 
 
 def test_every_export_resolves_once():
@@ -18,6 +33,49 @@ def test_every_export_resolves_once():
     assert len(names) == len(set(names))
     for name in names:
         assert getattr(starscatter, name) is not None
+
+
+def test_exports_are_the_pipeline_and_the_errors():
+    assert starscatter.__all__ == EXPORTS
+
+
+def raised_names(path):
+    """Names of the exceptions a module raises: ``raise E(...)`` and
+    ``raise E``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+    return names
+
+
+def test_every_error_class_is_exported_and_raised():
+    classes = {name: cls for name, cls in vars(errors).items()
+               if isinstance(cls, type) and cls.__module__ == errors.__name__}
+    for name, cls in classes.items():
+        assert issubclass(cls, errors.StarScatterError), name
+        assert name in starscatter.__all__, name
+    raised = set().union(*(raised_names(p) for p in SRC.glob("*.py")))
+    assert set(classes) - {"StarScatterError"} <= raised
+
+
+def test_import_leaves_the_references_and_the_cli_unloaded():
+    script = """
+import sys
+import starscatter
+print(sorted(m for m in sys.modules if m in (
+    "starscatter.oracle", "starscatter.fundamental", "starscatter.config",
+    "starscatter.cli")))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], env=package_env(),
+                          capture_output=True, text=True, timeout=120,
+                          check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]", proc.stdout
 
 
 def unused_imports(path):
@@ -36,9 +94,10 @@ def unused_imports(path):
 
 
 def test_no_unused_imports():
-    # the package's __init__ imports what it exports, so it is left out
-    modules = [p for p in sorted((ROOT / "src" / "starscatter").glob("*.py"))
-               if p.name != "__init__.py"]
+    # the package's __init__ imports exactly what it exports, and reads
+    # none of it
+    assert unused_imports(SRC / "__init__.py") == sorted(starscatter.__all__)
+    modules = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
     modules += sorted((ROOT / "tests").glob("*.py"))
     # perfbench/ is left out: its setup probe imports scipy unread on
     # purpose
@@ -50,7 +109,7 @@ def test_no_unused_imports():
 
 def test_no_scipy_imports():
     # scipy is a test reference only; the package runs on numpy alone
-    for path in sorted((ROOT / "src" / "starscatter").glob("*.py")):
+    for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
             names = ([a.name for a in node.names]
@@ -88,9 +147,7 @@ codes = [cli.main(["forward", "--config", d + "/net.json", "--kmin", "20",
 print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 print("starscatter.fundamental" in sys.modules)
 """
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    proc = subprocess.run([sys.executable, "-c", script], env=package_env(),
                           capture_output=True, text=True, timeout=300,
                           check=False)
     assert proc.returncode == 0, proc.stderr

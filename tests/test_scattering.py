@@ -504,14 +504,6 @@ def test_jost_batch_is_the_branch_leg_on_sweep(tmp_path, k):
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
-def test_jost_at_origin_is_the_branch_leg_on_rk45(tmp_path):
-    for b in star_with_free_line(tmp_path).infinite_branches:
-        got = jost.jost_at_origin(b.potential, CHECK_KS)
-        want = run_leg(jost.rk45_sweep, scattering.branch_leg(b, CHECK_KS),
-                       CHECK_KS)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
-
-
 def test_branch_data_columns_are_one_leg_sweeps(tmp_path):
     # on a short grid every leg takes the direct product, alone or in the
     # solver's call, so the solver's node pairs are the one-leg sweeps bit
